@@ -147,14 +147,16 @@ def calibrate_curved(seed):
 
 
 def calibrate_affine(seed):
-    """Affine-set tests at p=6, n=2000 per group; no eigensolve per replicate.
+    """Affine-set tests at p=6, n=1500 per group; no eigensolve per replicate.
 
     c2 receives its mixture weights from the exact tie law, so the cone
-    Monte Carlo is bypassed.
+    Monte Carlo is bypassed. n is large enough that the passes over the
+    sample dominate, and small enough that one round takes about as long
+    as a run measures.
     """
     rng = rng_for(seed, "calibrate-affine")
     est = {"estimate": True}
-    sigma2, tau, n, p = 1.0, 0.05, 2000, 6
+    sigma2, tau, n, p = 1.0, 0.05, 1500, 6
     d6 = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
     cone_d, cone_mult = [3.0, 3.0, 2.0, 2.0, 1.0, 0.0], (2, 2, 1, 1)
     A = rng.standard_normal((p, p))
