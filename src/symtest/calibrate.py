@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lrt
-from .symcore import CovParams, Multiplicities, eigh_desc, sym_dim
+from .symcore import CovParams, Multiplicities, eigh_desc
 from .matnormal import sample
 from .onesample import (
     FixedEigvals,
@@ -148,10 +148,14 @@ def _check_truth_in_null(config, truth):
 
 
 def _ks_distance(sorted_stats, dist):
+    # sup |F_m - F| compares F_m with the CDF P(X <= x) = 1 - P(X > x) at
+    # each statistic and with its left limit 1 - P(X >= x) just below it;
+    # the two differ only at the point mass of a zero-df component
     m = sorted_stats.size
-    cdf = np.array([1.0 - lrt.pvalue(dist, float(x)) for x in sorted_stats])
     i = np.arange(1, m + 1)
-    return float(max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m)))
+    cdf = 1.0 - lrt._tail(dist, sorted_stats, strict=True)
+    cdf_below = 1.0 - lrt.pvalue(dist, sorted_stats)
+    return float(max(np.max(i / m - cdf), np.max(cdf_below - (i - 1) / m)))
 
 
 def calibrate_null(config, truth, n, reps, seed):
@@ -168,19 +172,6 @@ def calibrate_null(config, truth, n, reps, seed):
     _check_truth_in_null(config, truth)
     cov_true = CovParams(float(truth["sigma2"]), float(truth["tau"]))
     two_sample = "M1" in truth
-    config = dict(config)
-    if config["test_id"] == "c2" and "weights" not in config:
-        # estimate the mixture once, not per replicate; keep the faces
-        # reachable under the pattern, as test_C2 itself does
-        mult = _parse_mult(config)
-        w = estimate_cone_weights(
-            lrt._separated_spectrum(mult),
-            int(config.get("reps", 100000)), int(config.get("seed", 0)))
-        keep = [i for i, kdim in enumerate(w.face_dims) if kdim >= mult.k]
-        wsum = sum(w.weights[i] for i in keep)
-        config["weights"] = {
-            "face_dims": [w.face_dims[i] for i in keep],
-            "weights": [w.weights[i] / wsum for i in keep]}
     if two_sample:
         n1, n2 = int(n[0]), int(n[1])
         M1 = np.asarray(truth["M1"], dtype=float)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 internal-consistency failure, 2 input error.
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -23,13 +24,24 @@ import sys
 import numpy as np
 
 from . import __version__, calibrate, lrt
-from .symcore import ConvergenceError, matrix_log, sym_dim
+from .symcore import CovParams, matrix_log, sym_dim
 from .matnormal import sample
-from .symcore import CovParams
 
 
 class InputError(Exception):
     """Bad user input: malformed file, inconsistent config, wrong shape."""
+
+
+@contextlib.contextmanager
+def _input_errors(*types):
+    # report the given exception types as InputError (exit 2); a LinAlgError
+    # is a ValueError but an internal failure (exit 1), so it passes through
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except types as e:
+        raise InputError(str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +244,8 @@ def _log_transform(S):
     for i, Y in enumerate(S):
         try:
             out[i] = matrix_log(Y)
+        except np.linalg.LinAlgError:
+            raise
         except ValueError:
             raise InputError(
                 "observation %d is not positive definite; --log-transform "
@@ -262,7 +276,9 @@ def cmd_simulate(config_path, out_path, seed=None):
             raise InputError("two-sample simulate config requires %s" % e)
         _check_p(config, M1.shape[0])
         ss1, ss2 = np.random.SeedSequence(seed).spawn(2)
-        S = np.concatenate([sample(n1, M1, cov, ss1), sample(n2, M2, cov, ss2)])
+        with _input_errors(ValueError):  # bad mean, n or (sigma2, tau)
+            S = np.concatenate([sample(n1, M1, cov, ss1),
+                                sample(n2, M2, cov, ss2)])
         write_dataset(out_path, S, n1)
     else:
         try:
@@ -271,7 +287,8 @@ def cmd_simulate(config_path, out_path, seed=None):
         except KeyError as e:
             raise InputError("simulate config requires %s" % e)
         _check_p(config, M.shape[0])
-        S = sample(n, M, cov, np.random.SeedSequence(seed))
+        with _input_errors(ValueError):  # bad mean, n or (sigma2, tau)
+            S = sample(n, M, cov, np.random.SeedSequence(seed))
         write_dataset(out_path, S)
     return 0
 
@@ -295,10 +312,8 @@ def cmd_test(data_path, config_path, log_transform=False, with_timestamp=True,
     if not test_id.startswith("2") and n1 is not None:
         raise InputError("test %r is one-sample but %s has two groups"
                          % (test_id, data_path))
-    try:
+    with _input_errors(KeyError, ValueError):
         res = lrt.run_config(config, S, n1=n1)
-    except (KeyError, ValueError) as e:
-        raise InputError(str(e))
     report = _report_from_result(res, S.shape[0], n1, config.get("seed"),
                                  with_timestamp)
     out.write(dumps(report) + "\n")
@@ -314,10 +329,8 @@ def cmd_cov_check(data_path, log_transform=False, with_timestamp=True,
                          % data_path)
     if log_transform:
         S = _log_transform(S)
-    try:
+    with _input_errors(ValueError):
         res = lrt.test_sigma_structure(S)
-    except ValueError as e:
-        raise InputError(str(e))
     report = _report_from_result(res, S.shape[0], None, None, with_timestamp)
     out.write(dumps(report) + "\n")
     return 0
@@ -336,11 +349,9 @@ def cmd_calibrate(config_path, seed=None, reps=None, out_path=None,
         seed = int(config.get("seed", 0))
     n = config["n"]
     n = (int(n[0]), int(n[1])) if isinstance(n, list) else int(n)
-    try:
+    with _input_errors(KeyError, ValueError):
         rep = calibrate.calibrate_null(config["test"], config["truth"], n,
                                        reps, seed)
-    except (KeyError, ValueError) as e:
-        raise InputError(str(e))
     payload = {
         "tool": "symtest",
         "version": __version__,
@@ -392,10 +403,8 @@ def cmd_cone_weights(config_path, seed=None, reps=None, with_timestamp=True,
         reps = int(config.get("reps", 100000))
     if seed is None:
         seed = int(config.get("seed", 0))
-    try:
+    with _input_errors(ValueError):
         w = calibrate.estimate_cone_weights(config["d_true"], reps, seed)
-    except ValueError as e:
-        raise InputError(str(e))
     payload = {
         "tool": "symtest",
         "version": __version__,
@@ -485,7 +494,7 @@ def main(argv=None):
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (lrt.StatisticError, ConvergenceError) as e:
+    except (lrt.StatisticError, np.linalg.LinAlgError) as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 1
 

@@ -9,6 +9,10 @@ covariance is supplied, tau is estimated under the null fit, sigma2
 follows, and both are plugged into the statistic, with the reference
 distribution flagged as asymptotic-only.
 
+Tail probabilities come from scipy.special (chdtrc, fdtrc). The cone
+test's mixture weights at a tied spectrum are exact: the level-probability
+law of each tied block, convolved over the blocks.
+
 Test identifiers (`test_id` on results and in CLI configs):
 
 ==========  ====================================================
@@ -30,8 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtrc, fdtrc
 
-from . import special
 from .symcore import (
     CovParams,
     Multiplicities,
@@ -120,36 +124,58 @@ class TestResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def pvalue(dist, t):
-    """Upper-tail probability of the reference distribution at t."""
-    if not math.isfinite(t):
-        raise ValueError("statistic must be finite, got %r" % t)
+def _chi2_tail(df, t, strict):
+    if df == 0:
+        # point mass at 0, which chdtrc leaves undefined
+        return np.where(t < 0.0 if strict else t <= 0.0, 1.0, 0.0)
+    return chdtrc(df, np.maximum(t, 0.0))
+
+
+def _tail(dist, t, strict=False):
+    """P(X > t) if strict, else P(X >= t); t is an array."""
     if isinstance(dist, (ChiSq, ChiSqApprox)):
-        return special.chi2_sf(t, dist.df)
+        return _chi2_tail(dist.df, t, strict)
     if isinstance(dist, FDist):
-        return special.f_sf(t, dist.df1, dist.df2)
+        return fdtrc(dist.df1, dist.df2, np.maximum(t, 0.0))
     if isinstance(dist, ChiSqMix):
-        return float(sum(w * special.chi2_sf(t, df)
-                         for w, df in zip(dist.weights, dist.dfs)))
+        return sum(w * _chi2_tail(df, t, strict)
+                   for w, df in zip(dist.weights, dist.dfs))
     raise TypeError("unknown reference distribution %r" % (dist,))
 
 
+def pvalue(dist, t):
+    """Upper tail P(X >= t) of the reference at a scalar or an array t."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("statistic must be finite, got %r" % (t,))
+    out = _tail(dist, t)
+    return float(out) if out.ndim == 0 else out
+
+
 def quantile(dist, prob):
-    """Quantile of the reference distribution by bisection on the tail."""
+    """Quantile inf{t : P(X > t) <= 1 - prob} by bisection on the tail.
+
+    The strict tail puts a point mass at 0 (a zero-df component) below
+    the quantile, so any prob within that mass gives exactly 0.
+    """
     if not 0.0 <= prob < 1.0:
         raise ValueError("prob must be in [0, 1), got %r" % prob)
-    if prob == 0.0:
-        return 0.0
     target = 1.0 - prob
+
+    def above(t):
+        return _tail(dist, t, strict=True) > target
+
+    if not above(0.0):
+        return 0.0
     hi = 1.0
-    while pvalue(dist, hi) > target:
+    while above(hi):
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("quantile bracket failed")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if pvalue(dist, mid) > target:
+        if above(mid):
             lo = mid
         else:
             hi = mid
@@ -263,47 +289,46 @@ def test_A2(S, U0, cov=None):
     return _result("a2", t, dist, fit_null, fit_alt, plugin)
 
 
-def _separated_spectrum(mult):
-    # a spectrum with the given tie pattern and block gaps so large that
-    # unit-variance noise never pools across blocks: the mixture weights
-    # depend only on the local cone angles, hence only on the tie pattern
-    values = []
-    for j, m in enumerate(mult.m):
-        values.extend([-1e6 * j] * m)
-    return np.asarray(values, dtype=float)
+def _exact_cone_law(mult):
+    """Face dimensions k..p of the cone projection and their exact weights.
+
+    At a spectrum with tie pattern mult and widely separated blocks, a
+    tied block of size m lands on l distinct values with probability
+    |s(m, l)| / m!, s the Stirling numbers of the first kind (the
+    equal-weight level-probability law; Robertson, Wright & Dykstra
+    1988, ch. 2). Blocks are independent, so the face dimension is the
+    sum of the block levels and its law the convolution of the block laws.
+    """
+    law = np.ones(1)
+    for m in mult.m:
+        row = np.ones(1)  # |s(j, l)| / j! for l = 1..j, from j = 1
+        for j in range(1, m):
+            # |s(j+1, l)| = j |s(j, l)| + |s(j, l-1)|
+            row = (j * np.append(row, 0.0) + np.insert(row, 0, 0.0)) / (j + 1)
+        law = np.convolve(law, row)
+    return tuple(range(mult.k, mult.p + 1)), tuple(float(w) for w in law)
 
 
-def test_C2(S, U0, mult=None, cov=None, weights=None, weight_reps=100000,
-            seed=0):
+def test_C2(S, U0, mult=None, cov=None, weights=None):
     """Mean lies in the ordered-eigenvalue cone of U0 vs. unrestricted (c2).
 
     The reference is a chi-square mixture over the faces of the cone at
     the true spectrum. Pass precomputed ConeWeights as `weights`, or the
-    tie pattern `mult` of the true spectrum: the weights are then
-    simulated with widely separated blocks (only the local cone angles
-    matter) using `weight_reps` replicates of `seed`.
+    tie pattern `mult` of the true spectrum: the weights are then the
+    exact law on faces k..p (faces below the block count k are
+    unreachable in the limit).
     """
     cov = _norm_cov(cov)
     S = np.asarray(S, dtype=float)
     n, p = S.shape[0], S.shape[1]
     q = sym_dim(p)
-    if weights is None:
-        if mult is None:
-            raise ValueError(
-                "supply cone weights or the tie pattern mult of the true spectrum")
-        from .calibrate import estimate_cone_weights
-        weights = estimate_cone_weights(_separated_spectrum(mult), weight_reps,
-                                        seed)
-        # Faces below the pattern's block count are unreachable in the limit
-        # (pooling across separated blocks has vanishing probability), so the
-        # mixture keeps the p - k + 1 faces k..p.
-        keep = [i for i, kdim in enumerate(weights.face_dims) if kdim >= mult.k]
-        wsum = sum(weights.weights[i] for i in keep)
-        mix_w = tuple(weights.weights[i] / wsum for i in keep)
-        mix_dims = tuple(weights.face_dims[i] for i in keep)
+    if weights is not None:
+        mix_dims, mix_w = tuple(weights.face_dims), tuple(weights.weights)
+    elif mult is not None:
+        mix_dims, mix_w = _exact_cone_law(mult)
     else:
-        mix_w = tuple(weights.weights)
-        mix_dims = tuple(weights.face_dims)
+        raise ValueError(
+            "supply cone weights or the tie pattern mult of the true spectrum")
     fit_null = mle(OrderedCone(U0), S, cov)
     fit_alt = mle(Unrestricted(), S, cov)
     dist = ChiSqMix(weights=mix_w, dfs=tuple(q - k for k in mix_dims))
@@ -316,7 +341,9 @@ def test_S1(S, M0, D0, mult, cov=None):
     """Mean equals M0 vs. free eigenvectors with known spectrum D0 (s1).
 
     The statistic contains no tau and needs only sigma2; it vanishes when
-    the sample mean's eigenvectors line up with M0's.
+    the sample mean's eigenvectors line up with M0's. It is the difference
+    of the squared distances of Ybar to M0 and to the alternative fit,
+    each formed directly, so it stays accurate at any data scale.
     """
     cov = _norm_cov(cov)
     S = np.asarray(S, dtype=float)
@@ -331,7 +358,7 @@ def test_S1(S, M0, D0, mult, cov=None):
     use_cov, plugin = _use_cov(fit_null, cov)
     ybar = sample_mean(S)
     lam = eigh_desc(ybar).lam
-    t = (2.0 * n / use_cov.sigma2) * (lam @ D0 - np.sum(ybar * M0))
+    t = (n / use_cov.sigma2) * (np.sum((ybar - M0) ** 2) - np.sum((lam - D0) ** 2))
     df = q - sum(m * (m + 1) for m in mult.m) / 2.0
     return _result("s1", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
 
@@ -478,8 +505,10 @@ def test2_S2(S, n1, mult, cov=None):
     lam_bar = (n1 * lam1 + n2 * lam2) / n
     r_pool = dec.lam - block_average(dec.lam, mult)
     r_bar = lam_bar - block_average(lam_bar, mult)
-    t = (2.0 * n1 * n2 / (n * use_cov.sigma2)
-         * (lam1 @ lam2 - np.sum(ybar1 * ybar2))
+    # ||Ybar1 - Ybar2||^2 - ||lam1 - lam2||^2 = 2 (lam1.lam2 - tr(Ybar1 Ybar2)),
+    # formed without differencing terms of the data's squared scale
+    t = (n1 * n2 / (n * use_cov.sigma2)
+         * (np.sum((ybar1 - ybar2) ** 2) - np.sum((lam1 - lam2) ** 2))
          + n / use_cov.sigma2 * (np.sum(r_pool ** 2) - np.sum(r_bar ** 2)))
     df = q - sum(m * (m + 1) for m in mult.m) / 2.0
     return _result("2s2", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
@@ -523,20 +552,14 @@ def run_config(config, S, n1=None):
     if test_id == "a2":
         return test_A2(S, arr("U0"), cov)
     if test_id == "c2":
-        weights = None
-        if "weights" in config:
+        # "reps" and "seed" are accepted and ignored: the weights are exact
+        w = config.get("weights")
+        if w is not None:
             from .calibrate import ConeWeights
-            w = config["weights"]
-            weights = ConeWeights(d_true=None,
-                                  face_dims=tuple(int(k) for k in w["face_dims"]),
-                                  weights=tuple(float(x) for x in w["weights"]),
-                                  reps=0)
-        return test_C2(
-            S, arr("U0"),
-            mult=mult() if "multiplicities" in config else None,
-            cov=cov, weights=weights,
-            weight_reps=int(config.get("reps", 100000)),
-            seed=int(config.get("seed", 0)))
+            w = ConeWeights(None, tuple(int(k) for k in w["face_dims"]),
+                            tuple(float(x) for x in w["weights"]), 0)
+        return test_C2(S, arr("U0"), cov=cov, weights=w,
+                       mult=mult() if "multiplicities" in config else None)
     if test_id == "s1":
         return test_S1(S, arr("M0"), arr("D0"), mult(), cov)
     if test_id == "s2":

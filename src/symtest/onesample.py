@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .symcore import (
     Multiplicities,
@@ -321,7 +320,10 @@ def _rotation_log(R):
     # Principal logarithm of a special orthogonal matrix via the real Schur
     # form, whose 2x2 blocks are plane rotations with directly readable
     # angles. Restricted to rotations with no angle at pi, where the
-    # principal log is unique.
+    # principal log is unique. scipy.linalg is imported here, its only use,
+    # so that importing symtest does not pay for it.
+    import scipy.linalg
+
     T, Z = scipy.linalg.schur(R, output="real")
     p = R.shape[0]
     L = np.zeros((p, p))

@@ -2,7 +2,7 @@
 
 Matrices are plain (p, p) numpy arrays, kept exactly symmetric by
 construction. This module provides the isometric vecd embedding into
-R^q with q = p(p+1)/2, the (sigma2, tau) inner product, a Jacobi
+R^q with q = p(p+1)/2, the (sigma2, tau) inner product, the LAPACK
 eigendecomposition with a canonical ordering and sign convention,
 block averaging of eigenvalues, and the eigenvalue-wise matrix
 log/exp used for log-domain preprocessing.
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to reduce the off-diagonal below tolerance."""
 
 
 def sym_dim(p):
@@ -161,65 +157,19 @@ def norm_sq(A, cov):
 def _canon_column_signs(V):
     # Flip each column so its largest-magnitude entry is positive; np.argmax
     # returns the smallest row index among ties, which is the tie rule.
-    for j in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0.0:
-            V[:, j] = -V[:, j]
-    return V
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return V * np.where(top < 0.0, -1.0, 1.0)
 
 
-def eigh_desc(X, max_sweeps=50, tol_factor=1e-13):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+def eigh_desc(X):
+    """Eigendecomposition of a symmetric matrix (LAPACK, via np.linalg.eigh).
 
     Eigenvalues are returned in non-increasing order (stable with respect
-    to the rotation output for ties) and each eigenvector's sign is fixed
-    so its largest-magnitude entry is positive. Deterministic for
+    to the solver's ascending output for ties) and each eigenvector's sign
+    is fixed so its largest-magnitude entry is positive. Deterministic for
     identical input bits.
-
-    Raises ConvergenceError if the largest off-diagonal magnitude does not
-    fall below tol_factor * ||X||_F within max_sweeps sweeps.
     """
-    A = check_symmetric(X)
-    p = A.shape[0]
-    V = np.eye(p)
-    tol = tol_factor * np.linalg.norm(A)
-
-    if p > 1:
-        for _ in range(max_sweeps):
-            iu = np.triu_indices(p, 1)
-            if np.abs(A[iu]).max() <= tol:
-                break
-            for i in range(p - 1):
-                for j in range(i + 1, p):
-                    aij = A[i, j]
-                    if aij == 0.0:
-                        continue
-                    theta = (A[j, j] - A[i, i]) / (2.0 * aij)
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                    else:
-                        t = 1.0 / (theta - math.sqrt(theta * theta + 1.0))
-                    co = 1.0 / math.sqrt(t * t + 1.0)
-                    si = t * co
-                    Ai = A[i].copy()
-                    Aj = A[j].copy()
-                    A[i] = co * Ai - si * Aj
-                    A[j] = si * Ai + co * Aj
-                    Aci = A[:, i].copy()
-                    Acj = A[:, j].copy()
-                    A[:, i] = co * Aci - si * Acj
-                    A[:, j] = si * Aci + co * Acj
-                    A[i, j] = A[j, i] = 0.0
-                    Vi = V[:, i].copy()
-                    Vj = V[:, j].copy()
-                    V[:, i] = co * Vi - si * Vj
-                    V[:, j] = si * Vi + co * Vj
-        else:
-            raise ConvergenceError(
-                "Jacobi did not converge in %d sweeps (off-diagonal %.3e > %.3e)"
-                % (max_sweeps, np.abs(A[np.triu_indices(p, 1)]).max(), tol))
-
-    lam = np.diagonal(A).copy()
+    lam, V = np.linalg.eigh(check_symmetric(X))
     order = np.argsort(-lam, kind="stable")
     return EigenDecomp(V=_canon_column_signs(V[:, order]), lam=lam[order])
 

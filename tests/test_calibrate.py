@@ -18,8 +18,9 @@ from symtest.calibrate import (
     consistency_study,
     estimate_cone_weights,
 )
-from symtest.lrt import ChiSq, ChiSqMix, FDist
-from symtest.symcore import CovParams
+import symtest.lrt as lrt
+from symtest.lrt import ChiSq, ChiSqApprox, ChiSqMix, FDist
+from symtest.symcore import CovParams, Multiplicities
 
 # Unsigned Stirling numbers of the first kind give P(k distinct pooled
 # values) = |s(p, k)| / p! for i.i.d. continuous noise about a constant
@@ -90,6 +91,21 @@ class TestEstimateConeWeights:
             se = binom_se(max(a.weight_for_dim(dim), 1e-3), reps)
             diff = abs(a.weight_for_dim(dim) - b.weight_for_dim(dim))
             assert diff < 2.0 * np.sqrt(2.0) * se + 1e-3
+
+    @pytest.mark.parametrize("d_true,m", [
+        ((0.0, 0.0, 0.0, 0.0), (4,)),
+        ((50.0, 50.0, 0.0, 0.0), (2, 2)),
+        ((90.0, 90.0, 90.0, 45.0, 0.0, 0.0), (3, 1, 2)),
+    ])
+    def test_separated_ties_match_exact_law(self, d_true, m):
+        # blocks far apart pool independently, each by the |s(m, l)|/m! law
+        reps = 40_000
+        w = estimate_cone_weights(d_true, reps, 45)
+        dims, law = lrt._exact_cone_law(Multiplicities(m))
+        # no mass below face k: separated blocks never pool with each other
+        assert sum(w.weight_for_dim(k) for k in dims) == pytest.approx(1.0, abs=1e-12)
+        for k, want in zip(dims, law):
+            assert abs(w.weight_for_dim(k) - want) < 4.0 * binom_se(want, reps)
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError, match="non-increasing"):
@@ -170,6 +186,20 @@ class TestCalibrateNull:
         assert rep.dist.weights == (1.0,)
         assert rep.dist.dfs == (1.0,)
         assert abs(rep.rejection_rate - 0.05) < 3.0 * binom_se(0.05, 1000)
+
+    def test_point_mass_reference(self):
+        # s3 with all multiplicities 1 has df 0: every statistic is 0, as
+        # the point-mass reference says, so KS distance and quantiles are 0
+        config = {"test_id": "s3", "multiplicities": [1, 1, 1],
+                  "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}}
+        truth = {"M": np.diag([3.0, 2.0, 1.0]).tolist(), "sigma2": 1.0,
+                 "tau": 0.0}
+        rep = calibrate_null(config, truth, n=50, reps=1000, seed=31)
+        assert rep.dist == ChiSqApprox(0)
+        assert np.all(rep.statistics == 0.0)
+        assert rep.ks_distance == 0.0
+        assert rep.theoretical_quantiles == (0.0, 0.0, 0.0, 0.0)
+        assert rep.rejection_rate == 0.0
 
     def test_rejects_small_reps(self):
         config = {"test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]],

@@ -357,6 +357,36 @@ class TestExitCodes:
         assert code == 1
         assert "internal error" in err
 
+    def test_linalg_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        # an eigensolver failure inside a test is internal, not bad input
+        path, _ = one_sample_file(tmp_path)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]],
+            "cov": {"estimate": True}})
+
+        def boom(*a, **k):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(lrt, "run_config", boom)
+        code, _, err = run(capsys, ["test", "--data", path, "--config", cfg])
+        assert code == 1
+        assert "internal error" in err
+
+    @pytest.mark.parametrize("config,fragment", [
+        ({"M": np.eye(3).tolist(), "n": 5, "sigma2": 1.0, "tau": 0.4},
+         "tau must be < 1/p"),
+        ({"M1": np.eye(3).tolist(), "M2": np.eye(3).tolist(), "n1": 3,
+          "n2": 3, "sigma2": 1.0, "tau": 1.0 / 3.0}, "tau must be < 1/p"),
+        ({"M": np.eye(2).tolist(), "n": 5, "sigma2": -1.0, "tau": 0.0},
+         "sigma2 must be positive"),
+    ])
+    def test_simulate_bad_covariance(self, tmp_path, capsys, config, fragment):
+        cfg = write_config(tmp_path, "sim.json", config)
+        out = tmp_path / "d.csv"
+        self.check_error(capsys, ["simulate", "--config", cfg, "--out", str(out)],
+                         fragment)
+        assert not out.exists()
+
 
 class TestCmdCalibrate:
     CONFIG = {

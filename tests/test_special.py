@@ -1,14 +1,16 @@
-"""Checks for the hand-rolled incomplete gamma/beta tail functions.
+"""Accuracy of the chi-square and F tail probabilities of lrt.pvalue.
 
-Reference values were frozen from a 50-digit arbitrary-precision run;
-scipy.special serves as a second, independent live oracle.
+Reference values were frozen from a 50-digit arbitrary-precision run.
+The regularized incomplete gamma fixtures Q(a, x) are chi-square tails,
+Q(a, x) = P(chi2(2a) > 2x), and the incomplete beta fixtures I_x(a, b)
+are F tails, I_x(a, b) = P(F(2b, 2a) > a(1 - x) / (b x)).
 """
 
 import numpy as np
 import pytest
 import scipy.special as sps
 
-from symtest.special import betainc_reg, chi2_sf, f_sf, gammainc_p, gammainc_q
+from symtest.lrt import ChiSq, FDist, pvalue
 
 # (a, x, Q(a, x)) at 20 significant digits.
 GAMMAINC_Q_FIXTURES = [
@@ -61,84 +63,100 @@ F_SF_FIXTURES = [
 ]
 
 
+
+def gamma_q(a, x):
+    return pvalue(ChiSq(2.0 * a), 2.0 * x)
+
+
+def beta_i(a, b, x):
+    return pvalue(FDist(2.0 * b, 2.0 * a), a * (1.0 - x) / (b * x))
+
+
 class TestGammainc:
     @pytest.mark.parametrize("a,x,expected", GAMMAINC_Q_FIXTURES)
     def test_frozen_values(self, a, x, expected):
-        assert gammainc_q(a, x) == pytest.approx(expected, rel=1e-12)
+        assert gamma_q(a, x) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("a,x,expected", GAMMAINC_Q_FIXTURES)
     def test_complement(self, a, x, expected):
-        assert gammainc_p(a, x) + gammainc_q(a, x) == pytest.approx(1.0, abs=1e-14)
+        # the lower tail P(a, x) from scipy's independent series
+        assert float(sps.gammainc(a, x)) + gamma_q(a, x) == pytest.approx(1.0, abs=1e-14)
 
     def test_against_scipy_grid(self):
         a_vals = [0.25, 0.5, 1.0, 2.5, 7.0, 19.5, 60.0]
-        x_vals = [1e-6, 0.1, 0.9, 2.0, 8.0, 30.0, 120.0]
+        x_vals = np.array([1e-6, 0.1, 0.9, 2.0, 8.0, 30.0, 120.0])
         for a in a_vals:
-            for x in x_vals:
-                assert gammainc_q(a, x) == pytest.approx(float(sps.gammaincc(a, x)),
-                                                         rel=1e-12, abs=1e-300)
+            got = pvalue(ChiSq(2.0 * a), 2.0 * x_vals)
+            assert got.shape == x_vals.shape
+            np.testing.assert_allclose(got, sps.gammaincc(a, x_vals),
+                                       rtol=1e-12, atol=1e-300)
+            assert np.array_equal(got, [gamma_q(a, x) for x in x_vals])
 
     def test_edges(self):
-        assert gammainc_q(3.0, 0.0) == 1.0
-        assert gammainc_p(3.0, 0.0) == 0.0
+        assert gamma_q(3.0, 0.0) == 1.0
+        assert gamma_q(3.0, -0.5) == 1.0
         with pytest.raises(ValueError):
-            gammainc_q(0.0, 1.0)
+            pvalue(ChiSq(6.0), float("inf"))
         with pytest.raises(ValueError):
-            gammainc_q(1.0, -0.5)
+            pvalue(ChiSq(6.0), np.array([1.0, np.nan]))
 
 
 class TestBetainc:
     @pytest.mark.parametrize("a,b,x,expected", BETAINC_FIXTURES)
     def test_frozen_values(self, a, b, x, expected):
-        assert betainc_reg(a, b, x) == pytest.approx(expected, rel=1e-12)
+        assert beta_i(a, b, x) == pytest.approx(expected, rel=1e-12)
 
     def test_symmetry(self):
-        for a, b, x, _ in BETAINC_FIXTURES:
-            total = betainc_reg(a, b, x) + betainc_reg(b, a, 1.0 - x)
-            assert total == pytest.approx(1.0, abs=1e-13)
+        # 1/X ~ F(d2, d1) when X ~ F(d1, d2)
+        for a, b, _, _ in BETAINC_FIXTURES:
+            for t in (0.3, 1.0, 2.5):
+                total = (pvalue(FDist(2.0 * b, 2.0 * a), t)
+                         + pvalue(FDist(2.0 * a, 2.0 * b), 1.0 / t))
+                assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_against_scipy_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             a = float(rng.uniform(0.2, 80.0))
             b = float(rng.uniform(0.2, 80.0))
-            x = float(rng.uniform(0.0, 1.0))
-            assert betainc_reg(a, b, x) == pytest.approx(float(sps.betainc(a, b, x)),
-                                                         rel=1e-11, abs=1e-300)
+            t = float(rng.uniform(0.01, 6.0))
+            x = 2.0 * a / (2.0 * a + 2.0 * b * t)
+            assert pvalue(FDist(2.0 * b, 2.0 * a), t) == pytest.approx(
+                float(sps.betainc(a, b, x)), rel=1e-11, abs=1e-300)
 
     def test_edges(self):
-        assert betainc_reg(2.0, 3.0, 0.0) == 0.0
-        assert betainc_reg(2.0, 3.0, 1.0) == 1.0
+        assert pvalue(FDist(6.0, 4.0), 0.0) == 1.0
+        assert pvalue(FDist(6.0, 4.0), -1.0) == 1.0
+        assert 0.0 < pvalue(FDist(6.0, 4.0), 1e12) < 1e-20
         with pytest.raises(ValueError):
-            betainc_reg(2.0, 3.0, 1.5)
-        with pytest.raises(ValueError):
-            betainc_reg(-1.0, 3.0, 0.5)
+            pvalue(FDist(6.0, 4.0), float("nan"))
 
 
 class TestChi2Sf:
     @pytest.mark.parametrize("t,df,expected", CHI2_SF_FIXTURES)
     def test_frozen_values(self, t, df, expected):
-        assert chi2_sf(t, df) == pytest.approx(expected, rel=1e-12)
+        assert pvalue(ChiSq(df), t) == pytest.approx(expected, rel=1e-12)
 
     def test_df_zero_point_mass(self):
-        assert chi2_sf(0.0, 0) == 1.0
-        assert chi2_sf(1e-12, 0) == 0.0
-        assert chi2_sf(5.0, 0) == 0.0
+        assert pvalue(ChiSq(0), 0.0) == 1.0
+        assert pvalue(ChiSq(0), 1e-12) == 0.0
+        assert pvalue(ChiSq(0), 5.0) == 0.0
+        assert np.array_equal(pvalue(ChiSq(0), np.array([-1.0, 0.0, 2.0])),
+                              [1.0, 1.0, 0.0])
 
     def test_at_origin(self):
-        assert chi2_sf(0.0, 4) == 1.0
-        assert chi2_sf(-1.0, 4) == 1.0
+        assert pvalue(ChiSq(4), 0.0) == 1.0
+        assert pvalue(ChiSq(4), -1.0) == 1.0
 
     def test_monotone_in_t(self):
-        ts = np.linspace(0.0, 30.0, 200)
-        vals = [chi2_sf(t, 6) for t in ts]
-        assert all(x >= y for x, y in zip(vals, vals[1:]))
+        vals = pvalue(ChiSq(6), np.linspace(0.0, 30.0, 200))
+        assert np.all(np.diff(vals) <= 0.0)
 
 
 class TestFSf:
     @pytest.mark.parametrize("t,df1,df2,expected", F_SF_FIXTURES)
     def test_frozen_values(self, t, df1, df2, expected):
-        assert f_sf(t, df1, df2) == pytest.approx(expected, rel=1e-12)
+        assert pvalue(FDist(df1, df2), t) == pytest.approx(expected, rel=1e-12)
 
     def test_against_scipy(self):
         import scipy.stats as st
@@ -147,7 +165,8 @@ class TestFSf:
             d1 = float(rng.integers(1, 40))
             d2 = float(rng.integers(2, 600))
             t = float(rng.uniform(0.01, 6.0))
-            assert f_sf(t, d1, d2) == pytest.approx(float(st.f.sf(t, d1, d2)), rel=1e-10)
+            assert pvalue(FDist(d1, d2), t) == pytest.approx(float(st.f.sf(t, d1, d2)),
+                                                             rel=1e-10)
 
     def test_at_origin(self):
-        assert f_sf(0.0, 3, 10) == 1.0
+        assert pvalue(FDist(3, 10), 0.0) == 1.0

@@ -13,7 +13,6 @@ import pytest
 
 from symtest.symcore import (
     SQRT2,
-    ConvergenceError,
     CovParams,
     Multiplicities,
     block_average,
@@ -281,11 +280,6 @@ class TestEighDesc:
         d2 = eigh_desc(X.copy())
         assert np.array_equal(d1.V, d2.V)
         assert np.array_equal(d1.lam, d2.lam)
-
-    def test_convergence_error(self):
-        X = np.array([[2.0, 1.0], [1.0, 2.0]])
-        with pytest.raises(ConvergenceError):
-            eigh_desc(X, max_sweeps=0)
 
 
 class TestBlockAverage:
