@@ -32,15 +32,16 @@ for row in rows:
                                               row["bias"]))
 
 print("\n--- CLI round trip ---")
-tmp = pathlib.Path(tempfile.mkdtemp())
-(tmp / "sim.json").write_text(json.dumps({
-    "M": truth["M"], "n": 80, "sigma2": 1.0, "tau": 0.2, "seed": 5}))
-(tmp / "test.json").write_text(json.dumps(config))
-main(["simulate", "--config", str(tmp / "sim.json"),
-      "--out", str(tmp / "data.csv")])
-print("wrote %s (header: %s)" % (tmp / "data.csv",
-                                 (tmp / "data.csv").read_text()
-                                 .splitlines()[0]))
-print("\nreport for `symtest test` on that dataset:")
-main(["test", "--data", str(tmp / "data.csv"),
-      "--config", str(tmp / "test.json"), "--no-timestamp"])
+with tempfile.TemporaryDirectory() as tmpdir:
+    tmp = pathlib.Path(tmpdir)
+    (tmp / "sim.json").write_text(json.dumps({
+        "M": truth["M"], "n": 80, "sigma2": 1.0, "tau": 0.2, "seed": 5}))
+    (tmp / "test.json").write_text(json.dumps(config))
+    main(["simulate", "--config", str(tmp / "sim.json"),
+          "--out", str(tmp / "data.csv")])
+    print("wrote %s (header: %s)" % (tmp / "data.csv",
+                                     (tmp / "data.csv").read_text()
+                                     .splitlines()[0]))
+    print("\nreport for `symtest test` on that dataset:")
+    main(["test", "--data", str(tmp / "data.csv"),
+          "--config", str(tmp / "test.json"), "--no-timestamp"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from symtest import lrt
 from symtest.calibrate import cone_boundary_law, estimate_cone_weights
-from symtest.matnormal import sample
+from symtest.matnormal import SuffStats, sample
 from symtest.symcore import CovParams, Multiplicities
 
 # Fully tied spectrum: every face of the cone keeps mass.
@@ -37,12 +37,12 @@ print("  pattern mass: %s" % {k: round(v, 4)
 cov = CovParams(1.0, 0.0)
 U0 = np.eye(3)
 S = sample(50, np.diag([2.0, 2.0, 0.0]), cov, seed=4)
-res = lrt.test_C2(S, U0, mult=Multiplicities((2, 1)), cov=cov)
+res = lrt.test_C2(SuffStats.from_sample(S), U0, mult=Multiplicities((2, 1)), cov=cov)
 print("\ncone test at a null truth with a tied pair:")
 print("  statistic %.4f, mixture %s, p = %.4f"
       % (res.statistic, res.dist, res.p_value))
 
 S = sample(50, np.array([[2.0, 0.8, 0.0], [0.8, 2.0, 0.0], [0.0, 0.0, 0.0]]),
            cov, seed=6)
-res = lrt.test_C2(S, U0, mult=Multiplicities((2, 1)), cov=cov)
+res = lrt.test_C2(SuffStats.from_sample(S), U0, mult=Multiplicities((2, 1)), cov=cov)
 print("off-diagonal mean violates the cone: p = %.2e" % res.p_value)

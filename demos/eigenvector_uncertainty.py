@@ -9,7 +9,7 @@ determined plane.
 
 import numpy as np
 
-from symtest.matnormal import sample
+from symtest.matnormal import SuffStats, sample
 from symtest.onesample import FixedEigvals, eigvec_uncertainty, mle
 from symtest.symcore import CovParams, Multiplicities, eigh_desc
 
@@ -25,7 +25,7 @@ angles = np.empty((reps, 3, 3))
 pred = None
 for rep in range(reps):
     S = sample(n, M, cov, np.random.SeedSequence(9, spawn_key=(rep,)))
-    fit = mle(FixedEigvals(d, mult), S, cov)
+    fit = mle(FixedEigvals(d, mult), SuffStats.from_sample(S), cov)
     a, pred = eigvec_uncertainty(dec.V, d, fit.M_hat, n, cov.sigma2)
     angles[rep] = a
 

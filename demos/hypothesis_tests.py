@@ -3,14 +3,16 @@
 Mean tests (a0, a1, a2) compare nested frame constraints and are exact
 chi-squares with known covariance, F ratios with estimated covariance.
 Eigenvalue tests (s1, s2, s3) constrain the spectrum and use asymptotic
-chi-square references. Statistics accept either a known CovParams or
-cov=None to plug in estimates fitted under the null.
+chi-square references. Every test reads the sample through its
+sufficient statistics (SuffStats), computed once per dataset, and accepts
+either a known CovParams or cov=None to plug in estimates fitted under
+the null.
 """
 
 import numpy as np
 
 from symtest import lrt
-from symtest.matnormal import sample
+from symtest.matnormal import SuffStats, sample
 from symtest.symcore import CovParams, Multiplicities
 
 cov = CovParams(1.0, 0.2)
@@ -27,24 +29,24 @@ def show(name, res):
 for label, M in (("under the null", M_null),
                  ("under a shifted alternative", M_null + 0.25)):
     print("\n--- data generated %s ---" % label)
-    S = sample(100, M, cov, seed=42)
+    stats = SuffStats.from_sample(sample(100, M, cov, seed=42))
     show("a0 point vs unrestricted (known)",
-         lrt.test_point_unrestricted(S, M_null, cov))
+         lrt.test_point_unrestricted(stats, M_null, cov))
     show("a0 point vs unrestricted (F)",
-         lrt.test_point_unrestricted(S, M_null))
+         lrt.test_point_unrestricted(stats, M_null))
     show("a1 point vs fixed frame",
-         lrt.test_A1(S, U0, M_null, cov))
+         lrt.test_A1(stats, U0, M_null, cov))
     show("a2 fixed frame vs unrestricted",
-         lrt.test_A2(S, U0, cov))
+         lrt.test_A2(stats, U0, cov))
     show("s1 spectrum point (tau-free)",
-         lrt.test_S1(S, M_null, np.array([4.0, 2.0, 1.0]), mult, cov))
+         lrt.test_S1(stats, M_null, np.array([4.0, 2.0, 1.0]), mult, cov))
     show("s2 fixed eigenvalues",
-         lrt.test_S2(S, np.array([4.0, 2.0, 1.0]), mult, cov))
+         lrt.test_S2(stats, np.array([4.0, 2.0, 1.0]), mult, cov))
     show("s3 multiplicity pattern (2,1)",
-         lrt.test_S3(S, Multiplicities((2, 1)), cov))
+         lrt.test_S3(stats, Multiplicities((2, 1)), cov))
 
 print("\nThe covariance-structure check accepts data from the invariant "
       "model:")
-S = sample(400, M_null, cov, seed=43)
-res = lrt.test_sigma_structure(S)
+res = lrt.test_sigma_structure(SuffStats.from_sample(sample(400, M_null, cov,
+                                                            seed=43)))
 show("cov-check", res)

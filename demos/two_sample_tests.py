@@ -1,14 +1,16 @@
 """Two-group comparisons: equal means and shared eigenvalues.
 
 The two-sample statistics reuse the one-sample projections group by
-group. Covariance scalars pool across groups; lack-of-fit terms weight
-each group by its size.
+group. Covariance scalars pool across groups, each group centred at its
+own fitted mean; lack-of-fit terms weight each group by its size. A
+dataset enters as SuffStats.from_sample(S, n1), its first n1 rows being
+group 1.
 """
 
 import numpy as np
 
 from symtest import lrt
-from symtest.matnormal import sample
+from symtest.matnormal import SuffStats, sample
 from symtest.symcore import CovParams, Multiplicities
 from symtest.twosample import CommonEigvals, Unrestricted2, mle2
 
@@ -22,7 +24,8 @@ M_rot = rot @ M @ rot.T  # same spectrum, different frame
 
 def two_groups(M1, M2, n1, n2, seed):
     s1, s2 = np.random.SeedSequence(seed).spawn(2)
-    return np.concatenate([sample(n1, M1, cov, s1), sample(n2, M2, cov, s2)])
+    S = np.concatenate([sample(n1, M1, cov, s1), sample(n2, M2, cov, s2)])
+    return SuffStats.from_sample(S, n1)
 
 
 def show(name, res):
@@ -32,31 +35,27 @@ def show(name, res):
 
 print("--- same mean in both groups ---")
 S = two_groups(M, M, 60, 40, seed=11)
-show("2a0 equal means (known cov)", lrt.test2_equal_unrestricted(S, 60, cov))
-show("2a0 equal means (F variant)", lrt.test2_equal_unrestricted(S, 60))
-show("2s1 shared eigenvalues", lrt.test2_S1(S, 60, Multiplicities((1, 1, 1)),
-                                            cov))
+show("2a0 equal means (known cov)", lrt.test2_equal_unrestricted(S, cov))
+show("2a0 equal means (F variant)", lrt.test2_equal_unrestricted(S))
+show("2s1 shared eigenvalues", lrt.test2_S1(S, Multiplicities((1, 1, 1)), cov))
 
 print("\n--- same spectrum, rotated frame ---")
 S = two_groups(M, M_rot, 60, 40, seed=12)
-show("2a0 equal means", lrt.test2_equal_unrestricted(S, 60, cov))
-show("2s1 shared eigenvalues", lrt.test2_S1(S, 60, Multiplicities((1, 1, 1)),
-                                            cov))
-show("2s2 equal means given shared", lrt.test2_S2(S, 60,
-                                                  Multiplicities((1, 1, 1)),
-                                                  cov))
+show("2a0 equal means", lrt.test2_equal_unrestricted(S, cov))
+show("2s1 shared eigenvalues", lrt.test2_S1(S, Multiplicities((1, 1, 1)), cov))
+show("2s2 equal means given shared",
+     lrt.test2_S2(S, Multiplicities((1, 1, 1)), cov))
 
 print("\n--- different spectra ---")
 S = two_groups(M, np.diag([6.0, 2.0, 1.0]), 60, 40, seed=13)
-show("2s1 shared eigenvalues", lrt.test2_S1(S, 60, Multiplicities((1, 1, 1)),
-                                            cov))
+show("2s1 shared eigenvalues", lrt.test2_S1(S, Multiplicities((1, 1, 1)), cov))
 
-fit = mle2(CommonEigvals(Multiplicities((1, 1, 1))), S, 60)
+fit = mle2(CommonEigvals(Multiplicities((1, 1, 1))), S)
 print("\nshared-spectrum fit on the last dataset:")
 print("  group-1 eigenvalues: %s" % np.linalg.eigvalsh(fit.M1_hat).round(3))
 print("  group-2 eigenvalues: %s (identical by construction)"
       % np.linalg.eigvalsh(fit.M2_hat).round(3))
 
-fit = mle2(Unrestricted2(), S, 60)
+fit = mle2(Unrestricted2(), S)
 print("pooled covariance estimates: sigma2_hat %.4f, tau_hat %.4f"
       % (fit.sigma2_hat, fit.tau_hat))

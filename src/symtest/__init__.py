@@ -18,7 +18,7 @@ from .symcore import (
     matrix_exp,
     sym_dim,
 )
-from .matnormal import build_sigma, log_density, sample, empirical_sigma, sample_mean, group_means
+from .matnormal import SuffStats, build_sigma, log_density, sample
 from .onesample import (
     Unrestricted,
     Point,
@@ -44,8 +44,6 @@ from .twosample import (
     FitResult2,
     mle2,
     mle_common_eigvals,
-    pooled_sigma2,
-    pooled_tau,
 )
 from .lrt import (
     ChiSq,
@@ -68,6 +66,7 @@ from .lrt import (
     test2_S1,
     test2_S2,
     run_config,
+    TESTS,
 )
 from .calibrate import (
     ConeWeights,

@@ -10,21 +10,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lrt
-from .symcore import CovParams, Multiplicities, eigh_desc
-from .matnormal import sample
+from .symcore import CovParams, Multiplicities, check_symmetric, eigh_desc
+from .matnormal import SuffStats, sample
 from .onesample import (
     FixedEigvals,
-    FixedEigvecs,
-    Mult,
-    OrderedCone,
-    Point,
     Unrestricted,
     contains,
     eigvec_uncertainty,
     mle,
     pava,
 )
-from .twosample import CommonEigvals, EqualMeans, Unrestricted2, contains2, mle2
+from .twosample import Unrestricted2, contains2, mle2
 
 PROBS = (0.5, 0.9, 0.95, 0.99)
 ALPHA = 0.05
@@ -97,54 +93,11 @@ def estimate_cone_weights(d_true, reps, seed):
     if reps < 1:
         raise ValueError("reps must be positive")
     y = d + _rng(seed).standard_normal((reps, p))
-    counts = np.zeros(p + 1, dtype=np.int64)
-    for row in y:
-        counts[pava(row)[1]] += 1
+    counts = np.bincount(pava(y)[1], minlength=p + 1)
     return ConeWeights(d_true=tuple(float(v) for v in d),
                        face_dims=tuple(range(1, p + 1)),
                        weights=tuple(counts[1:] / reps),
                        reps=reps)
-
-
-def _parse_mult(config):
-    return Multiplicities(tuple(int(v) for v in config["multiplicities"]))
-
-
-def _check_truth_in_null(config, truth):
-    """Raise unless the generator's mean(s) lie in the test's null set."""
-    test_id = config["test_id"]
-
-    def arr(key):
-        return np.asarray(config[key], dtype=float)
-
-    if test_id in ("2a0", "2s1", "2s2"):
-        M1 = np.asarray(truth["M1"], dtype=float)
-        M2 = np.asarray(truth["M2"], dtype=float)
-        if test_id == "2a0":
-            ok = contains2(EqualMeans(), M1, M2)
-        elif test_id == "2s1":
-            ok = contains2(CommonEigvals(_parse_mult(config)), M1, M2)
-        else:
-            ok = (contains2(EqualMeans(), M1, M2)
-                  and contains2(CommonEigvals(_parse_mult(config)), M1, M2))
-    elif test_id == "cov-check":
-        ok = True
-    else:
-        M = np.asarray(truth["M"], dtype=float)
-        if test_id in ("a0", "a1", "s1"):
-            ok = contains(Point(arr("M0")), M)
-        elif test_id == "a2":
-            ok = contains(FixedEigvecs(arr("U0")), M)
-        elif test_id == "c2":
-            ok = contains(OrderedCone(arr("U0")), M)
-        elif test_id == "s2":
-            ok = contains(FixedEigvals(arr("D0"), _parse_mult(config)), M)
-        elif test_id == "s3":
-            ok = contains(Mult(_parse_mult(config)), M)
-        else:
-            raise ValueError("unknown test_id %r" % test_id)
-    if not ok:
-        raise ValueError("generator mean is not in the null set of %r" % test_id)
 
 
 def _ks_distance(sorted_stats, dist):
@@ -169,31 +122,33 @@ def calibrate_null(config, truth, n, reps, seed):
     reps = int(reps)
     if reps < 1000:
         raise ValueError("calibration needs reps >= 1000, got %d" % reps)
-    _check_truth_in_null(config, truth)
-    cov_true = CovParams(float(truth["sigma2"]), float(truth["tau"]))
     two_sample = "M1" in truth
-    if two_sample:
-        n1, n2 = int(n[0]), int(n[1])
-        M1 = np.asarray(truth["M1"], dtype=float)
-        M2 = np.asarray(truth["M2"], dtype=float)
-        n_total = n1 + n2
-    else:
-        n1 = n2 = None
-        M = np.asarray(truth["M"], dtype=float)
-        n_total = int(n)
+    means = tuple(check_symmetric(truth[k], k)
+                  for k in (("M1", "M2") if two_sample else ("M",)))
+    spec, args = lrt.parse_config(config, means[0].shape[0])
+    if spec.two_sample != two_sample:
+        raise ValueError("test %r needs a truth with %s" % (
+            config["test_id"], "M1 and M2" if spec.two_sample else "M"))
+    inside = contains2 if two_sample else contains
+    if not all(inside(pset, *means) for pset in spec.null(args)):
+        raise ValueError("generator mean is not in the null set of %r"
+                         % config["test_id"])
+    sizes = n if isinstance(n, (list, tuple)) else (n,)
+    if len(sizes) != len(means):
+        raise ValueError("test %r needs n = %s, got %r" % (
+            config["test_id"], "[n1, n2]" if two_sample else "a single count", n))
+    sizes = tuple(int(k) for k in sizes)
+    n1, n2 = sizes if two_sample else (None, None)
+    cov_true = CovParams(float(truth["sigma2"]), float(truth["tau"]))
     stats = np.empty(reps)
     pvals = np.empty(reps)
     dist = None
     for rep in range(reps):
         ss = np.random.SeedSequence(seed, spawn_key=(rep,))
-        if two_sample:
-            ss1, ss2 = ss.spawn(2)
-            S = np.concatenate([sample(n1, M1, cov_true, ss1),
-                                sample(n2, M2, cov_true, ss2)])
-            res = lrt.run_config(config, S, n1=n1)
-        else:
-            S = sample(n_total, M, cov_true, ss)
-            res = lrt.run_config(config, S)
+        parts = [sample(k, M, cov_true, s) for k, M, s
+                 in zip(sizes, means, ss.spawn(2) if two_sample else (ss,))]
+        S = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        res = lrt.run_config(config, S, n1=n1)
         stats[rep] = res.statistic
         pvals[rep] = res.p_value
         if dist is None:
@@ -202,7 +157,7 @@ def calibrate_null(config, truth, n, reps, seed):
     emp = tuple(float(np.quantile(stats, pr)) for pr in PROBS)
     theo = tuple(lrt.quantile(dist, pr) for pr in PROBS)
     return CalibrationReport(
-        test_id=config["test_id"], reps=reps, n=n_total, n1=n1, n2=n2,
+        test_id=config["test_id"], reps=reps, n=sum(sizes), n1=n1, n2=n2,
         dist=dist, quantile_probs=PROBS, empirical_quantiles=emp,
         theoretical_quantiles=theo, ks_distance=_ks_distance(stats, dist),
         alpha=ALPHA, rejection_rate=float(np.mean(pvals <= ALPHA)),
@@ -220,83 +175,64 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     gets {"n", "pairs"} with rows [i, j, var(sqrt(n) a_ij), predicted].
     """
     est_id = estimator if isinstance(estimator, str) else estimator["id"]
+    if est_id not in ("mean", "sigma2", "tau", "pooled_sigma2", "pooled_tau",
+                      "eigvec_var"):
+        raise ValueError("unknown estimator %r" % est_id)
     cov = CovParams(float(truth["sigma2"]), float(truth["tau"]))
     reps = int(reps)
+    pooled = est_id.startswith("pooled_")
+    if pooled:
+        M1, M2 = (np.asarray(truth[k], dtype=float) for k in ("M1", "M2"))
+    else:
+        M = np.asarray(truth["M"], dtype=float)
+        dec = eigh_desc(M)
+        pset = (FixedEigvals(dec.lam, Multiplicities((1,) * M.shape[0]))
+                if est_id == "eigvec_var" else Unrestricted())
+        # the mean and eigenvector fits take the covariance as known
+        fit_cov = None if est_id in ("sigma2", "tau") else cov
     rows = []
     for i, n in enumerate(int(v) for v in n_grid):
-        if est_id in ("pooled_sigma2", "pooled_tau"):
-            M1 = np.asarray(truth["M1"], dtype=float)
-            M2 = np.asarray(truth["M2"], dtype=float)
-            n1 = n // 2
-            vals = np.empty(reps)
-            for rep in range(reps):
-                ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
+        vals = []
+        for rep in range(reps):
+            ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
+            if pooled:
                 ss1, ss2 = ss.spawn(2)
-                S = np.concatenate([sample(n1, M1, cov, ss1),
-                                    sample(n - n1, M2, cov, ss2)])
-                fit = mle2(Unrestricted2(), S, n1)
-                vals[rep] = fit.sigma2_hat if est_id == "pooled_sigma2" else fit.tau_hat
-            target = cov.sigma2 if est_id == "pooled_sigma2" else cov.tau
-            rows.append({"n": n,
-                         "rmse": float(np.sqrt(np.mean((vals - target) ** 2))),
-                         "bias": float(np.mean(vals) - target)})
-            continue
-        M = np.asarray(truth["M"], dtype=float)
-        if est_id == "mean":
-            err2 = np.empty(reps)
-            for rep in range(reps):
-                ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
-                S = sample(n, M, cov, ss)
-                err2[rep] = np.sum((S.mean(axis=0) - M) ** 2)
-            rows.append({"n": n, "rmse": float(np.sqrt(np.mean(err2)))})
-        elif est_id in ("sigma2", "tau"):
-            vals = np.empty(reps)
-            for rep in range(reps):
-                ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
-                S = sample(n, M, cov, ss)
-                fit = mle(Unrestricted(), S)
-                vals[rep] = fit.sigma2_hat if est_id == "sigma2" else fit.tau_hat
-            target = cov.sigma2 if est_id == "sigma2" else cov.tau
-            rows.append({"n": n,
-                         "rmse": float(np.sqrt(np.mean((vals - target) ** 2))),
-                         "bias": float(np.mean(vals) - target)})
-        elif est_id == "eigvec_var":
-            dec = eigh_desc(M)
-            p = M.shape[0]
-            mult = Multiplicities((1,) * p)
-            pset = FixedEigvals(dec.lam, mult)
-            a = np.empty((reps, p, p))
-            pred = None
-            for rep in range(reps):
-                ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
-                S = sample(n, M, cov, ss)
-                fit = mle(pset, S, cov)
+                S = np.concatenate([sample(n // 2, M1, cov, ss1),
+                                    sample(n - n // 2, M2, cov, ss2)])
+                fit = mle2(Unrestricted2(), SuffStats.from_sample(S, n // 2))
+            else:
+                fit = mle(pset, SuffStats.from_sample(sample(n, M, cov, ss)),
+                          fit_cov)
+            if est_id == "mean":
+                vals.append(np.sum((fit.M_hat - M) ** 2))
+            elif est_id == "eigvec_var":
                 a_hat, pred = eigvec_uncertainty(dec.V, dec.lam, fit.M_hat, n,
                                                  cov.sigma2)
-                a[rep] = a_hat
-            pairs = []
-            for r in range(p):
-                for c in range(r + 1, p):
-                    emp = float(n * np.var(a[:, r, c]))
-                    pairs.append([r, c, emp, float(n * pred[r, c])])
-            rows.append({"n": n, "pairs": pairs})
+                vals.append(a_hat)
+            else:
+                vals.append(fit.sigma2_hat if est_id.endswith("sigma2")
+                            else fit.tau_hat)
+        vals = np.array(vals)
+        if est_id == "mean":
+            rows.append({"n": n, "rmse": float(np.sqrt(np.mean(vals)))})
+        elif est_id == "eigvec_var":
+            p = M.shape[0]
+            rows.append({"n": n, "pairs": [
+                [r, c, float(n * np.var(vals[:, r, c])), float(n * pred[r, c])]
+                for r in range(p) for c in range(r + 1, p)]})
         else:
-            raise ValueError("unknown estimator %r" % est_id)
+            target = cov.sigma2 if est_id.endswith("sigma2") else cov.tau
+            rows.append({"n": n,
+                         "rmse": float(np.sqrt(np.mean((vals - target) ** 2))),
+                         "bias": float(np.mean(vals) - target)})
     return rows
 
 
-def _block_pattern(fitted):
-    # consecutive runs of exactly equal values (pooled values share a mean)
-    sizes = []
-    run = 1
-    for a, b in zip(fitted[:-1], fitted[1:]):
-        if b == a:
-            run += 1
-        else:
-            sizes.append(run)
-            run = 1
-    sizes.append(run)
-    return tuple(sizes)
+def _block_pattern(tied):
+    # run lengths of a fitted vector, from the flags of its adjacent ties
+    # (pooled values share a mean, so a tie is exact equality)
+    cuts = np.flatnonzero(~tied) + 1
+    return tuple(int(v) for v in np.diff(np.concatenate(([0], cuts, [tied.size + 1]))))
 
 
 def cone_boundary_law(d_true, n, reps, seed, cov=None):
@@ -322,24 +258,19 @@ def cone_boundary_law(d_true, n, reps, seed, cov=None):
     A = cov.sigma2 / n * (np.eye(p) + cov.c(p) * np.ones((p, p)))
     L = np.linalg.cholesky(A)
     y = d + _rng(seed).standard_normal((reps, p)) @ L.T
-    dim_counts = np.zeros(p + 1, dtype=np.int64)
-    pattern_counts = {}
-    tie_counts = np.zeros(p - 1, dtype=np.int64) if p > 1 else np.zeros(0)
-    for row in y:
-        fitted, dim = pava(row)
-        dim_counts[dim] += 1
-        pat = _block_pattern(fitted)
-        pattern_counts[pat] = pattern_counts.get(pat, 0) + 1
-        for j in range(p - 1):
-            if fitted[j] == fitted[j + 1]:
-                tie_counts[j] += 1
+    fitted, dims = pava(y)
+    dim_counts = np.bincount(dims, minlength=p + 1)
+    ties = fitted[:, 1:] == fitted[:, :-1]
+    tie_counts = ties.sum(axis=0)
+    patterns, pattern_counts = np.unique(ties, axis=0, return_counts=True)
     return {
         "d_true": tuple(float(v) for v in d),
         "n": int(n),
         "reps": reps,
         "dim_mass": {k: float(dim_counts[k] / reps) for k in range(1, p + 1)},
-        "pattern_mass": {pat: float(cnt / reps)
-                         for pat, cnt in sorted(pattern_counts.items())},
+        "pattern_mass": dict(sorted(
+            (_block_pattern(tied), float(cnt / reps))
+            for tied, cnt in zip(patterns, pattern_counts))),
         "tie_mass": {(j, j + 1): float(tie_counts[j] / reps)
                      for j in range(p - 1)},
     }

@@ -146,7 +146,7 @@ def _report_from_result(res, n, n1, seed, with_timestamp):
     report["p_value"] = float(res.p_value)
     report["mle"] = _mle_payload(res.fit_null)
     report["warnings"] = list(res.warnings)
-    report["seed"] = None if seed is None else int(seed)
+    report["seed"] = None if seed is None else _integer(seed, "seed")
     if with_timestamp:
         report["timestamp"] = _timestamp()
     return report
@@ -264,14 +264,13 @@ def cmd_simulate(config_path, out_path, seed=None):
     except KeyError as e:
         raise InputError("simulate config requires %s" % e)
     cov = CovParams(sigma2, tau)
-    if seed is None:
-        seed = int(config.get("seed", 0))
+    seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
     two_sample = "M1" in config or "n1" in config
     if two_sample:
         try:
             M1 = np.asarray(config["M1"], dtype=float)
             M2 = np.asarray(config["M2"], dtype=float)
-            n1, n2 = int(config["n1"]), int(config["n2"])
+            n1, n2 = _integer(config["n1"], "n1"), _integer(config["n2"], "n2")
         except KeyError as e:
             raise InputError("two-sample simulate config requires %s" % e)
         _check_p(config, M1.shape[0])
@@ -283,7 +282,7 @@ def cmd_simulate(config_path, out_path, seed=None):
     else:
         try:
             M = np.asarray(config["M"], dtype=float)
-            n = int(config["n"])
+            n = _integer(config["n"], "n")
         except KeyError as e:
             raise InputError("simulate config requires %s" % e)
         _check_p(config, M.shape[0])
@@ -293,25 +292,24 @@ def cmd_simulate(config_path, out_path, seed=None):
     return 0
 
 
+def _integer(value, key):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError("config %r must be an integer, got %r" % (key, value))
+
+
 def _check_p(config, p_actual):
-    if "p" in config and int(config["p"]) != p_actual:
+    if "p" in config and _integer(config["p"], "p") != p_actual:
         raise InputError("config p=%d does not match the mean's dimension %d"
                          % (int(config["p"]), p_actual))
 
 
-def cmd_test(data_path, config_path, log_transform=False, with_timestamp=True,
-             out=None):
+def _run_test(config, data_path, log_transform, with_timestamp, out):
     out = sys.stdout if out is None else out
-    config = load_json(config_path)
-    if "test_id" not in config:
-        raise InputError("%s: config requires test_id" % config_path)
     S, n1 = read_dataset(data_path)
     if log_transform:
         S = _log_transform(S)
-    test_id = config["test_id"]
-    if not test_id.startswith("2") and n1 is not None:
-        raise InputError("test %r is one-sample but %s has two groups"
-                         % (test_id, data_path))
     with _input_errors(KeyError, ValueError):
         res = lrt.run_config(config, S, n1=n1)
     report = _report_from_result(res, S.shape[0], n1, config.get("seed"),
@@ -320,20 +318,16 @@ def cmd_test(data_path, config_path, log_transform=False, with_timestamp=True,
     return 0
 
 
+def cmd_test(data_path, config_path, log_transform=False, with_timestamp=True,
+             out=None):
+    return _run_test(load_json(config_path), data_path, log_transform,
+                     with_timestamp, out)
+
+
 def cmd_cov_check(data_path, log_transform=False, with_timestamp=True,
                   out=None):
-    out = sys.stdout if out is None else out
-    S, n1 = read_dataset(data_path)
-    if n1 is not None:
-        raise InputError("cov-check is one-sample but %s has two groups"
-                         % data_path)
-    if log_transform:
-        S = _log_transform(S)
-    with _input_errors(ValueError):
-        res = lrt.test_sigma_structure(S)
-    report = _report_from_result(res, S.shape[0], None, None, with_timestamp)
-    out.write(dumps(report) + "\n")
-    return 0
+    return _run_test({"test_id": "cov-check"}, data_path, log_transform,
+                     with_timestamp, out)
 
 
 def cmd_calibrate(config_path, seed=None, reps=None, out_path=None,
@@ -343,15 +337,11 @@ def cmd_calibrate(config_path, seed=None, reps=None, out_path=None,
     for key in ("test", "truth", "n"):
         if key not in config:
             raise InputError("calibrate config requires %r" % key)
-    if reps is None:
-        reps = int(config.get("reps", 5000))
-    if seed is None:
-        seed = int(config.get("seed", 0))
-    n = config["n"]
-    n = (int(n[0]), int(n[1])) if isinstance(n, list) else int(n)
+    reps = _integer(config.get("reps", 5000) if reps is None else reps, "reps")
+    seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
     with _input_errors(KeyError, ValueError):
-        rep = calibrate.calibrate_null(config["test"], config["truth"], n,
-                                       reps, seed)
+        rep = calibrate.calibrate_null(config["test"], config["truth"],
+                                       config["n"], reps, seed)
     payload = {
         "tool": "symtest",
         "version": __version__,
@@ -399,10 +389,9 @@ def cmd_cone_weights(config_path, seed=None, reps=None, with_timestamp=True,
     config = load_json(config_path)
     if "d_true" not in config:
         raise InputError("cone-weights config requires 'd_true'")
-    if reps is None:
-        reps = int(config.get("reps", 100000))
-    if seed is None:
-        seed = int(config.get("seed", 0))
+    reps = _integer(config.get("reps", 100000) if reps is None else reps,
+                    "reps")
+    seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
     with _input_errors(ValueError):
         w = calibrate.estimate_cone_weights(config["d_true"], reps, seed)
     payload = {

@@ -1,19 +1,22 @@
 """Likelihood-ratio statistics and reference distributions.
 
 Every test reduces to a difference of projection distances of the sample
-mean(s) under the null and alternative parameter sets. With known
-(sigma2, tau) the affine cases are exactly chi-square, and the mean-shift
-cases have F variants when the covariance is estimated; the curved and
-cone cases are asymptotic (chi-square or chi-square mixture). When no
-covariance is supplied, tau is estimated under the null fit, sigma2
-follows, and both are plugged into the statistic, with the reference
-distribution flagged as asymptotic-only.
+mean(s) under the null and alternative parameter sets, so every test_*
+function takes the sample's sufficient statistics (matnormal.SuffStats)
+rather than the sample itself. With known (sigma2, tau) the affine cases
+are exactly chi-square, and the mean-shift cases have F variants when
+the covariance is estimated; the curved and cone cases are asymptotic
+(chi-square or chi-square mixture). When no covariance is supplied, tau
+is estimated under the null fit, sigma2 follows, and both are plugged
+into the statistic, with the reference distribution flagged as
+asymptotic-only.
 
 Tail probabilities come from scipy.special (chdtrc, fdtrc). The cone
 test's mixture weights at a tied spectrum are exact: the level-probability
 law of each tied block, convolved over the blocks.
 
-Test identifiers (`test_id` on results and in CLI configs):
+Test identifiers (`test_id` on results and in CLI configs), each an
+entry of the registry TESTS, through which run_config dispatches:
 
 ==========  ====================================================
 a0          mean equals a given point vs. unrestricted
@@ -45,7 +48,7 @@ from .symcore import (
     norm_sq,
     sym_dim,
 )
-from .matnormal import empirical_sigma, group_means, sample_mean
+from .matnormal import SuffStats
 from .onesample import (
     FixedEigvals,
     FixedEigvecs,
@@ -53,6 +56,7 @@ from .onesample import (
     OrderedCone,
     Point,
     Unrestricted,
+    _fit_cov,
     estimate_sigma2,
     mle,
 )
@@ -62,8 +66,6 @@ from .twosample import (
     FitResult2,
     Unrestricted2,
     mle2,
-    pooled_sigma2,
-    pooled_tau,
 )
 
 CLAMP = 1e-9
@@ -217,74 +219,71 @@ def _norm_cov(cov):
     return cov
 
 
-def _use_cov(fit_null, cov):
-    """Covariance plugged into a statistic: known, or the null fit's estimates."""
+def _fits(fit, stats, null, alt, cov):
+    """Null and alternative fits, and the covariance plugged into the statistic.
+
+    The covariance is the known one, or else the null fit's estimates
+    (flagged as a plug-in).
+    """
+    cov = _norm_cov(cov)
+    fit_null, fit_alt = fit(null, stats, cov), fit(alt, stats, cov)
     if cov is not None:
-        return cov, False
-    return CovParams(fit_null.sigma2_hat, fit_null.tau_hat), True
+        return fit_null, fit_alt, cov, False
+    return (fit_null, fit_alt,
+            CovParams(fit_null.sigma2_hat, fit_null.tau_hat), True)
 
 
-def test_point_unrestricted(S, M0, cov=None):
+def test_point_unrestricted(stats, M0, cov=None):
     """Mean equals M0 vs. unrestricted (a0).
 
     Known covariance: exact chi-square(q). Estimated covariance: the
     scaled ratio of the lack of fit to the within-sample dispersion with
     an F(q, q(n-1)) reference, requiring n >= 2.
     """
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
-    q = sym_dim(p)
+    n, q = sum(stats.n), sym_dim(stats.p)
     M0 = check_symmetric(M0, "M0")
-    if cov is None and n < 2:
+    if _norm_cov(cov) is None and n < 2:
         raise ValueError("the F variant requires n >= 2")
-    ybar = sample_mean(S)
-    fit_null = mle(Point(M0), S, cov)
-    fit_alt = mle(Unrestricted(), S, cov)
-    if cov is not None:
-        t = n * norm_sq(ybar - M0, cov)
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle, stats, Point(M0), Unrestricted(), cov)
+    ybar = fit_alt.M_hat
+    if not plugin:
+        t = n * norm_sq(ybar - M0, use_cov)
         return _result("a0", t, ChiSq(q), fit_null, fit_alt, False)
     tau = fit_null.tau_hat
     unit = CovParams(1.0, tau)
-    s2 = estimate_sigma2(S, ybar, tau)  # within-sample dispersion only
+    s2 = estimate_sigma2(stats, (ybar,), tau)  # within-sample dispersion only
     t = (n - 1.0) * norm_sq(ybar - M0, unit) / (q * s2)
     return _result("a0", t, FDist(q, q * (n - 1.0)), fit_null, fit_alt, True)
 
 
-def test_A1(S, U0, M0, cov=None):
+def test_A1(stats, U0, M0, cov=None):
     """Mean equals M0 within the family diagonalized by U0 (a1).
 
     M0 must itself be diagonalized by U0. Exact chi-square(p) given the
     covariance; plug-in asymptotic otherwise.
     """
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
     M0 = check_symmetric(M0, "M0")
-    fit_null = mle(Point(M0), S, cov)
-    fit_alt = mle(FixedEigvecs(U0), S, cov)
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle, stats, Point(M0), FixedEigvecs(U0), cov)
     U0 = fit_alt.set.U0
     W0 = U0.T @ M0 @ U0
     d0 = np.diagonal(W0).copy()
     if np.abs(W0 - np.diag(d0)).max() > 1e-8 * max(1.0, np.abs(M0).max()):
         raise ValueError("M0 is not diagonalized by U0")
-    use_cov, plugin = _use_cov(fit_null, cov)
-    d_hat = np.diagonal(U0.T @ sample_mean(S) @ U0)
-    t = n * norm_sq(np.diag(d_hat - d0), use_cov)
-    dist = ChiSqApprox(p) if plugin else ChiSq(p)
+    d_hat = np.diagonal(U0.T @ stats.ybar[0] @ U0)
+    t = stats.n[0] * norm_sq(np.diag(d_hat - d0), use_cov)
+    dist = ChiSqApprox(stats.p) if plugin else ChiSq(stats.p)
     return _result("a1", t, dist, fit_null, fit_alt, plugin)
 
 
-def test_A2(S, U0, cov=None):
+def test_A2(stats, U0, cov=None):
     """Mean is diagonalized by U0 vs. unrestricted (a2)."""
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
+    p = stats.p
     q = sym_dim(p)
-    fit_null = mle(FixedEigvecs(U0), S, cov)
-    fit_alt = mle(Unrestricted(), S, cov)
-    use_cov, plugin = _use_cov(fit_null, cov)
-    t = n * norm_sq(sample_mean(S) - fit_null.M_hat, use_cov)
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle, stats, FixedEigvecs(U0), Unrestricted(), cov)
+    t = stats.n[0] * norm_sq(stats.ybar[0] - fit_null.M_hat, use_cov)
     dist = ChiSqApprox(q - p) if plugin else ChiSq(q - p)
     return _result("a2", t, dist, fit_null, fit_alt, plugin)
 
@@ -309,7 +308,7 @@ def _exact_cone_law(mult):
     return tuple(range(mult.k, mult.p + 1)), tuple(float(w) for w in law)
 
 
-def test_C2(S, U0, mult=None, cov=None, weights=None):
+def test_C2(stats, U0, mult=None, cov=None, weights=None):
     """Mean lies in the ordered-eigenvalue cone of U0 vs. unrestricted (c2).
 
     The reference is a chi-square mixture over the faces of the cone at
@@ -318,10 +317,7 @@ def test_C2(S, U0, mult=None, cov=None, weights=None):
     exact law on faces k..p (faces below the block count k are
     unreachable in the limit).
     """
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
-    q = sym_dim(p)
+    q = sym_dim(stats.p)
     if weights is not None:
         mix_dims, mix_w = tuple(weights.face_dims), tuple(weights.weights)
     elif mult is not None:
@@ -329,15 +325,14 @@ def test_C2(S, U0, mult=None, cov=None, weights=None):
     else:
         raise ValueError(
             "supply cone weights or the tie pattern mult of the true spectrum")
-    fit_null = mle(OrderedCone(U0), S, cov)
-    fit_alt = mle(Unrestricted(), S, cov)
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle, stats, OrderedCone(U0), Unrestricted(), cov)
     dist = ChiSqMix(weights=mix_w, dfs=tuple(q - k for k in mix_dims))
-    use_cov, plugin = _use_cov(fit_null, cov)
-    t = n * norm_sq(sample_mean(S) - fit_null.M_hat, use_cov)
+    t = stats.n[0] * norm_sq(stats.ybar[0] - fit_null.M_hat, use_cov)
     return _result("c2", t, dist, fit_null, fit_alt, plugin)
 
 
-def test_S1(S, M0, D0, mult, cov=None):
+def test_S1(stats, M0, D0, mult, cov=None):
     """Mean equals M0 vs. free eigenvectors with known spectrum D0 (s1).
 
     The statistic contains no tau and needs only sigma2; it vanishes when
@@ -345,76 +340,63 @@ def test_S1(S, M0, D0, mult, cov=None):
     of the squared distances of Ybar to M0 and to the alternative fit,
     each formed directly, so it stays accurate at any data scale.
     """
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    q = sym_dim(S.shape[1])
+    q = sym_dim(stats.p)
     M0 = check_symmetric(M0, "M0")
     D0 = np.asarray(D0, dtype=float)
     if np.abs(eigh_desc(M0).lam - D0).max() > 1e-8 * max(1.0, np.abs(D0).max()):
         raise ValueError("M0 does not have spectrum D0")
-    fit_null = mle(Point(M0), S, cov)
-    fit_alt = mle(FixedEigvals(D0, mult), S, cov)
-    use_cov, plugin = _use_cov(fit_null, cov)
-    ybar = sample_mean(S)
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle, stats, Point(M0), FixedEigvals(D0, mult), cov)
+    ybar = stats.ybar[0]
     lam = eigh_desc(ybar).lam
-    t = (n / use_cov.sigma2) * (np.sum((ybar - M0) ** 2) - np.sum((lam - D0) ** 2))
+    t = (stats.n[0] / use_cov.sigma2) * (np.sum((ybar - M0) ** 2)
+                                         - np.sum((lam - D0) ** 2))
     df = q - sum(m * (m + 1) for m in mult.m) / 2.0
     return _result("s1", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
 
 
-def test_S2(S, D0, mult, cov=None):
+def test_S2(stats, D0, mult, cov=None):
     """Spectrum equals D0 (eigenvectors free) vs. unrestricted (s2)."""
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
     D0 = np.asarray(D0, dtype=float)
-    fit_null = mle(FixedEigvals(D0, mult), S, cov)
-    fit_alt = mle(Unrestricted(), S, cov)
-    use_cov, plugin = _use_cov(fit_null, cov)
-    lam = eigh_desc(sample_mean(S)).lam
-    t = n * norm_sq(np.diag(lam - D0), use_cov)
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle, stats, FixedEigvals(D0, mult), Unrestricted(), cov)
+    lam = eigh_desc(stats.ybar[0]).lam
+    t = stats.n[0] * norm_sq(np.diag(lam - D0), use_cov)
     df = sum(m * (m + 1) for m in mult.m) / 2.0
     return _result("s2", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
 
 
-def test_S3(S, mult, cov=None):
+def test_S3(stats, mult, cov=None):
     """Spectrum has multiplicity pattern mult vs. unrestricted (s3).
 
     tau-free: the statistic is the eigenvalue dispersion about the block
     averages, scaled by sigma2.
     """
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    fit_null = mle(Mult(mult), S, cov)
-    fit_alt = mle(Unrestricted(), S, cov)
-    use_cov, plugin = _use_cov(fit_null, cov)
-    lam = eigh_desc(sample_mean(S)).lam
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle, stats, Mult(mult), Unrestricted(), cov)
+    lam = eigh_desc(stats.ybar[0]).lam
     resid = lam - block_average(lam, mult)
-    t = n / use_cov.sigma2 * np.sum(resid ** 2)
+    t = stats.n[0] / use_cov.sigma2 * np.sum(resid ** 2)
     df = sum(m * (m + 1) for m in mult.m) / 2.0 - mult.k
     return _result("s3", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
 
 
-def test_sigma_structure(S):
+def test_sigma_structure(stats):
     """Covariance is orthogonally invariant vs. unrestricted (cov-check).
 
     Compares the two-parameter (sigma2, tau) fit against the free
-    covariance MLE of the embedded vectors; requires n > q(q+3)/2 so the
-    latter is comfortably nonsingular. The chi-square calibration is
+    covariance MLE W/n of the embedded vectors; requires n > q(q+3)/2 so
+    the latter is comfortably nonsingular. The chi-square calibration is
     claimed only when the fitted tau is positive and away from zero; a
     warning is attached otherwise.
     """
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
+    n, p = sum(stats.n), stats.p
     q = sym_dim(p)
     min_n = q * (q + 3) // 2
     if n <= min_n:
         raise ValueError("need n > q(q+3)/2 = %d observations, got %d" % (min_n, n))
-    fit_null = mle(Unrestricted(), S)
-    sigma_hat = empirical_sigma(S)
-    sign, logdet = np.linalg.slogdet(sigma_hat)
+    fit_null = mle(Unrestricted(), stats)
+    sign, logdet = np.linalg.slogdet(stats.W[0] / n)
     if sign <= 0.0:
         raise ValueError("empirical covariance of the embedded sample is singular")
     t = (n * q * math.log(fit_null.sigma2_hat)
@@ -429,42 +411,34 @@ def test_sigma_structure(S):
     return res
 
 
-def test2_equal_unrestricted(S, n1, cov=None):
+def test2_equal_unrestricted(stats, cov=None):
     """Two-sample equal means vs. unrestricted (2a0).
 
     Known covariance: exact chi-square(q). Estimated: F(q, q(n-2))
     variant built from the pooled dispersion, requiring n >= 3.
     """
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
-    n2 = n - n1
-    q = sym_dim(p)
-    if cov is None and n < 3:
+    n, q = sum(stats.n), sym_dim(stats.p)
+    if _norm_cov(cov) is None and n < 3:
         raise ValueError("the F variant requires n >= 3")
-    ybar1, ybar2, _ = group_means(S, n1)
-    fit_null = mle2(EqualMeans(), S, n1, cov)
-    fit_alt = mle2(Unrestricted2(), S, n1, cov)
-    if cov is not None:
-        t = (n1 * n2 / n) * norm_sq(ybar1 - ybar2, cov)
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle2, stats, EqualMeans(), Unrestricted2(), cov)
+    (n1, n2), (ybar1, ybar2) = stats.n, stats.ybar
+    if not plugin:
+        t = (n1 * n2 / n) * norm_sq(ybar1 - ybar2, use_cov)
         return _result("2a0", t, ChiSq(q), fit_null, fit_alt, False)
     tau = fit_null.tau_hat
     unit = CovParams(1.0, tau)
-    s12 = pooled_sigma2(S, n1, ybar1, ybar2, tau)  # pooled dispersion only
+    s12 = estimate_sigma2(stats, stats.ybar, tau)  # pooled dispersion only
     t = (n - 2.0) * n1 * n2 * norm_sq(ybar1 - ybar2, unit) / (q * n * n * s12)
     return _result("2a0", t, FDist(q, q * (n - 2.0)), fit_null, fit_alt, True)
 
 
-def test2_S1(S, n1, mult, cov=None):
+def test2_S1(stats, mult, cov=None):
     """Two samples share one spectrum with pattern mult vs. unrestricted (2s1)."""
-    cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    n2 = n - n1
-    ybar1, ybar2, _ = group_means(S, n1)
-    fit_null = mle2(CommonEigvals(mult), S, n1, cov)
-    fit_alt = mle2(Unrestricted2(), S, n1, cov)
-    use_cov, plugin = _use_cov(fit_null, cov)
+    fit_null, fit_alt, use_cov, plugin = _fits(
+        mle2, stats, CommonEigvals(mult), Unrestricted2(), cov)
+    (n1, n2), (ybar1, ybar2) = stats.n, stats.ybar
+    n = n1 + n2
     lam1 = eigh_desc(ybar1).lam
     lam2 = eigh_desc(ybar2).lam
     lam_bar = (n1 * lam1 + n2 * lam2) / n
@@ -475,7 +449,7 @@ def test2_S1(S, n1, mult, cov=None):
     return _result("2s1", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
 
 
-def test2_S2(S, n1, mult, cov=None):
+def test2_S2(stats, mult, cov=None):
     """Two-sample equal means given a shared spectrum pattern (2s2).
 
     The null pools the data into one sample carrying the multiplicity
@@ -483,21 +457,13 @@ def test2_S2(S, n1, mult, cov=None):
     around a common spectrum.
     """
     cov = _norm_cov(cov)
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    n2 = n - n1
-    q = sym_dim(S.shape[1])
-    ybar1, ybar2, avg = group_means(S, n1)
-    dec = eigh_desc(avg)
+    fit_alt = mle2(CommonEigvals(mult), stats, cov)
+    (n1, n2), (ybar1, ybar2) = stats.n, stats.ybar
+    n = n1 + n2
+    q = sym_dim(stats.p)
+    dec = eigh_desc(stats.mean)
     m0 = (dec.V * block_average(dec.lam, mult)) @ dec.V.T
-    fit_alt = mle2(CommonEigvals(mult), S, n1, cov)
-    if cov is not None:
-        use_cov, plugin = cov, False
-        sigma2_hat, tau_hat = cov.sigma2, cov.tau
-    else:
-        tau_hat = pooled_tau(S, n1, m0, m0)
-        sigma2_hat = pooled_sigma2(S, n1, m0, m0, tau_hat)
-        use_cov, plugin = CovParams(sigma2_hat, tau_hat), True
+    sigma2_hat, tau_hat = _fit_cov(stats, (m0, m0), cov)
     fit_null = FitResult2(M1_hat=m0, M2_hat=m0, sigma2_hat=sigma2_hat,
                           tau_hat=tau_hat, set=EqualMeans())
     lam1 = eigh_desc(ybar1).lam
@@ -507,18 +473,121 @@ def test2_S2(S, n1, mult, cov=None):
     r_bar = lam_bar - block_average(lam_bar, mult)
     # ||Ybar1 - Ybar2||^2 - ||lam1 - lam2||^2 = 2 (lam1.lam2 - tr(Ybar1 Ybar2)),
     # formed without differencing terms of the data's squared scale
-    t = (n1 * n2 / (n * use_cov.sigma2)
+    t = (n1 * n2 / (n * sigma2_hat)
          * (np.sum((ybar1 - ybar2) ** 2) - np.sum((lam1 - lam2) ** 2))
-         + n / use_cov.sigma2 * (np.sum(r_pool ** 2) - np.sum(r_bar ** 2)))
+         + n / sigma2_hat * (np.sum(r_pool ** 2) - np.sum(r_bar ** 2)))
     df = q - sum(m * (m + 1) for m in mult.m) / 2.0
-    return _result("2s2", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
+    return _result("2s2", t, ChiSqApprox(df), fit_null, fit_alt, cov is None)
 
 
-def _cov_from_config(spec):
-    if spec is None or spec.get("estimate"):
+# ---------------------------------------------------------------------------
+# the test registry
+
+def _array(value, shape):
+    X = np.asarray(value, dtype=float)
+    if X.shape != shape:
+        raise ValueError("expected shape %s, got %s" % (shape, X.shape))
+    return X
+
+
+def _multiplicities(value, p):
+    mult = Multiplicities(tuple(int(v) for v in value))
+    if mult.p != p:
+        raise ValueError("%r does not sum to p = %d" % (mult.m, p))
+    return mult
+
+
+def _cone_weights(value, p):
+    from .calibrate import ConeWeights
+    return ConeWeights(None, tuple(int(k) for k in value["face_dims"]),
+                       tuple(float(x) for x in value["weights"]), 0)
+
+
+def _covariance(value, p):
+    if not isinstance(value, dict):
+        raise ValueError('expected {"known": {"sigma2": x, "tau": y}} or '
+                         '{"estimate": true}')
+    if value.get("estimate"):
         return None
-    known = spec["known"]
-    return CovParams(float(known["sigma2"]), float(known["tau"]))
+    known = value["known"]
+    return CovParams(float(known["sigma2"]), float(known["tau"])).validate(p)
+
+
+# config key -> (test-function parameter, parser of the value for p x p data)
+_PARSERS = {
+    "M0": ("M0", lambda v, p: _array(v, (p, p))),
+    "U0": ("U0", lambda v, p: _array(v, (p, p))),
+    "D0": ("D0", lambda v, p: _array(v, (p,))),
+    "multiplicities": ("mult", _multiplicities),
+    "weights": ("weights", _cone_weights),
+    "cov": ("cov", _covariance),
+}
+
+
+@dataclass(frozen=True)
+class Spec:
+    """A registered test: its function and how a config maps onto it.
+
+    run is called as run(stats, **args) with args parsed from the config
+    keys `keys` (required) and `optional` (passed when present); null
+    maps args to the null set(s) the generating mean(s) must lie in.
+    """
+
+    run: object
+    keys: tuple
+    two_sample: bool
+    null: object
+    optional: tuple = ("cov",)
+
+
+TESTS = {
+    "a0": Spec(test_point_unrestricted, ("M0",), False,
+               lambda a: (Point(a["M0"]),)),
+    "a1": Spec(test_A1, ("U0", "M0"), False, lambda a: (Point(a["M0"]),)),
+    "a2": Spec(test_A2, ("U0",), False, lambda a: (FixedEigvecs(a["U0"]),)),
+    # "reps" and "seed" in a c2 config are accepted and ignored: the
+    # weights are exact
+    "c2": Spec(test_C2, ("U0",), False, lambda a: (OrderedCone(a["U0"]),),
+               optional=("cov", "multiplicities", "weights")),
+    "s1": Spec(test_S1, ("M0", "D0", "multiplicities"), False,
+               lambda a: (Point(a["M0"]),)),
+    "s2": Spec(test_S2, ("D0", "multiplicities"), False,
+               lambda a: (FixedEigvals(a["D0"], a["mult"]),)),
+    "s3": Spec(test_S3, ("multiplicities",), False, lambda a: (Mult(a["mult"]),)),
+    "cov-check": Spec(test_sigma_structure, (), False, lambda a: (), optional=()),
+    "2a0": Spec(test2_equal_unrestricted, (), True, lambda a: (EqualMeans(),)),
+    "2s1": Spec(test2_S1, ("multiplicities",), True,
+                lambda a: (CommonEigvals(a["mult"]),)),
+    "2s2": Spec(test2_S2, ("multiplicities",), True,
+                lambda a: (EqualMeans(), CommonEigvals(a["mult"]))),
+}
+
+
+def parse_config(config, p):
+    """Registry entry of a hypothesis config and its values, checked for p x p data.
+
+    Returns (spec, args), args keyed by the test function's parameters.
+    A missing required key raises KeyError; any other bad value raises
+    ValueError.
+    """
+    if not isinstance(config, dict):
+        raise ValueError("a hypothesis config must be a JSON object")
+    test_id = config.get("test_id")
+    if not isinstance(test_id, str) or test_id not in TESTS:
+        raise ValueError("unknown test_id %r" % (test_id,))
+    spec = TESTS[test_id]
+    args = {}
+    for key in spec.keys + spec.optional:
+        if key not in config:
+            if key in spec.keys:
+                raise KeyError("config for %r requires %r" % (test_id, key))
+            continue
+        name, parse = _PARSERS[key]
+        try:
+            args[name] = parse(config[key], p)
+        except (TypeError, ValueError) as e:
+            raise ValueError("config for %r: bad %r: %s" % (test_id, key, e))
+    return spec, args
 
 
 def run_config(config, S, n1=None):
@@ -527,51 +596,14 @@ def run_config(config, S, n1=None):
     The mapping mirrors the CLI JSON format: a `test_id`, the set
     parameters as nested arrays (`M0`, `U0`, `D0`, `multiplicities`),
     and `cov` as {"known": {"sigma2": x, "tau": y}} or {"estimate": true}.
-    Two-sample tests take the group-1 count n1.
+    Two-sample tests take the group-1 count n1. The sample is reduced to
+    its SuffStats once and the test looked up in TESTS.
     """
-    test_id = config["test_id"]
-    cov = _cov_from_config(config.get("cov"))
-    S = np.asarray(S, dtype=float)
-
-    def arr(key):
-        if key not in config:
-            raise KeyError("config for %r requires %r" % (test_id, key))
-        return np.asarray(config[key], dtype=float)
-
-    def mult():
-        if "multiplicities" not in config:
-            raise KeyError("config for %r requires 'multiplicities'" % test_id)
-        return Multiplicities(tuple(int(v) for v in config["multiplicities"]))
-
-    if test_id.startswith("2") and n1 is None:
-        raise ValueError("test %r needs a two-group sample" % test_id)
-    if test_id == "a0":
-        return test_point_unrestricted(S, arr("M0"), cov)
-    if test_id == "a1":
-        return test_A1(S, arr("U0"), arr("M0"), cov)
-    if test_id == "a2":
-        return test_A2(S, arr("U0"), cov)
-    if test_id == "c2":
-        # "reps" and "seed" are accepted and ignored: the weights are exact
-        w = config.get("weights")
-        if w is not None:
-            from .calibrate import ConeWeights
-            w = ConeWeights(None, tuple(int(k) for k in w["face_dims"]),
-                            tuple(float(x) for x in w["weights"]), 0)
-        return test_C2(S, arr("U0"), cov=cov, weights=w,
-                       mult=mult() if "multiplicities" in config else None)
-    if test_id == "s1":
-        return test_S1(S, arr("M0"), arr("D0"), mult(), cov)
-    if test_id == "s2":
-        return test_S2(S, arr("D0"), mult(), cov)
-    if test_id == "s3":
-        return test_S3(S, mult(), cov)
-    if test_id == "cov-check":
-        return test_sigma_structure(S)
-    if test_id == "2a0":
-        return test2_equal_unrestricted(S, n1, cov)
-    if test_id == "2s1":
-        return test2_S1(S, n1, mult(), cov)
-    if test_id == "2s2":
-        return test2_S2(S, n1, mult(), cov)
-    raise ValueError("unknown test_id %r" % test_id)
+    stats = SuffStats.from_sample(S, n1)
+    spec, args = parse_config(config, stats.p)
+    if spec.two_sample and n1 is None:
+        raise ValueError("test %r needs a two-group sample" % config["test_id"])
+    if not spec.two_sample and n1 is not None:
+        raise ValueError("test %r is one-sample but the sample has two groups"
+                         % config["test_id"])
+    return spec.run(stats, **args)

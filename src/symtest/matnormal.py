@@ -6,17 +6,19 @@ is block diagonal: sigma2 * (I_p + c 11') over the diagonal entries, with
 c = tau / (1 - p*tau), and sigma2 * I over the scaled off-diagonal
 entries. This module builds that covariance explicitly, evaluates the
 log-density, draws exact samples over the whole parameter range
-(tau < 1/p, both signs of c), and computes the empirical vecd covariance
-used by the covariance-structure check.
+(tau < 1/p, both signs of c), and reduces a sample to its sufficient
+statistics (SuffStats): per group the count, the mean and the vecd
+residual scatter.
 
 Samples are stored as (n, p, p) arrays of symmetric matrices.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import SQRT2, check_symmetric, norm_sq, sym_dim
+from .symcore import SQRT2, check_symmetric, norm_sq, sym_dim, vecd
 
 
 def _rng_from(seed):
@@ -112,40 +114,58 @@ def vecd_rows(S):
         [S[:, np.arange(p), np.arange(p)], SQRT2 * S[:, iu[0], iu[1]]], axis=1)
 
 
-def empirical_sigma(S):
-    """MLE of the vecd covariance: (1/n) sum of outer products of residuals.
+@dataclass(frozen=True, eq=False)
+class SuffStats:
+    """Sufficient statistics of a one- or two-group sample.
 
-    Requires n > q so the estimate is almost surely nonsingular.
+    For each group g: the count n[g], the sample mean ybar[g] and the
+    q x q scatter W[g] = sum_i vecd(R_i) vecd(R_i)' of the residuals
+    R_i = Y_i - ybar[g]. Every fit, estimator and statistic reads the
+    data only through these, so a sample is reduced once.
     """
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
-    q = sym_dim(p)
-    if n <= q:
-        raise ValueError("need n > q = %d observations, got %d" % (q, n))
-    R = vecd_rows(S)
-    R = R - R.mean(axis=0)
-    return R.T @ R / n
 
+    n: tuple
+    ybar: tuple
+    W: tuple
 
-def sample_mean(S):
-    """Arithmetic mean of an (n, p, p) sample."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 3 or S.shape[0] < 1:
-        raise ValueError("expected a nonempty (n, p, p) sample, got shape %s" % (S.shape,))
-    return S.mean(axis=0)
+    @classmethod
+    def from_sample(cls, S, n1=None):
+        """Reduce an (n, p, p) sample; with n1 given, its first n1 rows are group 1.
 
+        Each scatter is taken about its group's own mean in a second pass,
+        never from raw moments, so it is accurate at any data scale.
+        """
+        S = np.asarray(S, dtype=float)
+        if S.ndim != 3 or S.shape[0] < 1 or S.shape[1] != S.shape[2]:
+            raise ValueError("expected a nonempty (n, p, p) sample, got shape %s"
+                             % (S.shape,))
+        if n1 is not None and not 1 <= n1 < S.shape[0]:
+            raise ValueError("need 1 <= n1 < n, got n1=%d, n=%d" % (n1, S.shape[0]))
+        parts = (S,) if n1 is None else (S[:n1], S[n1:])
+        ybar = tuple(part.mean(axis=0) for part in parts)
+        R = [vecd_rows(part) - vecd(m) for part, m in zip(parts, ybar)]
+        return cls(n=tuple(len(part) for part in parts), ybar=ybar,
+                   W=tuple(r.T @ r for r in R))
 
-def group_means(S, n1):
-    """Group means (Ybar1, Ybar2) and their weighted average for a split sample.
+    @property
+    def p(self):
+        return self.ybar[0].shape[0]
 
-    The first n1 observations form group 1; the weighted average is
-    (n1 Ybar1 + n2 Ybar2) / n, which equals the overall mean.
-    """
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    if not 1 <= n1 < n:
-        raise ValueError("need 1 <= n1 < n, got n1=%d, n=%d" % (n1, n))
-    ybar1 = S[:n1].mean(axis=0)
-    ybar2 = S[n1:].mean(axis=0)
-    avg = (n1 * ybar1 + (n - n1) * ybar2) / n
-    return ybar1, ybar2, avg
+    @property
+    def A(self):
+        """Per group, the summed squared residual traces sum_i tr(R_i)^2."""
+        p = self.p
+        return tuple(float(W[:p, :p].sum()) for W in self.W)
+
+    @property
+    def B(self):
+        """Per group, the summed squared residual norms sum_i ||R_i||^2."""
+        return tuple(float(np.trace(W)) for W in self.W)
+
+    @property
+    def mean(self):
+        """Mean of all observations: the group means weighted by the counts."""
+        if len(self.n) == 1:
+            return self.ybar[0]
+        (n1, n2), (y1, y2) = self.n, self.ybar
+        return (n1 * y1 + n2 * y2) / (n1 + n2)

@@ -15,9 +15,11 @@ mean onto the set, independent of (sigma2, tau). The sets are:
   values free.
 
 The variance scale and shape (sigma2, tau) are then estimated in closed
-form from the fitted mean. eigvec_uncertainty gives the asymptotic
-normal law of the eigenvector estimation error for distinct-spectrum
-fits, expressed as a rotation logarithm.
+form from the fitted mean(s) and the sample's sufficient statistics
+(matnormal.SuffStats); the estimators serve one and two groups alike.
+eigvec_uncertainty gives the asymptotic normal law of the eigenvector
+estimation error for distinct-spectrum fits, expressed as a rotation
+logarithm.
 """
 
 import math
@@ -33,7 +35,6 @@ from .symcore import (
     eigh_desc,
     sym_dim,
 )
-from .matnormal import sample_mean
 
 
 def _check_orthogonal(U, name="U0", tol=1e-8):
@@ -62,6 +63,9 @@ def _check_spectrum(D0, mult):
     if any(a <= b for a, b in zip(values, values[1:])):
         raise ValueError("block eigenvalues must be strictly decreasing")
     return D0
+
+
+_PAVA_CHUNK = 4096  # rows per batched PAVA pass; bounds its working memory
 
 
 class ParamSet:
@@ -126,27 +130,52 @@ class FitResult:
     face_dim: int = None
 
 
+def _pava_rows(Y):
+    # Per row, a stack of (mean, count) blocks with non-increasing means;
+    # top[i] blocks are in use.
+    r, p = Y.shape
+    rows = np.arange(r)
+    means = np.zeros((r, p))
+    counts = np.zeros((r, p), dtype=np.intp)
+    top = np.zeros(r, dtype=np.intp)
+    for j in range(p):
+        means[rows, top] = Y[:, j]
+        counts[rows, top] = 1
+        top += 1
+        act = rows[top > 1]
+        while act.size:
+            t = top[act]
+            viol = means[act, t - 2] < means[act, t - 1]
+            act, t = act[viol], t[viol]
+            m1, c1 = means[act, t - 2], counts[act, t - 2]
+            m2, c2 = means[act, t - 1], counts[act, t - 1]
+            means[act, t - 2] = (m1 * c1 + m2 * c2) / (c1 + c2)
+            counts[act, t - 2] = c1 + c2
+            counts[act, t - 1] = 0
+            top[act] -= 1
+            act = act[top[act] > 1]
+    used = counts > 0
+    return np.repeat(means[used], counts[used]).reshape(r, p)
+
+
 def pava(y):
     """Least-squares projection of y onto {d_1 >= d_2 >= ... >= d_p}.
 
-    Pool-adjacent-violators with equal initial weights: blocks are pooled
-    on strict order violation, so every entry of a pooled block carries
-    the same float. Returns (fitted vector, number of distinct values).
+    y is one vector (p,) or a batch of rows (r, p), each projected alone.
+    Pool-adjacent-violators with equal initial weights, run one column
+    at a time over a chunk of rows at once: blocks are pooled on strict
+    order violation, so every entry of a pooled block carries the same
+    float. Returns (fitted values, number of distinct values), the latter
+    an int for a vector and an (r,) array for a batch.
     """
     y = np.asarray(y, dtype=float)
-    # Stack of (mean, count) blocks with strictly decreasing means.
-    means = []
-    counts = []
-    for v in y:
-        means.append(v)
-        counts.append(1)
-        while len(means) > 1 and means[-2] < means[-1]:
-            m2, c2 = means.pop(), counts.pop()
-            m1, c1 = means.pop(), counts.pop()
-            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
-            counts.append(c1 + c2)
-    out = np.repeat(means, counts)
-    face_dim = 1 + int(np.sum(out[1:] != out[:-1]))
+    Y = np.atleast_2d(y)
+    out = np.empty_like(Y)
+    for lo in range(0, Y.shape[0], _PAVA_CHUNK):
+        out[lo:lo + _PAVA_CHUNK] = _pava_rows(Y[lo:lo + _PAVA_CHUNK])
+    face_dim = 1 + np.count_nonzero(out[:, 1:] != out[:, :-1], axis=1)
+    if y.ndim == 1:
+        return out[0], int(face_dim[0])
     return out, face_dim
 
 
@@ -185,73 +214,79 @@ def mle_multiplicities(mult, Ybar):
     return (dec.V * d) @ dec.V.T
 
 
-def _norms_about_mean(S, tau):
-    # Sum over observations of ||Y_i - Ybar||^2_{1,tau} and of tr(Y_i - Ybar)^2.
-    S = np.asarray(S, dtype=float)
-    R = S - S.mean(axis=0)
-    traces = np.trace(R, axis1=1, axis2=2)
-    sq = np.sum(R * R, axis=(1, 2))
-    return np.sum(sq - tau * traces ** 2), np.sum(traces ** 2)
+def _dispersion(stats, means):
+    # Summed squared residual norms and traces of every observation about
+    # its group's fitted mean: the spread about the group mean plus the
+    # group's lack of fit n_g ||Ybar_g - M_g||^2.
+    if len(means) != len(stats.n):
+        raise ValueError("need one fitted mean per group: %d groups, %d means"
+                         % (len(stats.n), len(means)))
+    sq, tr2 = 0.0, 0.0
+    for n, ybar, m_hat, a, b in zip(stats.n, stats.ybar, means, stats.A, stats.B):
+        r = ybar - m_hat
+        sq += b + n * np.sum(r * r)
+        tr2 += a + n * np.trace(r) ** 2
+    return sq, tr2
 
 
-def estimate_sigma2(S, M_hat, tau):
-    """MLE of sigma2 given the fitted mean and tau.
+def estimate_sigma2(stats, means, tau):
+    """MLE of sigma2 given one fitted mean per group and tau.
 
-    Equals the within-sample dispersion s2 plus the lack-of-fit term
-    (1/q) ||Ybar - M_hat||^2 in the unit-scale tau norm. A zero value
-    (possible only in degenerate samples, e.g. n = 1 with a perfect fit)
-    is returned as-is with a warning.
+    Equals the within-group dispersion plus the lack-of-fit terms
+    n_g ||Ybar_g - M_g||^2 in the unit-scale tau norm, over q n. A zero
+    value (possible only in degenerate samples, e.g. n = 1 with a perfect
+    fit) is returned as-is with a warning.
     """
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
-    q = sym_dim(p)
+    p = stats.p
     if not tau < 1.0 / p:
         raise ValueError("tau must be < 1/p")
-    ybar = sample_mean(S)
-    sum_sq, _ = _norms_about_mean(S, tau)
-    r = ybar - M_hat
-    lack = np.sum(r * r) - tau * np.trace(r) ** 2
-    out = sum_sq / (q * n) + lack / q
+    sq, tr2 = _dispersion(stats, means)
+    out = (sq - tau * tr2) / (sym_dim(p) * sum(stats.n))
     if out <= 0.0:
         warnings.warn("degenerate variance estimate (sigma2_hat = %g)" % out)
     return out
 
 
-def estimate_tau(S, M_hat):
-    """MLE of tau given the fitted mean.
+def estimate_tau(stats, means):
+    """MLE of tau given one fitted mean per group.
 
     The estimator is a ratio of the pseudo-norm at tau = q/p to the
-    squared traces of the residuals; it is undefined for n = 1 (all
-    residual terms vanish) and whenever every residual is trace-free.
+    squared traces of the residuals about the fitted means; it is
+    undefined for n = 1 (all residual terms vanish) and whenever every
+    residual is trace-free.
     """
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
+    p = stats.p
     if p < 2:
         raise ValueError("tau estimation requires p >= 2")
     q = sym_dim(p)
-    sum_pseudo, sum_tr = _norms_about_mean(S, q / p)
-    ybar = sample_mean(S)
-    r = ybar - M_hat
-    tr_r = np.trace(r)
-    num = sum_pseudo + n * (np.sum(r * r) - (q / p) * tr_r ** 2)
-    den = (q - 1.0) * (sum_tr + n * tr_r ** 2)
+    sq, tr2 = _dispersion(stats, means)
+    den = (q - 1.0) * tr2
     if den == 0.0:
         raise ValueError("tau estimate undefined: all residual traces vanish "
                          "(n = 1 or degenerate sample)")
-    return -num / den
+    return -(sq - (q / p) * tr2) / den
 
 
-def mle(pset, S, cov=None):
+def _fit_cov(stats, means, cov=None):
+    """(sigma2, tau) for the fitted means: the known cov, or the MLEs."""
+    if cov is not None:
+        return cov.sigma2, cov.tau
+    tau = estimate_tau(stats, means)
+    return estimate_sigma2(stats, means, tau), tau
+
+
+def mle(pset, stats, cov=None):
     """MLE of (M, sigma2, tau) over the given parameter set.
 
-    When cov is provided, the mean fit is unchanged (it never depends on
-    the covariance) and the known (sigma2, tau) are recorded in the result
+    stats holds the sufficient statistics of a one-group sample. When cov
+    is provided, the mean fit is unchanged (it never depends on the
+    covariance) and the known (sigma2, tau) are recorded in the result
     instead of being estimated; this also permits n = 1.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 3 or S.shape[0] < 1:
-        raise ValueError("expected a nonempty (n, p, p) sample")
-    ybar = sample_mean(S)
+    if len(stats.n) != 1:
+        raise ValueError("mle needs a one-group sample, got %d groups"
+                         % len(stats.n))
+    ybar = stats.ybar[0]
     face_dim = None
     if isinstance(pset, Unrestricted):
         m_hat = ybar
@@ -267,11 +302,7 @@ def mle(pset, S, cov=None):
         m_hat = mle_multiplicities(pset.mult, ybar)
     else:
         raise TypeError("unknown parameter set %r" % (pset,))
-    if cov is not None:
-        sigma2_hat, tau_hat = cov.sigma2, cov.tau
-    else:
-        tau_hat = estimate_tau(S, m_hat)
-        sigma2_hat = estimate_sigma2(S, m_hat, tau_hat)
+    sigma2_hat, tau_hat = _fit_cov(stats, (m_hat,), cov)
     return FitResult(M_hat=m_hat, sigma2_hat=sigma2_hat, tau_hat=tau_hat,
                      set=pset, face_dim=face_dim)
 

@@ -7,20 +7,20 @@ The mean pair (M1, M2) ranges over one of three closed-form sets:
 - CommonEigvals(mult): both means share one unspecified spectrum with
   the given multiplicity pattern, eigenvectors free per group.
 
-Both groups share the covariance (sigma2, tau). The pooled estimators
-center each group at its own mean for the dispersion and at the weighted
-average of the group means for the shape parameter.
+Both groups share the covariance (sigma2, tau). Its MLEs are the
+one-sample estimators of onesample applied to both groups at once: each
+observation is centred at its own group's fitted mean.
 
-A sample is one (n, p, p) array whose first n1 rows are group 1.
+A sample is one (n, p, p) array whose first n1 rows are group 1; the
+fits read it through matnormal.SuffStats.from_sample(S, n1).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import Multiplicities, block_average, eigh_desc, sym_dim
-from .matnormal import group_means
+from .symcore import Multiplicities, block_average, eigh_desc
+from .onesample import _fit_cov
 
 
 class ParamSet2:
@@ -65,93 +65,27 @@ def mle_common_eigvals(mult, Ybar1, Ybar2, n1, n2):
     return (dec1.V * d) @ dec1.V.T, (dec2.V * d) @ dec2.V.T
 
 
-def _group_residual_sums(S, n1, tau):
-    # Per-group sums of ||Y_i - Ybar_g||^2_{1,tau}, centered at each group's
-    # own mean.
-    S = np.asarray(S, dtype=float)
-    total = 0.0
-    for part in (S[:n1], S[n1:]):
-        R = part - part.mean(axis=0)
-        traces = np.trace(R, axis1=1, axis2=2)
-        total += np.sum(np.sum(R * R, axis=(1, 2)) - tau * traces ** 2)
-    return total
-
-
-def pooled_sigma2(S, n1, M1_hat, M2_hat, tau):
-    """Two-sample MLE of sigma2 given the fitted means and tau.
-
-    Pooled within-group dispersion plus the group lack-of-fit terms
-    weighted by the group sizes.
-    """
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
-    q = sym_dim(p)
-    if not tau < 1.0 / p:
-        raise ValueError("tau must be < 1/p")
-    ybar1, ybar2, _ = group_means(S, n1)
-    n2 = n - n1
-    s12 = _group_residual_sums(S, n1, tau) / (q * n)
-    lack = 0.0
-    for w, ybar, m_hat in ((n1, ybar1, M1_hat), (n2, ybar2, M2_hat)):
-        r = ybar - m_hat
-        lack += w * (np.sum(r * r) - tau * np.trace(r) ** 2)
-    out = s12 + lack / (q * n)
-    if out <= 0.0:
-        warnings.warn("degenerate variance estimate (sigma2_hat = %g)" % out)
-    return out
-
-
-def pooled_tau(S, n1, M1_hat, M2_hat):
-    """Two-sample MLE of tau given the fitted means.
-
-    Residuals of the observations are centered at the weighted average of
-    the group means; the lack-of-fit terms are weighted n1 and n2.
-    """
-    S = np.asarray(S, dtype=float)
-    n, p = S.shape[0], S.shape[1]
-    if p < 2:
-        raise ValueError("tau estimation requires p >= 2")
-    q = sym_dim(p)
-    ybar1, ybar2, avg = group_means(S, n1)
-    n2 = n - n1
-    R = S - avg
-    traces = np.trace(R, axis1=1, axis2=2)
-    num = np.sum(np.sum(R * R, axis=(1, 2)) - (q / p) * traces ** 2)
-    den = np.sum(traces ** 2)
-    for w, ybar, m_hat in ((n1, ybar1, M1_hat), (n2, ybar2, M2_hat)):
-        r = ybar - m_hat
-        tr_r = np.trace(r)
-        num += w * (np.sum(r * r) - (q / p) * tr_r ** 2)
-        den += w * tr_r ** 2
-    den *= q - 1.0
-    if den == 0.0:
-        raise ValueError("tau estimate undefined: all residual traces vanish")
-    return -num / den
-
-
-def mle2(pset, S, n1, cov=None):
+def mle2(pset, stats, cov=None):
     """MLE of (M1, M2, sigma2, tau) over the given two-sample set.
 
-    The mean fits minimize n1 tr[(Ybar1 - M1)^2] + n2 tr[(Ybar2 - M2)^2]
-    over the set. With cov given, the known (sigma2, tau) are recorded
-    instead of the pooled estimates.
+    stats holds the sufficient statistics of a two-group sample. The mean
+    fits minimize n1 tr[(Ybar1 - M1)^2] + n2 tr[(Ybar2 - M2)^2] over the
+    set. With cov given, the known (sigma2, tau) are recorded instead of
+    the pooled estimates.
     """
-    S = np.asarray(S, dtype=float)
-    ybar1, ybar2, avg = group_means(S, n1)
-    n2 = S.shape[0] - n1
+    if len(stats.n) != 2:
+        raise ValueError("mle2 needs a two-group sample, got %d group(s)"
+                         % len(stats.n))
+    (n1, n2), (ybar1, ybar2) = stats.n, stats.ybar
     if isinstance(pset, Unrestricted2):
         m1_hat, m2_hat = ybar1, ybar2
     elif isinstance(pset, EqualMeans):
-        m1_hat = m2_hat = avg
+        m1_hat = m2_hat = stats.mean
     elif isinstance(pset, CommonEigvals):
         m1_hat, m2_hat = mle_common_eigvals(pset.mult, ybar1, ybar2, n1, n2)
     else:
         raise TypeError("unknown parameter set %r" % (pset,))
-    if cov is not None:
-        sigma2_hat, tau_hat = cov.sigma2, cov.tau
-    else:
-        tau_hat = pooled_tau(S, n1, m1_hat, m2_hat)
-        sigma2_hat = pooled_sigma2(S, n1, m1_hat, m2_hat, tau_hat)
+    sigma2_hat, tau_hat = _fit_cov(stats, (m1_hat, m2_hat), cov)
     return FitResult2(M1_hat=m1_hat, M2_hat=m2_hat, sigma2_hat=sigma2_hat,
                       tau_hat=tau_hat, set=pset)
 

@@ -25,7 +25,7 @@ from symtest.calibrate import (
     estimate_cone_weights,
 )
 from symtest.cli import main, read_dataset, write_dataset
-from symtest.matnormal import sample, sample_mean
+from symtest.matnormal import SuffStats, sample
 from symtest.onesample import (
     FixedEigvals,
     FixedEigvecs,
@@ -234,7 +234,7 @@ def test_criterion_04_covariance_structure_check(acceptance_line):
         # has a variance bump confined to one matrix entry.
         extra = np.random.Generator(np.random.Philox(ss.spawn(1)[0]))
         S[:, 0, 0] += extra.standard_normal(500)
-        if lrt.test_sigma_structure(S).p_value <= 0.05:
+        if lrt.test_sigma_structure(SuffStats.from_sample(S)).p_value <= 0.05:
             hits += 1
     power = hits / power_reps
     ok = 0.03 <= rep.rejection_rate <= 0.08 and power > 0.9
@@ -289,7 +289,7 @@ def test_criterion_06_projection_oracle(acceptance_line):
             U0 = random_orthogonal(rng, p)
 
             # fixed eigenvector frame: diagonal extraction vs least squares
-            fit = mle(FixedEigvecs(U0), S1, COV0)
+            fit = mle(FixedEigvecs(U0), SuffStats.from_sample(S1), COV0)
             G = np.stack([vecd(np.outer(U0[:, i], U0[:, i]))
                           for i in range(p)], axis=1)
             d_num, *_ = np.linalg.lstsq(G, vecd(Ybar), rcond=None)
@@ -297,7 +297,7 @@ def test_criterion_06_projection_oracle(acceptance_line):
             check("frame", frob(Ybar - fit.M_hat), f_num)
 
             # ordered cone: pooling algorithm vs constrained minimizer
-            fit = mle(OrderedCone(U0), S1, COV0)
+            fit = mle(OrderedCone(U0), SuffStats.from_sample(S1), COV0)
             target = np.diagonal(U0.T @ Ybar @ U0)
 
             def g(d):
@@ -312,7 +312,8 @@ def test_criterion_06_projection_oracle(acceptance_line):
 
             # fixed spectrum: frame matching vs rotation-space search
             D0 = descending(p)
-            fit = mle(FixedEigvals(D0, Multiplicities((1,) * p)), S1, COV0)
+            fit = mle(FixedEigvals(D0, Multiplicities((1,) * p)),
+                      SuffStats.from_sample(S1), COV0)
             V = det_plus(eigh_desc(Ybar).V)
             D = np.diag(D0)
 
@@ -327,13 +328,13 @@ def test_criterion_06_projection_oracle(acceptance_line):
             # multiplicity pattern (and tied fixed spectrum) at p=3 only;
             # at p=2 the pooled pattern has the closed form tr/2 * I
             if p == 2:
-                fit = mle(Mult(Multiplicities((2,))), S1, COV0)
+                fit = mle(Mult(Multiplicities((2,))), SuffStats.from_sample(S1), COV0)
                 lam = np.trace(Ybar) / 2.0
                 check("pattern", frob(Ybar - fit.M_hat),
                       frob(Ybar - lam * np.eye(2)))
             else:
                 pattern = (2, 1) if it % 2 == 0 else (1, 2)
-                fit = mle(Mult(Multiplicities(pattern)), S1, COV0)
+                fit = mle(Mult(Multiplicities(pattern)), SuffStats.from_sample(S1), COV0)
 
                 def f42(params):
                     U = rotation(params, 3)
@@ -357,8 +358,8 @@ def test_criterion_06_projection_oracle(acceptance_line):
                 if it < 250:
                     a, b = descending(2, low=0.4)
                     D0t = np.array([a, a, b])
-                    fit = mle(FixedEigvals(D0t, Multiplicities((2, 1))), S1,
-                              COV0)
+                    fit = mle(FixedEigvals(D0t, Multiplicities((2, 1))),
+                              SuffStats.from_sample(S1), COV0)
                     Dt = np.diag(D0t)
 
                     def f41t(params):
@@ -377,7 +378,8 @@ def test_criterion_06_projection_oracle(acceptance_line):
             pattern = ((1,) * p if p == 2 or it % 2 == 0 else (2, 1))
             S = np.concatenate([np.repeat(Y1[None], n1, axis=0),
                                 np.repeat(Y2[None], n2, axis=0)])
-            fit = mle2(CommonEigvals(Multiplicities(pattern)), S, n1, COV0)
+            fit = mle2(CommonEigvals(Multiplicities(pattern)),
+                       SuffStats.from_sample(S, n1), COV0)
             f_closed = n1 * frob(Y1 - fit.M1_hat) + n2 * frob(Y2 - fit.M2_hat)
 
             def f51(params):
@@ -445,16 +447,16 @@ def test_criterion_07_tangent_orthogonality(acceptance_line):
         cov = CovParams(1.0, tau)
         for _ in range(200):
             S = np.stack([random_symmetric(rng, p, 1.0) for _ in range(3)])
-            ybar = sample_mean(S)
+            ybar = S.mean(axis=0)
             U0 = random_orthogonal(rng, p)
 
-            fit = mle(FixedEigvecs(U0), S, cov)
+            fit = mle(FixedEigvecs(U0), SuffStats.from_sample(S), cov)
             r = ybar - fit.M_hat
             for i in range(p):
                 t = np.outer(U0[:, i], U0[:, i])
                 record(inner(r, t, cov), frobn(r), frobn(t))
 
-            fit = mle(OrderedCone(U0), S, cov)
+            fit = mle(OrderedCone(U0), SuffStats.from_sample(S), cov)
             r = ybar - fit.M_hat
             # Pooled values from the cone fit share one mean, so exact
             # equality delimits the blocks of the active face.
@@ -469,13 +471,14 @@ def test_criterion_07_tangent_orthogonality(acceptance_line):
                     start = k
 
             D0 = np.array([2.5, 1.0, -0.5])
-            fit = mle(FixedEigvals(D0, Multiplicities((1, 1, 1))), S, cov)
+            fit = mle(FixedEigvals(D0, Multiplicities((1, 1, 1))),
+                      SuffStats.from_sample(S), cov)
             r = ybar - fit.M_hat
             for A in skews:
                 t = A @ fit.M_hat - fit.M_hat @ A
                 record(inner(r, t, cov), frobn(r), frobn(t))
 
-            fit = mle(Mult(Multiplicities((2, 1))), S, cov)
+            fit = mle(Mult(Multiplicities((2, 1))), SuffStats.from_sample(S), cov)
             r = ybar - fit.M_hat
             V = eigh_desc(ybar).V
             for A in skews:
@@ -489,16 +492,17 @@ def test_criterion_07_tangent_orthogonality(acceptance_line):
 
             S2 = np.stack([random_symmetric(rng, p, 1.0) for _ in range(5)])
             n1 = 2
-            y1, y2 = sample_mean(S2[:n1]), sample_mean(S2[n1:])
+            y1, y2 = S2[:n1].mean(axis=0), S2[n1:].mean(axis=0)
 
-            fit = mle2(EqualMeans(), S2, n1, cov)
+            fit = mle2(EqualMeans(), SuffStats.from_sample(S2, n1), cov)
             r1, r2 = y1 - fit.M1_hat, y2 - fit.M2_hat
             for T in sym_basis:
                 val = n1 * inner(r1, T, cov) + 3 * inner(r2, T, cov)
                 record(val, frobn(r1) + frobn(r2), frobn(T))
 
             for pattern in ((1, 1, 1), (2, 1)):
-                fit = mle2(CommonEigvals(Multiplicities(pattern)), S2, n1, cov)
+                fit = mle2(CommonEigvals(Multiplicities(pattern)),
+                           SuffStats.from_sample(S2, n1), cov)
                 r1, r2 = y1 - fit.M1_hat, y2 - fit.M2_hat
                 for A in skews:
                     t1 = A @ fit.M1_hat - fit.M1_hat @ A
@@ -529,7 +533,7 @@ def test_criterion_08_estimator_consistency(acceptance_line):
     for k, tau in enumerate((-0.5, 0.0, 0.2)):
         cov = CovParams(1.7, tau)
         S = sample(n, M, cov, 400 + k)
-        fit = mle(Unrestricted(), S)
+        fit = mle(Unrestricted(), SuffStats.from_sample(S))
         rel = abs(fit.sigma2_hat - 1.7) / 1.7
         dtau = abs(fit.tau_hat - tau)
         ok = ok and rel < 0.05 and dtau <= 0.02
@@ -538,7 +542,7 @@ def test_criterion_08_estimator_consistency(acceptance_line):
         ss1, ss2 = np.random.SeedSequence(500 + k).spawn(2)
         S2 = np.concatenate([sample(n // 2, M, cov, ss1),
                              sample(n // 2, M, cov, ss2)])
-        fit2 = mle2(Unrestricted2(), S2, n // 2)
+        fit2 = mle2(Unrestricted2(), SuffStats.from_sample(S2, n // 2))
         rel = abs(fit2.sigma2_hat - 1.7) / 1.7
         dtau = abs(fit2.tau_hat - tau)
         ok = ok and rel < 0.05 and dtau <= 0.02
@@ -551,7 +555,7 @@ def test_criterion_08_estimator_consistency(acceptance_line):
 def test_criterion_09_identity_suite(acceptance_line):
     rng = np.random.default_rng(317)
     worst = {"mean-shift": 0.0, "two-sample split": 0.0, "isometry": 0.0,
-             "trace-free": 0.0}
+             "trace-free": 0.0, "suffstats": 0.0}
 
     def dev(a, b):
         return abs(a - b) / max(1.0, abs(a), abs(b))
@@ -593,9 +597,39 @@ def test_criterion_09_identity_suite(acceptance_line):
         rhs = inner(A0, B, CovParams(cov.sigma2, 0.0))
         worst["trace-free"] = max(worst["trace-free"], dev(lhs, rhs))
 
+    # SuffStats against the raw-sample formulas, relative to the size of
+    # each statistic, across tau and data scales 1e-6 to 1e6 (the mean ten
+    # times the spread, so that a raw-moment scatter would cancel)
+    def rel(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        size = max(np.abs(a).max(), np.abs(b).max())
+        return float(np.abs(a - b).max() / size) if size > 0.0 else 0.0
+
+    srng = np.random.default_rng(318)
+    for k in range(1000):
+        p = int(srng.integers(2, 5))
+        scale = 10.0 ** srng.uniform(-6.0, 6.0)
+        cov = CovParams(scale ** 2, srng.uniform(-0.5, 0.9 / p))
+        n1, n2 = int(srng.integers(1, 20)), int(srng.integers(1, 20))
+        S = sample(n1 + n2, random_symmetric(srng, p, 10.0 * scale), cov,
+                   np.random.SeedSequence(318, spawn_key=(k,)))
+        for n_split, parts in ((None, (S,)), (n1, (S[:n1], S[n1:]))):
+            stats = SuffStats.from_sample(S, n_split)
+            dev_n = float(stats.n != tuple(len(G) for G in parts))
+            for g, G in enumerate(parts):
+                R = G - G.mean(axis=0)
+                W = sum(np.outer(vecd(r), vecd(r)) for r in R)
+                worst["suffstats"] = max(
+                    worst["suffstats"], dev_n,
+                    rel(stats.ybar[g], G.mean(axis=0)),
+                    rel(stats.A[g], np.sum(np.trace(R, axis1=1, axis2=2) ** 2)),
+                    rel(stats.B[g], np.sum(R * R)),
+                    rel(stats.W[g], W))
+
     bad = {k: v for k, v in worst.items() if v > 1e-9}
     acceptance_line(9, not bad,
-                    "identities at 1e-9 over 1000 draws each: %s" %
+                    "identities at 1e-9 (suffstats relative) over 1000 draws "
+                    "each: %s" %
                     ", ".join("%s %.1e" % kv for kv in sorted(worst.items())))
 
 

@@ -15,7 +15,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from symtest import lrt
 from symtest.cli import InputError, dumps, main, read_dataset, write_dataset
-from symtest.matnormal import sample
+from symtest.matnormal import SuffStats, sample
 from symtest.symcore import CovParams, matrix_exp
 
 SCHEMA = json.loads(
@@ -228,7 +228,7 @@ class TestCmdTest:
             "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}})
         _, out, _ = run(capsys, ["test", "--data", str(path), "--config", cfg,
                                  "--log-transform"])
-        want = lrt.test_point_unrestricted(X, np.zeros((2, 2)),
+        want = lrt.test_point_unrestricted(SuffStats.from_sample(X), np.zeros((2, 2)),
                                            CovParams(1.0, 0.0))
         assert json.loads(out)["statistic"] == pytest.approx(want.statistic,
                                                              rel=1e-9)
@@ -307,6 +307,31 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "t.json", {"test_id": "zz"})
         self.check_error(capsys, ["test", "--data", path, "--config", cfg],
                          "unknown test_id")
+
+    @pytest.mark.parametrize("known,fragment", [
+        ({"sigma2": 1.0, "tau": 0.9}, "tau must be < 1/p"),
+        ({"sigma2": -1.0, "tau": 0.0}, "sigma2 must be positive"),
+    ])
+    def test_bad_known_covariance(self, tmp_path, capsys, known, fragment):
+        path, _ = one_sample_file(tmp_path)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]],
+            "cov": {"known": known}})
+        self.check_error(capsys, ["test", "--data", path, "--config", cfg],
+                         fragment)
+
+    def test_non_integer_seed(self, tmp_path, capsys):
+        path, _ = one_sample_file(tmp_path)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]], "seed": "x"})
+        self.check_error(capsys, ["test", "--data", path, "--config", cfg],
+                         "'seed' must be an integer")
+
+    def test_non_string_test_id(self, tmp_path, capsys):
+        path, _ = one_sample_file(tmp_path)
+        cfg = write_config(tmp_path, "t.json", {"test_id": 5})
+        self.check_error(capsys, ["test", "--data", path, "--config", cfg],
+                         "unknown test_id 5")
 
     def test_one_sample_test_on_two_group_file(self, tmp_path, capsys):
         S = sample(6, np.zeros((2, 2)), CovParams(1.0, 0.0), 7)
@@ -439,6 +464,21 @@ class TestCmdCalibrate:
         code, _, err = run(capsys, ["calibrate", "--config", cfg])
         assert code == 2
         assert "not in the null set" in err
+
+    def test_two_sample_needs_a_pair_of_sizes(self, tmp_path, capsys):
+        M = [[1.0, 0.0], [0.0, 1.0]]
+        config = {"test": {"test_id": "2a0"}, "n": [50], "reps": 1000,
+                  "truth": {"M1": M, "M2": M, "sigma2": 1.0, "tau": 0.0}}
+        cfg = write_config(tmp_path, "c.json", config)
+        code, _, err = run(capsys, ["calibrate", "--config", cfg])
+        assert code == 2
+        assert "n = [n1, n2]" in err
+
+    def test_reps_must_be_an_integer(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(self.CONFIG, reps="many"))
+        code, _, err = run(capsys, ["calibrate", "--config", cfg])
+        assert code == 2
+        assert "'reps' must be an integer" in err
 
     def test_missing_keys(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"test": {}})

@@ -8,6 +8,7 @@ behavior of p-values/quantiles against the tail-function fixtures.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from symtest.lrt import (
     quantile,
     run_config,
 )
-from symtest.matnormal import build_sigma, sample, sample_mean, vecd_rows
+from symtest.matnormal import SuffStats, build_sigma, sample, vecd_rows
 from symtest.onesample import mle_fixed_eigvecs, mle_ordered_cone
 from symtest.symcore import CovParams, Multiplicities, inner, norm_sq, sym_dim
 
@@ -165,7 +166,7 @@ class TestPointUnrestricted:
         M0 = np.array([[1.0, 0.3], [0.3, 2.0]])
         X = np.array([[0.5, -0.2], [-0.2, 0.1]])
         S = sample_with_mean(M0, X)
-        res = lrt.test_point_unrestricted(S, M0, cov=COV0)
+        res = lrt.test_point_unrestricted(SuffStats.from_sample(S), M0, cov=COV0)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert res.test_id == "a0"
@@ -174,8 +175,8 @@ class TestPointUnrestricted:
         cov = CovParams(1.5, 0.2)
         S = sample(12, np.eye(3), cov, 310)
         M0 = np.zeros((3, 3))
-        res = lrt.test_point_unrestricted(S, M0, cov=cov)
-        want = 12 * norm_sq(sample_mean(S) - M0, cov)
+        res = lrt.test_point_unrestricted(SuffStats.from_sample(S), M0, cov=cov)
+        want = 12 * norm_sq(S.mean(axis=0) - M0, cov)
         assert res.statistic == pytest.approx(want, rel=1e-13)
         assert res.dist == ChiSq(6)
         assert res.p_value == pytest.approx(pvalue(ChiSq(6), want), rel=1e-13)
@@ -186,7 +187,8 @@ class TestPointUnrestricted:
         y = rng.standard_normal(20) * 2.0 + 1.0
         S = y.reshape(-1, 1, 1)
         m0, sigma2 = 1.0, 4.0
-        res = lrt.test_point_unrestricted(S, [[m0]], cov=CovParams(sigma2, 0.0))
+        res = lrt.test_point_unrestricted(SuffStats.from_sample(S),
+                                          [[m0]], cov=CovParams(sigma2, 0.0))
         z_sq = 20 * (y.mean() - m0) ** 2 / sigma2
         assert res.statistic == pytest.approx(z_sq, rel=1e-13)
         assert res.dist == ChiSq(1)
@@ -207,7 +209,7 @@ class TestPointUnrestricted:
 
     def test_estimated_cov_uses_f(self):
         S = sample(10, np.eye(2), CovParams(1.0, 0.1), 313)
-        res = lrt.test_point_unrestricted(S, np.eye(2))
+        res = lrt.test_point_unrestricted(SuffStats.from_sample(S), np.eye(2))
         assert res.dist == FDist(3, 27)
         assert lrt._PLUGIN_NOTE in res.warnings
         assert 0.0 <= res.p_value <= 1.0
@@ -215,18 +217,20 @@ class TestPointUnrestricted:
     def test_estimated_cov_needs_two_obs(self):
         S = sample(1, np.eye(2), COV0, 314)
         with pytest.raises(ValueError, match="n >= 2"):
-            lrt.test_point_unrestricted(S, np.eye(2))
+            lrt.test_point_unrestricted(SuffStats.from_sample(S), np.eye(2))
 
     def test_cov_estimate_string(self):
         S = sample(10, np.eye(2), COV0, 315)
-        a = lrt.test_point_unrestricted(S, np.eye(2), cov="estimate")
-        b = lrt.test_point_unrestricted(S, np.eye(2), cov=None)
+        a = lrt.test_point_unrestricted(SuffStats.from_sample(S),
+                                        np.eye(2), cov="estimate")
+        b = lrt.test_point_unrestricted(SuffStats.from_sample(S), np.eye(2), cov=None)
         assert a.statistic == b.statistic
 
     def test_rejects_bad_cov_string(self):
         S = sample(4, np.eye(2), COV0, 316)
         with pytest.raises(ValueError, match="estimate"):
-            lrt.test_point_unrestricted(S, np.eye(2), cov="plugin")
+            lrt.test_point_unrestricted(SuffStats.from_sample(S),
+                                        np.eye(2), cov="plugin")
 
 
 class TestA1:
@@ -235,7 +239,7 @@ class TestA1:
         # Off-diagonal disturbance only: diag(Ybar) still equals diag(M0).
         X = np.array([[0.0, 0.7], [0.7, 0.0]])
         S = sample_with_mean(M0, X)
-        res = lrt.test_A1(S, np.eye(2), M0, cov=COV0)
+        res = lrt.test_A1(SuffStats.from_sample(S), np.eye(2), M0, cov=COV0)
         assert res.statistic == 0.0
         assert res.dist == ChiSq(2)
 
@@ -245,7 +249,7 @@ class TestA1:
         M0 = np.diag([3.0, 1.0])
         Ybar = M0 + np.diag([a, b])
         S = np.stack([Ybar] * n)
-        res = lrt.test_A1(S, np.eye(2), M0, cov=COV0)
+        res = lrt.test_A1(SuffStats.from_sample(S), np.eye(2), M0, cov=COV0)
         assert res.statistic == pytest.approx(n * (a * a + b * b), rel=1e-13)
 
     def test_tau_coupling_in_statistic(self):
@@ -253,7 +257,7 @@ class TestA1:
         cov = CovParams(2.0, 0.25)
         M0 = np.diag([3.0, 1.0])
         S = np.stack([M0 + np.diag([a, b])] * n)
-        res = lrt.test_A1(S, np.eye(2), M0, cov=cov)
+        res = lrt.test_A1(SuffStats.from_sample(S), np.eye(2), M0, cov=cov)
         want = n * norm_sq(np.diag([a, b]), cov)
         assert res.statistic == pytest.approx(want, rel=1e-13)
 
@@ -261,11 +265,11 @@ class TestA1:
         M0 = np.array([[2.0, 1.0], [1.0, 2.0]])
         S = np.stack([M0] * 3)
         with pytest.raises(ValueError, match="diagonalized"):
-            lrt.test_A1(S, np.eye(2), M0, cov=COV0)
+            lrt.test_A1(SuffStats.from_sample(S), np.eye(2), M0, cov=COV0)
 
     def test_plugin_flagged_asymptotic(self):
         S = sample(20, np.diag([3.0, 1.0]), CovParams(1.0, 0.1), 320)
-        res = lrt.test_A1(S, np.eye(2), np.diag([3.0, 1.0]))
+        res = lrt.test_A1(SuffStats.from_sample(S), np.eye(2), np.diag([3.0, 1.0]))
         assert res.dist == ChiSqApprox(2)
         assert lrt._PLUGIN_NOTE in res.warnings
         assert lrt._ASYMPTOTIC_NOTE in res.warnings
@@ -277,7 +281,7 @@ class TestA2:
         U = random_orthogonal(rng, 3)
         Ybar = (U * np.array([4.0, 2.0, 1.0])) @ U.T
         S = sample_with_mean(Ybar, (U * np.array([0.1, 0.5, -0.2])) @ U.T)
-        res = lrt.test_A2(S, U, cov=COV0)
+        res = lrt.test_A2(SuffStats.from_sample(S), U, cov=COV0)
         assert res.statistic <= 1e-18
         assert res.dist == ChiSq(3)
 
@@ -288,30 +292,35 @@ class TestA2:
                          [0.0, -0.4, 0.5]])
         S = np.stack([Ybar] * 7)
         cov = CovParams(2.0, 0.2)
-        res = lrt.test_A2(S, np.eye(3), cov=cov)
+        res = lrt.test_A2(SuffStats.from_sample(S), np.eye(3), cov=cov)
         want = 7 * 2.0 * (0.3 ** 2 + 0.4 ** 2) / 2.0
         assert res.statistic == pytest.approx(want, rel=1e-12)
         # Trace-free residual: changing tau alone changes nothing.
-        res2 = lrt.test_A2(S, np.eye(3), cov=CovParams(2.0, -1.0))
+        res2 = lrt.test_A2(SuffStats.from_sample(S),
+                           np.eye(3), cov=CovParams(2.0, -1.0))
         assert res2.statistic == pytest.approx(res.statistic, rel=1e-13)
 
     def test_df_is_q_minus_p(self):
         S = sample(6, np.eye(3), COV0, 322)
-        assert lrt.test_A2(S, np.eye(3), cov=COV0).dist == ChiSq(3)
+        assert lrt.test_A2(SuffStats.from_sample(S),
+                           np.eye(3), cov=COV0).dist == ChiSq(3)
         S2 = sample(6, np.eye(2), COV0, 323)
-        assert lrt.test_A2(S2, np.eye(2), cov=COV0).dist == ChiSq(1)
+        assert lrt.test_A2(SuffStats.from_sample(S2),
+                           np.eye(2), cov=COV0).dist == ChiSq(1)
 
 
 class TestC2:
     def test_mixture_for_oblate_pattern(self):
         S = sample(40, np.diag([3.0, 3.0, 1.0]), COV0, 324)
-        res = lrt.test_C2(S, np.eye(3), mult=Multiplicities((2, 1)), cov=COV0)
+        res = lrt.test_C2(SuffStats.from_sample(S),
+                          np.eye(3), mult=Multiplicities((2, 1)), cov=COV0)
         assert res.dist.dfs == (4.0, 3.0)
         assert res.dist.weights == (0.5, 0.5)
 
     def test_mixture_for_isotropic_pattern(self):
         S = sample(40, np.eye(3), COV0, 325)
-        res = lrt.test_C2(S, np.eye(3), mult=Multiplicities((3,)), cov=COV0)
+        res = lrt.test_C2(SuffStats.from_sample(S),
+                          np.eye(3), mult=Multiplicities((3,)), cov=COV0)
         assert res.dist.dfs == (5.0, 4.0, 3.0)
         want = (1.0 / 3.0, 1.0 / 2.0, 1.0 / 6.0)
         assert res.dist.weights == pytest.approx(want, rel=1e-15)
@@ -331,7 +340,8 @@ class TestC2:
 
     def test_distinct_pattern_collapses_to_chi2(self):
         S = sample(40, np.diag([5.0, 3.0, 1.0]), COV0, 326)
-        res = lrt.test_C2(S, np.eye(3), mult=Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.test_C2(SuffStats.from_sample(S),
+                          np.eye(3), mult=Multiplicities((1, 1, 1)), cov=COV0)
         assert res.dist.weights == (1.0,)
         assert res.dist.dfs == (3.0,)
 
@@ -340,34 +350,38 @@ class TestC2:
 
         w = ConeWeights(d_true=None, face_dims=(2, 3), weights=(0.5, 0.5), reps=0)
         S = sample(10, np.diag([3.0, 2.0, 1.0]), COV0, 327)
-        res = lrt.test_C2(S, np.eye(3), weights=w, cov=COV0)
+        res = lrt.test_C2(SuffStats.from_sample(S), np.eye(3), weights=w, cov=COV0)
         assert res.dist == ChiSqMix(weights=(0.5, 0.5), dfs=(4.0, 3.0))
 
     def test_zero_iff_mean_in_cone(self):
         w_args = dict(mult=Multiplicities((1, 1)), cov=COV0)
         # Ordered diagonal mean: statistic 0.
         S = np.stack([np.diag([3.0, 1.0])] * 5)
-        assert lrt.test_C2(S, np.eye(2), **w_args).statistic == 0.0
+        assert lrt.test_C2(SuffStats.from_sample(S),
+                           np.eye(2), **w_args).statistic == 0.0
         # Order violated: the projection pools, statistic positive.
         S = np.stack([np.diag([1.0, 3.0])] * 5)
-        assert lrt.test_C2(S, np.eye(2), **w_args).statistic > 0.5
+        assert lrt.test_C2(SuffStats.from_sample(S),
+                           np.eye(2), **w_args).statistic > 0.5
         # Diagonal ordered but off-diagonal energy present: positive.
         S = np.stack([np.array([[3.0, 0.4], [0.4, 1.0]])] * 5)
-        assert lrt.test_C2(S, np.eye(2), **w_args).statistic > 0.5
+        assert lrt.test_C2(SuffStats.from_sample(S),
+                           np.eye(2), **w_args).statistic > 0.5
 
     def test_statistic_is_projection_distance(self):
         rng = np.random.default_rng(328)
         cov = CovParams(1.3, 0.2)
         S = sample(15, np.diag([4.0, 2.0, 1.0]), cov, 329)
-        res = lrt.test_C2(S, np.eye(3), mult=Multiplicities((1, 1, 1)), cov=cov)
-        fit, _ = mle_ordered_cone(np.eye(3), sample_mean(S))
-        want = 15 * norm_sq(sample_mean(S) - fit, cov)
+        res = lrt.test_C2(SuffStats.from_sample(S),
+                          np.eye(3), mult=Multiplicities((1, 1, 1)), cov=cov)
+        fit, _ = mle_ordered_cone(np.eye(3), S.mean(axis=0))
+        want = 15 * norm_sq(S.mean(axis=0) - fit, cov)
         assert res.statistic == pytest.approx(want, rel=1e-12)
 
     def test_requires_weights_or_mult(self):
         S = sample(5, np.eye(2), COV0, 330)
         with pytest.raises(ValueError, match="weights"):
-            lrt.test_C2(S, np.eye(2), cov=COV0)
+            lrt.test_C2(SuffStats.from_sample(S), np.eye(2), cov=COV0)
 
 
 class TestS1:
@@ -379,7 +393,8 @@ class TestS1:
         # Sample mean has M0's eigenvectors but different eigenvalues.
         Ybar = (U * np.array([5.0, 2.5, 0.5])) @ U.T
         S = sample_with_mean(Ybar, 0.1 * (U * np.array([1.0, -1.0, 0.0])) @ U.T)
-        res = lrt.test_S1(S, M0, D0, Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.test_S1(SuffStats.from_sample(S),
+                          M0, D0, Multiplicities((1, 1, 1)), cov=COV0)
         assert abs(res.statistic) <= 1e-9
         assert res.dist == ChiSqApprox(3)
 
@@ -390,7 +405,8 @@ class TestS1:
         R = np.array([[c, -s], [s, c]])
         Ybar = (R * D0) @ R.T
         S = np.stack([Ybar] * 9)
-        res = lrt.test_S1(S, M0, D0, Multiplicities((1, 1)), cov=COV0)
+        res = lrt.test_S1(SuffStats.from_sample(S),
+                          M0, D0, Multiplicities((1, 1)), cov=COV0)
         assert res.statistic > 0.1
 
     def test_tau_free(self):
@@ -398,26 +414,33 @@ class TestS1:
         D0 = np.array([4.0, 2.0, 1.0])
         M0 = np.diag(D0)
         mult = Multiplicities((1, 1, 1))
-        t0 = lrt.test_S1(S, M0, D0, mult, cov=CovParams(2.0, 0.0)).statistic
-        t1 = lrt.test_S1(S, M0, D0, mult, cov=CovParams(2.0, 0.3)).statistic
-        t2 = lrt.test_S1(S, M0, D0, mult, cov=CovParams(2.0, -5.0)).statistic
+        t0 = lrt.test_S1(SuffStats.from_sample(S),
+                         M0, D0, mult, cov=CovParams(2.0, 0.0)).statistic
+        t1 = lrt.test_S1(SuffStats.from_sample(S),
+                         M0, D0, mult, cov=CovParams(2.0, 0.3)).statistic
+        t2 = lrt.test_S1(SuffStats.from_sample(S),
+                         M0, D0, mult, cov=CovParams(2.0, -5.0)).statistic
         assert t0 == t1 == t2
 
     def test_sigma2_scales_inversely(self):
         S = sample(14, np.diag([4.0, 2.0, 1.0]), COV0, 333)
         D0 = np.array([4.0, 2.0, 1.0])
         mult = Multiplicities((1, 1, 1))
-        t1 = lrt.test_S1(S, np.diag(D0), D0, mult, cov=CovParams(1.0, 0.0)).statistic
-        t4 = lrt.test_S1(S, np.diag(D0), D0, mult, cov=CovParams(4.0, 0.0)).statistic
+        t1 = lrt.test_S1(SuffStats.from_sample(S),
+                         np.diag(D0), D0, mult, cov=CovParams(1.0, 0.0)).statistic
+        t4 = lrt.test_S1(SuffStats.from_sample(S),
+                         np.diag(D0), D0, mult, cov=CovParams(4.0, 0.0)).statistic
         assert t4 == pytest.approx(t1 / 4.0, rel=1e-13)
 
     def test_df_formula(self):
         S = sample(10, np.diag([4.0, 2.0, 1.0]), COV0, 334)
         D0 = np.array([4.0, 2.0, 1.0])
-        res = lrt.test_S1(S, np.diag(D0), D0, Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.test_S1(SuffStats.from_sample(S),
+                          np.diag(D0), D0, Multiplicities((1, 1, 1)), cov=COV0)
         assert res.dist.df == 3.0
         D0b = np.array([4.0, 4.0, 1.0])
-        res = lrt.test_S1(S, np.diag(D0b), D0b, Multiplicities((2, 1)), cov=COV0)
+        res = lrt.test_S1(SuffStats.from_sample(S),
+                          np.diag(D0b), D0b, Multiplicities((2, 1)), cov=COV0)
         assert res.dist.df == 2.0
 
     def test_isotropic_pattern_gives_df_zero(self):
@@ -425,7 +448,8 @@ class TestS1:
         # reference collapses to a point mass at 0.
         S = sample(10, 2.0 * np.eye(3), COV0, 335)
         D0 = np.array([2.0, 2.0, 2.0])
-        res = lrt.test_S1(S, np.diag(D0), D0, Multiplicities((3,)), cov=COV0)
+        res = lrt.test_S1(SuffStats.from_sample(S),
+                          np.diag(D0), D0, Multiplicities((3,)), cov=COV0)
         assert abs(res.statistic) <= 1e-9
         assert res.dist.df == 0.0
         assert res.p_value == 1.0
@@ -439,7 +463,8 @@ class TestS1:
         mult = Multiplicities((1, 1, 1))
         for scale in (1.0, 1e3, 1e5):
             M0 = np.diag(scale * D0)
-            stats = [lrt.test_S1(sample(50, M0, cov, seed), M0, scale * D0, mult,
+            stats = [lrt.test_S1(SuffStats.from_sample(sample(50, M0, cov, seed)),
+                                 M0, scale * D0, mult,
                                  cov=cov).statistic for seed in range(200)]
             assert min(stats) >= 0.0
             assert np.mean(stats) == pytest.approx(3.0, abs=0.6)
@@ -447,7 +472,8 @@ class TestS1:
     def test_rejects_spectrum_mismatch(self):
         S = sample(5, np.eye(2), COV0, 336)
         with pytest.raises(ValueError, match="spectrum"):
-            lrt.test_S1(S, np.diag([3.0, 1.0]), np.array([2.0, 1.0]),
+            lrt.test_S1(SuffStats.from_sample(S),
+                        np.diag([3.0, 1.0]), np.array([2.0, 1.0]),
                     Multiplicities((1, 1)), cov=COV0)
 
 
@@ -458,7 +484,8 @@ class TestS2:
         D0 = np.array([4.0, 2.0, 1.0])
         Ybar = (U * D0) @ U.T
         S = np.stack([Ybar] * 6)
-        res = lrt.test_S2(S, D0, Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.test_S2(SuffStats.from_sample(S),
+                          D0, Multiplicities((1, 1, 1)), cov=COV0)
         assert res.statistic <= 1e-18
 
     def test_statistic_value(self):
@@ -466,16 +493,18 @@ class TestS2:
         Ybar = np.diag([5.0, 2.0])
         S = np.stack([Ybar] * 8)
         D0 = np.array([4.0, 3.0])
-        res = lrt.test_S2(S, D0, Multiplicities((1, 1)), cov=cov)
+        res = lrt.test_S2(SuffStats.from_sample(S), D0, Multiplicities((1, 1)), cov=cov)
         want = 8 * norm_sq(np.diag([1.0, -1.0]), cov)
         assert res.statistic == pytest.approx(want, rel=1e-12)
 
     def test_df_formula(self):
         S = sample(10, 2 * np.eye(3), COV0, 338)
-        res = lrt.test_S2(S, np.array([2.0, 2.0, 2.0]), Multiplicities((3,)), cov=COV0)
+        res = lrt.test_S2(SuffStats.from_sample(S),
+                          np.array([2.0, 2.0, 2.0]), Multiplicities((3,)), cov=COV0)
         assert res.dist == ChiSqApprox(6)
         S2 = sample(10, np.diag([3.0, 1.0, 1.0]), COV0, 339)
-        res = lrt.test_S2(S2, np.array([3.0, 1.0, 1.0]), Multiplicities((1, 2)),
+        res = lrt.test_S2(SuffStats.from_sample(S2),
+                          np.array([3.0, 1.0, 1.0]), Multiplicities((1, 2)),
                       cov=COV0)
         assert res.dist == ChiSqApprox(4)
 
@@ -486,34 +515,39 @@ class TestS3:
         U = random_orthogonal(rng, 3)
         Ybar = (U * np.array([3.0, 3.0, 1.0])) @ U.T
         S = np.stack([Ybar] * 6)
-        res = lrt.test_S3(S, Multiplicities((2, 1)), cov=COV0)
+        res = lrt.test_S3(SuffStats.from_sample(S), Multiplicities((2, 1)), cov=COV0)
         assert res.statistic <= 1e-16
 
     def test_statistic_value(self):
         Ybar = np.diag([5.0, 3.0, 1.0])
         S = np.stack([Ybar] * 6)
-        res = lrt.test_S3(S, Multiplicities((2, 1)), cov=CovParams(2.0, 0.0))
+        res = lrt.test_S3(SuffStats.from_sample(S),
+                          Multiplicities((2, 1)), cov=CovParams(2.0, 0.0))
         # Block averages (4, 4, 1): residual (1, -1, 0).
         assert res.statistic == pytest.approx(6 * 2.0 / 2.0, rel=1e-13)
 
     def test_tau_free(self):
         S = sample(12, np.diag([4.0, 4.0, 1.0]), CovParams(1.0, 0.2), 341)
         mult = Multiplicities((2, 1))
-        t1 = lrt.test_S3(S, mult, cov=CovParams(1.0, 0.0)).statistic
-        t2 = lrt.test_S3(S, mult, cov=CovParams(1.0, 0.3)).statistic
+        t1 = lrt.test_S3(SuffStats.from_sample(S),
+                         mult, cov=CovParams(1.0, 0.0)).statistic
+        t2 = lrt.test_S3(SuffStats.from_sample(S),
+                         mult, cov=CovParams(1.0, 0.3)).statistic
         assert t1 == t2
 
     def test_df_formula(self):
         S = sample(10, np.diag([4.0, 4.0, 1.0]), COV0, 342)
-        assert lrt.test_S3(S, Multiplicities((2, 1)), cov=COV0).dist.df == 2.0
+        assert lrt.test_S3(SuffStats.from_sample(S),
+                           Multiplicities((2, 1)), cov=COV0).dist.df == 2.0
         S2 = sample(10, np.diag([5.0, 3.0, 1.0]), COV0, 343)
-        assert lrt.test_S3(S2, Multiplicities((1, 1, 1)), cov=COV0).dist.df == 0.0
+        assert lrt.test_S3(SuffStats.from_sample(S2),
+                           Multiplicities((1, 1, 1)), cov=COV0).dist.df == 0.0
 
 
 class TestSigmaStructure:
     def test_df_and_basic_run(self):
         S = sample(120, np.eye(3), CovParams(1.0, 0.2), 344)
-        res = lrt.test_sigma_structure(S)
+        res = lrt.test_sigma_structure(SuffStats.from_sample(S))
         assert res.dist == ChiSqApprox(19)
         assert res.statistic >= 0.0
         assert 0.0 <= res.p_value <= 1.0
@@ -521,13 +555,13 @@ class TestSigmaStructure:
     def test_minimum_sample_size(self):
         S = sample(27, np.eye(3), COV0, 345)
         with pytest.raises(ValueError, match="q\\(q\\+3\\)/2"):
-            lrt.test_sigma_structure(S)
+            lrt.test_sigma_structure(SuffStats.from_sample(S))
         # 28 observations is exactly enough.
-        lrt.test_sigma_structure(sample(28, np.eye(3), COV0, 346))
+        lrt.test_sigma_structure(SuffStats.from_sample(sample(28, np.eye(3), COV0, 346)))
 
     def test_warns_on_nonpositive_tau(self):
         S = sample(200, np.eye(2), CovParams(1.0, -1.5), 347)
-        res = lrt.test_sigma_structure(S)
+        res = lrt.test_sigma_structure(SuffStats.from_sample(S))
         assert any("tau" in w for w in res.warnings)
 
     def test_power_against_non_invariant_cov(self):
@@ -539,7 +573,7 @@ class TestSigmaStructure:
                        np.random.SeedSequence(seed))
             S = S.copy()
             S[:, 0, 0] = 1.0 + (S[:, 0, 0] - 1.0) * math.sqrt(2.0)
-            res = lrt.test_sigma_structure(S)
+            res = lrt.test_sigma_structure(SuffStats.from_sample(S))
             assert res.p_value < 0.01
 
 
@@ -549,7 +583,7 @@ class TestTwoSampleEqual:
         Ybar = np.array([[2.0, 0.5], [0.5, 1.0]])
         S = np.concatenate([sample_with_mean(Ybar, X),
                             sample_with_mean(Ybar, -2.0 * X)])
-        res = lrt.test2_equal_unrestricted(S, 2, cov=COV0)
+        res = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 2), cov=COV0)
         assert res.statistic <= 1e-18
         assert res.test_id == "2a0"
 
@@ -559,7 +593,7 @@ class TestTwoSampleEqual:
                             sample(8, np.zeros((2, 2)), cov, 351)])
         y1 = S[:4].mean(axis=0)
         y2 = S[4:].mean(axis=0)
-        res = lrt.test2_equal_unrestricted(S, 4, cov=cov)
+        res = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 4), cov=cov)
         want = (4 * 8 / 12) * norm_sq(y1 - y2, cov)
         assert res.statistic == pytest.approx(want, rel=1e-13)
         assert res.dist == ChiSq(3)
@@ -570,7 +604,8 @@ class TestTwoSampleEqual:
         n1, n2 = 6, 8
         y1, y2 = y[:n1], y[n1:]
         S = y.reshape(-1, 1, 1)
-        res = lrt.test2_equal_unrestricted(S, n1, cov=CovParams(1.0, 0.0))
+        res = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, n1),
+                                           cov=CovParams(1.0, 0.0))
         z_sq = (n1 * n2 / 14) * (y1.mean() - y2.mean()) ** 2
         assert res.statistic == pytest.approx(z_sq, rel=1e-12)
         # The F form reduces to the pooled-variance t square: tau cancels.
@@ -588,14 +623,14 @@ class TestTwoSampleEqual:
         cov = CovParams(1.0, 0.1)
         S = np.concatenate([sample(10, np.eye(2), cov, 353),
                             sample(10, np.eye(2), cov, 354)])
-        res = lrt.test2_equal_unrestricted(S, 10)
+        res = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 10))
         assert res.dist == FDist(3, 54)
         assert lrt._PLUGIN_NOTE in res.warnings
 
     def test_estimated_cov_needs_three_obs(self):
         S = np.stack([np.eye(2), 2 * np.eye(2)])
         with pytest.raises(ValueError, match="n >= 3"):
-            lrt.test2_equal_unrestricted(S, 1)
+            lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 1))
 
 
 class Test2S1:
@@ -605,7 +640,8 @@ class Test2S1:
         d = np.array([4.0, 4.0, 1.0])
         S = np.concatenate([np.stack([(Q1 * d) @ Q1.T] * 3),
                             np.stack([(Q2 * d) @ Q2.T] * 5)])
-        res = lrt.test2_S1(S, 3, Multiplicities((2, 1)), cov=COV0)
+        res = lrt.test2_S1(SuffStats.from_sample(S, 3),
+                           Multiplicities((2, 1)), cov=COV0)
         assert res.statistic <= 1e-16
 
     def test_statistic_value(self):
@@ -613,7 +649,7 @@ class Test2S1:
         y1 = np.diag([5.0, 1.0])
         y2 = np.diag([4.0, 2.0])
         S = np.concatenate([np.stack([y1] * 6), np.stack([y2] * 2)])
-        res = lrt.test2_S1(S, 6, Multiplicities((1, 1)), cov=cov)
+        res = lrt.test2_S1(SuffStats.from_sample(S, 6), Multiplicities((1, 1)), cov=cov)
         lam_gap = np.diag([1.0, -1.0])
         want = (6 * 2 / 8) * norm_sq(lam_gap, cov)
         assert res.statistic == pytest.approx(want, rel=1e-12)
@@ -621,13 +657,14 @@ class Test2S1:
     def test_df_simple_pattern_is_p(self):
         S = np.concatenate([sample(6, np.diag([3.0, 1.0]), COV0, 356),
                             sample(6, np.diag([3.0, 1.0]), COV0, 357)])
-        res = lrt.test2_S1(S, 6, Multiplicities((1, 1)), cov=COV0)
+        res = lrt.test2_S1(SuffStats.from_sample(S, 6),
+                           Multiplicities((1, 1)), cov=COV0)
         assert res.dist == ChiSqApprox(2)
 
     def test_df_full_pooling_is_2q_minus_1(self):
         S = np.concatenate([sample(6, np.eye(2), COV0, 358),
                             sample(6, np.eye(2), COV0, 359)])
-        res = lrt.test2_S1(S, 6, Multiplicities((2,)), cov=COV0)
+        res = lrt.test2_S1(SuffStats.from_sample(S, 6), Multiplicities((2,)), cov=COV0)
         assert res.dist == ChiSqApprox(5)
 
     def test_pooled_term_uses_weighted_average(self):
@@ -637,7 +674,7 @@ class Test2S1:
         y1 = np.diag([6.0, 2.0])
         y2 = np.diag([3.0, 1.0])
         S = np.concatenate([np.stack([y1] * 1), np.stack([y2] * 3)])
-        res = lrt.test2_S1(S, 1, Multiplicities((2,)), cov=cov)
+        res = lrt.test2_S1(SuffStats.from_sample(S, 1), Multiplicities((2,)), cov=cov)
         lam_bar = (np.array([6.0, 2.0]) + 3 * np.array([3.0, 1.0])) / 4
         resid = lam_bar - lam_bar.mean()
         want = ((1 * 3 / 4) * norm_sq(np.diag([3.0, 1.0]), cov)
@@ -651,7 +688,8 @@ class Test2S2:
         X = np.array([[0.2, 0.0], [0.0, -0.2]])
         S = np.concatenate([sample_with_mean(Ybar, X),
                             sample_with_mean(Ybar, 2.0 * X)])
-        res = lrt.test2_S2(S, 2, Multiplicities((1, 1)), cov=COV0)
+        res = lrt.test2_S2(SuffStats.from_sample(S, 2),
+                           Multiplicities((1, 1)), cov=COV0)
         assert abs(res.statistic) <= 1e-12
 
     def test_zero_when_frames_equal(self):
@@ -661,7 +699,8 @@ class Test2S2:
         y1 = (Q * np.array([5.0, 3.0, 1.0])) @ Q.T
         y2 = (Q * np.array([4.0, 2.0, 0.5])) @ Q.T
         S = np.concatenate([np.stack([y1] * 4), np.stack([y2] * 4)])
-        res = lrt.test2_S2(S, 4, Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.test2_S2(SuffStats.from_sample(S, 4),
+                           Multiplicities((1, 1, 1)), cov=COV0)
         assert abs(res.statistic) <= 1e-9
 
     def test_positive_when_frames_differ(self):
@@ -671,13 +710,15 @@ class Test2S2:
         y1 = np.diag(d)
         y2 = (R * d) @ R.T
         S = np.concatenate([np.stack([y1] * 8), np.stack([y2] * 8)])
-        res = lrt.test2_S2(S, 8, Multiplicities((1, 1)), cov=COV0)
+        res = lrt.test2_S2(SuffStats.from_sample(S, 8),
+                           Multiplicities((1, 1)), cov=COV0)
         assert res.statistic > 1.0
 
     def test_df_formula(self):
         S = np.concatenate([sample(6, np.diag([4.0, 2.0, 1.0]), COV0, 361),
                             sample(6, np.diag([4.0, 2.0, 1.0]), COV0, 362)])
-        res = lrt.test2_S2(S, 6, Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.test2_S2(SuffStats.from_sample(S, 6),
+                           Multiplicities((1, 1, 1)), cov=COV0)
         assert res.dist == ChiSqApprox(3)
 
     def test_stable_at_large_scale(self):
@@ -686,17 +727,18 @@ class Test2S2:
         mult = Multiplicities((1, 1, 1))
         for scale in (1.0, 1e3, 1e5):
             M = np.diag(scale * np.array([3.0, 2.0, 1.0]))
-            stats = [lrt.test2_S2(np.concatenate([sample(25, M, cov, 2 * seed),
-                                                  sample(25, M, cov, 2 * seed + 1)]),
-                                  25, mult, cov=cov).statistic
-                     for seed in range(100)]
+            stats = [lrt.test2_S2(SuffStats.from_sample(
+                np.concatenate([sample(25, M, cov, 2 * seed),
+                                sample(25, M, cov, 2 * seed + 1)]), 25),
+                mult, cov=cov).statistic for seed in range(100)]
             assert min(stats) >= 0.0
             assert np.mean(stats) == pytest.approx(3.0, abs=0.8)
 
     def test_null_fit_is_pooled_equal_means(self):
         S = np.concatenate([sample(6, np.diag([4.0, 1.0]), COV0, 363),
                             sample(9, np.diag([4.0, 1.0]), COV0, 364)])
-        res = lrt.test2_S2(S, 6, Multiplicities((1, 1)), cov=COV0)
+        res = lrt.test2_S2(SuffStats.from_sample(S, 6),
+                           Multiplicities((1, 1)), cov=COV0)
         assert np.array_equal(res.fit_null.M1_hat, res.fit_null.M2_hat)
         lam = np.linalg.eigvalsh(res.fit_null.M1_hat)
         assert np.all(np.diff(lam) != 0.0)
@@ -735,17 +777,20 @@ class TestInvariance:
         D0 = np.array([4.0, 2.0, 1.0])
         mult = Multiplicities((1, 1, 1))
 
-        a = lrt.test_point_unrestricted(S, M0, cov=cov).statistic
-        b = lrt.test_point_unrestricted(SQ, Q @ M0 @ Q.T, cov=cov).statistic
+        a = lrt.test_point_unrestricted(SuffStats.from_sample(S), M0, cov=cov).statistic
+        b = lrt.test_point_unrestricted(SuffStats.from_sample(SQ),
+                                        Q @ M0 @ Q.T, cov=cov).statistic
         assert b == pytest.approx(a, rel=1e-10)
-        a = lrt.test_A1(S, U0, M0, cov=cov).statistic
-        b = lrt.test_A1(SQ, Q @ U0, Q @ M0 @ Q.T, cov=cov).statistic
+        a = lrt.test_A1(SuffStats.from_sample(S), U0, M0, cov=cov).statistic
+        b = lrt.test_A1(SuffStats.from_sample(SQ),
+                        Q @ U0, Q @ M0 @ Q.T, cov=cov).statistic
         assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
-        a = lrt.test_A2(S, U0, cov=cov).statistic
-        b = lrt.test_A2(SQ, Q @ U0, cov=cov).statistic
+        a = lrt.test_A2(SuffStats.from_sample(S), U0, cov=cov).statistic
+        b = lrt.test_A2(SuffStats.from_sample(SQ), Q @ U0, cov=cov).statistic
         assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
-        a = lrt.test_S1(S, M0, D0, mult, cov=cov).statistic
-        b = lrt.test_S1(SQ, Q @ M0 @ Q.T, D0, mult, cov=cov).statistic
+        a = lrt.test_S1(SuffStats.from_sample(S), M0, D0, mult, cov=cov).statistic
+        b = lrt.test_S1(SuffStats.from_sample(SQ),
+                        Q @ M0 @ Q.T, D0, mult, cov=cov).statistic
         assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
     def test_rotation_invariance_of_spectral_tests(self):
@@ -757,10 +802,13 @@ class TestInvariance:
         SQ = np.einsum("ij,njk,lk->nil", Q, S, Q)
         D0 = np.array([4.0, 2.0, 1.0])
         mult = Multiplicities((1, 1, 1))
-        assert (lrt.test_S2(SQ, D0, mult, cov=cov).statistic
-                == pytest.approx(lrt.test_S2(S, D0, mult, cov=cov).statistic, rel=1e-9))
-        assert (lrt.test_S3(SQ, Multiplicities((2, 1)), cov=cov).statistic
-                == pytest.approx(lrt.test_S3(S, Multiplicities((2, 1)), cov=cov).statistic,
+        assert (lrt.test_S2(SuffStats.from_sample(SQ), D0, mult, cov=cov).statistic
+                == pytest.approx(lrt.test_S2(SuffStats.from_sample(S),
+                                             D0, mult, cov=cov).statistic, rel=1e-9))
+        assert (lrt.test_S3(SuffStats.from_sample(SQ),
+                            Multiplicities((2, 1)), cov=cov).statistic
+                == pytest.approx(lrt.test_S3(SuffStats.from_sample(S),
+                                             Multiplicities((2, 1)), cov=cov).statistic,
                                  rel=1e-9))
 
     def test_sign_flips_of_frame_columns(self):
@@ -768,9 +816,10 @@ class TestInvariance:
         M0 = np.diag([4.0, 2.0, 1.0])
         F = np.diag([1.0, -1.0, -1.0])
         for runner in (
-            lambda U: lrt.test_A1(S, U, M0, cov=COV0).statistic,
-            lambda U: lrt.test_A2(S, U, cov=COV0).statistic,
-            lambda U: lrt.test_C2(S, U, mult=Multiplicities((1, 1, 1)),
+            lambda U: lrt.test_A1(SuffStats.from_sample(S), U, M0, cov=COV0).statistic,
+            lambda U: lrt.test_A2(SuffStats.from_sample(S), U, cov=COV0).statistic,
+            lambda U: lrt.test_C2(SuffStats.from_sample(S),
+                                  U, mult=Multiplicities((1, 1, 1)),
                                   cov=COV0).statistic,
         ):
             assert runner(np.eye(3) @ F) == pytest.approx(runner(np.eye(3)),
@@ -797,7 +846,8 @@ class TestRunConfig:
         config = {"test_id": "a0", "M0": [[3.0, 0.0], [0.0, 1.0]],
                   "cov": {"known": {"sigma2": 1.0, "tau": 0.1}}}
         res = run_config(config, S)
-        want = lrt.test_point_unrestricted(S, np.diag([3.0, 1.0]), cov=cov)
+        want = lrt.test_point_unrestricted(SuffStats.from_sample(S),
+                                           np.diag([3.0, 1.0]), cov=cov)
         assert res.statistic == want.statistic
         assert res.p_value == want.p_value
 
@@ -814,7 +864,7 @@ class TestRunConfig:
                             sample(6, np.eye(2), COV0, 375)])
         config = {"test_id": "2a0", "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}}
         res = run_config(config, S, n1=6)
-        want = lrt.test2_equal_unrestricted(S, 6, cov=COV0)
+        want = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 6), cov=COV0)
         assert res.statistic == want.statistic
 
     def test_two_sample_requires_n1(self):
@@ -831,6 +881,48 @@ class TestRunConfig:
         S = sample(6, np.eye(2), COV0, 378)
         with pytest.raises(ValueError, match="test_id"):
             run_config({"test_id": "zz"}, S)
+
+    def test_registry_matches_schema_enum(self):
+        import json
+        from importlib import resources
+        schema = json.loads(resources.files("symtest")
+                            .joinpath("schemas/report.schema.json").read_text())
+        assert set(lrt.TESTS) == set(schema["properties"]["test_id"]["enum"])
+
+    @pytest.mark.parametrize("known,fragment", [
+        ({"sigma2": 1.0, "tau": 0.9}, "tau must be < 1/p"),
+        ({"sigma2": -1.0, "tau": 0.0}, "sigma2 must be positive"),
+    ])
+    def test_known_cov_validated(self, known, fragment):
+        S = sample(6, np.eye(2), COV0, 380)
+        config = {"test_id": "a0", "M0": np.eye(2).tolist(),
+                  "cov": {"known": known}}
+        with pytest.raises(ValueError, match=fragment):
+            run_config(config, S)
+
+    @pytest.mark.parametrize("test_id", [5, None, ["a0"]])
+    def test_non_string_test_id(self, test_id):
+        S = sample(6, np.eye(2), COV0, 381)
+        with pytest.raises(ValueError, match="unknown test_id"):
+            run_config({"test_id": test_id}, S)
+
+    def test_one_sample_test_rejects_two_groups(self):
+        S = sample(6, np.eye(2), COV0, 382)
+        with pytest.raises(ValueError, match="two groups"):
+            run_config({"test_id": "a0", "M0": np.eye(2).tolist()}, S, n1=3)
+
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("M0", np.eye(3).tolist(), "bad 'M0': expected shape (2, 2)"),
+        ("multiplicities", [1, 2], "sum to p"),
+        ("multiplicities", 3, "bad 'multiplicities'"),
+        ("D0", [1.0], "bad 'D0': expected shape (2,)"),
+    ])
+    def test_bad_config_values(self, key, value, fragment):
+        S = sample(6, np.eye(2), COV0, 383)
+        config = {"test_id": "s1", "M0": np.eye(2).tolist(), "D0": [1.0, 1.0],
+                  "multiplicities": [2], key: value}
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            run_config(config, S)
 
     def test_c2_explicit_weights(self):
         S = sample(8, np.diag([3.0, 1.0]), COV0, 379)

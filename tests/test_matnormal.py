@@ -11,15 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from symtest.matnormal import (
-    build_sigma,
-    empirical_sigma,
-    group_means,
-    log_density,
-    sample,
-    sample_mean,
-    vecd_rows,
-)
+from symtest import lrt
+from symtest.matnormal import SuffStats, build_sigma, log_density, sample, vecd_rows
 from symtest.symcore import CovParams, sym_dim, vecd, vecd_inv
 
 
@@ -145,7 +138,7 @@ class TestSample:
         n = 100_000
         M = np.array([[1.0, -0.5], [-0.5, 2.0]])
         S = sample(n, M, CovParams(1.0, 0.0), 101)
-        assert np.abs(sample_mean(S) - M).max() < 0.02
+        assert np.abs(SuffStats.from_sample(S).ybar[0] - M).max() < 0.02
         V = vecd_rows(S)
         emp = np.cov(V.T)
         assert np.abs(emp - np.eye(3)).max() < 0.02
@@ -178,7 +171,7 @@ class TestSample:
         for tau, seed in ((0.3, 404), (-1.0, 505)):
             cov = CovParams(1.2, tau)
             S = sample(n, np.eye(3), cov, seed)
-            emp = empirical_sigma(S)
+            emp = SuffStats.from_sample(S).W[0] / n
             assert np.abs(emp - build_sigma(3, cov)).max() < 0.03
 
 
@@ -193,6 +186,11 @@ class TestVecdRows:
             assert np.array_equal(rows[i], vecd(S[i]))
 
 
+def empirical_sigma(S):
+    # the vecd covariance MLE W/n from the sufficient statistics
+    return SuffStats.from_sample(S).W[0] / S.shape[0]
+
+
 class TestEmpiricalSigma:
     def test_zero_for_constant_sample(self):
         S = np.tile(np.eye(2), (5, 1, 1))
@@ -205,20 +203,18 @@ class TestEmpiricalSigma:
         M = np.array([[0.5, 0.0], [0.0, 0.5]])
         S = np.stack([M + X, M - X])
         v = vecd(X)
-        # n = 2 <= q = 3 is rejected, so check the formula on a padded
-        # sample with two extra symmetric points that cancel.
+        assert np.allclose(empirical_sigma(S), np.outer(v, v), atol=1e-12)
         X2 = np.array([[0.0, 1.0], [1.0, 3.0]])
         S4 = np.stack([M + X, M - X, M + X2, M - X2])
         v2 = vecd(X2)
         want = (np.outer(v, v) + np.outer(v2, v2)) / 2.0
         assert np.allclose(empirical_sigma(S4), want, atol=1e-12)
-        with pytest.raises(ValueError, match="n > q"):
-            empirical_sigma(S)
 
     def test_requires_more_than_q(self):
-        S = np.zeros((6, 3, 3))
+        # the covariance check, the only user of W/n, needs n > q(q+3)/2
+        S = np.zeros((27, 3, 3))
         with pytest.raises(ValueError, match="n > q"):
-            empirical_sigma(S)
+            lrt.test_sigma_structure(SuffStats.from_sample(S))
 
     def test_consistent_for_large_n(self):
         cov = CovParams(1.0, 0.2)
@@ -229,18 +225,23 @@ class TestEmpiricalSigma:
 class TestMeans:
     def test_single_observation(self):
         Y = np.array([[2.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(sample_mean(Y[None]), Y)
+        stats = SuffStats.from_sample(Y[None])
+        assert np.array_equal(stats.ybar[0], Y)
+        assert stats.n == (1,)
+        assert np.array_equal(stats.W[0], np.zeros((3, 3)))
 
     def test_rejects_flat_input(self):
         with pytest.raises(ValueError, match="sample"):
-            sample_mean(np.eye(3))
+            SuffStats.from_sample(np.eye(3))
 
     def test_group_means_weighted_identity(self):
         rng = np.random.default_rng(61)
         A = rng.standard_normal((7, 2, 2))
         S = (A + np.transpose(A, (0, 2, 1))) / 2.0
-        n1 = 3
-        y1, y2, avg = group_means(S, n1)
+        stats = SuffStats.from_sample(S, 3)
+        y1, y2 = stats.ybar
+        avg = stats.mean
+        assert stats.n == (3, 4)
         assert np.allclose(y1, S[:3].mean(axis=0), atol=1e-15)
         assert np.allclose(y2, S[3:].mean(axis=0), atol=1e-15)
         # n * avg = n1 * ybar1 + n2 * ybar2, and avg equals the overall mean.
@@ -250,13 +251,14 @@ class TestMeans:
     def test_group_means_opposite_groups(self):
         X = np.array([[1.0, 0.5], [0.5, -2.0]])
         S = np.stack([X, -X])
-        y1, y2, avg = group_means(S, 1)
+        stats = SuffStats.from_sample(S, 1)
+        y1, y2 = stats.ybar
         assert np.array_equal(y1, X)
         assert np.array_equal(y2, -X)
-        assert np.allclose(avg, np.zeros((2, 2)), atol=1e-16)
+        assert np.allclose(stats.mean, np.zeros((2, 2)), atol=1e-16)
 
     @pytest.mark.parametrize("n1", [0, 5, 7])
     def test_group_means_rejects_bad_split(self, n1):
         S = np.zeros((5, 2, 2))
         with pytest.raises(ValueError, match="n1"):
-            group_means(S, n1)
+            SuffStats.from_sample(S, n1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from symtest.matnormal import sample, sample_mean
+from symtest.matnormal import SuffStats, sample
 from symtest.onesample import (
     FitResult,
     FixedEigvals,
@@ -71,6 +71,22 @@ def pava_brute_force(y):
     return best, best_sse
 
 
+def pava_row_loop(y):
+    # stack pool-adjacent-violators on one vector, pooling on strict
+    # violation with the (m1 c1 + m2 c2) / (c1 + c2) update
+    means, counts = [], []
+    for v in y:
+        means.append(v)
+        counts.append(1)
+        while len(means) > 1 and means[-2] < means[-1]:
+            m2, c2 = means.pop(), counts.pop()
+            m1, c1 = means.pop(), counts.pop()
+            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
+            counts.append(c1 + c2)
+    out = np.repeat(means, counts)
+    return out, 1 + int(np.sum(out[1:] != out[:-1]))
+
+
 class TestPava:
     def test_increasing_input_pools_everything(self):
         fit, dim = pava([1.0, 2.0, 3.0])
@@ -112,6 +128,25 @@ class TestPava:
         y = rng.standard_normal(6)
         fit, _ = pava(y)
         assert fit.mean() == pytest.approx(y.mean(), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 10])
+    def test_batch_bit_identical_to_row_loop(self, p):
+        # Gaussian rows, constant rows, exact ties and rounded rows: the
+        # batched fit and face dimension equal a row-by-row stack PAVA bit
+        # for bit.
+        rng = np.random.default_rng(75 + p)
+        y = rng.standard_normal((3000, p))
+        y[:300] = rng.standard_normal((300, 1))
+        y[300:600, : p // 2] = y[300:600, p // 2: 2 * (p // 2)]
+        y[600:1500] = np.round(y[600:1500], 1)
+        fit, dims = pava(y)
+        assert fit.shape == y.shape and dims.shape == (3000,)
+        for row, f, d in zip(y, fit, dims):
+            want, want_dim = pava_row_loop(row)
+            assert np.array_equal(f, want)
+            assert d == want_dim
+        one, one_dim = pava(y[7])
+        assert np.array_equal(one, fit[7]) and one_dim == dims[7]
 
 
 class TestFixedEigvecsProjection:
@@ -268,108 +303,109 @@ class TestCovarianceEstimators:
     def test_sigma2_at_sample_mean_is_dispersion(self):
         rng = np.random.default_rng(87)
         S = sample(10, np.eye(2), CovParams(1.0, 0.1), 901)
-        ybar = sample_mean(S)
+        ybar = S.mean(axis=0)
         tau = 0.1
         q = sym_dim(2)
         want = sum(
             np.sum((Y - ybar) ** 2) - tau * np.trace(Y - ybar) ** 2 for Y in S
         ) / (q * len(S))
-        assert estimate_sigma2(S, ybar, tau) == pytest.approx(want, rel=1e-12)
+        assert estimate_sigma2(SuffStats.from_sample(S),
+                               (ybar,), tau) == pytest.approx(want, rel=1e-12)
 
     def test_sigma2_adds_lack_of_fit(self):
         rng = np.random.default_rng(88)
         S = sample(10, np.eye(2), CovParams(1.0, 0.0), 902)
-        ybar = sample_mean(S)
+        ybar = S.mean(axis=0)
         M0 = np.zeros((2, 2))
-        base = estimate_sigma2(S, ybar, 0.0)
-        shifted = estimate_sigma2(S, M0, 0.0)
+        base = estimate_sigma2(SuffStats.from_sample(S), (ybar,), 0.0)
+        shifted = estimate_sigma2(SuffStats.from_sample(S), (M0,), 0.0)
         q = sym_dim(2)
         assert shifted == pytest.approx(base + np.sum(ybar ** 2) / q, rel=1e-10)
 
     def test_sigma2_warns_when_degenerate(self):
         Y = np.array([[1.0, 0.0], [0.0, 2.0]])
         with pytest.warns(UserWarning, match="degenerate"):
-            out = estimate_sigma2(Y[None], Y, 0.0)
+            out = estimate_sigma2(SuffStats.from_sample(Y[None]), (Y,), 0.0)
         assert out == 0.0
 
     def test_sigma2_rejects_tau_out_of_range(self):
         S = np.zeros((3, 2, 2))
         with pytest.raises(ValueError, match="tau"):
-            estimate_sigma2(S, np.zeros((2, 2)), 0.5)
+            estimate_sigma2(SuffStats.from_sample(S), (np.zeros((2, 2)),), 0.5)
 
     def test_tau_rejects_degenerate_sample(self):
         Y = np.array([[1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(ValueError, match="undefined"):
-            estimate_tau(Y[None], Y)
+            estimate_tau(SuffStats.from_sample(Y[None]), (Y,))
 
     def test_tau_rejects_p1(self):
         S = np.ones((5, 1, 1))
         with pytest.raises(ValueError, match="p >= 2"):
-            estimate_tau(S, np.zeros((1, 1)))
+            estimate_tau(SuffStats.from_sample(S), (np.zeros((1, 1)),))
 
     @pytest.mark.parametrize("tau_true", [0.25, 0.0, -1.0])
     def test_tau_consistent(self, tau_true):
         cov = CovParams(1.0, tau_true)
         S = sample(20_000, np.diag([2.0, 1.0]), cov, 903)
-        tau_hat = estimate_tau(S, sample_mean(S))
+        tau_hat = estimate_tau(SuffStats.from_sample(S), (S.mean(axis=0),))
         assert tau_hat == pytest.approx(tau_true, abs=0.03)
         assert tau_hat < 0.5
 
     def test_sigma2_consistent(self):
         cov = CovParams(1.7, 0.2)
         S = sample(20_000, np.zeros((3, 3)), cov, 904)
-        tau_hat = estimate_tau(S, sample_mean(S))
-        s2 = estimate_sigma2(S, sample_mean(S), tau_hat)
+        tau_hat = estimate_tau(SuffStats.from_sample(S), (S.mean(axis=0),))
+        s2 = estimate_sigma2(SuffStats.from_sample(S), (S.mean(axis=0),), tau_hat)
         assert s2 == pytest.approx(1.7, abs=0.05)
 
     def test_tau_stays_below_upper_limit(self):
         # The estimator never reaches the boundary tau = 1/p.
         for seed in range(5):
             S = sample(10, np.zeros((2, 2)), CovParams(0.5, 0.4), seed)
-            assert estimate_tau(S, sample_mean(S)) < 0.5
+            assert estimate_tau(SuffStats.from_sample(S), (S.mean(axis=0),)) < 0.5
 
 
 class TestMleDispatch:
     def test_unrestricted_is_sample_mean(self):
         S = sample(8, np.eye(2), CovParams(1.0, 0.1), 905)
-        fit = mle(Unrestricted(), S)
-        assert np.array_equal(fit.M_hat, sample_mean(S))
+        fit = mle(Unrestricted(), SuffStats.from_sample(S))
+        assert np.array_equal(fit.M_hat, S.mean(axis=0))
         assert fit.face_dim is None
         assert isinstance(fit, FitResult)
 
     def test_point_returns_m0(self):
         S = sample(8, np.eye(2), CovParams(1.0, 0.0), 906)
         M0 = np.array([[1.0, 0.5], [0.5, 1.0]])
-        fit = mle(Point(M0), S)
+        fit = mle(Point(M0), SuffStats.from_sample(S))
         assert np.array_equal(fit.M_hat, M0)
 
     def test_cone_fills_face_dim(self):
         S = sample(8, np.diag([3.0, 1.0]), CovParams(1.0, 0.0), 907)
-        fit = mle(OrderedCone(np.eye(2)), S)
+        fit = mle(OrderedCone(np.eye(2)), SuffStats.from_sample(S))
         assert fit.face_dim in (1, 2)
 
     def test_known_cov_recorded_and_allows_n1(self):
         Y = np.array([[2.0, 1.0], [1.0, 0.0]])
         cov = CovParams(1.5, 0.25)
-        fit = mle(Point(np.zeros((2, 2))), Y[None], cov=cov)
+        fit = mle(Point(np.zeros((2, 2))), SuffStats.from_sample(Y[None]), cov=cov)
         assert fit.sigma2_hat == 1.5
         assert fit.tau_hat == 0.25
 
     def test_estimates_follow_null_fit(self):
         S = sample(50, np.diag([4.0, 4.0]), CovParams(1.0, 0.0), 908)
-        fit_point = mle(Point(np.zeros((2, 2))), S)
-        fit_free = mle(Unrestricted(), S)
+        fit_point = mle(Point(np.zeros((2, 2))), SuffStats.from_sample(S))
+        fit_free = mle(Unrestricted(), SuffStats.from_sample(S))
         # The fixed-point fit has a lack-of-fit term, so its scale estimate
         # is strictly larger.
         assert fit_point.sigma2_hat > fit_free.sigma2_hat
 
     def test_rejects_unknown_set(self):
         with pytest.raises(TypeError, match="parameter set"):
-            mle(object(), np.zeros((2, 2, 2)))
+            mle(object(), SuffStats.from_sample(np.zeros((2, 2, 2))))
 
     def test_rejects_flat_sample(self):
         with pytest.raises(ValueError, match="sample"):
-            mle(Unrestricted(), np.zeros((2, 2)))
+            mle(Unrestricted(), SuffStats.from_sample(np.zeros((2, 2))))
 
 
 class TestContains:

@@ -2,14 +2,16 @@
 
 The weighted two-group objective splits exactly into an average part and
 a difference part; that algebraic identity anchors several tests here,
-and the pooled covariance estimators are checked against inline formulas
-and by consistency on large simulated samples.
+and the pooled covariance estimators (the one-sample estimators applied
+to two groups) are checked against inline formulas and by consistency on
+large simulated samples, at equal and unequal means.
 """
 
 import numpy as np
 import pytest
 
-from symtest.matnormal import group_means, sample
+from symtest.matnormal import SuffStats, sample
+from symtest.onesample import estimate_sigma2, estimate_tau
 from symtest.symcore import CovParams, Multiplicities, norm_sq, sym_dim
 from symtest.twosample import (
     CommonEigvals,
@@ -19,14 +21,19 @@ from symtest.twosample import (
     contains2,
     mle2,
     mle_common_eigvals,
-    pooled_sigma2,
-    pooled_tau,
 )
 
 
 def random_symmetric(rng, p, scale=1.0):
     X = rng.standard_normal((p, p))
     return scale * (X + X.T) / 2.0
+
+
+def group_means(S, n1):
+    # raw-sample group means and their count-weighted average
+    y1, y2 = S[:n1].mean(axis=0), S[n1:].mean(axis=0)
+    n2 = S.shape[0] - n1
+    return y1, y2, (n1 * y1 + n2 * y2) / (n1 + n2)
 
 
 def two_group_sample(n1, n2, M1, M2, cov, seed):
@@ -142,13 +149,15 @@ class TestPooledEstimators:
                 r = Y - ybar
                 want += np.sum(r * r) - tau * np.trace(r) ** 2
         want /= q * 15
-        assert pooled_sigma2(S, 6, y1, y2, tau) == pytest.approx(want, rel=1e-12)
+        got = estimate_sigma2(SuffStats.from_sample(S, 6), (y1, y2), tau)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_sigma2_lack_of_fit_uses_group_sizes(self):
         S = two_group_sample(4, 8, np.eye(2), np.eye(2), CovParams(1.0, 0.0), 117)
         y1, y2, avg = group_means(S, 4)
-        base = pooled_sigma2(S, 4, y1, y2, 0.0)
-        at_avg = pooled_sigma2(S, 4, avg, avg, 0.0)
+        stats = SuffStats.from_sample(S, 4)
+        base = estimate_sigma2(stats, (y1, y2), 0.0)
+        at_avg = estimate_sigma2(stats, (avg, avg), 0.0)
         # The split identity: constraining both means to the weighted
         # average adds (n1 n2 / n^2 q) || Y1bar - Y2bar ||^2.
         q = sym_dim(2)
@@ -158,40 +167,59 @@ class TestPooledEstimators:
     def test_sigma2_rejects_tau_out_of_range(self):
         S = np.zeros((4, 2, 2))
         with pytest.raises(ValueError, match="tau"):
-            pooled_sigma2(S, 2, np.zeros((2, 2)), np.zeros((2, 2)), 0.5)
+            estimate_sigma2(SuffStats.from_sample(S, 2),
+                            (np.zeros((2, 2)), np.zeros((2, 2))), 0.5)
 
     def test_tau_degenerate_sample(self):
         S = np.stack([np.eye(2)] * 4)
         y1, y2, _ = group_means(S, 2)
         with pytest.raises(ValueError, match="undefined"):
-            pooled_tau(S, 2, y1, y2)
+            estimate_tau(SuffStats.from_sample(S, 2), (y1, y2))
 
     def test_tau_reduces_to_merged_one_sample(self):
-        # With each group fitted at its own mean, the shape estimator
-        # collapses exactly to the one-sample estimator applied to the
-        # merged sample at the overall mean, for any data.
-        from symtest.onesample import estimate_tau
-
+        # Under equal means both groups are centred at the weighted average
+        # of the group means, which is the overall mean, so the pooled
+        # shape estimator is the one-group estimator on the merged sample.
         S = two_group_sample(7, 5, np.diag([2.0, 0.0]),
                              np.array([[1.0, 0.7], [0.7, 1.0]]),
                              CovParams(1.0, 0.1), 130)
-        y1, y2, _ = group_means(S, 7)
-        a = pooled_tau(S, 7, y1, y2)
-        b = estimate_tau(S, S.mean(axis=0))
+        a = mle2(EqualMeans(), SuffStats.from_sample(S, 7)).tau_hat
+        b = estimate_tau(SuffStats.from_sample(S), (S.mean(axis=0),))
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("tau_true", [0.25, -0.5])
     def test_pooled_estimators_consistent(self, tau_true):
-        # Consistency holds when the group means coincide (the regime the
-        # shape estimator is used in: plug-in fits under equal-mean nulls).
         cov = CovParams(1.3, tau_true)
         M = np.array([[2.0, 0.7], [0.7, 0.5]])
         S = two_group_sample(12_000, 8_000, M, M, cov, 118)
         y1, y2, _ = group_means(S, 12_000)
-        tau_hat = pooled_tau(S, 12_000, y1, y2)
-        s2_hat = pooled_sigma2(S, 12_000, y1, y2, tau_hat)
+        stats = SuffStats.from_sample(S, 12_000)
+        tau_hat = estimate_tau(stats, (y1, y2))
+        s2_hat = estimate_sigma2(stats, (y1, y2), tau_hat)
         assert tau_hat == pytest.approx(tau_true, abs=0.04)
         assert s2_hat == pytest.approx(1.3, abs=0.04)
+
+    def test_consistent_at_unequal_means(self):
+        # Each group is centred at its own mean, so the spread between the
+        # groups does not leak into the shape estimate.
+        cov = CovParams(1.3, 0.1)
+        M1 = np.array([[2.0, 0.7], [0.7, 0.5]])
+        S = two_group_sample(12_000, 8_000, M1, M1 + 2.0 * np.eye(2), cov, 131)
+        fit = mle2(Unrestricted2(), SuffStats.from_sample(S, 12_000))
+        assert fit.tau_hat == pytest.approx(0.1, abs=0.04)
+        assert fit.sigma2_hat == pytest.approx(1.3, abs=0.04)
+
+    def test_consistent_at_rotated_frames(self):
+        # The 2s1 null: one spectrum, group frames 0.9 rad apart.
+        cov = CovParams(1.3, 0.2)
+        c, s = np.cos(0.9), np.sin(0.9)
+        R = np.array([[c, -s], [s, c]])
+        M1 = np.diag([3.0, 1.0])
+        S = two_group_sample(12_000, 8_000, M1, R @ M1 @ R.T, cov, 132)
+        fit = mle2(CommonEigvals(Multiplicities((1, 1))),
+                   SuffStats.from_sample(S, 12_000))
+        assert fit.tau_hat == pytest.approx(0.2, abs=0.04)
+        assert fit.sigma2_hat == pytest.approx(1.3, abs=0.04)
 
 
 class TestMle2Dispatch:
@@ -199,7 +227,7 @@ class TestMle2Dispatch:
         S = two_group_sample(5, 7, np.eye(2), np.zeros((2, 2)),
                              CovParams(1.0, 0.0), 119)
         y1, y2, _ = group_means(S, 5)
-        fit = mle2(Unrestricted2(), S, 5)
+        fit = mle2(Unrestricted2(), SuffStats.from_sample(S, 5))
         assert isinstance(fit, FitResult2)
         assert np.array_equal(fit.M1_hat, y1)
         assert np.array_equal(fit.M2_hat, y2)
@@ -208,7 +236,7 @@ class TestMle2Dispatch:
         S = two_group_sample(5, 7, np.eye(2), np.zeros((2, 2)),
                              CovParams(1.0, 0.0), 120)
         _, _, avg = group_means(S, 5)
-        fit = mle2(EqualMeans(), S, 5)
+        fit = mle2(EqualMeans(), SuffStats.from_sample(S, 5))
         assert np.array_equal(fit.M1_hat, avg)
         assert np.array_equal(fit.M2_hat, fit.M1_hat)
 
@@ -216,20 +244,26 @@ class TestMle2Dispatch:
         S = two_group_sample(6, 6, np.diag([3.0, 1.0]), np.diag([3.0, 1.0]),
                              CovParams(0.5, 0.0), 121)
         y1, y2, _ = group_means(S, 6)
-        fit = mle2(CommonEigvals(Multiplicities((1, 1))), S, 6)
+        fit = mle2(CommonEigvals(Multiplicities((1, 1))),
+                   SuffStats.from_sample(S, 6))
         want1, want2 = mle_common_eigvals(Multiplicities((1, 1)), y1, y2, 6, 6)
         assert np.allclose(fit.M1_hat, want1, atol=1e-13)
         assert np.allclose(fit.M2_hat, want2, atol=1e-13)
 
     def test_known_cov_recorded(self):
         S = two_group_sample(3, 3, np.eye(2), np.eye(2), CovParams(1.0, 0.0), 122)
-        fit = mle2(EqualMeans(), S, 3, cov=CovParams(2.5, -0.25))
+        fit = mle2(EqualMeans(), SuffStats.from_sample(S, 3),
+                   cov=CovParams(2.5, -0.25))
         assert fit.sigma2_hat == 2.5
         assert fit.tau_hat == -0.25
 
+    def test_rejects_one_group(self):
+        with pytest.raises(ValueError, match="two-group"):
+            mle2(EqualMeans(), SuffStats.from_sample(np.zeros((4, 2, 2))))
+
     def test_rejects_unknown_set(self):
         with pytest.raises(TypeError, match="parameter set"):
-            mle2(object(), np.zeros((4, 2, 2)), 2)
+            mle2(object(), SuffStats.from_sample(np.zeros((4, 2, 2)), 2))
 
 
 class TestContains2:
