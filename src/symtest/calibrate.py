@@ -10,7 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lrt
-from .symcore import CovParams, Multiplicities, check_symmetric, eigh_desc
+from .symcore import (
+    CovParams,
+    Multiplicities,
+    check_integer,
+    check_symmetric,
+    eigh_desc,
+)
 from .matnormal import SuffStats, sample
 from .onesample import (
     FixedEigvals,
@@ -42,7 +48,7 @@ class ConeWeights:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
 
     def weight_for_dim(self, k):
@@ -89,7 +95,7 @@ def estimate_cone_weights(d_true, reps, seed):
     if np.any(np.diff(d) > 0.0):
         raise ValueError("d_true must be non-increasing")
     p = d.size
-    reps = int(reps)
+    reps = check_integer(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be positive")
     y = d + _rng(seed).standard_normal((reps, p))
@@ -119,45 +125,43 @@ def calibrate_null(config, truth, n, reps, seed):
     one-sample tests, {"M1": ..., "M2": ..., ...} for two-sample ones
     (then n is the pair (n1, n2)). The truth must lie in the null set.
     """
-    reps = int(reps)
+    reps = check_integer(reps, "reps")
     if reps < 1000:
         raise ValueError("calibration needs reps >= 1000, got %d" % reps)
     two_sample = "M1" in truth
     means = tuple(check_symmetric(truth[k], k)
                   for k in (("M1", "M2") if two_sample else ("M",)))
     spec, args = lrt.parse_config(config, means[0].shape[0])
+    test_id = config["test_id"]
     if spec.two_sample != two_sample:
         raise ValueError("test %r needs a truth with %s" % (
-            config["test_id"], "M1 and M2" if spec.two_sample else "M"))
+            test_id, "M1 and M2" if spec.two_sample else "M"))
     inside = contains2 if two_sample else contains
-    if not all(inside(pset, *means) for pset in spec.null(args)):
-        raise ValueError("generator mean is not in the null set of %r"
-                         % config["test_id"])
+    if spec.sets is not None and not inside(spec.sets(args)[0], *means):
+        raise ValueError("generator mean is not in the null set of %r" % test_id)
     sizes = n if isinstance(n, (list, tuple)) else (n,)
     if len(sizes) != len(means):
         raise ValueError("test %r needs n = %s, got %r" % (
-            config["test_id"], "[n1, n2]" if two_sample else "a single count", n))
-    sizes = tuple(int(k) for k in sizes)
+            test_id, "[n1, n2]" if two_sample else "a single count", n))
+    sizes = tuple(check_integer(k, "n") for k in sizes)
     n1, n2 = sizes if two_sample else (None, None)
     cov_true = CovParams(float(truth["sigma2"]), float(truth["tau"]))
     stats = np.empty(reps)
     pvals = np.empty(reps)
-    dist = None
     for rep in range(reps):
         ss = np.random.SeedSequence(seed, spawn_key=(rep,))
         parts = [sample(k, M, cov_true, s) for k, M, s
                  in zip(sizes, means, ss.spawn(2) if two_sample else (ss,))]
         S = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        res = lrt.run_config(config, S, n1=n1)
+        res = lrt._run(test_id, SuffStats.from_sample(S, n1), args)
         stats[rep] = res.statistic
         pvals[rep] = res.p_value
-        if dist is None:
-            dist = res.dist
+    dist = res.dist  # the same for every replicate
     stats.sort()
     emp = tuple(float(np.quantile(stats, pr)) for pr in PROBS)
     theo = tuple(lrt.quantile(dist, pr) for pr in PROBS)
     return CalibrationReport(
-        test_id=config["test_id"], reps=reps, n=sum(sizes), n1=n1, n2=n2,
+        test_id=test_id, reps=reps, n=sum(sizes), n1=n1, n2=n2,
         dist=dist, quantile_probs=PROBS, empirical_quantiles=emp,
         theoretical_quantiles=theo, ks_distance=_ks_distance(stats, dist),
         alpha=ALPHA, rejection_rate=float(np.mean(pvals <= ALPHA)),
@@ -179,7 +183,7 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
                       "eigvec_var"):
         raise ValueError("unknown estimator %r" % est_id)
     cov = CovParams(float(truth["sigma2"]), float(truth["tau"]))
-    reps = int(reps)
+    reps = check_integer(reps, "reps")
     pooled = est_id.startswith("pooled_")
     if pooled:
         M1, M2 = (np.asarray(truth[k], dtype=float) for k in ("M1", "M2"))
@@ -191,7 +195,7 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
         # the mean and eigenvector fits take the covariance as known
         fit_cov = None if est_id in ("sigma2", "tau") else cov
     rows = []
-    for i, n in enumerate(int(v) for v in n_grid):
+    for i, n in enumerate(check_integer(v, "n") for v in n_grid):
         vals = []
         for rep in range(reps):
             ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
@@ -252,7 +256,7 @@ def cone_boundary_law(d_true, n, reps, seed, cov=None):
     if cov is None:
         cov = CovParams(1.0, 0.0)
     cov.validate(p)
-    reps = int(reps)
+    reps = check_integer(reps, "reps")
     # the diagonal of the sample mean is Gaussian around d_true with
     # covariance (sigma2/n)(I + c 11'); no full matrices needed
     A = cov.sigma2 / n * (np.eye(p) + cov.c(p) * np.ones((p, p)))

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, calibrate, lrt
-from .symcore import CovParams, matrix_log, sym_dim
+from .symcore import CovParams, check_integer, matrix_log, sym_dim
 from .matnormal import sample
 
 
@@ -293,10 +293,8 @@ def cmd_simulate(config_path, out_path, seed=None):
 
 
 def _integer(value, key):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError("config %r must be an integer, got %r" % (key, value))
+    with _input_errors(ValueError):
+        return check_integer(value, "config %r" % key)
 
 
 def _check_p(config, p_actual):

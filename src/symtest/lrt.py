@@ -1,29 +1,30 @@
 """Likelihood-ratio statistics and reference distributions.
 
-Every test reduces to a difference of projection distances of the sample
-mean(s) under the null and alternative parameter sets, so every test_*
-function takes the sample's sufficient statistics (matnormal.SuffStats)
-rather than the sample itself. With known (sigma2, tau) the affine cases
-are exactly chi-square, and the mean-shift cases have F variants when
-the covariance is estimated; the curved and cone cases are asymptotic
-(chi-square or chi-square mixture). When no covariance is supplied, tau
-is estimated under the null fit, sigma2 follows, and both are plugged
-into the statistic, with the reference distribution flagged as
-asymptotic-only.
+Every MLE of the mean is a Frobenius projection of the sample mean(s),
+so twice the log-likelihood ratio is sum_g n_g (||Ybar_g - M0_g||^2 -
+||Ybar_g - M1_g||^2) in the (sigma2, tau) norm, M0 and M1 the null and
+alternative fits. Each test is one entry of the registry TESTS (config
+keys, two-sample flag, null and alternative sets, reference), and one
+runner fits both sets from the sample's SuffStats, plugs in the null
+fit's (sigma2, tau) when no covariance is given and evaluates that one
+statistic. Given (sigma2, tau) the affine cases are exactly chi-square,
+with F variants of the mean-shift cases for an estimated covariance;
+the curved and cone cases are asymptotic (chi-square or chi-square
+mixture), as is any plug-in reference. cov-check, a test of the
+covariance, keeps its own statistic.
 
 Tail probabilities come from scipy.special (chdtrc, fdtrc). The cone
 test's mixture weights at a tied spectrum are exact: the level-probability
 law of each tied block, convolved over the blocks.
 
-Test identifiers (`test_id` on results and in CLI configs), each an
-entry of the registry TESTS, through which run_config dispatches:
+Test identifiers (`test_id` on results and in CLI configs), the keys of TESTS:
 
 ==========  ====================================================
 a0          mean equals a given point vs. unrestricted
-a1          eigenvalues equal a given point, eigenvectors fixed
+a1          mean equals a given point vs. eigenvectors fixed
 a2          mean diagonalized by a given frame vs. unrestricted
 c2          frame given and eigenvalues ordered (cone test)
-s1          mean equals a given point vs. free eigenvectors
+s1          mean equals a given point vs. its spectrum, frame free
 s2          spectrum equals a given point, eigenvectors free
 s3          spectrum has a given multiplicity pattern
 cov-check   covariance is orthogonally invariant
@@ -39,15 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc, fdtrc
 
-from .symcore import (
-    CovParams,
-    Multiplicities,
-    block_average,
-    check_symmetric,
-    eigh_desc,
-    norm_sq,
-    sym_dim,
-)
+from .symcore import CovParams, Multiplicities, check_integer, norm_sq, sym_dim
 from .matnormal import SuffStats
 from .onesample import (
     FixedEigvals,
@@ -56,17 +49,11 @@ from .onesample import (
     OrderedCone,
     Point,
     Unrestricted,
-    _fit_cov,
+    contains,
     estimate_sigma2,
     mle,
 )
-from .twosample import (
-    CommonEigvals,
-    EqualMeans,
-    FitResult2,
-    Unrestricted2,
-    mle2,
-)
+from .twosample import CommonEigvals, EqualMeans, Unrestricted2, mle2
 
 CLAMP = 1e-9
 
@@ -107,7 +94,7 @@ class ChiSqMix:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         if len(self.weights) != len(self.dfs):
             raise ValueError("weights and dfs must have equal length")
@@ -211,26 +198,50 @@ def _result(test_id, t, dist, fit_null, fit_alt, plugin):
                       warnings=tuple(warns))
 
 
-def _norm_cov(cov):
+def _lr(stats, fit_null, fit_alt, cov):
+    """Twice the log-likelihood ratio of two mean fits in the cov norm.
+
+    Sum over groups of n_g (||Ybar_g - M0_g||^2 - ||Ybar_g - M1_g||^2),
+    each squared distance formed from its own difference matrix, so the
+    statistic stays accurate at any data scale.
+    """
+    return sum(n * (norm_sq(ybar - m0, cov) - norm_sq(ybar - m1, cov))
+               for n, ybar, m0, m1 in zip(stats.n, stats.ybar, fit_null.means,
+                                          fit_alt.means))
+
+
+def _run(test_id, stats, args):
+    """Run a registered test on sufficient statistics and parsed arguments.
+
+    Fits the null and alternative sets, plugs in the null fit's (sigma2,
+    tau) when no covariance is known, and evaluates _lr. An F reference
+    (mean shift, estimated covariance) takes _lr at the within-group
+    sigma2 for the null tau, scaled by (n - g) / (q n) for g groups.
+    """
+    spec = TESTS[test_id]
+    if spec.sets is None:
+        return test_sigma_structure(stats)
+    cov = args.get("cov")
     if isinstance(cov, str):
         if cov != "estimate":
             raise ValueError("cov must be a CovParams, None, or 'estimate'")
-        return None
-    return cov
-
-
-def _fits(fit, stats, null, alt, cov):
-    """Null and alternative fits, and the covariance plugged into the statistic.
-
-    The covariance is the known one, or else the null fit's estimates
-    (flagged as a plug-in).
-    """
-    cov = _norm_cov(cov)
+        cov = None
+    plugin = cov is None
+    dist = spec.reference(args, stats, plugin)
+    null, alt = spec.sets(args)
+    fit = mle2 if spec.two_sample else mle
     fit_null, fit_alt = fit(null, stats, cov), fit(alt, stats, cov)
-    if cov is not None:
-        return fit_null, fit_alt, cov, False
-    return (fit_null, fit_alt,
-            CovParams(fit_null.sigma2_hat, fit_null.tau_hat), True)
+    if plugin:
+        cov = CovParams(fit_null.sigma2_hat, fit_null.tau_hat)
+    scale = 1.0
+    if isinstance(dist, FDist):
+        n = sum(stats.n)
+        cov = CovParams(estimate_sigma2(stats, fit_alt.means, cov.tau), cov.tau)
+        scale = (n - len(stats.n)) / (sym_dim(stats.p) * n)
+    if spec.tau_free:
+        cov = CovParams(cov.sigma2)
+    return _result(test_id, scale * _lr(stats, fit_null, fit_alt, cov), dist,
+                   fit_null, fit_alt, plugin)
 
 
 def test_point_unrestricted(stats, M0, cov=None):
@@ -240,21 +251,7 @@ def test_point_unrestricted(stats, M0, cov=None):
     scaled ratio of the lack of fit to the within-sample dispersion with
     an F(q, q(n-1)) reference, requiring n >= 2.
     """
-    n, q = sum(stats.n), sym_dim(stats.p)
-    M0 = check_symmetric(M0, "M0")
-    if _norm_cov(cov) is None and n < 2:
-        raise ValueError("the F variant requires n >= 2")
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle, stats, Point(M0), Unrestricted(), cov)
-    ybar = fit_alt.M_hat
-    if not plugin:
-        t = n * norm_sq(ybar - M0, use_cov)
-        return _result("a0", t, ChiSq(q), fit_null, fit_alt, False)
-    tau = fit_null.tau_hat
-    unit = CovParams(1.0, tau)
-    s2 = estimate_sigma2(stats, (ybar,), tau)  # within-sample dispersion only
-    t = (n - 1.0) * norm_sq(ybar - M0, unit) / (q * s2)
-    return _result("a0", t, FDist(q, q * (n - 1.0)), fit_null, fit_alt, True)
+    return _run("a0", stats, dict(M0=M0, cov=cov))
 
 
 def test_A1(stats, U0, M0, cov=None):
@@ -263,29 +260,12 @@ def test_A1(stats, U0, M0, cov=None):
     M0 must itself be diagonalized by U0. Exact chi-square(p) given the
     covariance; plug-in asymptotic otherwise.
     """
-    M0 = check_symmetric(M0, "M0")
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle, stats, Point(M0), FixedEigvecs(U0), cov)
-    U0 = fit_alt.set.U0
-    W0 = U0.T @ M0 @ U0
-    d0 = np.diagonal(W0).copy()
-    if np.abs(W0 - np.diag(d0)).max() > 1e-8 * max(1.0, np.abs(M0).max()):
-        raise ValueError("M0 is not diagonalized by U0")
-    d_hat = np.diagonal(U0.T @ stats.ybar[0] @ U0)
-    t = stats.n[0] * norm_sq(np.diag(d_hat - d0), use_cov)
-    dist = ChiSqApprox(stats.p) if plugin else ChiSq(stats.p)
-    return _result("a1", t, dist, fit_null, fit_alt, plugin)
+    return _run("a1", stats, dict(U0=U0, M0=M0, cov=cov))
 
 
 def test_A2(stats, U0, cov=None):
     """Mean is diagonalized by U0 vs. unrestricted (a2)."""
-    p = stats.p
-    q = sym_dim(p)
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle, stats, FixedEigvecs(U0), Unrestricted(), cov)
-    t = stats.n[0] * norm_sq(stats.ybar[0] - fit_null.M_hat, use_cov)
-    dist = ChiSqApprox(q - p) if plugin else ChiSq(q - p)
-    return _result("a2", t, dist, fit_null, fit_alt, plugin)
+    return _run("a2", stats, dict(U0=U0, cov=cov))
 
 
 def _exact_cone_law(mult):
@@ -317,53 +297,22 @@ def test_C2(stats, U0, mult=None, cov=None, weights=None):
     exact law on faces k..p (faces below the block count k are
     unreachable in the limit).
     """
-    q = sym_dim(stats.p)
-    if weights is not None:
-        mix_dims, mix_w = tuple(weights.face_dims), tuple(weights.weights)
-    elif mult is not None:
-        mix_dims, mix_w = _exact_cone_law(mult)
-    else:
-        raise ValueError(
-            "supply cone weights or the tie pattern mult of the true spectrum")
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle, stats, OrderedCone(U0), Unrestricted(), cov)
-    dist = ChiSqMix(weights=mix_w, dfs=tuple(q - k for k in mix_dims))
-    t = stats.n[0] * norm_sq(stats.ybar[0] - fit_null.M_hat, use_cov)
-    return _result("c2", t, dist, fit_null, fit_alt, plugin)
+    return _run("c2", stats, dict(U0=U0, mult=mult, cov=cov, weights=weights))
 
 
 def test_S1(stats, M0, D0, mult, cov=None):
-    """Mean equals M0 vs. free eigenvectors with known spectrum D0 (s1).
+    """Mean equals M0 vs. spectrum fixed at D0 with free frame (s1).
 
-    The statistic contains no tau and needs only sigma2; it vanishes when
-    the sample mean's eigenvectors line up with M0's. It is the difference
-    of the squared distances of Ybar to M0 and to the alternative fit,
-    each formed directly, so it stays accurate at any data scale.
+    M0 must have spectrum D0. The null and alternative fits share their
+    trace, so the statistic contains no tau and needs only sigma2; it
+    vanishes when the sample mean's eigenvectors line up with M0's.
     """
-    q = sym_dim(stats.p)
-    M0 = check_symmetric(M0, "M0")
-    D0 = np.asarray(D0, dtype=float)
-    if np.abs(eigh_desc(M0).lam - D0).max() > 1e-8 * max(1.0, np.abs(D0).max()):
-        raise ValueError("M0 does not have spectrum D0")
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle, stats, Point(M0), FixedEigvals(D0, mult), cov)
-    ybar = stats.ybar[0]
-    lam = eigh_desc(ybar).lam
-    t = (stats.n[0] / use_cov.sigma2) * (np.sum((ybar - M0) ** 2)
-                                         - np.sum((lam - D0) ** 2))
-    df = q - sum(m * (m + 1) for m in mult.m) / 2.0
-    return _result("s1", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
+    return _run("s1", stats, dict(M0=M0, D0=D0, mult=mult, cov=cov))
 
 
 def test_S2(stats, D0, mult, cov=None):
     """Spectrum equals D0 (eigenvectors free) vs. unrestricted (s2)."""
-    D0 = np.asarray(D0, dtype=float)
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle, stats, FixedEigvals(D0, mult), Unrestricted(), cov)
-    lam = eigh_desc(stats.ybar[0]).lam
-    t = stats.n[0] * norm_sq(np.diag(lam - D0), use_cov)
-    df = sum(m * (m + 1) for m in mult.m) / 2.0
-    return _result("s2", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
+    return _run("s2", stats, dict(D0=D0, mult=mult, cov=cov))
 
 
 def test_S3(stats, mult, cov=None):
@@ -372,13 +321,7 @@ def test_S3(stats, mult, cov=None):
     tau-free: the statistic is the eigenvalue dispersion about the block
     averages, scaled by sigma2.
     """
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle, stats, Mult(mult), Unrestricted(), cov)
-    lam = eigh_desc(stats.ybar[0]).lam
-    resid = lam - block_average(lam, mult)
-    t = stats.n[0] / use_cov.sigma2 * np.sum(resid ** 2)
-    df = sum(m * (m + 1) for m in mult.m) / 2.0 - mult.k
-    return _result("s3", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
+    return _run("s3", stats, dict(mult=mult, cov=cov))
 
 
 def test_sigma_structure(stats):
@@ -417,36 +360,12 @@ def test2_equal_unrestricted(stats, cov=None):
     Known covariance: exact chi-square(q). Estimated: F(q, q(n-2))
     variant built from the pooled dispersion, requiring n >= 3.
     """
-    n, q = sum(stats.n), sym_dim(stats.p)
-    if _norm_cov(cov) is None and n < 3:
-        raise ValueError("the F variant requires n >= 3")
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle2, stats, EqualMeans(), Unrestricted2(), cov)
-    (n1, n2), (ybar1, ybar2) = stats.n, stats.ybar
-    if not plugin:
-        t = (n1 * n2 / n) * norm_sq(ybar1 - ybar2, use_cov)
-        return _result("2a0", t, ChiSq(q), fit_null, fit_alt, False)
-    tau = fit_null.tau_hat
-    unit = CovParams(1.0, tau)
-    s12 = estimate_sigma2(stats, stats.ybar, tau)  # pooled dispersion only
-    t = (n - 2.0) * n1 * n2 * norm_sq(ybar1 - ybar2, unit) / (q * n * n * s12)
-    return _result("2a0", t, FDist(q, q * (n - 2.0)), fit_null, fit_alt, True)
+    return _run("2a0", stats, dict(cov=cov))
 
 
 def test2_S1(stats, mult, cov=None):
     """Two samples share one spectrum with pattern mult vs. unrestricted (2s1)."""
-    fit_null, fit_alt, use_cov, plugin = _fits(
-        mle2, stats, CommonEigvals(mult), Unrestricted2(), cov)
-    (n1, n2), (ybar1, ybar2) = stats.n, stats.ybar
-    n = n1 + n2
-    lam1 = eigh_desc(ybar1).lam
-    lam2 = eigh_desc(ybar2).lam
-    lam_bar = (n1 * lam1 + n2 * lam2) / n
-    resid = lam_bar - block_average(lam_bar, mult)
-    t = ((n1 * n2 / n) * norm_sq(np.diag(lam1 - lam2), use_cov)
-         + n / use_cov.sigma2 * np.sum(resid ** 2))
-    df = sum(m * (m + 1) for m in mult.m) - mult.k
-    return _result("2s1", t, ChiSqApprox(df), fit_null, fit_alt, plugin)
+    return _run("2s1", stats, dict(mult=mult, cov=cov))
 
 
 def test2_S2(stats, mult, cov=None):
@@ -456,28 +375,7 @@ def test2_S2(stats, mult, cov=None):
     pattern; the alternative allows each group its own eigenvectors
     around a common spectrum.
     """
-    cov = _norm_cov(cov)
-    fit_alt = mle2(CommonEigvals(mult), stats, cov)
-    (n1, n2), (ybar1, ybar2) = stats.n, stats.ybar
-    n = n1 + n2
-    q = sym_dim(stats.p)
-    dec = eigh_desc(stats.mean)
-    m0 = (dec.V * block_average(dec.lam, mult)) @ dec.V.T
-    sigma2_hat, tau_hat = _fit_cov(stats, (m0, m0), cov)
-    fit_null = FitResult2(M1_hat=m0, M2_hat=m0, sigma2_hat=sigma2_hat,
-                          tau_hat=tau_hat, set=EqualMeans())
-    lam1 = eigh_desc(ybar1).lam
-    lam2 = eigh_desc(ybar2).lam
-    lam_bar = (n1 * lam1 + n2 * lam2) / n
-    r_pool = dec.lam - block_average(dec.lam, mult)
-    r_bar = lam_bar - block_average(lam_bar, mult)
-    # ||Ybar1 - Ybar2||^2 - ||lam1 - lam2||^2 = 2 (lam1.lam2 - tr(Ybar1 Ybar2)),
-    # formed without differencing terms of the data's squared scale
-    t = (n1 * n2 / (n * sigma2_hat)
-         * (np.sum((ybar1 - ybar2) ** 2) - np.sum((lam1 - lam2) ** 2))
-         + n / sigma2_hat * (np.sum(r_pool ** 2) - np.sum(r_bar ** 2)))
-    df = q - sum(m * (m + 1) for m in mult.m) / 2.0
-    return _result("2s2", t, ChiSqApprox(df), fit_null, fit_alt, cov is None)
+    return _run("2s2", stats, dict(mult=mult, cov=cov))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +389,7 @@ def _array(value, shape):
 
 
 def _multiplicities(value, p):
-    mult = Multiplicities(tuple(int(v) for v in value))
+    mult = Multiplicities(tuple(value))
     if mult.p != p:
         raise ValueError("%r does not sum to p = %d" % (mult.m, p))
     return mult
@@ -499,8 +397,14 @@ def _multiplicities(value, p):
 
 def _cone_weights(value, p):
     from .calibrate import ConeWeights
-    return ConeWeights(None, tuple(int(k) for k in value["face_dims"]),
-                       tuple(float(x) for x in value["weights"]), 0)
+    dims = tuple(check_integer(k, "a face dimension") for k in value["face_dims"])
+    weights = tuple(float(x) for x in value["weights"])
+    if len(set(dims)) != len(dims) or not all(1 <= k <= p for k in dims):
+        raise ValueError("face dimensions must be distinct and in 1..%d, got %r"
+                         % (p, dims))
+    if len(weights) != len(dims):
+        raise ValueError("need one weight per face dimension")
+    return ConeWeights(None, dims, weights, 0)
 
 
 def _covariance(value, p):
@@ -524,42 +428,108 @@ _PARSERS = {
 }
 
 
+def _point_within(alt, what):
+    # sets of M = M0 against the set alt(args), which must contain M0
+    def sets(a):
+        null, alt_set = Point(a["M0"]), alt(a)
+        if not contains(alt_set, null.M0, tol=1e-8):
+            raise ValueError("M0 %s" % what)
+        return null, alt_set
+    return sets
+
+
+def _affine(df):
+    # exact chi-square given the covariance, asymptotic with a plug-in
+    return lambda a, stats, plugin: (ChiSqApprox if plugin else ChiSq)(df(stats.p))
+
+
+def _mean_shift(a, stats, plugin):
+    # chi-square(q) given the covariance, else F(q, q(n - g)) for g groups
+    n, g, q = sum(stats.n), len(stats.n), sym_dim(stats.p)
+    if not plugin:
+        return ChiSq(q)
+    if n <= g:
+        raise ValueError("the F variant requires n >= %d" % (g + 1))
+    return FDist(q, q * (n - g))
+
+
+def _curved(df):
+    # asymptotic chi-square; df(o, k, q) from the dimension o of a fixed
+    # spectrum's orbit, the pattern's block count k and q
+    def reference(a, stats, plugin):
+        mult = a["mult"]
+        o = (stats.p * (stats.p - 1) - sum(m * (m - 1) for m in mult.m)) // 2
+        return ChiSqApprox(df(o, mult.k, sym_dim(stats.p)))
+    return reference
+
+
+def _cone_mixture(a, stats, plugin):
+    if a.get("weights") is not None:
+        dims, weights = a["weights"].face_dims, a["weights"].weights
+    elif a.get("mult") is not None:
+        dims, weights = _exact_cone_law(a["mult"])
+    else:
+        raise ValueError(
+            "supply cone weights or the tie pattern mult of the true spectrum")
+    q = sym_dim(stats.p)
+    return ChiSqMix(weights=tuple(weights), dfs=tuple(q - k for k in dims))
+
+
 @dataclass(frozen=True)
 class Spec:
-    """A registered test: its function and how a config maps onto it.
+    """A registered test: the single statement of what it tests.
 
-    run is called as run(stats, **args) with args parsed from the config
-    keys `keys` (required) and `optional` (passed when present); null
-    maps args to the null set(s) the generating mean(s) must lie in.
+    keys are the config keys it requires and optional those it accepts,
+    parsed into args keyed by the test function's parameters. sets(args)
+    is the (null, alternative) pair of parameter sets (two-sample sets if
+    two_sample); reference(args, stats, plugin) the reference
+    distribution, plugin telling whether the covariance is estimated; an
+    F reference selects the F variant of the statistic. tau_free marks
+    fits with equal traces: the statistic is then taken at tau = 0. The
+    covariance test cov-check has no sets and runs test_sigma_structure.
     """
 
-    run: object
     keys: tuple
     two_sample: bool
-    null: object
+    sets: object = None
+    reference: object = None
     optional: tuple = ("cov",)
+    tau_free: bool = False
 
 
 TESTS = {
-    "a0": Spec(test_point_unrestricted, ("M0",), False,
-               lambda a: (Point(a["M0"]),)),
-    "a1": Spec(test_A1, ("U0", "M0"), False, lambda a: (Point(a["M0"]),)),
-    "a2": Spec(test_A2, ("U0",), False, lambda a: (FixedEigvecs(a["U0"]),)),
+    "a0": Spec(("M0",), False, lambda a: (Point(a["M0"]), Unrestricted()),
+               _mean_shift),
+    "a1": Spec(("U0", "M0"), False,
+               _point_within(lambda a: FixedEigvecs(a["U0"]),
+                             "is not diagonalized by U0"),
+               _affine(lambda p: p)),
+    "a2": Spec(("U0",), False,
+               lambda a: (FixedEigvecs(a["U0"]), Unrestricted()),
+               _affine(lambda p: sym_dim(p) - p)),
     # "reps" and "seed" in a c2 config are accepted and ignored: the
     # weights are exact
-    "c2": Spec(test_C2, ("U0",), False, lambda a: (OrderedCone(a["U0"]),),
-               optional=("cov", "multiplicities", "weights")),
-    "s1": Spec(test_S1, ("M0", "D0", "multiplicities"), False,
-               lambda a: (Point(a["M0"]),)),
-    "s2": Spec(test_S2, ("D0", "multiplicities"), False,
-               lambda a: (FixedEigvals(a["D0"], a["mult"]),)),
-    "s3": Spec(test_S3, ("multiplicities",), False, lambda a: (Mult(a["mult"]),)),
-    "cov-check": Spec(test_sigma_structure, (), False, lambda a: (), optional=()),
-    "2a0": Spec(test2_equal_unrestricted, (), True, lambda a: (EqualMeans(),)),
-    "2s1": Spec(test2_S1, ("multiplicities",), True,
-                lambda a: (CommonEigvals(a["mult"]),)),
-    "2s2": Spec(test2_S2, ("multiplicities",), True,
-                lambda a: (EqualMeans(), CommonEigvals(a["mult"]))),
+    "c2": Spec(("U0",), False, lambda a: (OrderedCone(a["U0"]), Unrestricted()),
+               _cone_mixture, optional=("cov", "multiplicities", "weights")),
+    "s1": Spec(("M0", "D0", "multiplicities"), False,
+               _point_within(lambda a: FixedEigvals(a["D0"], a["mult"]),
+                             "does not have spectrum D0"),
+               _curved(lambda o, k, q: o), tau_free=True),
+    "s2": Spec(("D0", "multiplicities"), False,
+               lambda a: (FixedEigvals(a["D0"], a["mult"]), Unrestricted()),
+               _curved(lambda o, k, q: q - o)),
+    "s3": Spec(("multiplicities",), False,
+               lambda a: (Mult(a["mult"]), Unrestricted()),
+               _curved(lambda o, k, q: q - o - k), tau_free=True),
+    "cov-check": Spec((), False, optional=()),
+    "2a0": Spec((), True, lambda a: (EqualMeans(), Unrestricted2()),
+                _mean_shift),
+    "2s1": Spec(("multiplicities",), True,
+                lambda a: (CommonEigvals(a["mult"]), Unrestricted2()),
+                _curved(lambda o, k, q: 2 * (q - o) - k)),
+    "2s2": Spec(("multiplicities",), True,
+                lambda a: (EqualMeans(a["mult"]), CommonEigvals(a["mult"])),
+                _curved(lambda o, k, q: o), tau_free=True),
 }
 
 
@@ -606,4 +576,4 @@ def run_config(config, S, n1=None):
     if not spec.two_sample and n1 is not None:
         raise ValueError("test %r is one-sample but the sample has two groups"
                          % config["test_id"])
-    return spec.run(stats, **args)
+    return _run(config["test_id"], stats, args)

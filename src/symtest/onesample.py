@@ -129,6 +129,10 @@ class FitResult:
     set: ParamSet
     face_dim: int = None
 
+    @property
+    def means(self):
+        return (self.M_hat,)
+
 
 def _pava_rows(Y):
     # Per row, a stack of (mean, count) blocks with non-increasing means;

@@ -38,6 +38,21 @@ def check_symmetric(X, name="matrix", tol=1e-8):
     return 0.5 * (X + X.T)
 
 
+def check_integer(value, name):
+    """Validate and return value as an int.
+
+    Integral numbers and numeric strings are accepted; booleans and
+    fractions raise ValueError rather than being truncated.
+    """
+    try:
+        if not isinstance(value, (bool, np.bool_)) and (
+                isinstance(value, str) or int(value) == value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class CovParams:
     """Covariance parameters (sigma2, tau) of the orthogonally invariant model.
@@ -73,7 +88,7 @@ class Multiplicities:
     m: tuple
 
     def __post_init__(self):
-        m = tuple(int(v) for v in self.m)
+        m = tuple(check_integer(v, "a multiplicity") for v in self.m)
         if len(m) == 0 or any(v < 1 for v in m):
             raise ValueError("multiplicities must be positive integers, got %r" % (self.m,))
         object.__setattr__(self, "m", m)

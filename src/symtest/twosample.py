@@ -3,7 +3,8 @@
 The mean pair (M1, M2) ranges over one of three closed-form sets:
 
 - Unrestricted2: both means free.
-- EqualMeans: M1 = M2.
+- EqualMeans(mult=None): M1 = M2; with mult given, the common mean's
+  spectrum also has that multiplicity pattern.
 - CommonEigvals(mult): both means share one unspecified spectrum with
   the given multiplicity pattern, eigenvectors free per group.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symcore import Multiplicities, block_average, eigh_desc
-from .onesample import _fit_cov
+from .onesample import Mult, _fit_cov, contains, mle_multiplicities
 
 
 class ParamSet2:
@@ -34,7 +35,7 @@ class Unrestricted2(ParamSet2):
 
 @dataclass(frozen=True, eq=False)
 class EqualMeans(ParamSet2):
-    pass
+    mult: Multiplicities = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +50,10 @@ class FitResult2:
     sigma2_hat: float
     tau_hat: float
     set: ParamSet2
+
+    @property
+    def means(self):
+        return (self.M1_hat, self.M2_hat)
 
 
 def mle_common_eigvals(mult, Ybar1, Ybar2, n1, n2):
@@ -80,7 +85,8 @@ def mle2(pset, stats, cov=None):
     if isinstance(pset, Unrestricted2):
         m1_hat, m2_hat = ybar1, ybar2
     elif isinstance(pset, EqualMeans):
-        m1_hat = m2_hat = stats.mean
+        m1_hat = m2_hat = (stats.mean if pset.mult is None
+                           else mle_multiplicities(pset.mult, stats.mean))
     elif isinstance(pset, CommonEigvals):
         m1_hat, m2_hat = mle_common_eigvals(pset.mult, ybar1, ybar2, n1, n2)
     else:
@@ -98,12 +104,10 @@ def contains2(pset, M1, M2, tol=1e-9):
     if isinstance(pset, Unrestricted2):
         return True
     if isinstance(pset, EqualMeans):
-        return np.abs(M1 - M2).max() <= tol * scale
-    if isinstance(pset, CommonEigvals):
-        lam1 = eigh_desc(M1).lam
-        lam2 = eigh_desc(M2).lam
-        if np.abs(lam1 - lam2).max() > tol * scale:
-            return False
-        pat = block_average(lam1, pset.mult)
-        return np.abs(lam1 - pat).max() <= tol * scale
-    raise TypeError("unknown parameter set %r" % (pset,))
+        gap = np.abs(M1 - M2).max()
+    elif isinstance(pset, CommonEigvals):
+        gap = np.abs(eigh_desc(M1).lam - eigh_desc(M2).lam).max()
+    else:
+        raise TypeError("unknown parameter set %r" % (pset,))
+    return bool(gap <= tol * scale) and (
+        pset.mult is None or contains(Mult(pset.mult), M1, tol))

@@ -201,6 +201,17 @@ class TestCalibrateNull:
         assert rep.theoretical_quantiles == (0.0, 0.0, 0.0, 0.0)
         assert rep.rejection_rate == 0.0
 
+    @pytest.mark.parametrize("n,reps", [(50.9, 1000), ((4, 4.5), 1000),
+                                        (True, 1000), (8, 1000.7)])
+    def test_rejects_non_integral_counts(self, n, reps):
+        two = isinstance(n, tuple)
+        config = {"test_id": "2a0" if two else "a0", "M0": np.eye(2).tolist()}
+        M = np.eye(2).tolist()
+        truth = dict({"M1": M, "M2": M} if two else {"M": M},
+                     sigma2=1.0, tau=0.0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            calibrate_null(config, truth, n=n, reps=reps, seed=0)
+
     def test_rejects_small_reps(self):
         config = {"test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]],
                   "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}}
@@ -274,6 +285,18 @@ class TestConsistencyStudy:
         truth = {"M": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
         with pytest.raises(ValueError, match="unknown estimator"):
             consistency_study("median", truth, [10], 5, 0)
+
+
+def test_monte_carlo_counts_must_be_integral():
+    truth = {"M": [[1.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        estimate_cone_weights((1.0, 0.0), 100.5, 0)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        cone_boundary_law((1.0, 0.0), n=10, reps=100.5, seed=0)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        consistency_study("mean", truth, [10], 2.9, 0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        consistency_study("mean", truth, [10.7], 2, 0)
 
 
 class TestConeBoundaryLaw:

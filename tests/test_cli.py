@@ -327,6 +327,41 @@ class TestExitCodes:
         self.check_error(capsys, ["test", "--data", path, "--config", cfg],
                          "'seed' must be an integer")
 
+    @pytest.mark.parametrize("weights,fragment", [
+        ({"face_dims": [7], "weights": [1.0]}, "in 1..3"),
+        ({"face_dims": [0, 3], "weights": [0.5, 0.5]}, "in 1..3"),
+        ({"face_dims": [2, 2], "weights": [0.5, 0.5]}, "distinct"),
+        ({"face_dims": [1.5, 3], "weights": [0.5, 0.5]}, "must be an integer"),
+        ({"face_dims": [2, 3], "weights": [1.0]}, "one weight per face"),
+        ({"face_dims": [3], "weights": [float("nan")]}, "sum to 1"),
+    ])
+    def test_bad_cone_weights(self, tmp_path, capsys, weights, fragment):
+        path, _ = one_sample_file(tmp_path, p=3)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "c2", "U0": np.eye(3).tolist(), "weights": weights})
+        self.check_error(capsys, ["test", "--data", path, "--config", cfg],
+                         fragment)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", 5.5), ("n", True), ("seed", 2.5), ("seed", False)])
+    def test_simulate_non_integral_count(self, tmp_path, capsys, key, value):
+        config = {"M": np.eye(2).tolist(), "n": 5, "sigma2": 1.0, "tau": 0.0,
+                  key: value}
+        cfg = write_config(tmp_path, "sim.json", config)
+        out = tmp_path / "d.csv"
+        self.check_error(capsys, ["simulate", "--config", cfg, "--out", str(out)],
+                         "'%s' must be an integer" % key)
+        assert not out.exists()
+
+    def test_simulate_non_integral_group_size(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sim.json", {
+            "M1": np.eye(2).tolist(), "M2": np.eye(2).tolist(), "n1": 3,
+            "n2": 3.5, "sigma2": 1.0, "tau": 0.0})
+        out = tmp_path / "d.csv"
+        self.check_error(capsys, ["simulate", "--config", cfg, "--out", str(out)],
+                         "'n2' must be an integer")
+        assert not out.exists()
+
     def test_non_string_test_id(self, tmp_path, capsys):
         path, _ = one_sample_file(tmp_path)
         cfg = write_config(tmp_path, "t.json", {"test_id": 5})
@@ -479,6 +514,25 @@ class TestCmdCalibrate:
         code, _, err = run(capsys, ["calibrate", "--config", cfg])
         assert code == 2
         assert "'reps' must be an integer" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", 50.9), ("n", True), ("reps", 1000.7), ("reps", True),
+        ("seed", 2.5)])
+    def test_non_integral_counts(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "c.json", dict(self.CONFIG, **{key: value}))
+        code, out, err = run(capsys, ["calibrate", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert "must be an integer, got %r" % value in err
+
+    def test_non_integral_group_size(self, tmp_path, capsys):
+        M = [[1.0, 0.0], [0.0, 1.0]]
+        config = {"test": {"test_id": "2a0"}, "n": [50, 50.5], "reps": 1000,
+                  "truth": {"M1": M, "M2": M, "sigma2": 1.0, "tau": 0.0}}
+        cfg = write_config(tmp_path, "c.json", config)
+        code, _, err = run(capsys, ["calibrate", "--config", cfg])
+        assert code == 2
+        assert "n must be an integer, got 50.5" in err
 
     def test_missing_keys(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"test": {}})

@@ -61,6 +61,10 @@ class TestRefDistTypes:
         with pytest.raises(ValueError, match="length"):
             ChiSqMix(weights=(0.5, 0.5), dfs=(3,))
 
+    def test_mixture_rejects_nan_weights(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            ChiSqMix(weights=(float("nan"),), dfs=(3,))
+
     def test_mixture_casts_to_float(self):
         mix = ChiSqMix(weights=(1,), dfs=(3,))
         assert mix.weights == (1.0,)
@@ -923,6 +927,35 @@ class TestRunConfig:
                   "multiplicities": [2], key: value}
         with pytest.raises(ValueError, match=re.escape(fragment)):
             run_config(config, S)
+
+    @pytest.mark.parametrize("test_id,expected", [
+        ("s1", 2), ("s2", 1), ("s3", 1), ("2s1", 2), ("2s2", 3)])
+    def test_eigendecompositions_per_run(self, monkeypatch, test_id, expected):
+        # each sample mean is decomposed once by its fit; s1 adds one
+        # decomposition of M0 to check its spectrum
+        import sys
+        from symtest.symcore import eigh_desc
+        calls = []
+
+        def counted(X):
+            calls.append(None)
+            return eigh_desc(X)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("symtest.")
+                    and getattr(module, "eigh_desc", None) is eigh_desc):
+                monkeypatch.setattr(module, "eigh_desc", counted)
+        M = np.diag([3.0, 2.0, 1.0])
+        config = {"test_id": test_id, "M0": M.tolist(), "D0": [3.0, 2.0, 1.0],
+                  "multiplicities": [1, 1, 1]}
+        config = {k: v for k, v in config.items()
+                  if k in ("test_id",) + lrt.TESTS[test_id].keys}
+        S = sample(20, M, CovParams(1.0, 0.1), 384)
+        two = lrt.TESTS[test_id].two_sample
+        if two:
+            S = np.concatenate([S, sample(20, M, CovParams(1.0, 0.1), 385)])
+        run_config(config, S, n1=20 if two else None)
+        assert len(calls) == expected
 
     def test_c2_explicit_weights(self):
         S = sample(8, np.diag([3.0, 1.0]), COV0, 379)

@@ -16,6 +16,7 @@ from symtest.symcore import (
     CovParams,
     Multiplicities,
     block_average,
+    check_integer,
     check_symmetric,
     eigh_desc,
     inner,
@@ -56,6 +57,20 @@ class TestCheckSymmetric:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
             check_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("value", [3, 3.0, "3", np.int64(3), np.float64(3.0)])
+    def test_accepts_integral_values(self, value):
+        k = check_integer(value, "n")
+        assert k == 3 and type(k) is int
+
+    @pytest.mark.parametrize("value", [2.5, 50.9, True, False, np.bool_(True),
+                                       "x", "3.0", None, [3], float("nan"),
+                                       float("inf")])
+    def test_rejects_the_rest(self, value):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_integer(value, "n")
 
 
 class TestCovParams:
@@ -108,6 +123,10 @@ class TestMultiplicities:
             bad = (0.5,)
         with pytest.raises(ValueError):
             Multiplicities(bad)
+
+    def test_rejects_fractional(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Multiplicities((1.5, 1.5))
 
 
 class TestVecd:

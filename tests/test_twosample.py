@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from symtest.matnormal import SuffStats, sample
-from symtest.onesample import estimate_sigma2, estimate_tau
+from symtest.onesample import Mult, contains, estimate_sigma2, estimate_tau, mle
 from symtest.symcore import CovParams, Multiplicities, norm_sq, sym_dim
 from symtest.twosample import (
     CommonEigvals,
@@ -250,6 +250,19 @@ class TestMle2Dispatch:
         assert np.allclose(fit.M1_hat, want1, atol=1e-13)
         assert np.allclose(fit.M2_hat, want2, atol=1e-13)
 
+    def test_equal_means_with_pattern_is_pooled_mult_projection(self):
+        # EqualMeans(mult) fits the pooled one-sample Mult projection,
+        # covariance estimates included
+        mult = Multiplicities((2, 1))
+        S = two_group_sample(7, 9, np.diag([2.0, 2.0, 1.0]),
+                             np.diag([2.5, 1.5, 1.0]), CovParams(0.8, 0.1), 124)
+        fit = mle2(EqualMeans(mult), SuffStats.from_sample(S, 7))
+        pooled = mle(Mult(mult), SuffStats.from_sample(S))
+        assert np.array_equal(fit.M1_hat, fit.M2_hat)
+        assert np.allclose(fit.M1_hat, pooled.M_hat, rtol=0, atol=1e-13)
+        assert fit.sigma2_hat == pytest.approx(pooled.sigma2_hat, rel=1e-12)
+        assert fit.tau_hat == pytest.approx(pooled.tau_hat, rel=1e-10)
+
     def test_known_cov_recorded(self):
         S = two_group_sample(3, 3, np.eye(2), np.eye(2), CovParams(1.0, 0.0), 122)
         fit = mle2(EqualMeans(), SuffStats.from_sample(S, 3),
@@ -273,6 +286,21 @@ class TestContains2:
     def test_equal_means(self):
         assert contains2(EqualMeans(), np.eye(2), np.eye(2))
         assert not contains2(EqualMeans(), np.eye(2), np.zeros((2, 2)))
+
+    def test_equal_means_with_pattern(self):
+        # EqualMeans(mult) holds where the means are equal and the common
+        # mean lies in the pooled Mult set
+        rng = np.random.default_rng(125)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        mult = Multiplicities((1, 2))
+        for d in ([4.0, 2.0, 2.0], [4.0, 3.0, 2.0], [3.0, 3.0, 3.0]):
+            M = (Q * np.array(d)) @ Q.T
+            want = contains(Mult(mult), M)
+            assert contains2(EqualMeans(mult), M, M) == want
+            assert not contains2(EqualMeans(mult), M, M + 0.1 * np.eye(3))
+        assert contains2(EqualMeans(mult), np.eye(3), np.eye(3))
+        assert not contains2(EqualMeans(mult), np.diag([4.0, 3.0, 2.0]),
+                             np.diag([4.0, 3.0, 2.0]))
 
     def test_common_eigvals(self):
         rng = np.random.default_rng(123)
