@@ -1,18 +1,18 @@
 """Two-group comparisons: equal means and shared eigenvalues.
 
-The two-sample statistics reuse the one-sample projections group by
-group. Covariance scalars pool across groups, each group centred at its
-own fitted mean; lack-of-fit terms weight each group by its size. A
-dataset enters as SuffStats.from_sample(S, n1), its first n1 rows being
-group 1.
+The same mle fits one and two groups: a two-group set projects both
+group means at once. Covariance scalars pool across groups, each group
+centred at its own fitted mean; lack-of-fit terms weight each group by
+its size. A dataset enters as SuffStats.from_sample(S, n1), its first n1
+rows being group 1.
 """
 
 import numpy as np
 
 from symtest import lrt
 from symtest.matnormal import SuffStats, sample
+from symtest.onesample import CommonEigvals, Unrestricted, mle
 from symtest.symcore import CovParams, Multiplicities
-from symtest.twosample import CommonEigvals, Unrestricted2, mle2
 
 cov = CovParams(1.0, 0.1)
 rot = np.array([[np.cos(0.4), -np.sin(0.4), 0.0],
@@ -50,12 +50,12 @@ print("\n--- different spectra ---")
 S = two_groups(M, np.diag([6.0, 2.0, 1.0]), 60, 40, seed=13)
 show("2s1 shared eigenvalues", lrt.test2_S1(S, Multiplicities((1, 1, 1)), cov))
 
-fit = mle2(CommonEigvals(Multiplicities((1, 1, 1))), S)
+fit = mle(CommonEigvals(Multiplicities((1, 1, 1))), S)
 print("\nshared-spectrum fit on the last dataset:")
 print("  group-1 eigenvalues: %s" % np.linalg.eigvalsh(fit.M1_hat).round(3))
 print("  group-2 eigenvalues: %s (identical by construction)"
       % np.linalg.eigvalsh(fit.M2_hat).round(3))
 
-fit = mle2(Unrestricted2(), S)
+fit = mle(Unrestricted(), S)
 print("pooled covariance estimates: sigma2_hat %.4f, tau_hat %.4f"
       % (fit.sigma2_hat, fit.tau_hat))

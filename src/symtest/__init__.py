@@ -26,24 +26,20 @@ from .onesample import (
     OrderedCone,
     FixedEigvals,
     Mult,
+    EqualMeans,
+    CommonEigvals,
     FitResult,
+    FitResult2,
     mle,
     mle_fixed_eigvecs,
     mle_ordered_cone,
     mle_fixed_eigvals,
     mle_multiplicities,
+    mle_common_eigvals,
     estimate_sigma2,
     estimate_tau,
     eigvec_uncertainty,
     pava,
-)
-from .twosample import (
-    Unrestricted2,
-    EqualMeans,
-    CommonEigvals,
-    FitResult2,
-    mle2,
-    mle_common_eigvals,
 )
 from .lrt import (
     ChiSq,

@@ -2,7 +2,10 @@
 
 Replicates draw from independent, order-insensitive substreams
 (SeedSequence spawn keys), so every report is bit-reproducible for a
-given seed no matter how the replicate loop is scheduled.
+given seed no matter how the replicate loop is scheduled. One- and
+two-group studies share one path: a replicate draws one sample per
+group, and the fits (onesample.mle) and the null-set check
+(onesample.contains) take any group count their set fits.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,6 @@ from .onesample import (
     mle,
     pava,
 )
-from .twosample import Unrestricted2, contains2, mle2
 
 PROBS = (0.5, 0.9, 0.95, 0.99)
 ALPHA = 0.05
@@ -81,6 +83,17 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _check_d_true(d_true):
+    d = np.asarray(d_true, dtype=float)
+    if d.ndim != 1 or d.size < 1:
+        raise ValueError("d_true must be a nonempty vector")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("d_true must be finite")
+    if np.any(np.diff(d) > 0.0):
+        raise ValueError("d_true must be non-increasing")
+    return d
+
+
 def estimate_cone_weights(d_true, reps, seed):
     """Face-dimension mixture weights of the order-cone projection at d_true.
 
@@ -89,11 +102,7 @@ def estimate_cone_weights(d_true, reps, seed):
     depend on sigma2 or tau, only on the gaps of d_true; deterministic
     given the seed.
     """
-    d = np.asarray(d_true, dtype=float)
-    if d.ndim != 1 or d.size < 1:
-        raise ValueError("d_true must be a nonempty vector")
-    if np.any(np.diff(d) > 0.0):
-        raise ValueError("d_true must be non-increasing")
+    d = _check_d_true(d_true)
     p = d.size
     reps = check_integer(reps, "reps")
     if reps < 1:
@@ -136,8 +145,7 @@ def calibrate_null(config, truth, n, reps, seed):
     if spec.two_sample != two_sample:
         raise ValueError("test %r needs a truth with %s" % (
             test_id, "M1 and M2" if spec.two_sample else "M"))
-    inside = contains2 if two_sample else contains
-    if spec.sets is not None and not inside(spec.sets(args)[0], *means):
+    if spec.sets is not None and not contains(spec.sets(args)[0], *means):
         raise ValueError("generator mean is not in the null set of %r" % test_id)
     sizes = n if isinstance(n, (list, tuple)) else (n,)
     if len(sizes) != len(means):
@@ -187,6 +195,7 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     pooled = est_id.startswith("pooled_")
     if pooled:
         M1, M2 = (np.asarray(truth[k], dtype=float) for k in ("M1", "M2"))
+        pset, fit_cov = Unrestricted(), None
     else:
         M = np.asarray(truth["M"], dtype=float)
         dec = eigh_desc(M)
@@ -201,12 +210,12 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
             ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
             if pooled:
                 ss1, ss2 = ss.spawn(2)
-                S = np.concatenate([sample(n // 2, M1, cov, ss1),
-                                    sample(n - n // 2, M2, cov, ss2)])
-                fit = mle2(Unrestricted2(), SuffStats.from_sample(S, n // 2))
+                n1 = n // 2
+                S = np.concatenate([sample(n1, M1, cov, ss1),
+                                    sample(n - n1, M2, cov, ss2)])
             else:
-                fit = mle(pset, SuffStats.from_sample(sample(n, M, cov, ss)),
-                          fit_cov)
+                n1, S = None, sample(n, M, cov, ss)
+            fit = mle(pset, SuffStats.from_sample(S, n1), fit_cov)
             if est_id == "mean":
                 vals.append(np.sum((fit.M_hat - M) ** 2))
             elif est_id == "eigvec_var":
@@ -249,14 +258,14 @@ def cone_boundary_law(d_true, n, reps, seed, cov=None):
     the estimate keeps positive mass on the tie faces no matter how large
     n is.
     """
-    d = np.asarray(d_true, dtype=float)
-    if np.any(np.diff(d) > 0.0):
-        raise ValueError("d_true must be non-increasing")
+    d = _check_d_true(d_true)
     p = d.size
     if cov is None:
         cov = CovParams(1.0, 0.0)
     cov.validate(p)
-    reps = check_integer(reps, "reps")
+    n, reps = check_integer(n, "n"), check_integer(reps, "reps")
+    if n < 1:
+        raise ValueError("need n >= 1, got %d" % n)
     # the diagonal of the sample mean is Gaussian around d_true with
     # covariance (sigma2/n)(I + c 11'); no full matrices needed
     A = cov.sigma2 / n * (np.eye(p) + cov.c(p) * np.ones((p, p)))
@@ -269,7 +278,7 @@ def cone_boundary_law(d_true, n, reps, seed, cov=None):
     patterns, pattern_counts = np.unique(ties, axis=0, return_counts=True)
     return {
         "d_true": tuple(float(v) for v in d),
-        "n": int(n),
+        "n": n,
         "reps": reps,
         "dim_mass": {k: float(dim_counts[k] / reps) for k in range(1, p + 1)},
         "pattern_mass": dict(sorted(

@@ -258,37 +258,23 @@ def _log_transform(S):
 
 def cmd_simulate(config_path, out_path, seed=None):
     config = load_json(config_path)
+    seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
+    # one (mean, count) pair of keys per group, group 1 first
+    keys = ((("M1", "n1"), ("M2", "n2")) if "M1" in config or "n1" in config
+            else (("M", "n"),))
     try:
-        sigma2 = float(config["sigma2"])
-        tau = float(config["tau"])
+        cov = CovParams(float(config["sigma2"]), float(config["tau"]))
+        means = [np.asarray(config[m], dtype=float) for m, _ in keys]
+        sizes = [_integer(config[k], k) for _, k in keys]
     except KeyError as e:
         raise InputError("simulate config requires %s" % e)
-    cov = CovParams(sigma2, tau)
-    seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
-    two_sample = "M1" in config or "n1" in config
-    if two_sample:
-        try:
-            M1 = np.asarray(config["M1"], dtype=float)
-            M2 = np.asarray(config["M2"], dtype=float)
-            n1, n2 = _integer(config["n1"], "n1"), _integer(config["n2"], "n2")
-        except KeyError as e:
-            raise InputError("two-sample simulate config requires %s" % e)
-        _check_p(config, M1.shape[0])
-        ss1, ss2 = np.random.SeedSequence(seed).spawn(2)
-        with _input_errors(ValueError):  # bad mean, n or (sigma2, tau)
-            S = np.concatenate([sample(n1, M1, cov, ss1),
-                                sample(n2, M2, cov, ss2)])
-        write_dataset(out_path, S, n1)
-    else:
-        try:
-            M = np.asarray(config["M"], dtype=float)
-            n = _integer(config["n"], "n")
-        except KeyError as e:
-            raise InputError("simulate config requires %s" % e)
-        _check_p(config, M.shape[0])
-        with _input_errors(ValueError):  # bad mean, n or (sigma2, tau)
-            S = sample(n, M, cov, np.random.SeedSequence(seed))
-        write_dataset(out_path, S)
+    _check_p(config, means[0].shape[0])
+    root = np.random.SeedSequence(seed)
+    streams = root.spawn(2) if len(keys) == 2 else (root,)
+    with _input_errors(ValueError):  # bad mean, n or (sigma2, tau)
+        S = np.concatenate([sample(k, M, cov, ss)
+                            for k, M, ss in zip(sizes, means, streams)])
+    write_dataset(out_path, S, sizes[0] if len(keys) == 2 else None)
     return 0
 
 

@@ -5,8 +5,9 @@ so twice the log-likelihood ratio is sum_g n_g (||Ybar_g - M0_g||^2 -
 ||Ybar_g - M1_g||^2) in the (sigma2, tau) norm, M0 and M1 the null and
 alternative fits. Each test is one entry of the registry TESTS (config
 keys, two-sample flag, null and alternative sets, reference), and one
-runner fits both sets from the sample's SuffStats, plugs in the null
-fit's (sigma2, tau) when no covariance is given and evaluates that one
+runner fits both sets from the sample's SuffStats with onesample.mle,
+which serves one and two groups alike, plugs in the null fit's
+(sigma2, tau) when no covariance is given and evaluates that one
 statistic. Given (sigma2, tau) the affine cases are exactly chi-square,
 with F variants of the mean-shift cases for an estimated covariance;
 the curved and cone cases are asymptotic (chi-square or chi-square
@@ -43,6 +44,8 @@ from scipy.special import chdtrc, fdtrc
 from .symcore import CovParams, Multiplicities, check_integer, norm_sq, sym_dim
 from .matnormal import SuffStats
 from .onesample import (
+    CommonEigvals,
+    EqualMeans,
     FixedEigvals,
     FixedEigvecs,
     Mult,
@@ -53,7 +56,6 @@ from .onesample import (
     estimate_sigma2,
     mle,
 )
-from .twosample import CommonEigvals, EqualMeans, Unrestricted2, mle2
 
 CLAMP = 1e-9
 
@@ -229,8 +231,7 @@ def _run(test_id, stats, args):
     plugin = cov is None
     dist = spec.reference(args, stats, plugin)
     null, alt = spec.sets(args)
-    fit = mle2 if spec.two_sample else mle
-    fit_null, fit_alt = fit(null, stats, cov), fit(alt, stats, cov)
+    fit_null, fit_alt = mle(null, stats, cov), mle(alt, stats, cov)
     if plugin:
         cov = CovParams(fit_null.sigma2_hat, fit_null.tau_hat)
     scale = 1.0
@@ -385,11 +386,20 @@ def _array(value, shape):
     X = np.asarray(value, dtype=float)
     if X.shape != shape:
         raise ValueError("expected shape %s, got %s" % (shape, X.shape))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("entries must be finite")
     return X
 
 
+def _sequence(value):
+    # a JSON array; a string would otherwise be read one character at a time
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("expected an array, got %r" % (value,))
+    return tuple(value)
+
+
 def _multiplicities(value, p):
-    mult = Multiplicities(tuple(value))
+    mult = Multiplicities(_sequence(value))
     if mult.p != p:
         raise ValueError("%r does not sum to p = %d" % (mult.m, p))
     return mult
@@ -397,8 +407,9 @@ def _multiplicities(value, p):
 
 def _cone_weights(value, p):
     from .calibrate import ConeWeights
-    dims = tuple(check_integer(k, "a face dimension") for k in value["face_dims"])
-    weights = tuple(float(x) for x in value["weights"])
+    dims = tuple(check_integer(k, "a face dimension")
+                 for k in _sequence(value["face_dims"]))
+    weights = tuple(float(x) for x in _sequence(value["weights"]))
     if len(set(dims)) != len(dims) or not all(1 <= k <= p for k in dims):
         raise ValueError("face dimensions must be distinct and in 1..%d, got %r"
                          % (p, dims))
@@ -481,8 +492,8 @@ class Spec:
 
     keys are the config keys it requires and optional those it accepts,
     parsed into args keyed by the test function's parameters. sets(args)
-    is the (null, alternative) pair of parameter sets (two-sample sets if
-    two_sample); reference(args, stats, plugin) the reference
+    is the (null, alternative) pair of parameter sets (fitting two groups
+    if two_sample); reference(args, stats, plugin) the reference
     distribution, plugin telling whether the covariance is estimated; an
     F reference selects the F variant of the statistic. tau_free marks
     fits with equal traces: the statistic is then taken at tau = 0. The
@@ -522,10 +533,10 @@ TESTS = {
                lambda a: (Mult(a["mult"]), Unrestricted()),
                _curved(lambda o, k, q: q - o - k), tau_free=True),
     "cov-check": Spec((), False, optional=()),
-    "2a0": Spec((), True, lambda a: (EqualMeans(), Unrestricted2()),
+    "2a0": Spec((), True, lambda a: (EqualMeans(), Unrestricted()),
                 _mean_shift),
     "2s1": Spec(("multiplicities",), True,
-                lambda a: (CommonEigvals(a["mult"]), Unrestricted2()),
+                lambda a: (CommonEigvals(a["mult"]), Unrestricted()),
                 _curved(lambda o, k, q: 2 * (q - o) - k)),
     "2s2": Spec(("multiplicities",), True,
                 lambda a: (EqualMeans(a["mult"]), CommonEigvals(a["mult"])),
@@ -571,9 +582,8 @@ def run_config(config, S, n1=None):
     """
     stats = SuffStats.from_sample(S, n1)
     spec, args = parse_config(config, stats.p)
-    if spec.two_sample and n1 is None:
-        raise ValueError("test %r needs a two-group sample" % config["test_id"])
-    if not spec.two_sample and n1 is not None:
-        raise ValueError("test %r is one-sample but the sample has two groups"
-                         % config["test_id"])
+    if spec.two_sample != (n1 is not None):
+        raise ValueError("test %r needs a %s sample, got %s" % (
+            config["test_id"], "two-group" if spec.two_sample else "one-group",
+            "one group" if n1 is None else "two groups"))
     return _run(config["test_id"], stats, args)

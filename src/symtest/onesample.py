@@ -1,10 +1,11 @@
-"""Maximum-likelihood estimation for one sample of symmetric matrices.
+"""Maximum-likelihood estimation for one or two samples of symmetric matrices.
 
-Under the orthogonally invariant model, the MLE of the mean M over any of
-the supported parameter sets is the Frobenius projection of the sample
-mean onto the set, independent of (sigma2, tau). The sets are:
+Under the orthogonally invariant model, the MLE of the group means over
+any of the supported parameter sets is the Frobenius projection of the
+sample means onto the set (minimizing sum_g n_g ||Ybar_g - M_g||^2),
+independent of (sigma2, tau). One mle and one contains serve every set:
 
-- Unrestricted: all of S_p.
+- Unrestricted: each group mean free, for one or two groups.
 - Point(M0): the single matrix M0.
 - FixedEigvecs(U0): matrices diagonalized by the fixed frame U0.
 - OrderedCone(U0): the FixedEigvecs set with eigenvalues constrained to
@@ -13,13 +14,16 @@ mean onto the set, independent of (sigma2, tau). The sets are:
   free.
 - Mult(mult): matrices whose spectrum has the given multiplicity pattern,
   values free.
+- EqualMeans(mult=None), two groups: M1 = M2, the common mean with the
+  pattern mult if given.
+- CommonEigvals(mult), two groups: one shared spectrum with pattern
+  mult, eigenvectors free per group.
 
-The variance scale and shape (sigma2, tau) are then estimated in closed
-form from the fitted mean(s) and the sample's sufficient statistics
-(matnormal.SuffStats); the estimators serve one and two groups alike.
-eigvec_uncertainty gives the asymptotic normal law of the eigenvector
-estimation error for distinct-spectrum fits, expressed as a rotation
-logarithm.
+The groups share (sigma2, tau), estimated in closed form from the fitted
+means and the sufficient statistics SuffStats.from_sample(S, n1), each
+observation centred at its own group's fitted mean. eigvec_uncertainty
+gives the asymptotic normal law of the eigenvector estimation error for
+distinct-spectrum fits, expressed as a rotation logarithm.
 """
 
 import math
@@ -69,12 +73,14 @@ _PAVA_CHUNK = 4096  # rows per batched PAVA pass; bounds its working memory
 
 
 class ParamSet:
-    """Base tag for the one-sample parameter sets."""
+    """Base tag for the parameter sets; groups are the group counts it fits."""
+
+    groups = (1,)
 
 
 @dataclass(frozen=True, eq=False)
 class Unrestricted(ParamSet):
-    pass
+    groups = (1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +121,21 @@ class Mult(ParamSet):
     mult: Multiplicities
 
 
+@dataclass(frozen=True, eq=False)
+class EqualMeans(ParamSet):
+    groups = (2,)
+    mult: Multiplicities = None
+
+
+@dataclass(frozen=True, eq=False)
+class CommonEigvals(ParamSet):
+    groups = (2,)
+    mult: Multiplicities
+
+
 @dataclass(eq=False)
 class FitResult:
-    """Fitted mean and covariance parameters for a one-sample set.
+    """Fitted mean and covariance parameters for a one-group sample.
 
     face_dim is filled for cone fits only: the number of distinct values
     the monotone projection landed on.
@@ -132,6 +150,21 @@ class FitResult:
     @property
     def means(self):
         return (self.M_hat,)
+
+
+@dataclass(eq=False)
+class FitResult2:
+    """Fitted means and covariance parameters for a two-group sample."""
+
+    M1_hat: np.ndarray
+    M2_hat: np.ndarray
+    sigma2_hat: float
+    tau_hat: float
+    set: ParamSet
+
+    @property
+    def means(self):
+        return (self.M1_hat, self.M2_hat)
 
 
 def _pava_rows(Y):
@@ -218,6 +251,20 @@ def mle_multiplicities(mult, Ybar):
     return (dec.V * d) @ dec.V.T
 
 
+def mle_common_eigvals(mult, Ybar1, Ybar2, n1, n2):
+    """Projection of the group means onto the common-spectrum set.
+
+    Each group keeps its own descending eigenvectors; the shared spectrum
+    is the block average of the weighted eigenvalue mean
+    (n1 L1 + n2 L2) / (n1 + n2).
+    """
+    dec1 = eigh_desc(Ybar1)
+    dec2 = eigh_desc(Ybar2)
+    lam_bar = (n1 * dec1.lam + n2 * dec2.lam) / (n1 + n2)
+    d = block_average(lam_bar, mult)
+    return (dec1.V * d) @ dec1.V.T, (dec2.V * d) @ dec2.V.T
+
+
 def _dispersion(stats, means):
     # Summed squared residual norms and traces of every observation about
     # its group's fitted mean: the spread about the group mean plus the
@@ -279,60 +326,84 @@ def _fit_cov(stats, means, cov=None):
     return estimate_sigma2(stats, means, tau), tau
 
 
-def mle(pset, stats, cov=None):
-    """MLE of (M, sigma2, tau) over the given parameter set.
+def _check_groups(pset, count):
+    if not isinstance(pset, ParamSet):
+        raise TypeError("unknown parameter set %r" % (pset,))
+    if count not in pset.groups:
+        raise ValueError("%s needs a %s sample, got %d group(s)" % (
+            type(pset).__name__, " or ".join(
+                ("one-group", "two-group")[g - 1] for g in pset.groups), count))
 
-    stats holds the sufficient statistics of a one-group sample. When cov
-    is provided, the mean fit is unchanged (it never depends on the
-    covariance) and the known (sigma2, tau) are recorded in the result
-    instead of being estimated; this also permits n = 1.
+
+def mle(pset, stats, cov=None):
+    """MLE of the group means and (sigma2, tau) over the given parameter set.
+
+    stats holds the sufficient statistics of a sample with as many groups
+    as the set fits. When cov is provided, the mean fits are unchanged
+    (they never depend on the covariance) and the known (sigma2, tau) are
+    recorded instead of being estimated; this also permits n = 1. Returns
+    a FitResult (M_hat) for one group, a FitResult2 (M1_hat, M2_hat) for two.
     """
-    if len(stats.n) != 1:
-        raise ValueError("mle needs a one-group sample, got %d groups"
-                         % len(stats.n))
-    ybar = stats.ybar[0]
+    _check_groups(pset, len(stats.n))
+    ybar = stats.ybar
     face_dim = None
     if isinstance(pset, Unrestricted):
-        m_hat = ybar
+        means = ybar
+    elif isinstance(pset, EqualMeans):
+        m_hat = (stats.mean if pset.mult is None
+                 else mle_multiplicities(pset.mult, stats.mean))
+        means = (m_hat, m_hat)
+    elif isinstance(pset, CommonEigvals):
+        means = mle_common_eigvals(pset.mult, *ybar, *stats.n)
     elif isinstance(pset, Point):
-        m_hat = pset.M0
+        means = (pset.M0,)
     elif isinstance(pset, FixedEigvecs):
-        m_hat = mle_fixed_eigvecs(pset.U0, ybar)
+        means = (mle_fixed_eigvecs(pset.U0, ybar[0]),)
     elif isinstance(pset, OrderedCone):
-        m_hat, face_dim = mle_ordered_cone(pset.U0, ybar)
+        m_hat, face_dim = mle_ordered_cone(pset.U0, ybar[0])
+        means = (m_hat,)
     elif isinstance(pset, FixedEigvals):
-        m_hat = mle_fixed_eigvals(pset.D0, pset.mult, ybar)
+        means = (mle_fixed_eigvals(pset.D0, pset.mult, ybar[0]),)
     elif isinstance(pset, Mult):
-        m_hat = mle_multiplicities(pset.mult, ybar)
+        means = (mle_multiplicities(pset.mult, ybar[0]),)
     else:
         raise TypeError("unknown parameter set %r" % (pset,))
-    sigma2_hat, tau_hat = _fit_cov(stats, (m_hat,), cov)
-    return FitResult(M_hat=m_hat, sigma2_hat=sigma2_hat, tau_hat=tau_hat,
+    sigma2_hat, tau_hat = _fit_cov(stats, means, cov)
+    if len(means) == 2:
+        return FitResult2(*means, sigma2_hat=sigma2_hat, tau_hat=tau_hat,
+                          set=pset)
+    return FitResult(M_hat=means[0], sigma2_hat=sigma2_hat, tau_hat=tau_hat,
                      set=pset, face_dim=face_dim)
 
 
-def contains(pset, M, tol=1e-9):
-    """Membership predicate: is M in the parameter set to within tol?
+def contains(pset, *means, tol=1e-9):
+    """Membership predicate: do the group means lie in the set to within tol?
 
-    The tolerance is on max absolute entry (or eigenvalue) differences,
-    scaled by the magnitude of M.
+    Takes one mean per group, as many as the set fits. The tolerance is
+    on max absolute entry (or eigenvalue) differences, scaled by the
+    magnitude of the means.
     """
-    M = check_symmetric(M, "M", tol=max(tol, 1e-12))
-    scale = max(1.0, np.abs(M).max())
-    bound = tol * scale
+    _check_groups(pset, len(means))
+    means = [check_symmetric(M, "M", tol=max(tol, 1e-12)) for M in means]
+    bound = tol * max(1.0, *(np.abs(M).max() for M in means))
     if isinstance(pset, Unrestricted):
         return True
+    if isinstance(pset, (EqualMeans, CommonEigvals)):
+        M1, M2 = means
+        if isinstance(pset, EqualMeans):
+            gap = np.abs(M1 - M2).max()
+        else:
+            gap = np.abs(eigh_desc(M1).lam - eigh_desc(M2).lam).max()
+        return bool(gap <= bound) and (
+            pset.mult is None or contains(Mult(pset.mult), M1, tol=tol))
+    (M,) = means
     if isinstance(pset, Point):
         return np.abs(M - pset.M0).max() <= bound
     if isinstance(pset, (FixedEigvecs, OrderedCone)):
         W = pset.U0.T @ M @ pset.U0
-        off = np.abs(W - np.diag(np.diagonal(W))).max()
-        if off > bound:
-            return False
-        if isinstance(pset, FixedEigvecs):
-            return True
         d = np.diagonal(W)
-        return bool(np.all(d[:-1] >= d[1:] - bound))
+        return bool(np.abs(W - np.diag(d)).max() <= bound) and (
+            isinstance(pset, FixedEigvecs) or bool(np.all(d[:-1] >= d[1:] - bound)))
     if isinstance(pset, FixedEigvals):
         lam = eigh_desc(M).lam
         return np.abs(lam - pset.D0).max() <= bound

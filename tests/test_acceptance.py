@@ -27,6 +27,8 @@ from symtest.calibrate import (
 from symtest.cli import main, read_dataset, write_dataset
 from symtest.matnormal import SuffStats, sample
 from symtest.onesample import (
+    CommonEigvals,
+    EqualMeans,
     FixedEigvals,
     FixedEigvecs,
     Mult,
@@ -43,7 +45,6 @@ from symtest.symcore import (
     norm_sq,
     vecd,
 )
-from symtest.twosample import CommonEigvals, EqualMeans, Unrestricted2, mle2
 
 COV0 = CovParams(1.0, 0.0)
 
@@ -75,6 +76,43 @@ def rotation(params, p):
     x, y, z = np.asarray(params) / theta
     A = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return np.eye(3) + np.sin(theta) * A + (1.0 - np.cos(theta)) * (A @ A)
+
+
+# Levi-Civita symbol: [w]x[j, k] = -sum_l EPS[j, k, l] w[l]
+EPS = np.zeros((3, 3, 3))
+EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1.0
+EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
+
+
+def rotation_derivs(params, p, U):
+    """dU/dv_i of U = rotation(params, p), stacked along axis 0.
+
+    For the axis-angle map at v != 0,
+    dU/dv_i = (v_i [v]x + [v x (I - U) e_i]x) U / |v|^2
+    (Gallego & Yezzi 2015); at v = 0 it is [e_i]x.
+    """
+    if p == 2:
+        c, s = np.cos(params[0]), np.sin(params[0])
+        return np.array([[[-s, -c], [c, -s]]])
+    v = np.asarray(params, dtype=float)
+    theta2 = v @ v
+    if np.sqrt(theta2) < 1e-14:
+        return -EPS.transpose(2, 0, 1)
+    K = -EPS @ v
+    C = K @ (np.eye(3) - U)  # column i is v x (I - U) e_i
+    dK = v[:, None, None] * K - np.einsum("jkl,li->ijk", EPS, C)
+    return dK @ U / theta2
+
+
+def frame_grad(Y, params, p, F):
+    """Gradient of ||U'YU - F||^2 in the rotation parameters, F held fixed.
+
+    By Danskin's theorem this is also the gradient of the minimum over F
+    when F is the minimizing fit: 4 tr((B - F) U'Y dU/dv_i), B = U'YU.
+    """
+    U = rotation(params, p)
+    G = (U.T @ Y @ U - F) @ U.T @ Y
+    return 4.0 * np.einsum("jk,ikj->i", G, rotation_derivs(params, p, U))
 
 
 def rotation_params(U):
@@ -111,7 +149,7 @@ def multistart_min(f, dim, rng, nstart, start=None):
     starts += [rng.uniform(-np.pi, np.pi, dim) for _ in range(nstart)]
     best = np.inf
     for s0 in starts:
-        r = minimize(f, s0, method="BFGS")
+        r = minimize(f, s0, method="BFGS", jac=True)
         if r.fun < best:
             best = float(r.fun)
     return best
@@ -319,7 +357,8 @@ def test_criterion_06_projection_oracle(acceptance_line):
 
             def f41(params):
                 U = rotation(params, p)
-                return frob(Ybar - U @ D @ U.T)
+                return (frob(Ybar - U @ D @ U.T),
+                        frame_grad(Ybar, params, p, D))
 
             f_num = multistart_min(f41, dim, rng, 6 if p == 2 else 8,
                                    start=rotation_params(V))
@@ -349,7 +388,8 @@ def test_criterion_06_projection_oracle(acceptance_line):
                     lam = isotonic_decreasing(means, wts)
                     fitted = block_fill(pattern, lam)
                     off = np.sum(B * B) - np.sum(d * d)
-                    return float(off + np.sum((d - fitted) ** 2))
+                    return (float(off + np.sum((d - fitted) ** 2)),
+                            frame_grad(Ybar, params, 3, np.diag(fitted)))
 
                 f_num = multistart_min(f42, 3, rng, 8,
                                        start=rotation_params(V))
@@ -364,7 +404,8 @@ def test_criterion_06_projection_oracle(acceptance_line):
 
                     def f41t(params):
                         U = rotation(params, 3)
-                        return frob(Ybar - U @ Dt @ U.T)
+                        return (frob(Ybar - U @ Dt @ U.T),
+                                frame_grad(Ybar, params, 3, Dt))
 
                     f_num = multistart_min(f41t, 3, rng, 8,
                                            start=rotation_params(V))
@@ -378,8 +419,8 @@ def test_criterion_06_projection_oracle(acceptance_line):
             pattern = ((1,) * p if p == 2 or it % 2 == 0 else (2, 1))
             S = np.concatenate([np.repeat(Y1[None], n1, axis=0),
                                 np.repeat(Y2[None], n2, axis=0)])
-            fit = mle2(CommonEigvals(Multiplicities(pattern)),
-                       SuffStats.from_sample(S, n1), COV0)
+            fit = mle(CommonEigvals(Multiplicities(pattern)),
+                      SuffStats.from_sample(S, n1), COV0)
             f_closed = n1 * frob(Y1 - fit.M1_hat) + n2 * frob(Y2 - fit.M2_hat)
 
             def f51(params):
@@ -401,7 +442,10 @@ def test_criterion_06_projection_oracle(acceptance_line):
                 fitted = block_fill(pattern, lam)
                 v1 = np.sum(B1 * B1) - np.sum(d1 * d1) + np.sum((d1 - fitted) ** 2)
                 v2 = np.sum(B2 * B2) - np.sum(d2 * d2) + np.sum((d2 - fitted) ** 2)
-                return float(n1 * v1 + n2 * v2)
+                F = np.diag(fitted)
+                return float(n1 * v1 + n2 * v2), np.concatenate([
+                    n1 * frame_grad(Y1, params[:dim], p, F),
+                    n2 * frame_grad(Y2, params[dim:], p, F)])
 
             start = np.concatenate([
                 rotation_params(det_plus(eigh_desc(Y1).V)),
@@ -494,15 +538,15 @@ def test_criterion_07_tangent_orthogonality(acceptance_line):
             n1 = 2
             y1, y2 = S2[:n1].mean(axis=0), S2[n1:].mean(axis=0)
 
-            fit = mle2(EqualMeans(), SuffStats.from_sample(S2, n1), cov)
+            fit = mle(EqualMeans(), SuffStats.from_sample(S2, n1), cov)
             r1, r2 = y1 - fit.M1_hat, y2 - fit.M2_hat
             for T in sym_basis:
                 val = n1 * inner(r1, T, cov) + 3 * inner(r2, T, cov)
                 record(val, frobn(r1) + frobn(r2), frobn(T))
 
             for pattern in ((1, 1, 1), (2, 1)):
-                fit = mle2(CommonEigvals(Multiplicities(pattern)),
-                           SuffStats.from_sample(S2, n1), cov)
+                fit = mle(CommonEigvals(Multiplicities(pattern)),
+                          SuffStats.from_sample(S2, n1), cov)
                 r1, r2 = y1 - fit.M1_hat, y2 - fit.M2_hat
                 for A in skews:
                     t1 = A @ fit.M1_hat - fit.M1_hat @ A
@@ -542,7 +586,7 @@ def test_criterion_08_estimator_consistency(acceptance_line):
         ss1, ss2 = np.random.SeedSequence(500 + k).spawn(2)
         S2 = np.concatenate([sample(n // 2, M, cov, ss1),
                              sample(n // 2, M, cov, ss2)])
-        fit2 = mle2(Unrestricted2(), SuffStats.from_sample(S2, n // 2))
+        fit2 = mle(Unrestricted(), SuffStats.from_sample(S2, n // 2))
         rel = abs(fit2.sigma2_hat - 1.7) / 1.7
         dtau = abs(fit2.tau_hat - tau)
         ok = ok and rel < 0.05 and dtau <= 0.02

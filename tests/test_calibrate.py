@@ -117,6 +117,12 @@ class TestEstimateConeWeights:
         with pytest.raises(ValueError, match="positive"):
             estimate_cone_weights((1.0, 0.0), 0, 0)
 
+    @pytest.mark.parametrize("d_true", [(np.nan, 1.0), (np.inf, 1.0),
+                                        (1.0, -np.inf)])
+    def test_rejects_non_finite(self, d_true):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_cone_weights(d_true, 100, 0)
+
 
 class TestCalibrateNull:
     def test_exact_chi2_null_is_calibrated(self):
@@ -345,3 +351,13 @@ class TestConeBoundaryLaw:
     def test_rejects_increasing(self):
         with pytest.raises(ValueError, match="non-increasing"):
             cone_boundary_law((0.0, 1.0), n=10, reps=100, seed=0)
+
+    @pytest.mark.parametrize("d_true", [(np.nan, 1.0), (1.0, -np.inf)])
+    def test_rejects_non_finite(self, d_true):
+        with pytest.raises(ValueError, match="finite"):
+            cone_boundary_law(d_true, n=10, reps=100, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_sample(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            cone_boundary_law((1.0, 0.0), n=n, reps=100, seed=0)

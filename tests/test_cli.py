@@ -342,6 +342,40 @@ class TestExitCodes:
         self.check_error(capsys, ["test", "--data", path, "--config", cfg],
                          fragment)
 
+    @pytest.mark.parametrize("config", [
+        {"test_id": "s3", "multiplicities": "21"},
+        {"test_id": "c2", "U0": np.eye(3).tolist(), "multiplicities": "111"},
+        {"test_id": "c2", "U0": np.eye(3).tolist(),
+         "weights": {"face_dims": "23", "weights": [0.5, 0.5]}},
+        {"test_id": "c2", "U0": np.eye(3).tolist(),
+         "weights": {"face_dims": [2, 3], "weights": "11"}},
+    ])
+    def test_config_strings_are_not_arrays(self, tmp_path, capsys, config):
+        # a JSON string must not be read one character at a time
+        path, _ = one_sample_file(tmp_path, p=3)
+        cfg = write_config(tmp_path, "t.json", config)
+        self.check_error(capsys, ["test", "--data", path, "--config", cfg],
+                         "expected an array")
+
+    @pytest.mark.parametrize("config", [
+        {"test_id": "s2", "D0": [float("inf"), 2.0, 1.0],
+         "multiplicities": [1, 1, 1]},
+        {"test_id": "a0", "M0": [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]},
+        {"test_id": "a2", "U0": [[1, 0, 0], [0, float("-inf"), 0], [0, 0, 1]]},
+    ])
+    def test_non_finite_config_arrays(self, tmp_path, capsys, config):
+        path, _ = one_sample_file(tmp_path, p=3)
+        cfg = write_config(tmp_path, "t.json", config)
+        self.check_error(capsys, ["test", "--data", path, "--config", cfg],
+                         "entries must be finite")
+
+    @pytest.mark.parametrize("d_true", [[float("nan"), 1.0],
+                                        [float("inf"), 1.0]])
+    def test_cone_weights_non_finite_d_true(self, tmp_path, capsys, d_true):
+        cfg = write_config(tmp_path, "cw.json", {"d_true": d_true, "reps": 100})
+        self.check_error(capsys, ["cone-weights", "--config", cfg,
+                                  "--no-timestamp"], "d_true must be finite")
+
     @pytest.mark.parametrize("key,value", [
         ("n", 5.5), ("n", True), ("seed", 2.5), ("seed", False)])
     def test_simulate_non_integral_count(self, tmp_path, capsys, key, value):

@@ -1,0 +1,71 @@
+"""The in-process contract that symbench relies on.
+
+symbench/checks.py::result_payload tells a one-group fit from a two-group
+one by hasattr(fit, "M_hat"), and symbench/run.py::ReplicateClock times
+calibrate_null's replicates from its calls to symtest.calibrate.sample.
+"""
+
+import numpy as np
+import pytest
+
+from symtest import calibrate, lrt
+from symtest.calibrate import calibrate_null
+from symtest.matnormal import sample
+from symtest.symcore import CovParams
+
+M = np.diag([3.0, 2.0, 1.0])
+CONFIGS = {
+    "a0": {"M0": M.tolist()},
+    "a1": {"U0": np.eye(3).tolist(), "M0": M.tolist()},
+    "a2": {"U0": np.eye(3).tolist()},
+    "c2": {"U0": np.eye(3).tolist(), "multiplicities": [1, 1, 1]},
+    "s1": {"M0": M.tolist(), "D0": [3.0, 2.0, 1.0], "multiplicities": [1, 1, 1]},
+    "s2": {"D0": [3.0, 2.0, 1.0], "multiplicities": [1, 1, 1]},
+    "s3": {"multiplicities": [1, 1, 1]},
+    "cov-check": {},
+    "2a0": {},
+    "2s1": {"multiplicities": [1, 1, 1]},
+    "2s2": {"multiplicities": [1, 1, 1]},
+}
+
+
+def test_every_test_id_is_covered():
+    assert set(CONFIGS) == set(lrt.TESTS)
+
+
+@pytest.mark.parametrize("test_id", sorted(CONFIGS))
+def test_fit_fields_tell_the_group_count(test_id):
+    cov = CovParams(1.0, 0.1)
+    S = sample(40, M, cov, 401)
+    two = lrt.TESTS[test_id].two_sample
+    if two:
+        S = np.concatenate([S, sample(30, M, cov, 402)])
+    res = lrt.run_config(dict(CONFIGS[test_id], test_id=test_id), S,
+                         n1=40 if two else None)
+    fit = res.fit_null
+    if two:
+        assert hasattr(fit, "M1_hat") and hasattr(fit, "M2_hat")
+        assert not hasattr(fit, "M_hat")
+    else:
+        assert hasattr(fit, "M_hat")
+        assert not hasattr(fit, "M1_hat") and not hasattr(fit, "M2_hat")
+
+
+@pytest.mark.parametrize("test_id,truth,n", [
+    ("a0", {"M": M.tolist()}, 6),
+    ("2a0", {"M1": M.tolist(), "M2": M.tolist()}, (5, 7)),
+])
+def test_calibrate_samples_once_per_group_per_replicate(monkeypatch, test_id,
+                                                         truth, n):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "sample", counted)
+    config = dict(CONFIGS[test_id], test_id=test_id,
+                  cov={"known": {"sigma2": 1.0, "tau": 0.1}})
+    calibrate_null(config, dict(truth, sigma2=1.0, tau=0.1), n, 1000, 3)
+    sizes = n if isinstance(n, tuple) else (n,)
+    assert calls == list(sizes) * 1000

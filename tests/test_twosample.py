@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 
 from symtest.matnormal import SuffStats, sample
-from symtest.onesample import Mult, contains, estimate_sigma2, estimate_tau, mle
-from symtest.symcore import CovParams, Multiplicities, norm_sq, sym_dim
-from symtest.twosample import (
+from symtest.onesample import (
     CommonEigvals,
     EqualMeans,
     FitResult2,
-    Unrestricted2,
-    contains2,
-    mle2,
+    Mult,
+    Unrestricted,
+    contains,
+    estimate_sigma2,
+    estimate_tau,
+    mle,
     mle_common_eigvals,
 )
+from symtest.symcore import CovParams, Multiplicities, norm_sq, sym_dim
 
 
 def random_symmetric(rng, p, scale=1.0):
@@ -183,7 +185,7 @@ class TestPooledEstimators:
         S = two_group_sample(7, 5, np.diag([2.0, 0.0]),
                              np.array([[1.0, 0.7], [0.7, 1.0]]),
                              CovParams(1.0, 0.1), 130)
-        a = mle2(EqualMeans(), SuffStats.from_sample(S, 7)).tau_hat
+        a = mle(EqualMeans(), SuffStats.from_sample(S, 7)).tau_hat
         b = estimate_tau(SuffStats.from_sample(S), (S.mean(axis=0),))
         assert a == pytest.approx(b, rel=1e-12)
 
@@ -205,7 +207,7 @@ class TestPooledEstimators:
         cov = CovParams(1.3, 0.1)
         M1 = np.array([[2.0, 0.7], [0.7, 0.5]])
         S = two_group_sample(12_000, 8_000, M1, M1 + 2.0 * np.eye(2), cov, 131)
-        fit = mle2(Unrestricted2(), SuffStats.from_sample(S, 12_000))
+        fit = mle(Unrestricted(), SuffStats.from_sample(S, 12_000))
         assert fit.tau_hat == pytest.approx(0.1, abs=0.04)
         assert fit.sigma2_hat == pytest.approx(1.3, abs=0.04)
 
@@ -216,8 +218,8 @@ class TestPooledEstimators:
         R = np.array([[c, -s], [s, c]])
         M1 = np.diag([3.0, 1.0])
         S = two_group_sample(12_000, 8_000, M1, R @ M1 @ R.T, cov, 132)
-        fit = mle2(CommonEigvals(Multiplicities((1, 1))),
-                   SuffStats.from_sample(S, 12_000))
+        fit = mle(CommonEigvals(Multiplicities((1, 1))),
+                  SuffStats.from_sample(S, 12_000))
         assert fit.tau_hat == pytest.approx(0.2, abs=0.04)
         assert fit.sigma2_hat == pytest.approx(1.3, abs=0.04)
 
@@ -227,7 +229,7 @@ class TestMle2Dispatch:
         S = two_group_sample(5, 7, np.eye(2), np.zeros((2, 2)),
                              CovParams(1.0, 0.0), 119)
         y1, y2, _ = group_means(S, 5)
-        fit = mle2(Unrestricted2(), SuffStats.from_sample(S, 5))
+        fit = mle(Unrestricted(), SuffStats.from_sample(S, 5))
         assert isinstance(fit, FitResult2)
         assert np.array_equal(fit.M1_hat, y1)
         assert np.array_equal(fit.M2_hat, y2)
@@ -236,7 +238,7 @@ class TestMle2Dispatch:
         S = two_group_sample(5, 7, np.eye(2), np.zeros((2, 2)),
                              CovParams(1.0, 0.0), 120)
         _, _, avg = group_means(S, 5)
-        fit = mle2(EqualMeans(), SuffStats.from_sample(S, 5))
+        fit = mle(EqualMeans(), SuffStats.from_sample(S, 5))
         assert np.array_equal(fit.M1_hat, avg)
         assert np.array_equal(fit.M2_hat, fit.M1_hat)
 
@@ -244,8 +246,8 @@ class TestMle2Dispatch:
         S = two_group_sample(6, 6, np.diag([3.0, 1.0]), np.diag([3.0, 1.0]),
                              CovParams(0.5, 0.0), 121)
         y1, y2, _ = group_means(S, 6)
-        fit = mle2(CommonEigvals(Multiplicities((1, 1))),
-                   SuffStats.from_sample(S, 6))
+        fit = mle(CommonEigvals(Multiplicities((1, 1))),
+                  SuffStats.from_sample(S, 6))
         want1, want2 = mle_common_eigvals(Multiplicities((1, 1)), y1, y2, 6, 6)
         assert np.allclose(fit.M1_hat, want1, atol=1e-13)
         assert np.allclose(fit.M2_hat, want2, atol=1e-13)
@@ -256,7 +258,7 @@ class TestMle2Dispatch:
         mult = Multiplicities((2, 1))
         S = two_group_sample(7, 9, np.diag([2.0, 2.0, 1.0]),
                              np.diag([2.5, 1.5, 1.0]), CovParams(0.8, 0.1), 124)
-        fit = mle2(EqualMeans(mult), SuffStats.from_sample(S, 7))
+        fit = mle(EqualMeans(mult), SuffStats.from_sample(S, 7))
         pooled = mle(Mult(mult), SuffStats.from_sample(S))
         assert np.array_equal(fit.M1_hat, fit.M2_hat)
         assert np.allclose(fit.M1_hat, pooled.M_hat, rtol=0, atol=1e-13)
@@ -265,27 +267,27 @@ class TestMle2Dispatch:
 
     def test_known_cov_recorded(self):
         S = two_group_sample(3, 3, np.eye(2), np.eye(2), CovParams(1.0, 0.0), 122)
-        fit = mle2(EqualMeans(), SuffStats.from_sample(S, 3),
-                   cov=CovParams(2.5, -0.25))
+        fit = mle(EqualMeans(), SuffStats.from_sample(S, 3),
+                  cov=CovParams(2.5, -0.25))
         assert fit.sigma2_hat == 2.5
         assert fit.tau_hat == -0.25
 
     def test_rejects_one_group(self):
         with pytest.raises(ValueError, match="two-group"):
-            mle2(EqualMeans(), SuffStats.from_sample(np.zeros((4, 2, 2))))
+            mle(EqualMeans(), SuffStats.from_sample(np.zeros((4, 2, 2))))
 
     def test_rejects_unknown_set(self):
         with pytest.raises(TypeError, match="parameter set"):
-            mle2(object(), SuffStats.from_sample(np.zeros((4, 2, 2)), 2))
+            mle(object(), SuffStats.from_sample(np.zeros((4, 2, 2)), 2))
 
 
 class TestContains2:
     def test_unrestricted(self):
-        assert contains2(Unrestricted2(), np.eye(2), np.zeros((2, 2)))
+        assert contains(Unrestricted(), np.eye(2), np.zeros((2, 2)))
 
     def test_equal_means(self):
-        assert contains2(EqualMeans(), np.eye(2), np.eye(2))
-        assert not contains2(EqualMeans(), np.eye(2), np.zeros((2, 2)))
+        assert contains(EqualMeans(), np.eye(2), np.eye(2))
+        assert not contains(EqualMeans(), np.eye(2), np.zeros((2, 2)))
 
     def test_equal_means_with_pattern(self):
         # EqualMeans(mult) holds where the means are equal and the common
@@ -296,10 +298,10 @@ class TestContains2:
         for d in ([4.0, 2.0, 2.0], [4.0, 3.0, 2.0], [3.0, 3.0, 3.0]):
             M = (Q * np.array(d)) @ Q.T
             want = contains(Mult(mult), M)
-            assert contains2(EqualMeans(mult), M, M) == want
-            assert not contains2(EqualMeans(mult), M, M + 0.1 * np.eye(3))
-        assert contains2(EqualMeans(mult), np.eye(3), np.eye(3))
-        assert not contains2(EqualMeans(mult), np.diag([4.0, 3.0, 2.0]),
+            assert contains(EqualMeans(mult), M, M) == want
+            assert not contains(EqualMeans(mult), M, M + 0.1 * np.eye(3))
+        assert contains(EqualMeans(mult), np.eye(3), np.eye(3))
+        assert not contains(EqualMeans(mult), np.diag([4.0, 3.0, 2.0]),
                              np.diag([4.0, 3.0, 2.0]))
 
     def test_common_eigvals(self):
@@ -307,9 +309,9 @@ class TestContains2:
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         d = np.array([4.0, 2.0, 2.0])
         pset = CommonEigvals(Multiplicities((1, 2)))
-        assert contains2(pset, np.diag(d), (Q * d) @ Q.T)
+        assert contains(pset, np.diag(d), (Q * d) @ Q.T)
         # Matching spectra that break the multiplicity pattern fail.
         d2 = np.array([4.0, 3.0, 2.0])
-        assert not contains2(pset, np.diag(d2), (Q * d2) @ Q.T)
+        assert not contains(pset, np.diag(d2), (Q * d2) @ Q.T)
         # Different spectra fail outright.
-        assert not contains2(pset, np.diag(d), np.diag([5.0, 2.0, 2.0]))
+        assert not contains(pset, np.diag(d), np.diag([5.0, 2.0, 2.0]))
