@@ -31,11 +31,7 @@ from .onesample import (
     FitResult,
     FitResult2,
     mle,
-    mle_fixed_eigvecs,
-    mle_ordered_cone,
-    mle_fixed_eigvals,
-    mle_multiplicities,
-    mle_common_eigvals,
+    project,
     estimate_sigma2,
     estimate_tau,
     eigvec_uncertainty,

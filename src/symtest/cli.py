@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, calibrate, lrt
-from .symcore import CovParams, check_integer, matrix_log, sym_dim
+from .symcore import CovParams, check_integer, check_symmetric, matrix_log, sym_dim
 from .matnormal import sample
 
 
@@ -263,9 +263,10 @@ def cmd_simulate(config_path, out_path, seed=None):
     keys = ((("M1", "n1"), ("M2", "n2")) if "M1" in config or "n1" in config
             else (("M", "n"),))
     try:
-        cov = CovParams(float(config["sigma2"]), float(config["tau"]))
-        means = [np.asarray(config[m], dtype=float) for m, _ in keys]
-        sizes = [_integer(config[k], k) for _, k in keys]
+        with _input_errors(TypeError, ValueError):  # a malformed value
+            cov = CovParams(float(config["sigma2"]), float(config["tau"]))
+            means = [check_symmetric(config[m], m) for m, _ in keys]
+            sizes = [_integer(config[k], k) for _, k in keys]
     except KeyError as e:
         raise InputError("simulate config requires %s" % e)
     _check_p(config, means[0].shape[0])

@@ -173,22 +173,25 @@ def quantile(dist, prob):
     return 0.5 * (lo + hi)
 
 
-def _clamp(t):
+def _clamp(t, tol=CLAMP):
     # nested minima cannot differ by less than 0; allow rounding dust only
     if t < 0.0:
-        if t < -CLAMP:
+        if t < -tol:
             raise StatisticError(
                 "nested-model statistic is negative beyond rounding: %g" % t)
         return 0.0
     return float(t)
 
 
-def _result(test_id, t, dist, fit_null, fit_alt, plugin):
-    t = _clamp(t)
-    if isinstance(dist, (ChiSq, ChiSqApprox)) and dist.df == 0 and t <= CLAMP:
+def _result(test_id, t, dist, fit_null, fit_alt, plugin, size=0.0):
+    # t's rounding error scales with the terms it is a difference of: allow
+    # 64 ulps of their summed magnitude `size`, and at least CLAMP
+    tol = max(CLAMP, 64.0 * np.finfo(float).eps * size)
+    t = _clamp(t, tol)
+    if isinstance(dist, (ChiSq, ChiSqApprox)) and dist.df == 0 and t <= tol:
         # df 0 means the null and alternative coincide: the statistic is
-        # identically zero and anything below the clamp is rounding dust,
-        # which must not flip the point-mass p-value from 1 to 0.
+        # identically zero and anything below the tolerance is rounding
+        # dust, which must not flip the point-mass p-value from 1 to 0.
         t = 0.0
     warns = []
     if plugin:
@@ -205,11 +208,15 @@ def _lr(stats, fit_null, fit_alt, cov):
 
     Sum over groups of n_g (||Ybar_g - M0_g||^2 - ||Ybar_g - M1_g||^2),
     each squared distance formed from its own difference matrix, so the
-    statistic stays accurate at any data scale.
+    statistic stays accurate at any data scale. Returns the statistic and
+    the summed magnitude of the terms it subtracts, which sets the size
+    of its rounding error.
     """
-    return sum(n * (norm_sq(ybar - m0, cov) - norm_sq(ybar - m1, cov))
-               for n, ybar, m0, m1 in zip(stats.n, stats.ybar, fit_null.means,
-                                          fit_alt.means))
+    terms = [(n, norm_sq(ybar - m0, cov), norm_sq(ybar - m1, cov))
+             for n, ybar, m0, m1 in zip(stats.n, stats.ybar, fit_null.means,
+                                        fit_alt.means)]
+    return (sum(n * (a - b) for n, a, b in terms),
+            sum(n * (abs(a) + abs(b)) for n, a, b in terms))
 
 
 def _run(test_id, stats, args):
@@ -241,8 +248,9 @@ def _run(test_id, stats, args):
         scale = (n - len(stats.n)) / (sym_dim(stats.p) * n)
     if spec.tau_free:
         cov = CovParams(cov.sigma2)
-    return _result(test_id, scale * _lr(stats, fit_null, fit_alt, cov), dist,
-                   fit_null, fit_alt, plugin)
+    t, size = _lr(stats, fit_null, fit_alt, cov)
+    return _result(test_id, scale * t, dist, fit_null, fit_alt, plugin,
+                   scale * size)
 
 
 def test_point_unrestricted(stats, M0, cov=None):

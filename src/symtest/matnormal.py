@@ -161,11 +161,3 @@ class SuffStats:
     def B(self):
         """Per group, the summed squared residual norms sum_i ||R_i||^2."""
         return tuple(float(np.trace(W)) for W in self.W)
-
-    @property
-    def mean(self):
-        """Mean of all observations: the group means weighted by the counts."""
-        if len(self.n) == 1:
-            return self.ybar[0]
-        (n1, n2), (y1, y2) = self.n, self.ybar
-        return (n1 * y1 + n2 * y2) / (n1 + n2)

@@ -3,7 +3,11 @@
 Under the orthogonally invariant model, the MLE of the group means over
 any of the supported parameter sets is the Frobenius projection of the
 sample means onto the set (minimizing sum_g n_g ||Ybar_g - M_g||^2),
-independent of (sigma2, tau). One mle and one contains serve every set:
+independent of (sigma2, tau). project computes it for every set: each
+mean is written in a frame (U0 or its own eigenvectors), its eigenvalue
+coordinates are projected onto the set's spectra and it is rebuilt in
+that frame. mle is project plus the covariance fit, and contains tests
+that the means are a fixed point of project. The sets:
 
 - Unrestricted: each group mean free, for one or two groups.
 - Point(M0): the single matrix M0.
@@ -216,53 +220,48 @@ def pava(y):
     return out, face_dim
 
 
-def mle_fixed_eigvecs(U0, Ybar):
-    """Projection of Ybar onto the matrices diagonalized by U0."""
-    d = np.diagonal(U0.T @ Ybar @ U0)
-    return (U0 * d) @ U0.T
+def project(pset, *means, n=None):
+    """Frobenius projection of the group means onto a parameter set.
 
-
-def mle_ordered_cone(U0, Ybar):
-    """Projection onto the U0-diagonalized matrices with ordered eigenvalues.
-
-    Returns (fitted matrix, face dimension of the cone face reached).
+    Takes one mean per group, as many as the set fits, and the group
+    counts n (equal weights if omitted); minimizes sum_g n_g ||Y_g - M_g||^2
+    over the set. EqualMeans pools the means, then projects the pooled
+    mean onto Mult(mult) if a pattern is given. Every other restricted set
+    is spectral: each mean is written in a frame, U0 for the affine sets
+    and the cone, its own descending eigenvectors otherwise; the
+    count-weighted mean of the eigenvalue coordinates is projected onto the
+    set's spectra (kept, ordered by PAVA, replaced by D0, or block
+    averaged); and each mean is rebuilt in its frame. Within a tied block
+    of eigenvalues any rotation gives the same objective, and the solver's
+    eigenvectors are kept. Returns (projected means, face_dim), face_dim
+    the number of distinct values of an OrderedCone fit and None otherwise.
     """
-    y = np.diagonal(U0.T @ Ybar @ U0)
-    d, face_dim = pava(y)
-    return (U0 * d) @ U0.T, face_dim
-
-
-def mle_fixed_eigvals(D0, mult, Ybar):
-    """Projection onto the matrices with known spectrum D0.
-
-    The minimizer pairs the descending eigenvectors of Ybar with the
-    descending D0; any within-block rotation gives the same objective, and
-    the canonical representative (identity block rotation) is returned.
-    """
-    _check_spectrum(np.asarray(D0, dtype=float), mult)
-    dec = eigh_desc(Ybar)
-    return (dec.V * np.asarray(D0, dtype=float)) @ dec.V.T
-
-
-def mle_multiplicities(mult, Ybar):
-    """Projection onto the matrices whose spectrum has pattern mult."""
-    dec = eigh_desc(Ybar)
-    d = block_average(dec.lam, mult)
-    return (dec.V * d) @ dec.V.T
-
-
-def mle_common_eigvals(mult, Ybar1, Ybar2, n1, n2):
-    """Projection of the group means onto the common-spectrum set.
-
-    Each group keeps its own descending eigenvectors; the shared spectrum
-    is the block average of the weighted eigenvalue mean
-    (n1 L1 + n2 L2) / (n1 + n2).
-    """
-    dec1 = eigh_desc(Ybar1)
-    dec2 = eigh_desc(Ybar2)
-    lam_bar = (n1 * dec1.lam + n2 * dec2.lam) / (n1 + n2)
-    d = block_average(lam_bar, mult)
-    return (dec1.V * d) @ dec1.V.T, (dec2.V * d) @ dec2.V.T
+    _check_groups(pset, len(means))
+    n = (1,) * len(means) if n is None else n
+    if isinstance(pset, Unrestricted):
+        return means, None
+    if isinstance(pset, Point):
+        return (pset.M0,), None
+    if isinstance(pset, EqualMeans):
+        (n1, n2), (y1, y2) = n, means
+        m_hat = (n1 * y1 + n2 * y2) / (n1 + n2)
+        if pset.mult is not None:
+            (m_hat,), _ = project(Mult(pset.mult), m_hat)
+        return (m_hat, m_hat), None
+    if isinstance(pset, (FixedEigvecs, OrderedCone)):
+        frames = [(pset.U0, np.diagonal(pset.U0.T @ Y @ pset.U0)) for Y in means]
+    else:
+        frames = [(dec.V, dec.lam) for dec in map(eigh_desc, means)]
+    lam = (frames[0][1] if len(frames) == 1 else
+           np.sum([k * d for k, (_, d) in zip(n, frames)], axis=0) / sum(n))
+    face_dim = None
+    if isinstance(pset, OrderedCone):
+        lam, face_dim = pava(lam)
+    elif isinstance(pset, FixedEigvals):
+        lam = pset.D0
+    elif isinstance(pset, (Mult, CommonEigvals)):
+        lam = block_average(lam, pset.mult)
+    return tuple((V * lam) @ V.T for V, _ in frames), face_dim
 
 
 def _dispersion(stats, means):
@@ -344,30 +343,7 @@ def mle(pset, stats, cov=None):
     recorded instead of being estimated; this also permits n = 1. Returns
     a FitResult (M_hat) for one group, a FitResult2 (M1_hat, M2_hat) for two.
     """
-    _check_groups(pset, len(stats.n))
-    ybar = stats.ybar
-    face_dim = None
-    if isinstance(pset, Unrestricted):
-        means = ybar
-    elif isinstance(pset, EqualMeans):
-        m_hat = (stats.mean if pset.mult is None
-                 else mle_multiplicities(pset.mult, stats.mean))
-        means = (m_hat, m_hat)
-    elif isinstance(pset, CommonEigvals):
-        means = mle_common_eigvals(pset.mult, *ybar, *stats.n)
-    elif isinstance(pset, Point):
-        means = (pset.M0,)
-    elif isinstance(pset, FixedEigvecs):
-        means = (mle_fixed_eigvecs(pset.U0, ybar[0]),)
-    elif isinstance(pset, OrderedCone):
-        m_hat, face_dim = mle_ordered_cone(pset.U0, ybar[0])
-        means = (m_hat,)
-    elif isinstance(pset, FixedEigvals):
-        means = (mle_fixed_eigvals(pset.D0, pset.mult, ybar[0]),)
-    elif isinstance(pset, Mult):
-        means = (mle_multiplicities(pset.mult, ybar[0]),)
-    else:
-        raise TypeError("unknown parameter set %r" % (pset,))
+    means, face_dim = project(pset, *stats.ybar, n=stats.n)
     sigma2_hat, tau_hat = _fit_cov(stats, means, cov)
     if len(means) == 2:
         return FitResult2(*means, sigma2_hat=sigma2_hat, tau_hat=tau_hat,
@@ -377,40 +353,16 @@ def mle(pset, stats, cov=None):
 
 
 def contains(pset, *means, tol=1e-9):
-    """Membership predicate: do the group means lie in the set to within tol?
+    """Membership predicate: is each group mean a fixed point of project?
 
-    Takes one mean per group, as many as the set fits. The tolerance is
-    on max absolute entry (or eigenvalue) differences, scaled by the
-    magnitude of the means.
+    Takes one mean per group, as many as the set fits. The means lie in
+    the set when projecting them moves no entry by more than tol times
+    the magnitude of the means (at least 1), one rule for every set.
     """
-    _check_groups(pset, len(means))
     means = [check_symmetric(M, "M", tol=max(tol, 1e-12)) for M in means]
-    bound = tol * max(1.0, *(np.abs(M).max() for M in means))
-    if isinstance(pset, Unrestricted):
-        return True
-    if isinstance(pset, (EqualMeans, CommonEigvals)):
-        M1, M2 = means
-        if isinstance(pset, EqualMeans):
-            gap = np.abs(M1 - M2).max()
-        else:
-            gap = np.abs(eigh_desc(M1).lam - eigh_desc(M2).lam).max()
-        return bool(gap <= bound) and (
-            pset.mult is None or contains(Mult(pset.mult), M1, tol=tol))
-    (M,) = means
-    if isinstance(pset, Point):
-        return np.abs(M - pset.M0).max() <= bound
-    if isinstance(pset, (FixedEigvecs, OrderedCone)):
-        W = pset.U0.T @ M @ pset.U0
-        d = np.diagonal(W)
-        return bool(np.abs(W - np.diag(d)).max() <= bound) and (
-            isinstance(pset, FixedEigvecs) or bool(np.all(d[:-1] >= d[1:] - bound)))
-    if isinstance(pset, FixedEigvals):
-        lam = eigh_desc(M).lam
-        return np.abs(lam - pset.D0).max() <= bound
-    if isinstance(pset, Mult):
-        lam = eigh_desc(M).lam
-        return np.abs(lam - block_average(lam, pset.mult)).max() <= bound
-    raise TypeError("unknown parameter set %r" % (pset,))
+    bound = tol * max([1.0] + [np.abs(M).max() for M in means])
+    fitted, _ = project(pset, *means)
+    return all(np.abs(F - M).max() <= bound for F, M in zip(fitted, means))
 
 
 def _align_signs(U, Uhat):

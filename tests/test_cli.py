@@ -126,6 +126,20 @@ class TestDatasetRoundTrip:
 
 
 class TestCmdTest:
+    def test_s1_far_from_m0_exits_zero(self, tmp_path, capsys):
+        # the two squared distances s1 subtracts are about 2.8e11 each, so
+        # their rounding error is far above an absolute tolerance
+        D = np.diag([3.0, 2.0, 1.0])
+        path = str(tmp_path / "d.csv")
+        write_dataset(path, sample(200, 1e4 * D, CovParams(1.0, 0.0), 30))
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "s1", "M0": D.tolist(), "D0": [3.0, 2.0, 1.0],
+            "multiplicities": [1, 1, 1],
+            "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}})
+        code, out, _ = run(capsys, ["test", "--data", path, "--config", cfg])
+        assert code == 0
+        assert json.loads(out)["statistic"] >= 0.0
+
     def test_statistic_zero_at_own_mean(self, tmp_path, capsys):
         path, S = one_sample_file(tmp_path)
         M0 = S.mean(axis=0)
@@ -394,6 +408,17 @@ class TestExitCodes:
         out = tmp_path / "d.csv"
         self.check_error(capsys, ["simulate", "--config", cfg, "--out", str(out)],
                          "'n2' must be an integer")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"sigma2": "abc"}, {"sigma2": [1]}, {"M": 3}, {"M": [[1, 0], [0]]}],
+        ids=["sigma2-string", "sigma2-array", "M-scalar", "M-ragged"])
+    def test_simulate_malformed_config(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, "sim.json", dict(
+            {"M": np.eye(2).tolist(), "n": 5, "sigma2": 1.0, "tau": 0.0}, **config))
+        out = tmp_path / "d.csv"
+        code, _, err = run(capsys, ["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 2 and "error" in err
         assert not out.exists()
 
     def test_non_string_test_id(self, tmp_path, capsys):

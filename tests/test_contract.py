@@ -1,9 +1,13 @@
 """The in-process contract that symbench relies on.
 
 symbench/checks.py::result_payload tells a one-group fit from a two-group
-one by hasattr(fit, "M_hat"), and symbench/run.py::ReplicateClock times
-calibrate_null's replicates from its calls to symtest.calibrate.sample.
+one by hasattr(fit, "M_hat"), symbench/run.py::ReplicateClock times
+calibrate_null's replicates from its calls to symtest.calibrate.sample,
+and symbench/spans.py traces functions by module and name: a renamed one
+would read 0 calls without any warning.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -27,6 +31,23 @@ CONFIGS = {
     "2s1": {"multiplicities": [1, 1, 1]},
     "2s2": {"multiplicities": [1, 1, 1]},
 }
+
+
+TRACED = {
+    "symcore": ("eigh_desc", "check_symmetric", "block_average", "matrix_log"),
+    "matnormal": ("sample",),
+    "onesample": ("mle", "estimate_tau", "estimate_sigma2", "pava", "contains"),
+    "lrt": ("run_config", "pvalue", "quantile"),
+    "calibrate": ("calibrate_null", "estimate_cone_weights"),
+    "cli": ("read_dataset", "write_dataset", "dumps", "main"),
+}
+
+
+@pytest.mark.parametrize("module,name", [
+    (m, f) for m, names in TRACED.items() for f in names])
+def test_traced_names_are_module_functions(module, name):
+    assert callable(getattr(importlib.import_module("symtest." + module), name,
+                            None))
 
 
 def test_every_test_id_is_covered():

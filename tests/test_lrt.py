@@ -27,7 +27,7 @@ from symtest.lrt import (
     run_config,
 )
 from symtest.matnormal import SuffStats, build_sigma, sample, vecd_rows
-from symtest.onesample import mle_fixed_eigvecs, mle_ordered_cone
+from symtest.onesample import FixedEigvecs, OrderedCone, project
 from symtest.symcore import CovParams, Multiplicities, inner, norm_sq, sym_dim
 
 COV0 = CovParams(1.0, 0.0)
@@ -163,6 +163,17 @@ class TestClamp:
     def test_negative_raises(self):
         with pytest.raises(StatisticError, match="negative"):
             lrt._clamp(-1e-8)
+
+    @pytest.mark.parametrize("seed", [30, 48, 88])
+    def test_tolerance_relative_to_subtracted_terms(self, seed):
+        # The sample mean lies 1e4 times farther from M0 than M0 from the
+        # origin: the two squared distances s1 subtracts are about 2.8e11
+        # each, one ulp of which is far above the absolute CLAMP.
+        D = np.diag([3.0, 2.0, 1.0])
+        S = sample(200, 1e4 * D, CovParams(1.0, 0.0), seed)
+        res = lrt.test_S1(SuffStats.from_sample(S), D, [3.0, 2.0, 1.0],
+                          Multiplicities((1, 1, 1)), CovParams(1.0, 0.0))
+        assert 0.0 <= res.statistic < 1e-2
 
 
 class TestPointUnrestricted:
@@ -378,7 +389,7 @@ class TestC2:
         S = sample(15, np.diag([4.0, 2.0, 1.0]), cov, 329)
         res = lrt.test_C2(SuffStats.from_sample(S),
                           np.eye(3), mult=Multiplicities((1, 1, 1)), cov=cov)
-        fit, _ = mle_ordered_cone(np.eye(3), S.mean(axis=0))
+        (fit,), _ = project(OrderedCone(np.eye(3)), S.mean(axis=0))
         want = 15 * norm_sq(S.mean(axis=0) - fit, cov)
         assert res.statistic == pytest.approx(want, rel=1e-12)
 
@@ -759,8 +770,8 @@ class TestExpandedFormIdentity:
                             float(rng.uniform(-1.0, 1.0 / p - 0.05)))
             Ybar = random_symmetric(rng, p)
             U = random_orthogonal(rng, p)
-            m_alt = mle_fixed_eigvecs(U, Ybar)
-            m_null, _ = mle_ordered_cone(U, Ybar)
+            m_alt = project(FixedEigvecs(U), Ybar)[0][0]
+            (m_null,), _ = project(OrderedCone(U), Ybar)
             a = n * norm_sq(Ybar - m_null, cov) - n * norm_sq(Ybar - m_alt, cov)
             b = (2 * n * inner(Ybar, m_alt - m_null, cov)
                  + n * norm_sq(m_null, cov) - n * norm_sq(m_alt, cov))

@@ -16,6 +16,8 @@ import scipy.linalg
 
 from symtest.matnormal import SuffStats, sample
 from symtest.onesample import (
+    CommonEigvals,
+    EqualMeans,
     FitResult,
     FixedEigvals,
     FixedEigvecs,
@@ -28,11 +30,8 @@ from symtest.onesample import (
     estimate_sigma2,
     estimate_tau,
     mle,
-    mle_fixed_eigvals,
-    mle_fixed_eigvecs,
-    mle_multiplicities,
-    mle_ordered_cone,
     pava,
+    project,
 )
 from symtest.symcore import CovParams, Multiplicities, eigh_desc, sym_dim
 
@@ -152,29 +151,29 @@ class TestPava:
 class TestFixedEigvecsProjection:
     def test_identity_frame_keeps_diagonal(self):
         Ybar = np.array([[2.0, 5.0], [5.0, -1.0]])
-        assert np.array_equal(mle_fixed_eigvecs(np.eye(2), Ybar),
+        assert np.array_equal(project(FixedEigvecs(np.eye(2)), Ybar)[0][0],
                               np.diag([2.0, -1.0]))
 
     def test_fixed_point(self):
         rng = np.random.default_rng(73)
         U = random_orthogonal(rng, 3)
         M = (U * np.array([4.0, 1.0, -2.0])) @ U.T
-        assert np.allclose(mle_fixed_eigvecs(U, M), M, atol=1e-12)
+        assert np.allclose(project(FixedEigvecs(U), M)[0][0], M, atol=1e-12)
 
     def test_signed_permutation_invariance(self):
         rng = np.random.default_rng(74)
         U = random_orthogonal(rng, 3)
         Ybar = random_symmetric(rng, 3)
-        base = mle_fixed_eigvecs(U, Ybar)
+        base = project(FixedEigvecs(U), Ybar)[0][0]
         perm = U[:, [2, 0, 1]] * np.array([1.0, -1.0, -1.0])
-        assert np.allclose(mle_fixed_eigvecs(perm, Ybar), base, atol=1e-12)
+        assert np.allclose(project(FixedEigvecs(perm), Ybar)[0][0], base, atol=1e-12)
 
     def test_is_orthogonal_projection(self):
         # Residual is orthogonal to every matrix diagonalized by U.
         rng = np.random.default_rng(75)
         U = random_orthogonal(rng, 4)
         Ybar = random_symmetric(rng, 4)
-        fit = mle_fixed_eigvecs(U, Ybar)
+        fit = project(FixedEigvecs(U), Ybar)[0][0]
         other = (U * rng.standard_normal(4)) @ U.T
         assert np.sum((Ybar - fit) * other) == pytest.approx(0.0, abs=1e-12)
 
@@ -184,7 +183,7 @@ class TestOrderedConeProjection:
         rng = np.random.default_rng(76)
         U = random_orthogonal(rng, 4)
         Ybar = random_symmetric(rng, 4)
-        fit, dim = mle_ordered_cone(U, Ybar)
+        (fit,), dim = project(OrderedCone(U), Ybar)
         y = np.diagonal(U.T @ Ybar @ U)
         d, want_dim = pava(y)
         assert np.allclose(fit, (U * d) @ U.T, atol=1e-12)
@@ -193,69 +192,71 @@ class TestOrderedConeProjection:
     def test_ordered_matrix_is_fixed(self):
         U = np.eye(3)
         M = np.diag([3.0, 2.0, -1.0])
-        fit, dim = mle_ordered_cone(U, M)
+        (fit,), dim = project(OrderedCone(U), M)
         assert np.allclose(fit, M, atol=1e-15)
         assert dim == 3
 
 
 class TestFixedEigvalsProjection:
     def test_diagonal_case(self):
-        M = mle_fixed_eigvals([3.0, 2.0], Multiplicities((1, 1)), np.diag([5.0, 1.0]))
+        pset = FixedEigvals([3.0, 2.0], Multiplicities((1, 1)))
+        (M,), _ = project(pset, np.diag([5.0, 1.0]))
         assert np.allclose(M, np.diag([3.0, 2.0]), atol=1e-14)
 
     def test_hand_example(self):
         # Ybar = [[2, 2], [2, 2]] has frame (1,1)/sqrt2, (1,-1)/sqrt2; with
         # spectrum (3, 1) the projection is [[2, 1], [1, 2]].
         Ybar = np.array([[2.0, 2.0], [2.0, 2.0]])
-        M = mle_fixed_eigvals([3.0, 1.0], Multiplicities((1, 1)), Ybar)
+        M = project(FixedEigvals([3.0, 1.0], Multiplicities((1, 1))), Ybar)[0][0]
         assert np.allclose(M, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
 
     def test_scalar_spectrum(self):
         rng = np.random.default_rng(77)
         Ybar = random_symmetric(rng, 3)
-        M = mle_fixed_eigvals([2.5, 2.5, 2.5], Multiplicities((3,)), Ybar)
+        M = project(FixedEigvals([2.5, 2.5, 2.5], Multiplicities((3,))), Ybar)[0][0]
         assert np.allclose(M, 2.5 * np.eye(3), atol=1e-12)
 
     def test_output_spectrum_is_exact(self):
         rng = np.random.default_rng(78)
         D0 = np.array([4.0, 1.0, -1.0])
-        M = mle_fixed_eigvals(D0, Multiplicities((1, 1, 1)), random_symmetric(rng, 3))
+        (M,), _ = project(FixedEigvals(D0, Multiplicities((1, 1, 1))),
+                          random_symmetric(rng, 3))
         assert np.allclose(np.sort(np.linalg.eigvalsh(M))[::-1], D0, atol=1e-10)
 
     def test_rejects_unsorted_spectrum(self):
         with pytest.raises(ValueError, match="decreasing"):
-            mle_fixed_eigvals([1.0, 3.0], Multiplicities((1, 1)), np.eye(2))
+            project(FixedEigvals([1.0, 3.0], Multiplicities((1, 1))), np.eye(2))
 
     def test_rejects_spectrum_pattern_mismatch(self):
         with pytest.raises(ValueError, match="block"):
-            mle_fixed_eigvals([3.0, 1.0], Multiplicities((2,)), np.eye(2))
+            project(FixedEigvals([3.0, 1.0], Multiplicities((2,))), np.eye(2))
 
 
 class TestMultProjection:
     def test_simple_pattern_is_identity(self):
         rng = np.random.default_rng(79)
         Ybar = random_symmetric(rng, 3)
-        fit = mle_multiplicities(Multiplicities((1, 1, 1)), Ybar)
+        fit = project(Mult(Multiplicities((1, 1, 1))), Ybar)[0][0]
         assert np.allclose(fit, Ybar, atol=1e-11)
 
     def test_full_pooling_gives_scaled_identity(self):
         rng = np.random.default_rng(80)
         Ybar = random_symmetric(rng, 4)
-        fit = mle_multiplicities(Multiplicities((4,)), Ybar)
+        fit = project(Mult(Multiplicities((4,))), Ybar)[0][0]
         assert np.allclose(fit, np.trace(Ybar) / 4.0 * np.eye(4), atol=1e-12)
 
     def test_block_average_of_spectrum(self):
         rng = np.random.default_rng(81)
         V = random_orthogonal(rng, 3)
         Ybar = (V * np.array([5.0, 3.0, 1.0])) @ V.T
-        fit = mle_multiplicities(Multiplicities((1, 2)), Ybar)
+        fit = project(Mult(Multiplicities((1, 2))), Ybar)[0][0]
         want = (V * np.array([5.0, 2.0, 2.0])) @ V.T
         assert np.allclose(fit, want, atol=1e-11)
 
     def test_preserves_trace(self):
         rng = np.random.default_rng(82)
         Ybar = random_symmetric(rng, 5)
-        fit = mle_multiplicities(Multiplicities((2, 3)), Ybar)
+        fit = project(Mult(Multiplicities((2, 3))), Ybar)[0][0]
         assert np.trace(fit) == pytest.approx(np.trace(Ybar), rel=1e-13)
 
     def test_orthogonal_equivariance(self):
@@ -263,26 +264,74 @@ class TestMultProjection:
         Ybar = random_symmetric(rng, 4)
         Q = random_orthogonal(rng, 4)
         mult = Multiplicities((1, 3))
-        a = mle_multiplicities(mult, Q @ Ybar @ Q.T)
-        b = Q @ mle_multiplicities(mult, Ybar) @ Q.T
+        a = project(Mult(mult), Q @ Ybar @ Q.T)[0][0]
+        b = Q @ project(Mult(mult), Ybar)[0][0] @ Q.T
         assert np.allclose(a, b, atol=1e-10)
+
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+def all_sets(rng, scale):
+    """Every parameter set at the given data scale, each with group means off it.
+
+    Returns (set, means, counts, tolerance at scale 1) tuples; the counts
+    weight the two-group fits unequally.
+    """
+    U = random_orthogonal(rng, 3)
+    mult = Multiplicities((1, 2))
+    Y1, Y2 = (random_symmetric(rng, 3, scale) for _ in range(2))
+    one = [(Unrestricted(), 1e-12),
+           (Point(random_symmetric(rng, 3, scale)), 1e-12),
+           (FixedEigvecs(U), 1e-12),
+           (OrderedCone(U), 1e-12),
+           (FixedEigvals(scale * np.array([3.0, 1.0, 1.0]), mult), 1e-11),
+           (Mult(mult), 1e-11)]
+    two = [(Unrestricted(), 1e-12), (EqualMeans(), 1e-12),
+           (EqualMeans(mult), 1e-11), (CommonEigvals(mult), 1e-11)]
+    return ([(pset, (Y1,), None, tol) for pset, tol in one]
+            + [(pset, (Y1, Y2), (4, 7), tol) for pset, tol in two])
+
+
+FRAME_FREE = (Unrestricted, FixedEigvals, Mult, EqualMeans, CommonEigvals)
+
 
 class TestProjectionGeometry:
     def test_idempotent_all_sets(self):
         rng = np.random.default_rng(85)
-        U = random_orthogonal(rng, 3)
-        Ybar = random_symmetric(rng, 3)
-        fit = mle_fixed_eigvecs(U, Ybar)
-        assert np.allclose(mle_fixed_eigvecs(U, fit), fit, atol=1e-12)
-        fit, _ = mle_ordered_cone(U, Ybar)
-        again, _ = mle_ordered_cone(U, fit)
-        assert np.allclose(again, fit, atol=1e-12)
-        mult = Multiplicities((1, 2))
-        fit = mle_multiplicities(mult, Ybar)
-        assert np.allclose(mle_multiplicities(mult, fit), fit, atol=1e-11)
-        D0 = np.array([3.0, 1.0, 1.0])
-        fit = mle_fixed_eigvals(D0, mult, Ybar)
-        assert np.allclose(mle_fixed_eigvals(D0, mult, fit), fit, atol=1e-11)
+        for scale in SCALES:
+            for pset, Y, n, tol in all_sets(rng, scale):
+                fit, _ = project(pset, *Y, n=n)
+                again, _ = project(pset, *fit, n=n)
+                for a, f in zip(again, fit):
+                    assert np.allclose(a, f, rtol=0, atol=tol * scale), (pset, scale)
+                assert contains(pset, *fit), (pset, scale)
+
+    def test_step_off_the_set_is_rejected(self):
+        # A step of 1e-6 relative to the scale contains measures in, along
+        # the projection residual, leaves every restricted set.
+        rng = np.random.default_rng(851)
+        for scale in SCALES:
+            for pset, Y, _, _ in all_sets(rng, scale):
+                if isinstance(pset, Unrestricted):
+                    continue
+                fit, _ = project(pset, *Y)
+                step = 1e-6 * max(1.0, *(np.abs(F).max() for F in fit))
+                off = [F + step * (y - F) / np.abs(y - F).max()
+                       for F, y in zip(fit, Y)]
+                assert not contains(pset, *off), (pset, scale)
+
+    def test_frame_free_sets_are_equivariant(self):
+        rng = np.random.default_rng(852)
+        for scale in SCALES:
+            Q = random_orthogonal(rng, 3)
+            for pset, Y, n, tol in all_sets(rng, scale):
+                if not isinstance(pset, FRAME_FREE):
+                    continue
+                rotated, _ = project(pset, *(Q @ y @ Q.T for y in Y), n=n)
+                fit, _ = project(pset, *Y, n=n)
+                for r, f in zip(rotated, fit):
+                    assert np.allclose(r, Q @ f @ Q.T, rtol=0, atol=tol * scale), (
+                        pset, scale)
 
     def test_contraction_on_convex_sets(self):
         # Projections onto a subspace and onto a closed convex cone cannot
@@ -293,9 +342,9 @@ class TestProjectionGeometry:
             Y1 = random_symmetric(rng, 4, scale=2.0)
             Y2 = random_symmetric(rng, 4, scale=2.0)
             gap = np.linalg.norm(Y1 - Y2)
-            a = mle_fixed_eigvecs(U, Y1) - mle_fixed_eigvecs(U, Y2)
+            a = project(FixedEigvecs(U), Y1)[0][0] - project(FixedEigvecs(U), Y2)[0][0]
             assert np.linalg.norm(a) <= gap + 1e-10
-            b = mle_ordered_cone(U, Y1)[0] - mle_ordered_cone(U, Y2)[0]
+            b = project(OrderedCone(U), Y1)[0][0] - project(OrderedCone(U), Y2)[0][0]
             assert np.linalg.norm(b) <= gap + 1e-10
 
 

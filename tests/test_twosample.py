@@ -21,7 +21,7 @@ from symtest.onesample import (
     estimate_sigma2,
     estimate_tau,
     mle,
-    mle_common_eigvals,
+    project,
 )
 from symtest.symcore import CovParams, Multiplicities, norm_sq, sym_dim
 
@@ -87,14 +87,14 @@ class TestObjectiveSplit:
 
 class TestCommonEigvalsProjection:
     def test_diagonal_hand_example(self):
-        M1, M2 = mle_common_eigvals(Multiplicities((1, 1)),
-                                    np.diag([4.0, 2.0]), np.diag([2.0, 0.0]), 5, 5)
+        (M1, M2), _ = project(CommonEigvals(Multiplicities((1, 1))),
+                              np.diag([4.0, 2.0]), np.diag([2.0, 0.0]), n=(5, 5))
         assert np.allclose(M1, np.diag([3.0, 1.0]), atol=1e-12)
         assert np.allclose(M2, np.diag([3.0, 1.0]), atol=1e-12)
 
     def test_weighted_spectrum(self):
-        M1, M2 = mle_common_eigvals(Multiplicities((1, 1)),
-                                    np.diag([4.0, 2.0]), np.diag([0.0, -2.0]), 1, 3)
+        (M1, M2), _ = project(CommonEigvals(Multiplicities((1, 1))),
+                              np.diag([4.0, 2.0]), np.diag([0.0, -2.0]), n=(1, 3))
         assert np.allclose(np.diagonal(M1), [1.0, -1.0], atol=1e-12)
         assert np.allclose(np.diagonal(M2), [1.0, -1.0], atol=1e-12)
 
@@ -104,7 +104,7 @@ class TestCommonEigvalsProjection:
         Q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         Y1 = (Q1 * np.array([6.0, 3.0, 1.0])) @ Q1.T
         Y2 = (Q2 * np.array([4.0, 3.0, 2.0])) @ Q2.T
-        M1, M2 = mle_common_eigvals(Multiplicities((1, 1, 1)), Y1, Y2, 2, 2)
+        M1, M2 = project(CommonEigvals(Multiplicities((1, 1, 1))), Y1, Y2, n=(2, 2))[0]
         # Shared spectrum (5, 3, 1.5), original eigenvector frames.
         assert np.allclose(np.sort(np.linalg.eigvalsh(M1)),
                            np.sort(np.linalg.eigvalsh(M2)), atol=1e-11)
@@ -118,7 +118,7 @@ class TestCommonEigvalsProjection:
         d = np.array([4.0, 4.0, 1.0])
         Y1 = (Q1 * d) @ Q1.T
         Y2 = (Q2 * d) @ Q2.T
-        M1, M2 = mle_common_eigvals(Multiplicities((2, 1)), Y1, Y2, 3, 7)
+        M1, M2 = project(CommonEigvals(Multiplicities((2, 1))), Y1, Y2, n=(3, 7))[0]
         assert np.allclose(M1, Y1, atol=1e-10)
         assert np.allclose(M2, Y2, atol=1e-10)
 
@@ -126,14 +126,14 @@ class TestCommonEigvalsProjection:
         rng = np.random.default_rng(115)
         Y1, Y2 = random_symmetric(rng, 3), random_symmetric(rng, 3)
         mult = Multiplicities((1, 2))
-        M1, M2 = mle_common_eigvals(mult, Y1, Y2, 4, 6)
-        M2s, M1s = mle_common_eigvals(mult, Y2, Y1, 6, 4)
+        M1, M2 = project(CommonEigvals(mult), Y1, Y2, n=(4, 6))[0]
+        M2s, M1s = project(CommonEigvals(mult), Y2, Y1, n=(6, 4))[0]
         assert np.allclose(M1, M1s, atol=1e-11)
         assert np.allclose(M2, M2s, atol=1e-11)
 
     def test_full_pooling(self):
         Y1, Y2 = np.diag([3.0, 1.0]), np.diag([2.0, 0.0])
-        M1, M2 = mle_common_eigvals(Multiplicities((2,)), Y1, Y2, 1, 1)
+        M1, M2 = project(CommonEigvals(Multiplicities((2,))), Y1, Y2, n=(1, 1))[0]
         assert np.allclose(M1, 1.5 * np.eye(2), atol=1e-13)
         assert np.allclose(M2, 1.5 * np.eye(2), atol=1e-13)
 
@@ -248,7 +248,8 @@ class TestMle2Dispatch:
         y1, y2, _ = group_means(S, 6)
         fit = mle(CommonEigvals(Multiplicities((1, 1))),
                   SuffStats.from_sample(S, 6))
-        want1, want2 = mle_common_eigvals(Multiplicities((1, 1)), y1, y2, 6, 6)
+        (want1, want2), _ = project(CommonEigvals(Multiplicities((1, 1))), y1, y2,
+                                    n=(6, 6))
         assert np.allclose(fit.M1_hat, want1, atol=1e-13)
         assert np.allclose(fit.M2_hat, want2, atol=1e-13)
 
