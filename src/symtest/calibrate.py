@@ -3,11 +3,16 @@
 Replicates draw from independent, order-insensitive substreams
 (SeedSequence spawn keys), so every report is bit-reproducible for a
 given seed no matter how the replicate loop is scheduled. One- and
-two-group studies share one path: a replicate draws one sample per
-group, and the fits (onesample.mle) and the null-set check
-(onesample.contains) take any group count their set fits.
+two-group studies share one path: a replicate draws each group's
+sufficient statistics directly from their exact laws, the mean
+Ybar_g ~ N(M_g, sigma2/n_g, tau) and the independent residual scatter
+W_g ~ Wishart(n_g - 1, Sigma), so its cost does not grow with n_g. The
+fits (onesample.mle) and the null-set check (onesample.contains) take
+any group count their set fits.
 """
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +25,7 @@ from .symcore import (
     check_symmetric,
     eigh_desc,
 )
-from .matnormal import SuffStats, sample
+from .matnormal import SuffStats, sample, sample_scatter
 from .onesample import (
     FixedEigvals,
     Unrestricted,
@@ -126,6 +131,45 @@ def _ks_distance(sorted_stats, dist):
     return float(max(np.max(i / m - cdf), np.max(cdf_below - (i - 1) / m)))
 
 
+def _number(value, name):
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(x):
+        raise ValueError("%s must be a finite number, got %r" % (name, value))
+    return x
+
+
+def _generator(truth, keys):
+    # the generator's means, one per group and of one shape, and its
+    # (sigma2, tau), checked for that shape
+    means = tuple(check_symmetric(truth[k], k) for k in keys)
+    if means[-1].shape != means[0].shape:
+        raise ValueError("M1 and M2 must have the same shape, got %s and %s"
+                         % (means[0].shape, means[-1].shape))
+    cov = CovParams(_number(truth["sigma2"], "sigma2"),
+                    _number(truth["tau"], "tau"))
+    return means, cov.validate(means[0].shape[0])
+
+
+def _draw_stats(means, sizes, cov, ss):
+    """One replicate's SuffStats, drawn without building a sample.
+
+    Per group, from its own Philox stream (ss, or ss.spawn(2) for two
+    groups): first the mean Ybar_g ~ N(M_g, sigma2/n_g, tau) through
+    `sample` at n = 1, then the independent scatter
+    W_g ~ Wishart(n_g - 1, Sigma).
+    """
+    p = means[0].shape[0]
+    ybar, W = [], []
+    for M, k, s in zip(means, sizes, ss.spawn(2) if len(means) == 2 else (ss,)):
+        rng = np.random.Generator(np.random.Philox(s))
+        ybar.append(sample(1, M, CovParams(cov.sigma2 / k, cov.tau), rng)[0])
+        W.append(sample_scatter(k - 1, p, cov, rng))
+    return SuffStats(n=tuple(sizes), ybar=tuple(ybar), W=tuple(W))
+
+
 def calibrate_null(config, truth, n, reps, seed):
     """Simulate the null `reps` times and compare the statistic to its reference.
 
@@ -137,9 +181,10 @@ def calibrate_null(config, truth, n, reps, seed):
     reps = check_integer(reps, "reps")
     if reps < 1000:
         raise ValueError("calibration needs reps >= 1000, got %d" % reps)
+    if not isinstance(truth, Mapping):
+        raise ValueError("truth must be a mapping, got %r" % (truth,))
     two_sample = "M1" in truth
-    means = tuple(check_symmetric(truth[k], k)
-                  for k in (("M1", "M2") if two_sample else ("M",)))
+    means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
     spec, args = lrt.parse_config(config, means[0].shape[0])
     test_id = config["test_id"]
     if spec.two_sample != two_sample:
@@ -152,16 +197,14 @@ def calibrate_null(config, truth, n, reps, seed):
         raise ValueError("test %r needs n = %s, got %r" % (
             test_id, "[n1, n2]" if two_sample else "a single count", n))
     sizes = tuple(check_integer(k, "n") for k in sizes)
+    if min(sizes) < 1:
+        raise ValueError("need n >= 1 per group, got %r" % (n,))
     n1, n2 = sizes if two_sample else (None, None)
-    cov_true = CovParams(float(truth["sigma2"]), float(truth["tau"]))
     stats = np.empty(reps)
     pvals = np.empty(reps)
     for rep in range(reps):
         ss = np.random.SeedSequence(seed, spawn_key=(rep,))
-        parts = [sample(k, M, cov_true, s) for k, M, s
-                 in zip(sizes, means, ss.spawn(2) if two_sample else (ss,))]
-        S = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        res = lrt._run(test_id, SuffStats.from_sample(S, n1), args)
+        res = lrt._run(test_id, _draw_stats(means, sizes, cov_true, ss), args)
         stats[rep] = res.statistic
         pvals[rep] = res.p_value
     dist = res.dist  # the same for every replicate
@@ -190,14 +233,13 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     if est_id not in ("mean", "sigma2", "tau", "pooled_sigma2", "pooled_tau",
                       "eigvec_var"):
         raise ValueError("unknown estimator %r" % est_id)
-    cov = CovParams(float(truth["sigma2"]), float(truth["tau"]))
     reps = check_integer(reps, "reps")
     pooled = est_id.startswith("pooled_")
+    means, cov = _generator(truth, ("M1", "M2") if pooled else ("M",))
     if pooled:
-        M1, M2 = (np.asarray(truth[k], dtype=float) for k in ("M1", "M2"))
         pset, fit_cov = Unrestricted(), None
     else:
-        M = np.asarray(truth["M"], dtype=float)
+        M = means[0]
         dec = eigh_desc(M)
         pset = (FixedEigvals(dec.lam, Multiplicities((1,) * M.shape[0]))
                 if est_id == "eigvec_var" else Unrestricted())
@@ -205,17 +247,13 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
         fit_cov = None if est_id in ("sigma2", "tau") else cov
     rows = []
     for i, n in enumerate(check_integer(v, "n") for v in n_grid):
+        sizes = (n // 2, n - n // 2) if pooled else (n,)
+        if min(sizes) < 1:
+            raise ValueError("need n >= %d, got %d" % (len(sizes), n))
         vals = []
         for rep in range(reps):
             ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
-            if pooled:
-                ss1, ss2 = ss.spawn(2)
-                n1 = n // 2
-                S = np.concatenate([sample(n1, M1, cov, ss1),
-                                    sample(n - n1, M2, cov, ss2)])
-            else:
-                n1, S = None, sample(n, M, cov, ss)
-            fit = mle(pset, SuffStats.from_sample(S, n1), fit_cov)
+            fit = mle(pset, _draw_stats(means, sizes, cov, ss), fit_cov)
             if est_id == "mean":
                 vals.append(np.sum((fit.M_hat - M) ** 2))
             elif est_id == "eigvec_var":

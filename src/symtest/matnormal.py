@@ -8,17 +8,20 @@ entries. This module builds that covariance explicitly, evaluates the
 log-density, draws exact samples over the whole parameter range
 (tau < 1/p, both signs of c), and reduces a sample to its sufficient
 statistics (SuffStats): per group the count, the mean and the vecd
-residual scatter.
+residual scatter. The scatter can also be drawn directly from its
+Wishart law (sample_scatter), so a Monte Carlo replicate of n
+observations costs the same at any n.
 
 Samples are stored as (n, p, p) arrays of symmetric matrices.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import SQRT2, check_symmetric, norm_sq, sym_dim, vecd
+from .symcore import SQRT2, check_integer, check_symmetric, norm_sq, sym_dim, vecd
 
 
 def _rng_from(seed):
@@ -105,6 +108,42 @@ def sample(n, M, cov, seed):
     return _assemble(diag, off, p) + M
 
 
+@functools.lru_cache(maxsize=16)
+def _sigma_factor(p, cov):
+    # Cholesky factor of build_sigma(p, cov), made once per (p, cov) and
+    # read-only because every caller shares it
+    L = np.linalg.cholesky(build_sigma(p, cov))
+    L.setflags(write=False)
+    return L
+
+
+def sample_scatter(df, p, cov, rng):
+    """Draw the q x q vecd scatter W ~ Wishart(df, build_sigma(p, cov)).
+
+    The residual scatter of n observations from N(M, sigma2, tau) has this
+    law with df = n - 1, independent of the sample mean. By the Bartlett
+    decomposition (Anderson 2003, ch. 7) W = L T T' L', where L is the
+    Cholesky factor of the model covariance and T is q x min(df, q),
+    lower trapezoidal, with T_ii = sqrt(chi2(df - i)) and independent
+    standard normals below the diagonal. This covers the singular case
+    df < q (W has rank df) and df = 0 (W = 0). `rng` is taken as in
+    `sample`. Draw order is fixed: the chi-square diagonal, then the
+    normals below it, row by row.
+    """
+    df = check_integer(df, "df")
+    if df < 0:
+        raise ValueError("need df >= 0, got %d" % df)
+    rng = _rng_from(rng)
+    q = sym_dim(p)
+    k = min(df, q)
+    T = np.zeros((q, k))
+    i = np.arange(k)
+    T[i, i] = np.sqrt(rng.chisquare(df - i))
+    T[np.tri(q, k, -1, dtype=bool)] = rng.standard_normal(k * (2 * q - k - 1) // 2)
+    LT = _sigma_factor(p, cov) @ T
+    return LT @ LT.T
+
+
 def vecd_rows(S):
     """vecd applied to each matrix of an (n, p, p) sample, as an (n, q) array."""
     S = np.asarray(S, dtype=float)
@@ -151,13 +190,13 @@ class SuffStats:
     def p(self):
         return self.ybar[0].shape[0]
 
-    @property
+    @functools.cached_property
     def A(self):
         """Per group, the summed squared residual traces sum_i tr(R_i)^2."""
         p = self.p
         return tuple(float(W[:p, :p].sum()) for W in self.W)
 
-    @property
+    @functools.cached_property
     def B(self):
         """Per group, the summed squared residual norms sum_i ||R_i||^2."""
         return tuple(float(np.trace(W)) for W in self.W)

@@ -19,6 +19,7 @@ from symtest.calibrate import (
     estimate_cone_weights,
 )
 import symtest.lrt as lrt
+from symtest.matnormal import sample
 from symtest.lrt import ChiSq, ChiSqApprox, ChiSqMix, FDist
 from symtest.symcore import CovParams, Multiplicities
 
@@ -249,6 +250,43 @@ class TestCalibrateNull:
         assert abs(rep.rejection_rate - 0.05) < 3.0 * binom_se(0.05, 1000)
 
 
+class TestDirectDraw:
+    # A replicate drawn as its sufficient statistics must give statistics
+    # with the same law as one reduced from a full sample: two-sample KS
+    # at level 0.001 on 2000 replicates each, at a fixed seed. a0 at
+    # n = 5 has a singular scatter (n - 1 < q = 6).
+    RUNS = [
+        ({"test_id": "a0", "M0": np.diag([3.0, 2.0, 1.0]).tolist(),
+          "cov": {"estimate": True}},
+         {"M": np.diag([3.0, 2.0, 1.0]).tolist()}, 5),
+        ({"test_id": "s2", "D0": [3.0, 2.0, 1.0], "multiplicities": [1, 1, 1],
+          "cov": {"estimate": True}},
+         {"M": np.diag([3.0, 2.0, 1.0]).tolist()}, 30),
+        ({"test_id": "2s1", "multiplicities": [1, 1, 1],
+          "cov": {"estimate": True}},
+         {"M1": np.diag([3.0, 2.0, 1.0]).tolist(),
+          "M2": [[2.5, 0.5, 0.0], [0.5, 2.5, 0.0], [0.0, 0.0, 1.0]]}, (15, 20)),
+    ]
+
+    @pytest.mark.parametrize("config,truth,n", RUNS,
+                             ids=[r[0]["test_id"] for r in RUNS])
+    def test_statistics_agree_in_law(self, config, truth, n):
+        from scipy.stats import ks_2samp
+        reps, cov = 2000, CovParams(1.0, 0.2)
+        direct = calibrate_null(config, dict(truth, sigma2=1.0, tau=0.2), n,
+                                reps, 71).statistics
+        means = [truth[k] for k in ("M1", "M2") if k in truth] or [truth["M"]]
+        sizes = n if isinstance(n, tuple) else (n,)
+        reduced = np.empty(reps)
+        for rep in range(reps):
+            ss = np.random.SeedSequence(72, spawn_key=(rep,))
+            S = np.concatenate([sample(k, M, cov, s) for k, M, s in zip(
+                sizes, means, ss.spawn(len(sizes)))])
+            reduced[rep] = lrt.run_config(
+                config, S, sizes[0] if len(sizes) == 2 else None).statistic
+        assert ks_2samp(direct, reduced).pvalue > 0.001
+
+
 class TestConsistencyStudy:
     def test_mean_rmse_scales_as_root_n(self):
         truth = {"M": [[1.0, 0.5], [0.5, -0.3]], "sigma2": 1.0, "tau": 0.2}
@@ -286,6 +324,12 @@ class TestConsistencyStudy:
         assert (i, j) == (0, 1)
         assert pred == pytest.approx(0.125, rel=1e-12)
         assert emp == pytest.approx(pred, rel=0.10)
+
+    def test_pooled_means_must_share_a_shape(self):
+        truth = {"M1": np.eye(2).tolist(), "M2": np.eye(3).tolist(),
+                 "sigma2": 1.0, "tau": 0.0}
+        with pytest.raises(ValueError, match="same shape"):
+            consistency_study("pooled_tau", truth, [10], 5, 0)
 
     def test_unknown_estimator(self):
         truth = {"M": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}

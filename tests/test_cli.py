@@ -559,6 +559,20 @@ class TestCmdCalibrate:
         assert code == 2
         assert "not in the null set" in err
 
+    @pytest.mark.parametrize("truth,fragment", [
+        (dict(CONFIG["truth"], sigma2=[1]), "sigma2 must be a finite number"),
+        (dict(CONFIG["truth"], tau=None), "tau must be a finite number"),
+        ([1], "truth must be a mapping"),
+        (5, "truth must be a mapping"),
+    ])
+    def test_malformed_truth_is_input_error(self, tmp_path, capsys, truth,
+                                            fragment):
+        cfg = write_config(tmp_path, "c.json", dict(self.CONFIG, truth=truth))
+        code, out, err = run(capsys, ["calibrate", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert fragment in err
+
     def test_two_sample_needs_a_pair_of_sizes(self, tmp_path, capsys):
         M = [[1.0, 0.0], [0.0, 1.0]]
         config = {"test": {"test_id": "2a0"}, "n": [50], "reps": 1000,

@@ -2,7 +2,8 @@
 
 symbench/checks.py::result_payload tells a one-group fit from a two-group
 one by hasattr(fit, "M_hat"), symbench/run.py::ReplicateClock times
-calibrate_null's replicates from its calls to symtest.calibrate.sample,
+calibrate_null's replicates from its calls to symtest.calibrate.sample
+(one per group per replicate, each replicate's first draw),
 and symbench/spans.py traces functions by module and name: a renamed one
 would read 0 calls without any warning.
 """
@@ -14,7 +15,7 @@ import pytest
 
 from symtest import calibrate, lrt
 from symtest.calibrate import calibrate_null
-from symtest.matnormal import sample
+from symtest.matnormal import sample, sample_scatter
 from symtest.symcore import CovParams
 
 M = np.diag([3.0, 2.0, 1.0])
@@ -78,15 +79,25 @@ def test_fit_fields_tell_the_group_count(test_id):
 ])
 def test_calibrate_samples_once_per_group_per_replicate(monkeypatch, test_id,
                                                          truth, n):
+    # Each replicate draws each group's mean as one observation of
+    # N(M_g, sigma2/n_g, tau), then its scatter, group 1 first, so a
+    # replicate's first draw is a `sample` call.
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(("sample", args[0], args[2].sigma2))
         return sample(*args, **kwargs)
 
+    def scatter(*args, **kwargs):
+        calls.append(("scatter", args[0]))
+        return sample_scatter(*args, **kwargs)
+
     monkeypatch.setattr(calibrate, "sample", counted)
+    monkeypatch.setattr(calibrate, "sample_scatter", scatter)
     config = dict(CONFIGS[test_id], test_id=test_id,
                   cov={"known": {"sigma2": 1.0, "tau": 0.1}})
     calibrate_null(config, dict(truth, sigma2=1.0, tau=0.1), n, 1000, 3)
     sizes = n if isinstance(n, tuple) else (n,)
-    assert calls == list(sizes) * 1000
+    per_rep = [c for k in sizes for c in (("sample", 1, 1.0 / k),
+                                          ("scatter", k - 1))]
+    assert calls == per_rep * 1000

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from symtest import lrt
-from symtest.matnormal import SuffStats, build_sigma, log_density, sample, vecd_rows
+from symtest.matnormal import (
+    SuffStats,
+    build_sigma,
+    log_density,
+    sample,
+    sample_scatter,
+    vecd_rows,
+)
 from symtest.onesample import EqualMeans, project
 from symtest.symcore import CovParams, sym_dim, vecd, vecd_inv
 
@@ -185,6 +192,51 @@ class TestVecdRows:
         assert rows.shape == (4, 6)
         for i in range(4):
             assert np.array_equal(rows[i], vecd(S[i]))
+
+
+class TestSampleScatter:
+    # Wishart(df, Sigma) moments: E[W] = df Sigma, var(W_ij) = df (Sigma_ij^2
+    # + Sigma_ii Sigma_jj), and W_ii / Sigma_ii ~ chi2(df), so that
+    # E[W_ii^2] = df (df + 2) Sigma_ii^2 and E[W_ii^4] = df (df + 2)
+    # (df + 4) (df + 6) Sigma_ii^4. Each mean must land within 5 standard
+    # errors; p = 3 gives q = 6, so df = 2, 6, 15 cover df < q, = q, > q.
+    @pytest.mark.parametrize("df,tau", [(2, 0.2), (6, -1.0), (15, 0.2)])
+    def test_moments(self, df, tau):
+        reps, cov = 20_000, CovParams(1.5, tau)
+        sigma = build_sigma(3, cov)
+        rng = np.random.Generator(np.random.Philox(df))
+        W = np.array([sample_scatter(df, 3, cov, rng) for _ in range(reps)])
+        d = np.diag(sigma)
+        se = np.sqrt(df * (sigma ** 2 + np.outer(d, d)) / reps)
+        assert np.all(np.abs(W.mean(axis=0) - df * sigma) < 5.0 * se)
+        sq = np.diagonal(W, axis1=1, axis2=2) ** 2
+        m2 = df * (df + 2.0)
+        m4 = m2 * (df + 4.0) * (df + 6.0)
+        se2 = np.sqrt((m4 - m2 ** 2) / reps) * d ** 2
+        assert np.all(np.abs(sq.mean(axis=0) - m2 * d ** 2) < 5.0 * se2)
+
+    @pytest.mark.parametrize("df", [1, 3, 6, 9])
+    def test_rank_and_symmetry(self, df):
+        W = sample_scatter(df, 3, CovParams(1.0, 0.1), 7)
+        assert W.shape == (6, 6)
+        assert np.allclose(W, W.T, rtol=0.0, atol=1e-12 * np.abs(W).max())
+        assert np.linalg.matrix_rank(W) == min(df, 6)
+
+    def test_zero_df_is_zero(self):
+        W = sample_scatter(0, 3, CovParams(1.0, 0.1), 7)
+        assert np.array_equal(W, np.zeros((6, 6)))
+
+    def test_deterministic_per_seed(self):
+        cov = CovParams(2.0, -0.5)
+        a = sample_scatter(10, 2, cov, 8)
+        assert np.array_equal(a, sample_scatter(10, 2, cov,
+                                                np.random.SeedSequence(8)))
+        assert not np.array_equal(a, sample_scatter(10, 2, cov, 9))
+
+    @pytest.mark.parametrize("df", [-1, 2.5, True])
+    def test_rejects_bad_df(self, df):
+        with pytest.raises(ValueError, match="df"):
+            sample_scatter(df, 2, CovParams(1.0), 0)
 
 
 def empirical_sigma(S):
