@@ -29,7 +29,6 @@ from .onesample import (
     EqualMeans,
     CommonEigvals,
     FitResult,
-    FitResult2,
     mle,
     project,
     estimate_sigma2,

@@ -99,6 +99,13 @@ def _check_d_true(d_true):
     return d
 
 
+def _check_reps(reps):
+    reps = check_integer(reps, "reps")
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    return reps
+
+
 def estimate_cone_weights(d_true, reps, seed):
     """Face-dimension mixture weights of the order-cone projection at d_true.
 
@@ -109,9 +116,7 @@ def estimate_cone_weights(d_true, reps, seed):
     """
     d = _check_d_true(d_true)
     p = d.size
-    reps = check_integer(reps, "reps")
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    reps = _check_reps(reps)
     y = d + _rng(seed).standard_normal((reps, p))
     counts = np.bincount(pava(y)[1], minlength=p + 1)
     return ConeWeights(d_true=tuple(float(v) for v in d),
@@ -233,7 +238,7 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     if est_id not in ("mean", "sigma2", "tau", "pooled_sigma2", "pooled_tau",
                       "eigvec_var"):
         raise ValueError("unknown estimator %r" % est_id)
-    reps = check_integer(reps, "reps")
+    reps = _check_reps(reps)
     pooled = est_id.startswith("pooled_")
     means, cov = _generator(truth, ("M1", "M2") if pooled else ("M",))
     if pooled:
@@ -301,7 +306,7 @@ def cone_boundary_law(d_true, n, reps, seed, cov=None):
     if cov is None:
         cov = CovParams(1.0, 0.0)
     cov.validate(p)
-    n, reps = check_integer(n, "n"), check_integer(reps, "reps")
+    n, reps = check_integer(n, "n"), _check_reps(reps)
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     # the diagonal of the sample mean is Gaussian around d_true with

@@ -112,17 +112,11 @@ def _dist_payload(dist):
 def _mle_payload(fit):
     if fit is None:
         return None
-    out = {}
-    if hasattr(fit, "M_hat"):
-        out["M_hat"] = _matrix(fit.M_hat)
-    else:
-        out["M1_hat"] = _matrix(fit.M1_hat)
-        out["M2_hat"] = _matrix(fit.M2_hat)
-    out["sigma2_hat"] = float(fit.sigma2_hat)
-    out["tau_hat"] = float(fit.tau_hat)
-    face = getattr(fit, "face_dim", None)
-    if face is not None:
-        out["face_dim"] = int(face)
+    names = ("M_hat",) if len(fit.means) == 1 else ("M1_hat", "M2_hat")
+    out = dict(zip(names, map(_matrix, fit.means)),
+               sigma2_hat=float(fit.sigma2_hat), tau_hat=float(fit.tau_hat))
+    if fit.face_dim is not None:
+        out["face_dim"] = int(fit.face_dim)
     return out
 
 

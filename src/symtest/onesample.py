@@ -23,9 +23,11 @@ that the means are a fixed point of project. The sets:
 - CommonEigvals(mult), two groups: one shared spectrum with pattern
   mult, eigenvectors free per group.
 
-The groups share (sigma2, tau), estimated in closed form from the fitted
-means and the sufficient statistics SuffStats.from_sample(S, n1), each
-observation centred at its own group's fitted mean. eigvec_uncertainty
+The groups share (sigma2, tau). In vecd coordinates the covariance has
+two eigenvalues, v1 = sigma2/(1 - p tau) on the trace line vecd(I)/sqrt(p)
+and v2 = sigma2 off it, whose MLEs are two mean squares of the residuals
+about the fitted means, read from SuffStats.from_sample(S, n1) in one
+pass. mle returns one FitResult for one or two groups. eigvec_uncertainty
 gives the asymptotic normal law of the eigenvector estimation error for
 distinct-spectrum fits, expressed as a rotation logarithm.
 """
@@ -137,38 +139,33 @@ class CommonEigvals(ParamSet):
     mult: Multiplicities
 
 
+def _group_mean(index, groups):
+    # one group's fitted mean; AttributeError on a fit with another group
+    # count, so hasattr tells a one-group fit from a two-group one
+    def get(self):
+        if len(self.means) != groups:
+            raise AttributeError("not a %d-group fit" % groups)
+        return self.means[index]
+    return property(get)
+
+
 @dataclass(eq=False)
 class FitResult:
-    """Fitted mean and covariance parameters for a one-group sample.
+    """Fitted group means and covariance parameters, for one or two groups.
 
-    face_dim is filled for cone fits only: the number of distinct values
-    the monotone projection landed on.
+    means holds one fitted mean per group (M_hat; M1_hat and M2_hat). Cone
+    fits fill face_dim, the number of distinct values the fit landed on.
     """
 
-    M_hat: np.ndarray
+    means: tuple
     sigma2_hat: float
     tau_hat: float
     set: ParamSet
     face_dim: int = None
 
-    @property
-    def means(self):
-        return (self.M_hat,)
-
-
-@dataclass(eq=False)
-class FitResult2:
-    """Fitted means and covariance parameters for a two-group sample."""
-
-    M1_hat: np.ndarray
-    M2_hat: np.ndarray
-    sigma2_hat: float
-    tau_hat: float
-    set: ParamSet
-
-    @property
-    def means(self):
-        return (self.M1_hat, self.M2_hat)
+    M_hat = _group_mean(0, 1)
+    M1_hat = _group_mean(0, 2)
+    M2_hat = _group_mean(1, 2)
 
 
 def _pava_rows(Y):
@@ -264,65 +261,73 @@ def project(pset, *means, n=None):
     return tuple((V * lam) @ V.T for V, _ in frames), face_dim
 
 
-def _dispersion(stats, means):
-    # Summed squared residual norms and traces of every observation about
-    # its group's fitted mean: the spread about the group mean plus the
-    # group's lack of fit n_g ||Ybar_g - M_g||^2.
+def _variance_sums(stats, means):
+    # (s1, s2): the summed squared residuals about the fitted means (spread
+    # plus lack of fit) on the trace line vecd(I)/sqrt(p) and off it
     if len(means) != len(stats.n):
         raise ValueError("need one fitted mean per group: %d groups, %d means"
                          % (len(stats.n), len(means)))
-    sq, tr2 = 0.0, 0.0
+    p = stats.p
+    s1, s2 = 0.0, 0.0
     for n, ybar, m_hat, a, b in zip(stats.n, stats.ybar, means, stats.A, stats.B):
         r = ybar - m_hat
-        sq += b + n * np.sum(r * r)
-        tr2 += a + n * np.trace(r) ** 2
-    return sq, tr2
+        tr = np.trace(r)
+        f = r - (tr / p) * np.eye(p)
+        s1 += (a + n * tr ** 2) / p
+        s2 += b - a / p + n * np.sum(f * f)
+    return s1, s2
 
 
 def estimate_sigma2(stats, means, tau):
     """MLE of sigma2 given one fitted mean per group and tau.
 
-    Equals the within-group dispersion plus the lack-of-fit terms
-    n_g ||Ybar_g - M_g||^2 in the unit-scale tau norm, over q n. A zero
+    Equals (s2 + (1 - p tau) s1)/(q n), s1 and s2 the summed squared
+    residuals about the fitted means on the trace line and off it. A zero
     value (possible only in degenerate samples, e.g. n = 1 with a perfect
     fit) is returned as-is with a warning.
     """
     p = stats.p
     if not tau < 1.0 / p:
         raise ValueError("tau must be < 1/p")
-    sq, tr2 = _dispersion(stats, means)
-    out = (sq - tau * tr2) / (sym_dim(p) * sum(stats.n))
+    s1, s2 = _variance_sums(stats, means)
+    out = (s2 + (1.0 - p * tau) * s1) / (sym_dim(p) * sum(stats.n))
     if out <= 0.0:
         warnings.warn("degenerate variance estimate (sigma2_hat = %g)" % out)
     return out
 
 
 def estimate_tau(stats, means):
-    """MLE of tau given one fitted mean per group.
+    """MLE of tau given one fitted mean per group: (1 - v2/v1)/p.
 
-    The estimator is a ratio of the pseudo-norm at tau = q/p to the
-    squared traces of the residuals about the fitted means; it is
-    undefined for n = 1 (all residual terms vanish) and whenever every
-    residual is trace-free.
+    v1 and v2 are the mean squares of the residuals about the fitted means
+    on the trace line and off it. Undefined for p = 1, for n = 1 (all
+    residual terms vanish) and when every residual is trace-free (v1 = 0)
+    or a multiple of I (v2 = 0, so tau = 1/p).
     """
-    p = stats.p
-    if p < 2:
-        raise ValueError("tau estimation requires p >= 2")
-    q = sym_dim(p)
-    sq, tr2 = _dispersion(stats, means)
-    den = (q - 1.0) * tr2
-    if den == 0.0:
-        raise ValueError("tau estimate undefined: all residual traces vanish "
-                         "(n = 1 or degenerate sample)")
-    return -(sq - (q / p) * tr2) / den
+    return _fit_cov(stats, means)[1]
 
 
 def _fit_cov(stats, means, cov=None):
-    """(sigma2, tau) for the fitted means: the known cov, or the MLEs."""
+    """(sigma2, tau) for the fitted means: the known cov, or the MLEs.
+
+    From one pass: sigma2 = v2 and tau = (1 - v2/v1)/p, v1 = s1/n and
+    v2 = s2/((q - 1) n) the mean squares on the trace line and off it.
+    """
     if cov is not None:
         return cov.sigma2, cov.tau
-    tau = estimate_tau(stats, means)
-    return estimate_sigma2(stats, means, tau), tau
+    p = stats.p
+    if p < 2:
+        raise ValueError("tau estimation requires p >= 2")
+    s1, s2 = _variance_sums(stats, means)
+    if s1 == 0.0:
+        raise ValueError("tau estimate undefined: all residual traces vanish "
+                         "(n = 1 or degenerate sample)")
+    n = sum(stats.n)
+    v1, v2 = s1 / n, s2 / ((sym_dim(p) - 1) * n)
+    tau = (1.0 - v2 / v1) / p
+    if not tau < 1.0 / p:
+        raise ValueError("tau must be < 1/p")
+    return v2, tau
 
 
 def _check_groups(pset, count):
@@ -341,15 +346,10 @@ def mle(pset, stats, cov=None):
     as the set fits. When cov is provided, the mean fits are unchanged
     (they never depend on the covariance) and the known (sigma2, tau) are
     recorded instead of being estimated; this also permits n = 1. Returns
-    a FitResult (M_hat) for one group, a FitResult2 (M1_hat, M2_hat) for two.
+    a FitResult with one fitted mean per group.
     """
     means, face_dim = project(pset, *stats.ybar, n=stats.n)
-    sigma2_hat, tau_hat = _fit_cov(stats, means, cov)
-    if len(means) == 2:
-        return FitResult2(*means, sigma2_hat=sigma2_hat, tau_hat=tau_hat,
-                          set=pset)
-    return FitResult(M_hat=means[0], sigma2_hat=sigma2_hat, tau_hat=tau_hat,
-                     set=pset, face_dim=face_dim)
+    return FitResult(means, *_fit_cov(stats, means, cov), pset, face_dim)
 
 
 def contains(pset, *means, tol=1e-9):

@@ -74,6 +74,8 @@ class CovParams:
             raise ValueError("sigma2 must be positive, got %r" % (self.sigma2,))
         if not (self.tau < 1.0 / p):
             raise ValueError("tau must be < 1/p = %g, got %r" % (1.0 / p, self.tau))
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite, got %r" % (self.tau,))
         return self
 
 
@@ -162,9 +164,8 @@ def inner(A, B, cov):
 def norm_sq(A, cov):
     """Squared norm inner(A, A, cov).
 
-    The quadratic form is evaluated for any tau, including tau >= 1/p where
-    it is only a pseudo-norm (the shape estimator uses tau = q/p); the
-    result is guaranteed nonnegative only for tau < 1/p.
+    The quadratic form is evaluated for any tau; it is a norm only for
+    tau < 1/p.
     """
     return inner(A, A, cov)
 

@@ -349,6 +349,20 @@ def test_monte_carlo_counts_must_be_integral():
         consistency_study("mean", truth, [10.7], 2, 0)
 
 
+@pytest.mark.parametrize("reps", [0, -1])
+def test_monte_carlo_counts_must_be_positive(reps):
+    one = {"M": [[1.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
+    two = {"M1": one["M"], "M2": one["M"], "sigma2": 1.0, "tau": 0.0}
+    with pytest.raises(ValueError, match="reps must be positive"):
+        estimate_cone_weights((1.0, 0.0), reps, 0)
+    with pytest.raises(ValueError, match="reps must be positive"):
+        cone_boundary_law((1.0, 0.0), n=10, reps=reps, seed=0)
+    for estimator, truth in (("mean", one), ("tau", one), ("eigvec_var", one),
+                             ("pooled_sigma2", two)):
+        with pytest.raises(ValueError, match="reps must be positive"):
+            consistency_study(estimator, truth, [10], reps, 0)
+
+
 class TestConeBoundaryLaw:
     def test_distinct_spectrum_stays_interior(self):
         out = cone_boundary_law((3.0, 1.0), n=100, reps=5000, seed=201)

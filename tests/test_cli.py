@@ -325,6 +325,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("known,fragment", [
         ({"sigma2": 1.0, "tau": 0.9}, "tau must be < 1/p"),
         ({"sigma2": -1.0, "tau": 0.0}, "sigma2 must be positive"),
+        ({"sigma2": 1.0, "tau": float("-inf")}, "tau must be finite"),
     ])
     def test_bad_known_covariance(self, tmp_path, capsys, known, fragment):
         path, _ = one_sample_file(tmp_path)
@@ -498,6 +499,8 @@ class TestExitCodes:
           "n2": 3, "sigma2": 1.0, "tau": 1.0 / 3.0}, "tau must be < 1/p"),
         ({"M": np.eye(2).tolist(), "n": 5, "sigma2": -1.0, "tau": 0.0},
          "sigma2 must be positive"),
+        ({"M": np.eye(2).tolist(), "n": 5, "sigma2": 1.0, "tau": float("-inf")},
+         "tau must be finite"),
     ])
     def test_simulate_bad_covariance(self, tmp_path, capsys, config, fragment):
         cfg = write_config(tmp_path, "sim.json", config)

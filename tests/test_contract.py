@@ -9,6 +9,10 @@ would read 0 calls without any warning.
 """
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,3 +105,18 @@ def test_calibrate_samples_once_per_group_per_replicate(monkeypatch, test_id,
     per_rep = [c for k in sizes for c in (("sample", 1, 1.0 / k),
                                           ("scatter", k - 1))]
     assert calls == per_rep * 1000
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    # a CLI process pays for every module it imports; scipy.special is the
+    # only scipy module the p-values need
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, symtest.cli; print(' '.join(m for m in ("
+            "'scipy.linalg', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == []

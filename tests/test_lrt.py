@@ -968,6 +968,36 @@ class TestRunConfig:
         run_config(config, S, n1=20 if two else None)
         assert len(calls) == expected
 
+    @pytest.mark.parametrize("test_id,cov,expected", [
+        ("a0", {"estimate": True}, 3), ("a0", None, 3),
+        ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}, 0),
+        ("s2", {"estimate": True}, 2), ("2a0", {"estimate": True}, 3)],
+        ids=["a0-estimate", "a0-default", "a0-known", "s2-estimate",
+             "2a0-estimate"])
+    def test_residual_passes_per_run(self, monkeypatch, test_id, cov, expected):
+        # one pass over the residuals per estimated fit (null and
+        # alternative), plus the F variant's sigma2 at the null tau
+        from symtest import onesample
+        calls = []
+        sums = onesample._variance_sums
+
+        def counted(*args):
+            calls.append(None)
+            return sums(*args)
+
+        monkeypatch.setattr(onesample, "_variance_sums", counted)
+        M = np.diag([3.0, 2.0, 1.0])
+        config = {"test_id": test_id, "M0": M.tolist(), "D0": [3.0, 2.0, 1.0],
+                  "multiplicities": [1, 1, 1], "cov": cov}
+        config = {k: v for k, v in config.items() if v is not None and (
+            k in ("test_id", "cov") + lrt.TESTS[test_id].keys)}
+        S = sample(20, M, CovParams(1.0, 0.1), 386)
+        two = lrt.TESTS[test_id].two_sample
+        if two:
+            S = np.concatenate([S, sample(20, M, CovParams(1.0, 0.1), 387)])
+        run_config(config, S, n1=20 if two else None)
+        assert len(calls) == expected
+
     def test_c2_explicit_weights(self):
         S = sample(8, np.diag([3.0, 1.0]), COV0, 379)
         config = {"test_id": "c2", "U0": [[1.0, 0.0], [0.0, 1.0]],

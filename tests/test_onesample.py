@@ -414,6 +414,84 @@ class TestCovarianceEstimators:
             assert estimate_tau(SuffStats.from_sample(S), (S.mean(axis=0),)) < 0.5
 
 
+def parent_oracle(groups, means):
+    """tau_hat and sigma2(tau) from the summed squared norms and traces of
+    the raw residuals Y_i - M_g, one fitted mean M_g per group."""
+    R = np.concatenate([part - m for part, m in zip(groups, means)])
+    p = R.shape[1]
+    q, n = sym_dim(p), len(R)
+    sq = float(np.sum(R * R))
+    tr2 = float(np.sum(np.trace(R, axis1=1, axis2=2) ** 2))
+    tau = -(sq - (q / p) * tr2) / ((q - 1.0) * tr2)
+    return tau, lambda t: (sq - t * tr2) / (q * n)
+
+
+class TestTwoComponentFit:
+    """The fit from the two variance components: against the raw-residual
+    formulas, at p = 1, and under the model's invariances."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, 0.3])
+    @pytest.mark.parametrize("two", [False, True])
+    def test_matches_raw_residual_oracle(self, two, tau, scale):
+        rng = np.random.default_rng(911)
+        M = scale * np.diag([3.0, 2.0, 1.0])
+        cov = CovParams(scale ** 2, tau)
+        groups = [sample(12, M, cov, 912)]
+        if two:
+            groups.append(sample(9, M + scale * np.eye(3), cov, 913))
+            pset = CommonEigvals(Multiplicities((1, 1, 1)))
+        else:
+            pset = FixedEigvecs(random_orthogonal(rng, 3))
+        stats = SuffStats.from_sample(np.concatenate(groups),
+                                      12 if two else None)
+        fit = mle(pset, stats)
+        tau_want, sigma2_want = parent_oracle(groups, fit.means)
+        assert estimate_tau(stats, fit.means) == pytest.approx(tau_want, rel=1e-12)
+        assert fit.tau_hat == pytest.approx(tau_want, rel=1e-12)
+        assert fit.sigma2_hat == pytest.approx(sigma2_want(tau_want), rel=1e-12)
+        for t in (-1.0, 0.0, 0.3):
+            assert estimate_sigma2(stats, fit.means, t) == pytest.approx(
+                sigma2_want(t), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_sigma2_at_p1_scales_the_sample_variance(self, tau):
+        S = sample(9, np.array([[2.0]]), CovParams(3.0, 0.0), 914)
+        got = estimate_sigma2(SuffStats.from_sample(S), (S.mean(axis=0),), tau)
+        assert got == pytest.approx((1.0 - tau) * np.var(S), rel=1e-12)
+
+    @staticmethod
+    def unrestricted_fit(S, n1):
+        fit = mle(Unrestricted(), SuffStats.from_sample(S, n1))
+        return fit.sigma2_hat, fit.tau_hat
+
+    @pytest.mark.parametrize("n1", [None, 8])
+    def test_rotation_keeps_the_fit(self, n1):
+        rng = np.random.default_rng(915)
+        S = sample(14, np.diag([3.0, 1.0, 0.0]), CovParams(1.2, 0.2), 916)
+        R = random_orthogonal(rng, 3)
+        want = self.unrestricted_fit(S, n1)
+        got = self.unrestricted_fit(R @ S @ R.T, n1)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [1e-6, -3.0, 1e6])
+    @pytest.mark.parametrize("n1", [None, 8])
+    def test_scale_multiplies_sigma2_and_keeps_tau(self, n1, c):
+        S = sample(14, np.diag([3.0, 1.0, 0.0]), CovParams(1.2, -0.4), 917)
+        sigma2, tau = self.unrestricted_fit(S, n1)
+        got_sigma2, got_tau = self.unrestricted_fit(c * S, n1)
+        assert got_sigma2 == pytest.approx(c * c * sigma2, rel=1e-10)
+        assert got_tau == pytest.approx(tau, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [-5.0, 1e3])
+    @pytest.mark.parametrize("n1", [None, 8])
+    def test_shift_by_multiple_of_identity_keeps_the_fit(self, n1, c):
+        S = sample(14, np.diag([3.0, 1.0, 0.0]), CovParams(1.2, 0.3), 918)
+        want = self.unrestricted_fit(S, n1)
+        got = self.unrestricted_fit(S + c * np.eye(3), n1)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 class TestMleDispatch:
     def test_unrestricted_is_sample_mean(self):
         S = sample(8, np.eye(2), CovParams(1.0, 0.1), 905)

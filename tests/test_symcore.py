@@ -101,6 +101,11 @@ class TestCovParams:
         with pytest.raises(ValueError, match="tau"):
             CovParams(1.0, 0.6).validate(2)
 
+    def test_validate_rejects_infinite_tau(self):
+        # -inf passes tau < 1/p but gives c = -inf/inf = nan
+        with pytest.raises(ValueError, match="tau must be finite"):
+            CovParams(1.0, -math.inf).validate(2)
+
 
 class TestMultiplicities:
     def test_fields(self):
