@@ -10,7 +10,7 @@ equals Frobenius length.
 
 import numpy as np
 
-from symtest.matnormal import build_sigma, log_density, sample, vecd_rows
+from symtest.matnormal import build_sigma, log_density, sample
 from symtest.symcore import CovParams, vecd
 
 p = 3
@@ -26,7 +26,7 @@ print("sample mean (should approach M):\n%s" % S.mean(axis=0).round(3))
 
 # The embedded coordinates have covariance build_sigma: an equicorrelated
 # diagonal block and an independent isotropic off-diagonal block.
-emp = np.cov(vecd_rows(S).T)
+emp = np.cov(vecd(S).T)
 print("\nempirical vecd covariance:\n%s" % emp.round(3))
 print("model vecd covariance:\n%s" % build_sigma(p, cov).round(3))
 

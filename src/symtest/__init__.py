@@ -40,6 +40,7 @@ from .lrt import (
     ChiSq,
     ChiSqApprox,
     ChiSqMix,
+    ConeWeights,
     FDist,
     TestResult,
     StatisticError,
@@ -60,7 +61,6 @@ from .lrt import (
     TESTS,
 )
 from .calibrate import (
-    ConeWeights,
     CalibrationReport,
     estimate_cone_weights,
     calibrate_null,

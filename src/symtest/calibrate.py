@@ -11,21 +11,22 @@ fits (onesample.mle) and the null-set check (onesample.contains) take
 any group count their set fits.
 """
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lrt
+from .lrt import ConeWeights
 from .symcore import (
     CovParams,
     Multiplicities,
+    _number,
     check_integer,
     check_symmetric,
     eigh_desc,
 )
-from .matnormal import SuffStats, sample, sample_scatter
+from .matnormal import SuffStats, _sigma_root, sample, sample_scatter
 from .onesample import (
     FixedEigvals,
     Unrestricted,
@@ -37,32 +38,6 @@ from .onesample import (
 
 PROBS = (0.5, 0.9, 0.95, 0.99)
 ALPHA = 0.05
-
-
-@dataclass(frozen=True)
-class ConeWeights:
-    """Empirical face-dimension frequencies of the order-cone projection.
-
-    weights[i] is the fraction of replicates whose projection had
-    face_dims[i] distinct values; the mixture component for face
-    dimension k' is a chi-square with q - k' degrees of freedom.
-    """
-
-    d_true: object
-    face_dims: tuple
-    weights: tuple
-    reps: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
-            raise ValueError("weights must be nonnegative and sum to 1")
-
-    def weight_for_dim(self, k):
-        for dim, w in zip(self.face_dims, self.weights):
-            if dim == k:
-                return w
-        return 0.0
 
 
 @dataclass(eq=False)
@@ -106,19 +81,29 @@ def _check_reps(reps):
     return reps
 
 
+def _cone_draw(d, cov, reps, seed):
+    # pava of reps draws of the diagonal of N(diag(d), sigma2, tau): y = d + zB,
+    # B the p x p diagonal block of the root R; y += d adds no (reps, p) array
+    p = d.size
+    y = _rng(seed).standard_normal((reps, p)) @ _sigma_root(p, cov)[:p, :p]
+    y += d
+    return pava(y)
+
+
 def estimate_cone_weights(d_true, reps, seed):
     """Face-dimension mixture weights of the order-cone projection at d_true.
 
     Draws y ~ N(d_true, I_p), projects onto the non-increasing cone, and
     tallies the number of distinct fitted values. The weights do not
     depend on sigma2 or tau, only on the gaps of d_true; deterministic
-    given the seed.
+    given the seed, and equal to cone_boundary_law(d_true, 1, reps,
+    seed)["dim_mass"], which makes the same draw.
     """
     d = _check_d_true(d_true)
     p = d.size
     reps = _check_reps(reps)
-    y = d + _rng(seed).standard_normal((reps, p))
-    counts = np.bincount(pava(y)[1], minlength=p + 1)
+    counts = np.bincount(_cone_draw(d, CovParams(1.0), reps, seed)[1],
+                         minlength=p + 1)
     return ConeWeights(d_true=tuple(float(v) for v in d),
                        face_dims=tuple(range(1, p + 1)),
                        weights=tuple(counts[1:] / reps),
@@ -134,16 +119,6 @@ def _ks_distance(sorted_stats, dist):
     cdf = 1.0 - lrt._tail(dist, sorted_stats, strict=True)
     cdf_below = 1.0 - lrt.pvalue(dist, sorted_stats)
     return float(max(np.max(i / m - cdf), np.max(cdf_below - (i - 1) / m)))
-
-
-def _number(value, name):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(x):
-        raise ValueError("%s must be a finite number, got %r" % (name, value))
-    return x
 
 
 def _generator(truth, keys):
@@ -309,12 +284,8 @@ def cone_boundary_law(d_true, n, reps, seed, cov=None):
     n, reps = check_integer(n, "n"), _check_reps(reps)
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    # the diagonal of the sample mean is Gaussian around d_true with
-    # covariance (sigma2/n)(I + c 11'); no full matrices needed
-    A = cov.sigma2 / n * (np.eye(p) + cov.c(p) * np.ones((p, p)))
-    L = np.linalg.cholesky(A)
-    y = d + _rng(seed).standard_normal((reps, p)) @ L.T
-    fitted, dims = pava(y)
+    # the diagonal of the sample mean, drawn from N(d_true, sigma2/n, tau)
+    fitted, dims = _cone_draw(d, CovParams(cov.sigma2 / n, cov.tau), reps, seed)
     dim_counts = np.bincount(dims, minlength=p + 1)
     ties = fitted[:, 1:] == fitted[:, :-1]
     tie_counts = ties.sum(axis=0)

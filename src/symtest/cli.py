@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, calibrate, lrt
-from .symcore import CovParams, check_integer, check_symmetric, matrix_log, sym_dim
+from .symcore import check_integer, matrix_log, sym_dim
 from .matnormal import sample
 
 
@@ -258,15 +258,14 @@ def cmd_simulate(config_path, out_path, seed=None):
             else (("M", "n"),))
     try:
         with _input_errors(TypeError, ValueError):  # a malformed value
-            cov = CovParams(float(config["sigma2"]), float(config["tau"]))
-            means = [check_symmetric(config[m], m) for m, _ in keys]
+            means, cov = calibrate._generator(config, [m for m, _ in keys])
             sizes = [_integer(config[k], k) for _, k in keys]
     except KeyError as e:
         raise InputError("simulate config requires %s" % e)
     _check_p(config, means[0].shape[0])
     root = np.random.SeedSequence(seed)
     streams = root.spawn(2) if len(keys) == 2 else (root,)
-    with _input_errors(ValueError):  # bad mean, n or (sigma2, tau)
+    with _input_errors(ValueError):  # bad n
         S = np.concatenate([sample(k, M, cov, ss)
                             for k, M, ss in zip(sizes, means, streams)])
     write_dataset(out_path, S, sizes[0] if len(keys) == 2 else None)

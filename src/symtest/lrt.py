@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc, fdtrc
 
-from .symcore import CovParams, Multiplicities, check_integer, norm_sq, sym_dim
+from .symcore import (CovParams, Multiplicities, _number, check_integer,
+                      norm_sq, sym_dim)
 from .matnormal import SuffStats
 from .onesample import (
     CommonEigvals,
@@ -102,6 +103,32 @@ class ChiSqMix:
             raise ValueError("weights and dfs must have equal length")
         object.__setattr__(self, "weights", tuple(float(x) for x in self.weights))
         object.__setattr__(self, "dfs", tuple(float(x) for x in self.dfs))
+
+
+@dataclass(frozen=True)
+class ConeWeights:
+    """Empirical face-dimension frequencies of the order-cone projection.
+
+    weights[i] is the fraction of replicates whose projection had
+    face_dims[i] distinct values; the mixture component for face
+    dimension k' is a chi-square with q - k' degrees of freedom.
+    """
+
+    d_true: object
+    face_dims: tuple
+    weights: tuple
+    reps: int
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+            raise ValueError("weights must be nonnegative and sum to 1")
+
+    def weight_for_dim(self, k):
+        for dim, w in zip(self.face_dims, self.weights):
+            if dim == k:
+                return w
+        return 0.0
 
 
 @dataclass(eq=False)
@@ -222,10 +249,11 @@ def _lr(stats, fit_null, fit_alt, cov):
 def _run(test_id, stats, args):
     """Run a registered test on sufficient statistics and parsed arguments.
 
-    Fits the null and alternative sets, plugs in the null fit's (sigma2,
-    tau) when no covariance is known, and evaluates _lr. An F reference
-    (mean shift, estimated covariance) takes _lr at the within-group
-    sigma2 for the null tau, scaled by (n - g) / (q n) for g groups.
+    Fits the null set, plugs in its (sigma2, tau) when no covariance is
+    known (which needs n > g observations for g groups), fits the
+    alternative set at the covariance the statistic uses, and evaluates
+    _lr. An F reference (mean shift, estimated covariance) takes _lr at
+    the within-group sigma2 for the null tau, scaled by (n - g) / (q n).
     """
     spec = TESTS[test_id]
     if spec.sets is None:
@@ -236,16 +264,19 @@ def _run(test_id, stats, args):
             raise ValueError("cov must be a CovParams, None, or 'estimate'")
         cov = None
     plugin = cov is None
+    n, g = sum(stats.n), len(stats.n)
+    if plugin and n <= g:
+        raise ValueError("an estimated covariance requires n >= %d" % (g + 1))
     dist = spec.reference(args, stats, plugin)
     null, alt = spec.sets(args)
-    fit_null, fit_alt = mle(null, stats, cov), mle(alt, stats, cov)
+    fit_null = mle(null, stats, cov)
     if plugin:
         cov = CovParams(fit_null.sigma2_hat, fit_null.tau_hat)
+    fit_alt = mle(alt, stats, cov)
     scale = 1.0
     if isinstance(dist, FDist):
-        n = sum(stats.n)
         cov = CovParams(estimate_sigma2(stats, fit_alt.means, cov.tau), cov.tau)
-        scale = (n - len(stats.n)) / (sym_dim(stats.p) * n)
+        scale = (n - g) / (sym_dim(stats.p) * n)
     if spec.tau_free:
         cov = CovParams(cov.sigma2)
     t, size = _lr(stats, fit_null, fit_alt, cov)
@@ -414,7 +445,6 @@ def _multiplicities(value, p):
 
 
 def _cone_weights(value, p):
-    from .calibrate import ConeWeights
     dims = tuple(check_integer(k, "a face dimension")
                  for k in _sequence(value["face_dims"]))
     weights = tuple(float(x) for x in _sequence(value["weights"]))
@@ -433,7 +463,8 @@ def _covariance(value, p):
     if value.get("estimate"):
         return None
     known = value["known"]
-    return CovParams(float(known["sigma2"]), float(known["tau"])).validate(p)
+    return CovParams(_number(known["sigma2"], "sigma2"),
+                     _number(known["tau"], "tau")).validate(p)
 
 
 # config key -> (test-function parameter, parser of the value for p x p data)
@@ -465,11 +496,7 @@ def _affine(df):
 def _mean_shift(a, stats, plugin):
     # chi-square(q) given the covariance, else F(q, q(n - g)) for g groups
     n, g, q = sum(stats.n), len(stats.n), sym_dim(stats.p)
-    if not plugin:
-        return ChiSq(q)
-    if n <= g:
-        raise ValueError("the F variant requires n >= %d" % (g + 1))
-    return FDist(q, q * (n - g))
+    return FDist(q, q * (n - g)) if plugin else ChiSq(q)
 
 
 def _curved(df):

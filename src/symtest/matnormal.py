@@ -4,13 +4,16 @@ A random symmetric Y ~ N(M, sigma2, tau) has density proportional to
 exp(-0.5 * ||Y - M||^2_{sigma2,tau}). In vecd coordinates its covariance
 is block diagonal: sigma2 * (I_p + c 11') over the diagonal entries, with
 c = tau / (1 - p*tau), and sigma2 * I over the scaled off-diagonal
-entries. This module builds that covariance explicitly, evaluates the
+entries. It has two eigenvalues, sigma2 / (1 - p tau) on the trace line
+vecd(I)/sqrt(p) and sigma2 off it, so its symmetric root R is closed-form.
+This module builds that covariance explicitly, evaluates the
 log-density, draws exact samples over the whole parameter range
-(tau < 1/p, both signs of c), and reduces a sample to its sufficient
-statistics (SuffStats): per group the count, the mean and the vecd
-residual scatter. The scatter can also be drawn directly from its
-Wishart law (sample_scatter), so a Monte Carlo replicate of n
-observations costs the same at any n.
+tau < 1/p by mapping one block of standard normals in vecd order through
+R, and reduces a sample to its sufficient statistics (SuffStats): per
+group the count, the mean and the vecd residual scatter. The scatter can
+also be drawn directly from its Wishart law (sample_scatter, through the
+same R), so a Monte Carlo replicate of n observations costs the same at
+any n. R is the only factor any draw uses.
 
 Samples are stored as (n, p, p) arrays of symmetric matrices.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import SQRT2, check_integer, check_symmetric, norm_sq, sym_dim, vecd
+from .symcore import check_integer, check_symmetric, norm_sq, sym_dim, vecd, vecd_inv
 
 
 def _rng_from(seed):
@@ -63,15 +66,18 @@ def log_density(Y, M, cov):
             - 0.5 * norm_sq(Y - M, cov))
 
 
-def _assemble(diag, off, p):
-    n = diag.shape[0]
-    out = np.zeros((n, p, p))
-    idx = np.arange(p)
-    out[:, idx, idx] = diag
-    iu = np.triu_indices(p, 1)
-    out[:, iu[0], iu[1]] = off
-    out[:, iu[1], iu[0]] = off
-    return out
+@functools.lru_cache(maxsize=16)
+def _sigma_root(p, cov):
+    # the symmetric root R = sqrt(sigma2) (I + k uu') of build_sigma(p, cov),
+    # u = vecd(I)/sqrt(p) and k = (1 - p tau)^(-1/2) - 1: closed-form, so it
+    # holds where 1/(1 - p tau) is below rounding; made once per (p, cov)
+    # and read-only because every caller shares it
+    cov.validate(p)
+    u = vecd(np.eye(p)) / math.sqrt(p)
+    k = math.expm1(-0.5 * math.log1p(-p * cov.tau))
+    R = math.sqrt(cov.sigma2) * (np.eye(sym_dim(p)) + k * np.outer(u, u))
+    R.setflags(write=False)
+    return R
 
 
 def sample(n, M, cov, seed):
@@ -80,41 +86,17 @@ def sample(n, M, cov, seed):
     `seed` may be an integer, a numpy SeedSequence, or a Generator;
     integers map to a fresh Philox stream, so results are deterministic
     per seed and identical however replicates are distributed across
-    workers. Draw order is fixed: the shared scalar (c >= 0 branch only),
-    then all diagonal normals, then all off-diagonal normals.
-
-    For c >= 0 the construction is Z = sigma * (sqrt(c) w I_p + W) with
-    w standard normal and W from the Gaussian orthogonal ensemble. For
-    c < 0 that recipe has no real sqrt(c), so the diagonal is drawn
-    through a Cholesky factor of sigma2 * (I_p + c 11') instead, with
-    off-diagonals i.i.d. N(0, sigma2/2) as before.
+    workers. The draw is one (n, q) block of standard normals z, read
+    row by row in vecd order: Y_i = M + vecd_inv(R z_i), R the symmetric
+    root of the vecd covariance (one path for every tau < 1/p).
     """
     M = check_symmetric(M, "M")
     p = M.shape[0]
-    cov.validate(p)
+    R = _sigma_root(p, cov)
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    rng = _rng_from(seed)
-    q = sym_dim(p)
-    c = cov.c(p)
-    s = math.sqrt(cov.sigma2)
-    if c >= 0.0:
-        w = rng.standard_normal(n)
-        diag = s * (math.sqrt(c) * w[:, None] + rng.standard_normal((n, p)))
-    else:
-        L = np.linalg.cholesky(cov.sigma2 * (np.eye(p) + c))
-        diag = rng.standard_normal((n, p)) @ L.T
-    off = (s / SQRT2) * rng.standard_normal((n, q - p))
-    return _assemble(diag, off, p) + M
-
-
-@functools.lru_cache(maxsize=16)
-def _sigma_factor(p, cov):
-    # Cholesky factor of build_sigma(p, cov), made once per (p, cov) and
-    # read-only because every caller shares it
-    L = np.linalg.cholesky(build_sigma(p, cov))
-    L.setflags(write=False)
-    return L
+    z = _rng_from(seed).standard_normal((n, sym_dim(p)))
+    return M + vecd_inv(z @ R, p)
 
 
 def sample_scatter(df, p, cov, rng):
@@ -122,8 +104,8 @@ def sample_scatter(df, p, cov, rng):
 
     The residual scatter of n observations from N(M, sigma2, tau) has this
     law with df = n - 1, independent of the sample mean. By the Bartlett
-    decomposition (Anderson 2003, ch. 7) W = L T T' L', where L is the
-    Cholesky factor of the model covariance and T is q x min(df, q),
+    decomposition (Anderson 2003, ch. 7) W = R T T' R', where R is the
+    symmetric root of the model covariance and T is q x min(df, q),
     lower trapezoidal, with T_ii = sqrt(chi2(df - i)) and independent
     standard normals below the diagonal. This covers the singular case
     df < q (W has rank df) and df = 0 (W = 0). `rng` is taken as in
@@ -140,17 +122,8 @@ def sample_scatter(df, p, cov, rng):
     i = np.arange(k)
     T[i, i] = np.sqrt(rng.chisquare(df - i))
     T[np.tri(q, k, -1, dtype=bool)] = rng.standard_normal(k * (2 * q - k - 1) // 2)
-    LT = _sigma_factor(p, cov) @ T
-    return LT @ LT.T
-
-
-def vecd_rows(S):
-    """vecd applied to each matrix of an (n, p, p) sample, as an (n, q) array."""
-    S = np.asarray(S, dtype=float)
-    p = S.shape[1]
-    iu = np.triu_indices(p, 1)
-    return np.concatenate(
-        [S[:, np.arange(p), np.arange(p)], SQRT2 * S[:, iu[0], iu[1]]], axis=1)
+    RT = _sigma_root(p, cov) @ T
+    return RT @ RT.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +155,7 @@ class SuffStats:
             raise ValueError("need 1 <= n1 < n, got n1=%d, n=%d" % (n1, S.shape[0]))
         parts = (S,) if n1 is None else (S[:n1], S[n1:])
         ybar = tuple(part.mean(axis=0) for part in parts)
-        R = [vecd_rows(part) - vecd(m) for part, m in zip(parts, ybar)]
+        R = [vecd(part) - vecd(m) for part, m in zip(parts, ybar)]
         return cls(n=tuple(len(part) for part in parts), ybar=ybar,
                    W=tuple(r.T @ r for r in R))
 

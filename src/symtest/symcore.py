@@ -53,6 +53,17 @@ def check_integer(value, name):
     raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def _number(value, name):
+    # value as a float: a number or numeric string, never a boolean; its
+    # range, finiteness included, is left to CovParams.validate
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError("%s must be a finite number, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class CovParams:
     """Covariance parameters (sigma2, tau) of the orthogonally invariant model.
@@ -129,25 +140,28 @@ def vecd(X):
     """Embed a symmetric matrix into R^q: (diagonal, sqrt(2) * upper triangle).
 
     The sqrt(2) scaling makes the embedding isometric: the squared
-    Euclidean length of vecd(X) equals tr(X^2).
+    Euclidean length of vecd(X) equals tr(X^2). A stack of matrices
+    (..., p, p) maps to a stack of vectors (..., q), matrix by matrix.
     """
     X = np.asarray(X, dtype=float)
-    p = X.shape[0]
-    iu = np.triu_indices(p, 1)
-    return np.concatenate([np.diagonal(X), SQRT2 * X[iu]])
+    iu = np.triu_indices(X.shape[-1], 1)
+    return np.concatenate([np.diagonal(X, axis1=-2, axis2=-1),
+                           SQRT2 * X[..., iu[0], iu[1]]], axis=-1)
 
 
 def vecd_inv(v, p):
-    """Invert vecd: rebuild the symmetric matrix from its q coordinates."""
+    """Invert vecd: symmetric matrices (..., p, p) from coordinates (..., q)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (sym_dim(p),):
+    if v.shape[-1:] != (sym_dim(p),):
         raise ValueError("expected %d coordinates for p=%d, got shape %s"
                          % (sym_dim(p), p, v.shape))
-    X = np.zeros((p, p))
-    np.fill_diagonal(X, v[:p])
+    X = np.empty(v.shape[:-1] + (p, p))
+    i = np.arange(p)
+    X[..., i, i] = v[..., :p]
     iu = np.triu_indices(p, 1)
-    X[iu] = v[p:] / SQRT2
-    X[(iu[1], iu[0])] = X[iu]
+    off = v[..., p:] / SQRT2
+    X[..., iu[0], iu[1]] = off
+    X[..., iu[1], iu[0]] = off
     return X
 
 

@@ -126,6 +126,16 @@ class TestEstimateConeWeights:
 
 
 class TestCalibrateNull:
+    def test_finite_far_below_zero_tau(self):
+        # known covariance with tau = -1e17 at p = 2, where 1/(1 - p tau)
+        # is below rounding against 1
+        cov = {"sigma2": 0.2, "tau": -1e17}
+        config = {"test_id": "a1", "U0": np.eye(2).tolist(),
+                  "M0": np.eye(2).tolist(), "cov": {"known": cov}}
+        rep = calibrate_null(config, dict(cov, M=np.eye(2).tolist()), 5, 1000, 3)
+        assert np.all(np.isfinite(rep.statistics))
+        assert 0.0 <= rep.rejection_rate <= 1.0
+
     def test_exact_chi2_null_is_calibrated(self):
         # Known covariance makes the point-vs-unrestricted statistic an
         # exact chi-square at any n, so a 2000-rep run must sit inside
@@ -396,6 +406,20 @@ class TestConeBoundaryLaw:
         for dim, want in STIRLING3.items():
             se = binom_se(want, 20_000)
             assert abs(out["dim_mass"][dim] - want) < 3.0 * se
+
+    @pytest.mark.parametrize("d_true", [(1.0, 1.0, 1.0, 1.0),
+                                        (3.0, 2.0, 2.0, 1.0, 0.5), (1.0,)])
+    def test_dim_mass_is_the_cone_weights(self, d_true):
+        # at n = 1 and unit covariance both make the same draw
+        w = estimate_cone_weights(d_true, 20_000, 207)
+        out = cone_boundary_law(d_true, 1, 20_000, 207)
+        assert w.weights == tuple(out["dim_mass"].values())
+
+    def test_finite_far_below_zero_tau(self):
+        # tau = -1e17 at p = 2: 1/(1 - p tau) is below rounding against 1
+        out = cone_boundary_law((2.0, 1.0), n=5, reps=1000, seed=208,
+                                cov=CovParams(0.2, -1e17))
+        assert sum(out["dim_mass"].values()) == pytest.approx(1.0)
 
     def test_summary_layout(self):
         out = cone_boundary_law((1.0, 0.0), n=50, reps=2000, seed=206)

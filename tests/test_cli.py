@@ -94,6 +94,15 @@ class TestDatasetRoundTrip:
         want = sample(7, M, CovParams(2.0, -0.3), np.random.SeedSequence(3))
         assert np.array_equal(got, want)
 
+    def test_simulate_far_below_zero_tau(self, tmp_path):
+        # tau = -1e17 at p = 2: 1/(1 - p tau) is below rounding against 1
+        cfg = write_config(tmp_path, "sim.json", {
+            "M": [[1, 0], [0, 1]], "sigma2": 0.2, "tau": -1e17, "n": 5})
+        out = tmp_path / "a.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        got, _ = read_dataset(str(out))
+        assert got.shape == (5, 2, 2) and np.all(np.isfinite(got))
+
     def test_two_sample_group_means(self, tmp_path):
         M1 = np.diag([1.0, 0.0])
         M2 = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -326,6 +335,7 @@ class TestExitCodes:
         ({"sigma2": 1.0, "tau": 0.9}, "tau must be < 1/p"),
         ({"sigma2": -1.0, "tau": 0.0}, "sigma2 must be positive"),
         ({"sigma2": 1.0, "tau": float("-inf")}, "tau must be finite"),
+        ({"sigma2": True, "tau": False}, "sigma2 must be a finite number"),
     ])
     def test_bad_known_covariance(self, tmp_path, capsys, known, fragment):
         path, _ = one_sample_file(tmp_path)
@@ -412,8 +422,10 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [
-        {"sigma2": "abc"}, {"sigma2": [1]}, {"M": 3}, {"M": [[1, 0], [0]]}],
-        ids=["sigma2-string", "sigma2-array", "M-scalar", "M-ragged"])
+        {"sigma2": "abc"}, {"sigma2": [1]}, {"sigma2": True}, {"M": 3},
+        {"M": [[1, 0], [0]]}],
+        ids=["sigma2-string", "sigma2-array", "sigma2-boolean", "M-scalar",
+             "M-ragged"])
     def test_simulate_malformed_config(self, tmp_path, capsys, config):
         cfg = write_config(tmp_path, "sim.json", dict(
             {"M": np.eye(2).tolist(), "n": 5, "sigma2": 1.0, "tau": 0.0}, **config))

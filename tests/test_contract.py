@@ -5,7 +5,8 @@ one by hasattr(fit, "M_hat"), symbench/run.py::ReplicateClock times
 calibrate_null's replicates from its calls to symtest.calibrate.sample
 (one per group per replicate, each replicate's first draw),
 and symbench/spans.py traces functions by module and name: a renamed one
-would read 0 calls without any warning.
+would read 0 calls without any warning. Every draw maps standard normals
+through the closed-form root of the covariance, so none factors a matrix.
 """
 
 import importlib
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from symtest import calibrate, lrt
-from symtest.calibrate import calibrate_null
+from symtest.calibrate import calibrate_null, cone_boundary_law
 from symtest.matnormal import sample, sample_scatter
 from symtest.symcore import CovParams
 
@@ -105,6 +106,25 @@ def test_calibrate_samples_once_per_group_per_replicate(monkeypatch, test_id,
     per_rep = [c for k in sizes for c in (("sample", 1, 1.0 / k),
                                           ("scatter", k - 1))]
     assert calls == per_rep * 1000
+
+
+def test_no_draw_factors_a_matrix(monkeypatch):
+    # every draw maps standard normals through the closed-form root of the
+    # covariance; sigma2 = 1.37 keeps any cached factor out of play
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw factored a matrix")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for tau in (-2.0, 0.0, 0.3):
+        assert np.all(np.isfinite(sample(4, M, CovParams(1.37, tau), 5)))
+    assert np.all(np.isfinite(sample_scatter(7, 3, CovParams(1.37, -2.0), 6)))
+    config = dict(CONFIGS["a0"], test_id="a0",
+                  cov={"known": {"sigma2": 1.37, "tau": -0.5}})
+    rep = calibrate_null(config, {"M": M.tolist(), "sigma2": 1.37, "tau": -0.5},
+                         6, 1000, 7)
+    assert np.all(np.isfinite(rep.statistics))
+    out = cone_boundary_law((2.0, 1.0, 1.0), 5, 1000, 8, cov=CovParams(1.37, -0.5))
+    assert sum(out["dim_mass"].values()) == pytest.approx(1.0)
 
 
 def test_cli_import_skips_heavy_scipy_modules():

@@ -26,7 +26,7 @@ from symtest.lrt import (
     quantile,
     run_config,
 )
-from symtest.matnormal import SuffStats, build_sigma, sample, vecd_rows
+from symtest.matnormal import SuffStats, build_sigma, sample
 from symtest.onesample import FixedEigvecs, OrderedCone, project
 from symtest.symcore import CovParams, Multiplicities, inner, norm_sq, sym_dim
 
@@ -969,14 +969,15 @@ class TestRunConfig:
         assert len(calls) == expected
 
     @pytest.mark.parametrize("test_id,cov,expected", [
-        ("a0", {"estimate": True}, 3), ("a0", None, 3),
+        ("a0", {"estimate": True}, 2), ("a0", None, 2),
         ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}, 0),
-        ("s2", {"estimate": True}, 2), ("2a0", {"estimate": True}, 3)],
+        ("s2", {"estimate": True}, 1), ("2a0", {"estimate": True}, 2)],
         ids=["a0-estimate", "a0-default", "a0-known", "s2-estimate",
              "2a0-estimate"])
     def test_residual_passes_per_run(self, monkeypatch, test_id, cov, expected):
-        # one pass over the residuals per estimated fit (null and
-        # alternative), plus the F variant's sigma2 at the null tau
+        # one pass over the residuals for the null fit's (sigma2, tau),
+        # at which the alternative is fitted, plus the F variant's sigma2
+        # at the null tau
         from symtest import onesample
         calls = []
         sums = onesample._variance_sums
@@ -997,6 +998,20 @@ class TestRunConfig:
             S = np.concatenate([S, sample(20, M, CovParams(1.0, 0.1), 387)])
         run_config(config, S, n1=20 if two else None)
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("test_id,sizes", [
+        ("a0", (1,)), ("a1", (1,)), ("s3", (1,)), ("2a0", (1, 1)),
+        ("2s1", (1, 1))])
+    def test_estimated_cov_needs_a_second_observation(self, test_id, sizes):
+        # one observation per group leaves no within-group spread
+        M = np.diag([3.0, 2.0, 1.0])
+        config = {"test_id": test_id, "M0": M.tolist(), "U0": np.eye(3).tolist(),
+                  "multiplicities": [1, 1, 1]}
+        config = {k: v for k, v in config.items()
+                  if k in ("test_id",) + lrt.TESTS[test_id].keys}
+        S = sample(len(sizes), M, CovParams(1.0, 0.1), 388)
+        with pytest.raises(ValueError, match="requires n >= %d" % (len(sizes) + 1)):
+            run_config(config, S, n1=1 if len(sizes) == 2 else None)
 
     def test_c2_explicit_weights(self):
         S = sample(8, np.diag([3.0, 1.0]), COV0, 379)

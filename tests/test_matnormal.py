@@ -18,7 +18,6 @@ from symtest.matnormal import (
     log_density,
     sample,
     sample_scatter,
-    vecd_rows,
 )
 from symtest.onesample import EqualMeans, project
 from symtest.symcore import CovParams, sym_dim, vecd, vecd_inv
@@ -147,7 +146,7 @@ class TestSample:
         M = np.array([[1.0, -0.5], [-0.5, 2.0]])
         S = sample(n, M, CovParams(1.0, 0.0), 101)
         assert np.abs(SuffStats.from_sample(S).ybar[0] - M).max() < 0.02
-        V = vecd_rows(S)
+        V = vecd(S)
         emp = np.cov(V.T)
         assert np.abs(emp - np.eye(3)).max() < 0.02
 
@@ -163,7 +162,7 @@ class TestSample:
         assert z12.var(ddof=1) == pytest.approx(0.5, abs=0.015)
 
     def test_moments_negative_coupling(self):
-        # tau = -2, p = 2: c = -0.4 takes the Cholesky branch.
+        # tau = -2, p = 2: c = -0.4, a negative coupling.
         n = 100_000
         cov = CovParams(1.0, -2.0)
         S = sample(n, np.zeros((2, 2)), cov, 303)
@@ -174,7 +173,7 @@ class TestSample:
         assert z12.var(ddof=1) == pytest.approx(0.5, abs=0.015)
 
     def test_vecd_covariance_matches_model(self):
-        # Both sampler branches reproduce build_sigma, p = 3.
+        # Positive and negative coupling both reproduce build_sigma, p = 3.
         n = 200_000
         for tau, seed in ((0.3, 404), (-1.0, 505)):
             cov = CovParams(1.2, tau)
@@ -182,16 +181,39 @@ class TestSample:
             emp = SuffStats.from_sample(S).W[0] / n
             assert np.abs(emp - build_sigma(3, cov)).max() < 0.03
 
+    def test_finite_far_below_zero_tau(self):
+        # tau = -1e17, p = 2: 1/(1 - p tau) is below rounding against 1,
+        # where a Cholesky factor of the covariance fails
+        cov = CovParams(0.2, -1e17)
+        S = sample(5, np.eye(2), cov, 1)
+        assert S.shape == (5, 2, 2) and np.all(np.isfinite(S))
+        assert np.array_equal(S, np.transpose(S, (0, 2, 1)))
+        W = sample_scatter(4, 2, cov, 2)
+        assert W.shape == (3, 3) and np.all(np.isfinite(W))
+
 
 class TestVecdRows:
     def test_matches_vecd(self):
         rng = np.random.default_rng(51)
         A = rng.standard_normal((4, 3, 3))
         S = (A + np.transpose(A, (0, 2, 1))) / 2.0
-        rows = vecd_rows(S)
+        rows = vecd(S)
         assert rows.shape == (4, 6)
         for i in range(4):
             assert np.array_equal(rows[i], vecd(S[i]))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_stacks_map_matrix_by_matrix(self, p):
+        rng = np.random.default_rng(52)
+        A = rng.standard_normal((2, 4, p, p))
+        S = (A + np.swapaxes(A, -1, -2)) / 2.0
+        V = vecd(S)
+        assert V.shape == (2, 4, sym_dim(p))
+        back = vecd_inv(V, p)
+        for i in range(2):
+            for j in range(4):
+                assert np.array_equal(V[i, j], vecd(S[i, j]))
+                assert np.array_equal(back[i, j], vecd_inv(V[i, j], p))
 
 
 class TestSampleScatter:
