@@ -6,7 +6,7 @@ statistic's null law is a weighted mixture of chi-squares. The weights
 are the probabilities that the cone projection lands on a face with a
 given number of distinct values. At a spectrum whose tied blocks are far
 apart they depend only on the tie pattern and have a closed form, which
-test_C2 uses; at finite gaps they come from a unit-noise simulation.
+the c2 test uses; at finite gaps they come from a unit-noise simulation.
 """
 
 import numpy as np
@@ -37,12 +37,14 @@ print("  pattern mass: %s" % {k: round(v, 4)
 cov = CovParams(1.0, 0.0)
 U0 = np.eye(3)
 S = sample(50, np.diag([2.0, 2.0, 0.0]), cov, seed=4)
-res = lrt.test_C2(SuffStats.from_sample(S), U0, mult=Multiplicities((2, 1)), cov=cov)
+res = lrt.run("c2", SuffStats.from_sample(S), U0=U0, mult=Multiplicities((2, 1)),
+              cov=cov)
 print("\ncone test at a null truth with a tied pair:")
 print("  statistic %.4f, mixture %s, p = %.4f"
       % (res.statistic, res.dist, res.p_value))
 
 S = sample(50, np.array([[2.0, 0.8, 0.0], [0.8, 2.0, 0.0], [0.0, 0.0, 0.0]]),
            cov, seed=6)
-res = lrt.test_C2(SuffStats.from_sample(S), U0, mult=Multiplicities((2, 1)), cov=cov)
+res = lrt.run("c2", SuffStats.from_sample(S), U0=U0, mult=Multiplicities((2, 1)),
+              cov=cov)
 print("off-diagonal mean violates the cone: p = %.2e" % res.p_value)

@@ -3,10 +3,10 @@
 Mean tests (a0, a1, a2) compare nested frame constraints and are exact
 chi-squares with known covariance, F ratios with estimated covariance.
 Eigenvalue tests (s1, s2, s3) constrain the spectrum and use asymptotic
-chi-square references. Every test reads the sample through its
-sufficient statistics (SuffStats), computed once per dataset, and accepts
-either a known CovParams or cov=None to plug in estimates fitted under
-the null.
+chi-square references. lrt.run runs every test by its id; each reads
+the sample through its sufficient statistics (SuffStats), computed once
+per dataset, and accepts either a known CovParams or cov=None to plug
+in estimates fitted under the null.
 """
 
 import numpy as np
@@ -31,19 +31,20 @@ for label, M in (("under the null", M_null),
     print("\n--- data generated %s ---" % label)
     stats = SuffStats.from_sample(sample(100, M, cov, seed=42))
     show("a0 point vs unrestricted (known)",
-         lrt.test_point_unrestricted(stats, M_null, cov))
+         lrt.run("a0", stats, M0=M_null, cov=cov))
     show("a0 point vs unrestricted (F)",
-         lrt.test_point_unrestricted(stats, M_null))
+         lrt.run("a0", stats, M0=M_null))
     show("a1 point vs fixed frame",
-         lrt.test_A1(stats, U0, M_null, cov))
+         lrt.run("a1", stats, U0=U0, M0=M_null, cov=cov))
     show("a2 fixed frame vs unrestricted",
-         lrt.test_A2(stats, U0, cov))
+         lrt.run("a2", stats, U0=U0, cov=cov))
     show("s1 spectrum point (tau-free)",
-         lrt.test_S1(stats, M_null, np.array([4.0, 2.0, 1.0]), mult, cov))
+         lrt.run("s1", stats, M0=M_null, D0=np.array([4.0, 2.0, 1.0]),
+                 mult=mult, cov=cov))
     show("s2 fixed eigenvalues",
-         lrt.test_S2(stats, np.array([4.0, 2.0, 1.0]), mult, cov))
+         lrt.run("s2", stats, D0=np.array([4.0, 2.0, 1.0]), mult=mult, cov=cov))
     show("s3 multiplicity pattern (2,1)",
-         lrt.test_S3(stats, Multiplicities((2, 1)), cov))
+         lrt.run("s3", stats, mult=Multiplicities((2, 1)), cov=cov))
 
 print("\nThe covariance-structure check accepts data from the invariant "
       "model:")

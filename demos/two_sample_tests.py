@@ -35,20 +35,23 @@ def show(name, res):
 
 print("--- same mean in both groups ---")
 S = two_groups(M, M, 60, 40, seed=11)
-show("2a0 equal means (known cov)", lrt.test2_equal_unrestricted(S, cov))
-show("2a0 equal means (F variant)", lrt.test2_equal_unrestricted(S))
-show("2s1 shared eigenvalues", lrt.test2_S1(S, Multiplicities((1, 1, 1)), cov))
+show("2a0 equal means (known cov)", lrt.run("2a0", S, cov=cov))
+show("2a0 equal means (F variant)", lrt.run("2a0", S))
+show("2s1 shared eigenvalues",
+     lrt.run("2s1", S, mult=Multiplicities((1, 1, 1)), cov=cov))
 
 print("\n--- same spectrum, rotated frame ---")
 S = two_groups(M, M_rot, 60, 40, seed=12)
-show("2a0 equal means", lrt.test2_equal_unrestricted(S, cov))
-show("2s1 shared eigenvalues", lrt.test2_S1(S, Multiplicities((1, 1, 1)), cov))
+show("2a0 equal means", lrt.run("2a0", S, cov=cov))
+show("2s1 shared eigenvalues",
+     lrt.run("2s1", S, mult=Multiplicities((1, 1, 1)), cov=cov))
 show("2s2 equal means given shared",
-     lrt.test2_S2(S, Multiplicities((1, 1, 1)), cov))
+     lrt.run("2s2", S, mult=Multiplicities((1, 1, 1)), cov=cov))
 
 print("\n--- different spectra ---")
 S = two_groups(M, np.diag([6.0, 2.0, 1.0]), 60, 40, seed=13)
-show("2s1 shared eigenvalues", lrt.test2_S1(S, Multiplicities((1, 1, 1)), cov))
+show("2s1 shared eigenvalues",
+     lrt.run("2s1", S, mult=Multiplicities((1, 1, 1)), cov=cov))
 
 fit = mle(CommonEigvals(Multiplicities((1, 1, 1))), S)
 print("\nshared-spectrum fit on the last dataset:")

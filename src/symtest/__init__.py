@@ -46,17 +46,8 @@ from .lrt import (
     StatisticError,
     pvalue,
     quantile,
-    test_point_unrestricted,
-    test_A1,
-    test_A2,
-    test_C2,
-    test_S1,
-    test_S2,
-    test_S3,
     test_sigma_structure,
-    test2_equal_unrestricted,
-    test2_S1,
-    test2_S2,
+    run,
     run_config,
     TESTS,
 )

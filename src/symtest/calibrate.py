@@ -8,7 +8,9 @@ sufficient statistics directly from their exact laws, the mean
 Ybar_g ~ N(M_g, sigma2/n_g, tau) and the independent residual scatter
 W_g ~ Wishart(n_g - 1, Sigma), so its cost does not grow with n_g. The
 fits (onesample.mle) and the null-set check (onesample.contains) take
-any group count their set fits.
+any group count their set fits. A calibration parses its hypothesis and
+builds its parameter sets once (lrt.parse_config), and every replicate
+runs that one bound hypothesis.
 """
 
 from collections.abc import Mapping
@@ -165,12 +167,12 @@ def calibrate_null(config, truth, n, reps, seed):
         raise ValueError("truth must be a mapping, got %r" % (truth,))
     two_sample = "M1" in truth
     means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
-    spec, args = lrt.parse_config(config, means[0].shape[0])
-    test_id = config["test_id"]
-    if spec.two_sample != two_sample:
+    h = lrt.parse_config(config, means[0].shape[0])
+    test_id = h.test_id
+    if h.spec.two_sample != two_sample:
         raise ValueError("test %r needs a truth with %s" % (
-            test_id, "M1 and M2" if spec.two_sample else "M"))
-    if spec.sets is not None and not contains(spec.sets(args)[0], *means):
+            test_id, "M1 and M2" if h.spec.two_sample else "M"))
+    if h.sets is not None and not contains(h.sets[0], *means):
         raise ValueError("generator mean is not in the null set of %r" % test_id)
     sizes = n if isinstance(n, (list, tuple)) else (n,)
     if len(sizes) != len(means):
@@ -184,7 +186,7 @@ def calibrate_null(config, truth, n, reps, seed):
     pvals = np.empty(reps)
     for rep in range(reps):
         ss = np.random.SeedSequence(seed, spawn_key=(rep,))
-        res = lrt._run(test_id, _draw_stats(means, sizes, cov_true, ss), args)
+        res = lrt._run(h, _draw_stats(means, sizes, cov_true, ss))
         stats[rep] = res.statistic
         pvals[rep] = res.p_value
     dist = res.dist  # the same for every replicate

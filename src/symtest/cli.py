@@ -223,14 +223,18 @@ def write_dataset(path, S, n1=None):
 
 
 def load_json(path):
+    """The JSON object a config file holds; anything else is an InputError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise InputError("%s: invalid JSON at line %d column %d: %s"
                          % (path, e.lineno, e.colno, e.msg))
+    if not isinstance(config, dict):
+        raise InputError("%s: a config must be a JSON object" % path)
+    return config
 
 
 def _log_transform(S):

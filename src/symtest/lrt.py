@@ -4,35 +4,48 @@ Every MLE of the mean is a Frobenius projection of the sample mean(s),
 so twice the log-likelihood ratio is sum_g n_g (||Ybar_g - M0_g||^2 -
 ||Ybar_g - M1_g||^2) in the (sigma2, tau) norm, M0 and M1 the null and
 alternative fits. Each test is one entry of the registry TESTS (config
-keys, two-sample flag, null and alternative sets, reference), and one
-runner fits both sets from the sample's SuffStats with onesample.mle,
-which serves one and two groups alike, plugs in the null fit's
-(sigma2, tau) when no covariance is given and evaluates that one
-statistic. Given (sigma2, tau) the affine cases are exactly chi-square,
-with F variants of the mean-shift cases for an estimated covariance;
-the curved and cone cases are asymptotic (chi-square or chi-square
-mixture), as is any plug-in reference. cov-check, a test of the
-covariance, keeps its own statistic.
+keys, two-sample flag, null and alternative sets, reference). One entry
+point runs them all: run(test_id, stats, **args) on Python objects, and
+run_config on a JSON-style config, both binding the test to its
+arguments once. The runner fits both sets from the sample's SuffStats
+with onesample.mle, which serves one and two groups alike, plugs in the
+null fit's (sigma2, tau) when no covariance is given and evaluates that
+one statistic. Given (sigma2, tau) the affine cases are exactly
+chi-square, with F variants of the mean-shift cases for an estimated
+covariance; the curved and cone cases are asymptotic (chi-square or
+chi-square mixture), as is any plug-in reference. cov-check, a test of
+the covariance, keeps its own statistic in test_sigma_structure.
 
 Tail probabilities come from scipy.special (chdtrc, fdtrc). The cone
 test's mixture weights at a tied spectrum are exact: the level-probability
 law of each tied block, convolved over the blocks.
 
-Test identifiers (`test_id` on results and in CLI configs), the keys of TESTS:
+Test identifiers (`test_id` on results and in CLI configs), the keys of
+TESTS, with the arguments of run (config key `multiplicities` for mult);
+every test but cov-check also takes cov:
 
-==========  ====================================================
-a0          mean equals a given point vs. unrestricted
-a1          mean equals a given point vs. eigenvectors fixed
-a2          mean diagonalized by a given frame vs. unrestricted
-c2          frame given and eigenvalues ordered (cone test)
-s1          mean equals a given point vs. its spectrum, frame free
-s2          spectrum equals a given point, eigenvectors free
-s3          spectrum has a given multiplicity pattern
-cov-check   covariance is orthogonally invariant
-2a0         two-sample equal means vs. unrestricted
-2s1         two samples share a spectrum (pattern known)
-2s2         equal means given a shared spectrum
-==========  ====================================================
+==========  ===============================================  ===================
+test_id     null hypothesis (alternative, if restricted)     arguments
+==========  ===============================================  ===================
+a0          mean equals M0                                   M0
+a1          mean equals M0 (eigenvectors fixed at U0)        U0, M0
+a2          mean diagonalized by U0                          U0
+c2          mean in U0's frame, eigenvalues ordered (cone)   U0, mult or weights
+s1          mean equals M0 (spectrum D0, frame free)         M0, D0, mult
+s2          spectrum equals D0, eigenvectors free            D0, mult
+s3          spectrum has multiplicity pattern mult           mult
+cov-check   covariance is orthogonally invariant             none
+2a0         two samples have equal means                     none
+2s1         two samples share a spectrum with pattern mult   mult
+2s2         equal means (a spectrum of pattern mult shared)  mult
+==========  ===============================================  ===================
+
+M0 must lie in the alternative of a1 and s1 (diagonalized by U0, with
+spectrum D0). The c2 reference is a chi-square mixture over the faces of
+the cone at the true spectrum: given ConeWeights, or the exact law for
+the true spectrum's tie pattern mult. Known covariance: a0 and 2a0 are
+chi-square(q); estimated, they take the F(q, q(n - g)) variant. s1, s3
+and 2s2 compare fits of equal trace, so their statistic needs no tau.
 """
 
 import math
@@ -246,68 +259,6 @@ def _lr(stats, fit_null, fit_alt, cov):
             sum(n * (abs(a) + abs(b)) for n, a, b in terms))
 
 
-def _run(test_id, stats, args):
-    """Run a registered test on sufficient statistics and parsed arguments.
-
-    Fits the null set, plugs in its (sigma2, tau) when no covariance is
-    known (which needs n > g observations for g groups), fits the
-    alternative set at the covariance the statistic uses, and evaluates
-    _lr. An F reference (mean shift, estimated covariance) takes _lr at
-    the within-group sigma2 for the null tau, scaled by (n - g) / (q n).
-    """
-    spec = TESTS[test_id]
-    if spec.sets is None:
-        return test_sigma_structure(stats)
-    cov = args.get("cov")
-    if isinstance(cov, str):
-        if cov != "estimate":
-            raise ValueError("cov must be a CovParams, None, or 'estimate'")
-        cov = None
-    plugin = cov is None
-    n, g = sum(stats.n), len(stats.n)
-    if plugin and n <= g:
-        raise ValueError("an estimated covariance requires n >= %d" % (g + 1))
-    dist = spec.reference(args, stats, plugin)
-    null, alt = spec.sets(args)
-    fit_null = mle(null, stats, cov)
-    if plugin:
-        cov = CovParams(fit_null.sigma2_hat, fit_null.tau_hat)
-    fit_alt = mle(alt, stats, cov)
-    scale = 1.0
-    if isinstance(dist, FDist):
-        cov = CovParams(estimate_sigma2(stats, fit_alt.means, cov.tau), cov.tau)
-        scale = (n - g) / (sym_dim(stats.p) * n)
-    if spec.tau_free:
-        cov = CovParams(cov.sigma2)
-    t, size = _lr(stats, fit_null, fit_alt, cov)
-    return _result(test_id, scale * t, dist, fit_null, fit_alt, plugin,
-                   scale * size)
-
-
-def test_point_unrestricted(stats, M0, cov=None):
-    """Mean equals M0 vs. unrestricted (a0).
-
-    Known covariance: exact chi-square(q). Estimated covariance: the
-    scaled ratio of the lack of fit to the within-sample dispersion with
-    an F(q, q(n-1)) reference, requiring n >= 2.
-    """
-    return _run("a0", stats, dict(M0=M0, cov=cov))
-
-
-def test_A1(stats, U0, M0, cov=None):
-    """Mean equals M0 within the family diagonalized by U0 (a1).
-
-    M0 must itself be diagonalized by U0. Exact chi-square(p) given the
-    covariance; plug-in asymptotic otherwise.
-    """
-    return _run("a1", stats, dict(U0=U0, M0=M0, cov=cov))
-
-
-def test_A2(stats, U0, cov=None):
-    """Mean is diagonalized by U0 vs. unrestricted (a2)."""
-    return _run("a2", stats, dict(U0=U0, cov=cov))
-
-
 def _exact_cone_law(mult):
     """Face dimensions k..p of the cone projection and their exact weights.
 
@@ -326,42 +277,6 @@ def _exact_cone_law(mult):
             row = (j * np.append(row, 0.0) + np.insert(row, 0, 0.0)) / (j + 1)
         law = np.convolve(law, row)
     return tuple(range(mult.k, mult.p + 1)), tuple(float(w) for w in law)
-
-
-def test_C2(stats, U0, mult=None, cov=None, weights=None):
-    """Mean lies in the ordered-eigenvalue cone of U0 vs. unrestricted (c2).
-
-    The reference is a chi-square mixture over the faces of the cone at
-    the true spectrum. Pass precomputed ConeWeights as `weights`, or the
-    tie pattern `mult` of the true spectrum: the weights are then the
-    exact law on faces k..p (faces below the block count k are
-    unreachable in the limit).
-    """
-    return _run("c2", stats, dict(U0=U0, mult=mult, cov=cov, weights=weights))
-
-
-def test_S1(stats, M0, D0, mult, cov=None):
-    """Mean equals M0 vs. spectrum fixed at D0 with free frame (s1).
-
-    M0 must have spectrum D0. The null and alternative fits share their
-    trace, so the statistic contains no tau and needs only sigma2; it
-    vanishes when the sample mean's eigenvectors line up with M0's.
-    """
-    return _run("s1", stats, dict(M0=M0, D0=D0, mult=mult, cov=cov))
-
-
-def test_S2(stats, D0, mult, cov=None):
-    """Spectrum equals D0 (eigenvectors free) vs. unrestricted (s2)."""
-    return _run("s2", stats, dict(D0=D0, mult=mult, cov=cov))
-
-
-def test_S3(stats, mult, cov=None):
-    """Spectrum has multiplicity pattern mult vs. unrestricted (s3).
-
-    tau-free: the statistic is the eigenvalue dispersion about the block
-    averages, scaled by sigma2.
-    """
-    return _run("s3", stats, dict(mult=mult, cov=cov))
 
 
 def test_sigma_structure(stats):
@@ -392,30 +307,6 @@ def test_sigma_structure(stats):
             "fitted tau is nonpositive: the chi-square calibration is not "
             "guaranteed in this regime",)
     return res
-
-
-def test2_equal_unrestricted(stats, cov=None):
-    """Two-sample equal means vs. unrestricted (2a0).
-
-    Known covariance: exact chi-square(q). Estimated: F(q, q(n-2))
-    variant built from the pooled dispersion, requiring n >= 3.
-    """
-    return _run("2a0", stats, dict(cov=cov))
-
-
-def test2_S1(stats, mult, cov=None):
-    """Two samples share one spectrum with pattern mult vs. unrestricted (2s1)."""
-    return _run("2s1", stats, dict(mult=mult, cov=cov))
-
-
-def test2_S2(stats, mult, cov=None):
-    """Two-sample equal means given a shared spectrum pattern (2s2).
-
-    The null pools the data into one sample carrying the multiplicity
-    pattern; the alternative allows each group its own eigenvectors
-    around a common spectrum.
-    """
-    return _run("2s2", stats, dict(mult=mult, cov=cov))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +358,7 @@ def _covariance(value, p):
                      _number(known["tau"], "tau")).validate(p)
 
 
-# config key -> (test-function parameter, parser of the value for p x p data)
+# config key -> (argument name in run, parser of the value for p x p data)
 _PARSERS = {
     "M0": ("M0", lambda v, p: _array(v, (p, p))),
     "U0": ("U0", lambda v, p: _array(v, (p, p))),
@@ -525,14 +416,16 @@ def _cone_mixture(a, stats, plugin):
 class Spec:
     """A registered test: the single statement of what it tests.
 
-    keys are the config keys it requires and optional those it accepts,
-    parsed into args keyed by the test function's parameters. sets(args)
+    keys are the config keys it requires and optional those it accepts;
+    args carry their values keyed by run's argument names (_PARSERS maps
+    one to the other, "multiplicities" to mult). sets(args)
     is the (null, alternative) pair of parameter sets (fitting two groups
     if two_sample); reference(args, stats, plugin) the reference
     distribution, plugin telling whether the covariance is estimated; an
     F reference selects the F variant of the statistic. tau_free marks
     fits with equal traces: the statistic is then taken at tau = 0. The
     covariance test cov-check has no sets and runs test_sigma_structure.
+    _bind calls sets once per run, run_config or calibrate_null call.
     """
 
     keys: tuple
@@ -579,19 +472,108 @@ TESTS = {
 }
 
 
-def parse_config(config, p):
-    """Registry entry of a hypothesis config and its values, checked for p x p data.
+@dataclass(frozen=True)
+class _Hypothesis:
+    """A registered test bound to its arguments, its sets built once.
 
-    Returns (spec, args), args keyed by the test function's parameters.
+    args are keyed by run's argument names; sets is the (null,
+    alternative) pair, None for cov-check.
+    """
+
+    test_id: str
+    spec: Spec
+    args: dict
+    sets: tuple
+
+
+def _spec(test_id):
+    if not isinstance(test_id, str) or test_id not in TESTS:
+        raise ValueError("unknown test_id %r" % (test_id,))
+    return TESTS[test_id]
+
+
+def _bind(test_id, args):
+    # check the argument names against the registry entry, then build the
+    # sets once (which checks M0 against the alternative for a1 and s1)
+    spec = _spec(test_id)
+    names = [_PARSERS[key][0] for key in spec.keys + spec.optional]
+    for name in args:
+        if name not in names:
+            raise TypeError("test %r takes no argument %r" % (test_id, name))
+    for name in names[:len(spec.keys)]:
+        if name not in args:
+            raise TypeError("test %r requires argument %r" % (test_id, name))
+    return _Hypothesis(test_id, spec, args,
+                       None if spec.sets is None else spec.sets(args))
+
+
+def _run(h, stats):
+    """Run a bound hypothesis on sufficient statistics.
+
+    Fits the null set, plugs in its (sigma2, tau) when no covariance is
+    known (which needs n > g observations for g groups), fits the
+    alternative set at the covariance the statistic uses, and evaluates
+    _lr. An F reference (mean shift, estimated covariance) takes _lr at
+    the within-group sigma2 for the null tau, scaled by (n - g) / (q n).
+    """
+    spec, n, g = h.spec, sum(stats.n), len(stats.n)
+    if spec.two_sample != (g == 2):
+        raise ValueError("test %r needs a %s sample, got %s" % (
+            h.test_id, "two-group" if spec.two_sample else "one-group",
+            "one group" if g == 1 else "two groups"))
+    if h.sets is None:
+        return test_sigma_structure(stats)
+    cov = h.args.get("cov")
+    plugin = cov is None
+    if plugin and n <= g:
+        raise ValueError("an estimated covariance requires n >= %d" % (g + 1))
+    dist = spec.reference(h.args, stats, plugin)
+    null, alt = h.sets
+    fit_null = mle(null, stats, cov)
+    if plugin:
+        cov = CovParams(fit_null.sigma2_hat, fit_null.tau_hat)
+    fit_alt = mle(alt, stats, cov)
+    scale = 1.0
+    if isinstance(dist, FDist):
+        cov = CovParams(estimate_sigma2(stats, fit_alt.means, cov.tau), cov.tau)
+        scale = (n - g) / (sym_dim(stats.p) * n)
+    if spec.tau_free:
+        cov = CovParams(cov.sigma2)
+    t, size = _lr(stats, fit_null, fit_alt, cov)
+    return _result(h.test_id, scale * t, dist, fit_null, fit_alt, plugin,
+                   scale * size)
+
+
+def run(test_id, stats, **args):
+    """Run the registered test test_id on SuffStats (one or two groups).
+
+    args are the test's arguments by name, as listed in the module
+    docstring: M0 and U0 (p x p), D0 (a spectrum), mult (Multiplicities),
+    weights (ConeWeights) and cov, a known CovParams or None (the
+    default) to estimate (sigma2, tau) under the null. A missing or
+    unknown name raises TypeError; a bad value raises ValueError.
+    """
+    h = _bind(test_id, args)
+    cov = args.get("cov")
+    if cov is not None:
+        if not isinstance(cov, CovParams):
+            raise ValueError("cov must be a known CovParams, or None to "
+                             "estimate it; got %r" % (cov,))
+        cov.validate(stats.p)
+    return _run(h, stats)
+
+
+def parse_config(config, p):
+    """The hypothesis a config describes, its values checked for p x p data.
+
+    Returns the test bound to its parsed arguments, with its sets built.
     A missing required key raises KeyError; any other bad value raises
     ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("a hypothesis config must be a JSON object")
     test_id = config.get("test_id")
-    if not isinstance(test_id, str) or test_id not in TESTS:
-        raise ValueError("unknown test_id %r" % (test_id,))
-    spec = TESTS[test_id]
+    spec = _spec(test_id)
     args = {}
     for key in spec.keys + spec.optional:
         if key not in config:
@@ -603,7 +585,7 @@ def parse_config(config, p):
             args[name] = parse(config[key], p)
         except (TypeError, ValueError) as e:
             raise ValueError("config for %r: bad %r: %s" % (test_id, key, e))
-    return spec, args
+    return _bind(test_id, args)
 
 
 def run_config(config, S, n1=None):
@@ -613,12 +595,7 @@ def run_config(config, S, n1=None):
     parameters as nested arrays (`M0`, `U0`, `D0`, `multiplicities`),
     and `cov` as {"known": {"sigma2": x, "tau": y}} or {"estimate": true}.
     Two-sample tests take the group-1 count n1. The sample is reduced to
-    its SuffStats once and the test looked up in TESTS.
+    its SuffStats once and the test bound by parse_config.
     """
     stats = SuffStats.from_sample(S, n1)
-    spec, args = parse_config(config, stats.p)
-    if spec.two_sample != (n1 is not None):
-        raise ValueError("test %r needs a %s sample, got %s" % (
-            config["test_id"], "two-group" if spec.two_sample else "one-group",
-            "one group" if n1 is None else "two groups"))
-    return _run(config["test_id"], stats, args)
+    return _run(parse_config(config, stats.p), stats)

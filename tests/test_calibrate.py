@@ -259,6 +259,29 @@ class TestCalibrateNull:
         assert rep.dist == FDist(3, 21)
         assert abs(rep.rejection_rate - 0.05) < 3.0 * binom_se(0.05, 1000)
 
+    def test_eigendecompositions_per_calibration(self, monkeypatch):
+        # s1's sets are built once, which decomposes M0 to check its
+        # spectrum; each replicate then decomposes its sample mean once
+        import sys
+        from symtest.symcore import eigh_desc
+        calls = []
+
+        def counted(X):
+            calls.append(None)
+            return eigh_desc(X)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("symtest.")
+                    and getattr(module, "eigh_desc", None) is eigh_desc):
+                monkeypatch.setattr(module, "eigh_desc", counted)
+        M = np.diag([3.0, 2.0, 1.0]).tolist()
+        config = {"test_id": "s1", "M0": M, "D0": [3.0, 2.0, 1.0],
+                  "multiplicities": [1, 1, 1],
+                  "cov": {"known": {"sigma2": 1.0, "tau": 0.1}}}
+        calibrate_null(config, {"M": M, "sigma2": 1.0, "tau": 0.1}, n=50,
+                       reps=1000, seed=18)
+        assert len(calls) == 1001
+
 
 class TestDirectDraw:
     # A replicate drawn as its sufficient statistics must give statistics

@@ -251,8 +251,8 @@ class TestCmdTest:
             "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}})
         _, out, _ = run(capsys, ["test", "--data", str(path), "--config", cfg,
                                  "--log-transform"])
-        want = lrt.test_point_unrestricted(SuffStats.from_sample(X), np.zeros((2, 2)),
-                                           CovParams(1.0, 0.0))
+        want = lrt.run("a0", SuffStats.from_sample(X), M0=np.zeros((2, 2)),
+                       cov=CovParams(1.0, 0.0))
         assert json.loads(out)["statistic"] == pytest.approx(want.statistic,
                                                              rel=1e-9)
 
@@ -439,6 +439,21 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "t.json", {"test_id": 5})
         self.check_error(capsys, ["test", "--data", path, "--config", cfg],
                          "unknown test_id 5")
+
+    @pytest.mark.parametrize("command,config", [
+        ("simulate", [1]), ("calibrate", ["test", "truth", "n"]),
+        ("cone-weights", ["d_true"]), ("test", ["test_id"])])
+    def test_config_must_be_an_object(self, tmp_path, capsys, command, config):
+        # a JSON array holding the required key names is still no config
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "d.csv"
+        argv = {"simulate": ["simulate", "--config", cfg, "--out", str(out)],
+                "calibrate": ["calibrate", "--config", cfg],
+                "cone-weights": ["cone-weights", "--config", cfg],
+                "test": ["test", "--data", one_sample_file(tmp_path)[0],
+                         "--config", cfg]}[command]
+        self.check_error(capsys, argv, "a config must be a JSON object")
+        assert command == "test" or not out.exists()
 
     def test_one_sample_test_on_two_group_file(self, tmp_path, capsys):
         S = sample(6, np.zeros((2, 2)), CovParams(1.0, 0.0), 7)

@@ -13,8 +13,8 @@ import re
 import numpy as np
 import pytest
 
-# The statistic functions are reached through the module so pytest does
-# not collect their test_-prefixed names as test items.
+# test_sigma_structure is reached through the module so pytest does not
+# collect its test_-prefixed name as a test item.
 import symtest.lrt as lrt
 from symtest.lrt import (
     ChiSq,
@@ -171,8 +171,8 @@ class TestClamp:
         # each, one ulp of which is far above the absolute CLAMP.
         D = np.diag([3.0, 2.0, 1.0])
         S = sample(200, 1e4 * D, CovParams(1.0, 0.0), seed)
-        res = lrt.test_S1(SuffStats.from_sample(S), D, [3.0, 2.0, 1.0],
-                          Multiplicities((1, 1, 1)), CovParams(1.0, 0.0))
+        res = lrt.run("s1", SuffStats.from_sample(S), M0=D, D0=[3.0, 2.0, 1.0],
+                      mult=Multiplicities((1, 1, 1)), cov=CovParams(1.0, 0.0))
         assert 0.0 <= res.statistic < 1e-2
 
 
@@ -181,7 +181,7 @@ class TestPointUnrestricted:
         M0 = np.array([[1.0, 0.3], [0.3, 2.0]])
         X = np.array([[0.5, -0.2], [-0.2, 0.1]])
         S = sample_with_mean(M0, X)
-        res = lrt.test_point_unrestricted(SuffStats.from_sample(S), M0, cov=COV0)
+        res = lrt.run("a0", SuffStats.from_sample(S), M0=M0, cov=COV0)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert res.test_id == "a0"
@@ -190,7 +190,7 @@ class TestPointUnrestricted:
         cov = CovParams(1.5, 0.2)
         S = sample(12, np.eye(3), cov, 310)
         M0 = np.zeros((3, 3))
-        res = lrt.test_point_unrestricted(SuffStats.from_sample(S), M0, cov=cov)
+        res = lrt.run("a0", SuffStats.from_sample(S), M0=M0, cov=cov)
         want = 12 * norm_sq(S.mean(axis=0) - M0, cov)
         assert res.statistic == pytest.approx(want, rel=1e-13)
         assert res.dist == ChiSq(6)
@@ -202,8 +202,8 @@ class TestPointUnrestricted:
         y = rng.standard_normal(20) * 2.0 + 1.0
         S = y.reshape(-1, 1, 1)
         m0, sigma2 = 1.0, 4.0
-        res = lrt.test_point_unrestricted(SuffStats.from_sample(S),
-                                          [[m0]], cov=CovParams(sigma2, 0.0))
+        res = lrt.run("a0", SuffStats.from_sample(S),
+                      M0=[[m0]], cov=CovParams(sigma2, 0.0))
         z_sq = 20 * (y.mean() - m0) ** 2 / sigma2
         assert res.statistic == pytest.approx(z_sq, rel=1e-13)
         assert res.dist == ChiSq(1)
@@ -224,7 +224,7 @@ class TestPointUnrestricted:
 
     def test_estimated_cov_uses_f(self):
         S = sample(10, np.eye(2), CovParams(1.0, 0.1), 313)
-        res = lrt.test_point_unrestricted(SuffStats.from_sample(S), np.eye(2))
+        res = lrt.run("a0", SuffStats.from_sample(S), M0=np.eye(2))
         assert res.dist == FDist(3, 27)
         assert lrt._PLUGIN_NOTE in res.warnings
         assert 0.0 <= res.p_value <= 1.0
@@ -232,20 +232,13 @@ class TestPointUnrestricted:
     def test_estimated_cov_needs_two_obs(self):
         S = sample(1, np.eye(2), COV0, 314)
         with pytest.raises(ValueError, match="n >= 2"):
-            lrt.test_point_unrestricted(SuffStats.from_sample(S), np.eye(2))
-
-    def test_cov_estimate_string(self):
-        S = sample(10, np.eye(2), COV0, 315)
-        a = lrt.test_point_unrestricted(SuffStats.from_sample(S),
-                                        np.eye(2), cov="estimate")
-        b = lrt.test_point_unrestricted(SuffStats.from_sample(S), np.eye(2), cov=None)
-        assert a.statistic == b.statistic
+            lrt.run("a0", SuffStats.from_sample(S), M0=np.eye(2))
 
     def test_rejects_bad_cov_string(self):
         S = sample(4, np.eye(2), COV0, 316)
         with pytest.raises(ValueError, match="estimate"):
-            lrt.test_point_unrestricted(SuffStats.from_sample(S),
-                                        np.eye(2), cov="plugin")
+            lrt.run("a0", SuffStats.from_sample(S),
+                    M0=np.eye(2), cov="plugin")
 
 
 class TestA1:
@@ -254,7 +247,7 @@ class TestA1:
         # Off-diagonal disturbance only: diag(Ybar) still equals diag(M0).
         X = np.array([[0.0, 0.7], [0.7, 0.0]])
         S = sample_with_mean(M0, X)
-        res = lrt.test_A1(SuffStats.from_sample(S), np.eye(2), M0, cov=COV0)
+        res = lrt.run("a1", SuffStats.from_sample(S), U0=np.eye(2), M0=M0, cov=COV0)
         assert res.statistic == 0.0
         assert res.dist == ChiSq(2)
 
@@ -264,7 +257,7 @@ class TestA1:
         M0 = np.diag([3.0, 1.0])
         Ybar = M0 + np.diag([a, b])
         S = np.stack([Ybar] * n)
-        res = lrt.test_A1(SuffStats.from_sample(S), np.eye(2), M0, cov=COV0)
+        res = lrt.run("a1", SuffStats.from_sample(S), U0=np.eye(2), M0=M0, cov=COV0)
         assert res.statistic == pytest.approx(n * (a * a + b * b), rel=1e-13)
 
     def test_tau_coupling_in_statistic(self):
@@ -272,7 +265,7 @@ class TestA1:
         cov = CovParams(2.0, 0.25)
         M0 = np.diag([3.0, 1.0])
         S = np.stack([M0 + np.diag([a, b])] * n)
-        res = lrt.test_A1(SuffStats.from_sample(S), np.eye(2), M0, cov=cov)
+        res = lrt.run("a1", SuffStats.from_sample(S), U0=np.eye(2), M0=M0, cov=cov)
         want = n * norm_sq(np.diag([a, b]), cov)
         assert res.statistic == pytest.approx(want, rel=1e-13)
 
@@ -280,11 +273,12 @@ class TestA1:
         M0 = np.array([[2.0, 1.0], [1.0, 2.0]])
         S = np.stack([M0] * 3)
         with pytest.raises(ValueError, match="diagonalized"):
-            lrt.test_A1(SuffStats.from_sample(S), np.eye(2), M0, cov=COV0)
+            lrt.run("a1", SuffStats.from_sample(S), U0=np.eye(2), M0=M0, cov=COV0)
 
     def test_plugin_flagged_asymptotic(self):
         S = sample(20, np.diag([3.0, 1.0]), CovParams(1.0, 0.1), 320)
-        res = lrt.test_A1(SuffStats.from_sample(S), np.eye(2), np.diag([3.0, 1.0]))
+        res = lrt.run("a1", SuffStats.from_sample(S), U0=np.eye(2),
+                      M0=np.diag([3.0, 1.0]))
         assert res.dist == ChiSqApprox(2)
         assert lrt._PLUGIN_NOTE in res.warnings
         assert lrt._ASYMPTOTIC_NOTE in res.warnings
@@ -296,7 +290,7 @@ class TestA2:
         U = random_orthogonal(rng, 3)
         Ybar = (U * np.array([4.0, 2.0, 1.0])) @ U.T
         S = sample_with_mean(Ybar, (U * np.array([0.1, 0.5, -0.2])) @ U.T)
-        res = lrt.test_A2(SuffStats.from_sample(S), U, cov=COV0)
+        res = lrt.run("a2", SuffStats.from_sample(S), U0=U, cov=COV0)
         assert res.statistic <= 1e-18
         assert res.dist == ChiSq(3)
 
@@ -307,35 +301,35 @@ class TestA2:
                          [0.0, -0.4, 0.5]])
         S = np.stack([Ybar] * 7)
         cov = CovParams(2.0, 0.2)
-        res = lrt.test_A2(SuffStats.from_sample(S), np.eye(3), cov=cov)
+        res = lrt.run("a2", SuffStats.from_sample(S), U0=np.eye(3), cov=cov)
         want = 7 * 2.0 * (0.3 ** 2 + 0.4 ** 2) / 2.0
         assert res.statistic == pytest.approx(want, rel=1e-12)
         # Trace-free residual: changing tau alone changes nothing.
-        res2 = lrt.test_A2(SuffStats.from_sample(S),
-                           np.eye(3), cov=CovParams(2.0, -1.0))
+        res2 = lrt.run("a2", SuffStats.from_sample(S),
+                       U0=np.eye(3), cov=CovParams(2.0, -1.0))
         assert res2.statistic == pytest.approx(res.statistic, rel=1e-13)
 
     def test_df_is_q_minus_p(self):
         S = sample(6, np.eye(3), COV0, 322)
-        assert lrt.test_A2(SuffStats.from_sample(S),
-                           np.eye(3), cov=COV0).dist == ChiSq(3)
+        assert lrt.run("a2", SuffStats.from_sample(S),
+                       U0=np.eye(3), cov=COV0).dist == ChiSq(3)
         S2 = sample(6, np.eye(2), COV0, 323)
-        assert lrt.test_A2(SuffStats.from_sample(S2),
-                           np.eye(2), cov=COV0).dist == ChiSq(1)
+        assert lrt.run("a2", SuffStats.from_sample(S2),
+                       U0=np.eye(2), cov=COV0).dist == ChiSq(1)
 
 
 class TestC2:
     def test_mixture_for_oblate_pattern(self):
         S = sample(40, np.diag([3.0, 3.0, 1.0]), COV0, 324)
-        res = lrt.test_C2(SuffStats.from_sample(S),
-                          np.eye(3), mult=Multiplicities((2, 1)), cov=COV0)
+        res = lrt.run("c2", SuffStats.from_sample(S),
+                      U0=np.eye(3), mult=Multiplicities((2, 1)), cov=COV0)
         assert res.dist.dfs == (4.0, 3.0)
         assert res.dist.weights == (0.5, 0.5)
 
     def test_mixture_for_isotropic_pattern(self):
         S = sample(40, np.eye(3), COV0, 325)
-        res = lrt.test_C2(SuffStats.from_sample(S),
-                          np.eye(3), mult=Multiplicities((3,)), cov=COV0)
+        res = lrt.run("c2", SuffStats.from_sample(S),
+                      U0=np.eye(3), mult=Multiplicities((3,)), cov=COV0)
         assert res.dist.dfs == (5.0, 4.0, 3.0)
         want = (1.0 / 3.0, 1.0 / 2.0, 1.0 / 6.0)
         assert res.dist.weights == pytest.approx(want, rel=1e-15)
@@ -355,8 +349,8 @@ class TestC2:
 
     def test_distinct_pattern_collapses_to_chi2(self):
         S = sample(40, np.diag([5.0, 3.0, 1.0]), COV0, 326)
-        res = lrt.test_C2(SuffStats.from_sample(S),
-                          np.eye(3), mult=Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.run("c2", SuffStats.from_sample(S),
+                      U0=np.eye(3), mult=Multiplicities((1, 1, 1)), cov=COV0)
         assert res.dist.weights == (1.0,)
         assert res.dist.dfs == (3.0,)
 
@@ -365,30 +359,30 @@ class TestC2:
 
         w = ConeWeights(d_true=None, face_dims=(2, 3), weights=(0.5, 0.5), reps=0)
         S = sample(10, np.diag([3.0, 2.0, 1.0]), COV0, 327)
-        res = lrt.test_C2(SuffStats.from_sample(S), np.eye(3), weights=w, cov=COV0)
+        res = lrt.run("c2", SuffStats.from_sample(S), U0=np.eye(3), weights=w, cov=COV0)
         assert res.dist == ChiSqMix(weights=(0.5, 0.5), dfs=(4.0, 3.0))
 
     def test_zero_iff_mean_in_cone(self):
         w_args = dict(mult=Multiplicities((1, 1)), cov=COV0)
         # Ordered diagonal mean: statistic 0.
         S = np.stack([np.diag([3.0, 1.0])] * 5)
-        assert lrt.test_C2(SuffStats.from_sample(S),
-                           np.eye(2), **w_args).statistic == 0.0
+        assert lrt.run("c2", SuffStats.from_sample(S),
+                       U0=np.eye(2), **w_args).statistic == 0.0
         # Order violated: the projection pools, statistic positive.
         S = np.stack([np.diag([1.0, 3.0])] * 5)
-        assert lrt.test_C2(SuffStats.from_sample(S),
-                           np.eye(2), **w_args).statistic > 0.5
+        assert lrt.run("c2", SuffStats.from_sample(S),
+                       U0=np.eye(2), **w_args).statistic > 0.5
         # Diagonal ordered but off-diagonal energy present: positive.
         S = np.stack([np.array([[3.0, 0.4], [0.4, 1.0]])] * 5)
-        assert lrt.test_C2(SuffStats.from_sample(S),
-                           np.eye(2), **w_args).statistic > 0.5
+        assert lrt.run("c2", SuffStats.from_sample(S),
+                       U0=np.eye(2), **w_args).statistic > 0.5
 
     def test_statistic_is_projection_distance(self):
         rng = np.random.default_rng(328)
         cov = CovParams(1.3, 0.2)
         S = sample(15, np.diag([4.0, 2.0, 1.0]), cov, 329)
-        res = lrt.test_C2(SuffStats.from_sample(S),
-                          np.eye(3), mult=Multiplicities((1, 1, 1)), cov=cov)
+        res = lrt.run("c2", SuffStats.from_sample(S),
+                      U0=np.eye(3), mult=Multiplicities((1, 1, 1)), cov=cov)
         (fit,), _ = project(OrderedCone(np.eye(3)), S.mean(axis=0))
         want = 15 * norm_sq(S.mean(axis=0) - fit, cov)
         assert res.statistic == pytest.approx(want, rel=1e-12)
@@ -396,7 +390,7 @@ class TestC2:
     def test_requires_weights_or_mult(self):
         S = sample(5, np.eye(2), COV0, 330)
         with pytest.raises(ValueError, match="weights"):
-            lrt.test_C2(SuffStats.from_sample(S), np.eye(2), cov=COV0)
+            lrt.run("c2", SuffStats.from_sample(S), U0=np.eye(2), cov=COV0)
 
 
 class TestS1:
@@ -408,8 +402,8 @@ class TestS1:
         # Sample mean has M0's eigenvectors but different eigenvalues.
         Ybar = (U * np.array([5.0, 2.5, 0.5])) @ U.T
         S = sample_with_mean(Ybar, 0.1 * (U * np.array([1.0, -1.0, 0.0])) @ U.T)
-        res = lrt.test_S1(SuffStats.from_sample(S),
-                          M0, D0, Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.run("s1", SuffStats.from_sample(S),
+                      M0=M0, D0=D0, mult=Multiplicities((1, 1, 1)), cov=COV0)
         assert abs(res.statistic) <= 1e-9
         assert res.dist == ChiSqApprox(3)
 
@@ -420,8 +414,8 @@ class TestS1:
         R = np.array([[c, -s], [s, c]])
         Ybar = (R * D0) @ R.T
         S = np.stack([Ybar] * 9)
-        res = lrt.test_S1(SuffStats.from_sample(S),
-                          M0, D0, Multiplicities((1, 1)), cov=COV0)
+        res = lrt.run("s1", SuffStats.from_sample(S),
+                      M0=M0, D0=D0, mult=Multiplicities((1, 1)), cov=COV0)
         assert res.statistic > 0.1
 
     def test_tau_free(self):
@@ -429,33 +423,33 @@ class TestS1:
         D0 = np.array([4.0, 2.0, 1.0])
         M0 = np.diag(D0)
         mult = Multiplicities((1, 1, 1))
-        t0 = lrt.test_S1(SuffStats.from_sample(S),
-                         M0, D0, mult, cov=CovParams(2.0, 0.0)).statistic
-        t1 = lrt.test_S1(SuffStats.from_sample(S),
-                         M0, D0, mult, cov=CovParams(2.0, 0.3)).statistic
-        t2 = lrt.test_S1(SuffStats.from_sample(S),
-                         M0, D0, mult, cov=CovParams(2.0, -5.0)).statistic
+        t0 = lrt.run("s1", SuffStats.from_sample(S),
+                     M0=M0, D0=D0, mult=mult, cov=CovParams(2.0, 0.0)).statistic
+        t1 = lrt.run("s1", SuffStats.from_sample(S),
+                     M0=M0, D0=D0, mult=mult, cov=CovParams(2.0, 0.3)).statistic
+        t2 = lrt.run("s1", SuffStats.from_sample(S),
+                     M0=M0, D0=D0, mult=mult, cov=CovParams(2.0, -5.0)).statistic
         assert t0 == t1 == t2
 
     def test_sigma2_scales_inversely(self):
         S = sample(14, np.diag([4.0, 2.0, 1.0]), COV0, 333)
         D0 = np.array([4.0, 2.0, 1.0])
         mult = Multiplicities((1, 1, 1))
-        t1 = lrt.test_S1(SuffStats.from_sample(S),
-                         np.diag(D0), D0, mult, cov=CovParams(1.0, 0.0)).statistic
-        t4 = lrt.test_S1(SuffStats.from_sample(S),
-                         np.diag(D0), D0, mult, cov=CovParams(4.0, 0.0)).statistic
+        t1 = lrt.run("s1", SuffStats.from_sample(S), M0=np.diag(D0), D0=D0,
+                     mult=mult, cov=CovParams(1.0, 0.0)).statistic
+        t4 = lrt.run("s1", SuffStats.from_sample(S), M0=np.diag(D0), D0=D0,
+                     mult=mult, cov=CovParams(4.0, 0.0)).statistic
         assert t4 == pytest.approx(t1 / 4.0, rel=1e-13)
 
     def test_df_formula(self):
         S = sample(10, np.diag([4.0, 2.0, 1.0]), COV0, 334)
         D0 = np.array([4.0, 2.0, 1.0])
-        res = lrt.test_S1(SuffStats.from_sample(S),
-                          np.diag(D0), D0, Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.run("s1", SuffStats.from_sample(S),
+                      M0=np.diag(D0), D0=D0, mult=Multiplicities((1, 1, 1)), cov=COV0)
         assert res.dist.df == 3.0
         D0b = np.array([4.0, 4.0, 1.0])
-        res = lrt.test_S1(SuffStats.from_sample(S),
-                          np.diag(D0b), D0b, Multiplicities((2, 1)), cov=COV0)
+        res = lrt.run("s1", SuffStats.from_sample(S),
+                      M0=np.diag(D0b), D0=D0b, mult=Multiplicities((2, 1)), cov=COV0)
         assert res.dist.df == 2.0
 
     def test_isotropic_pattern_gives_df_zero(self):
@@ -463,8 +457,8 @@ class TestS1:
         # reference collapses to a point mass at 0.
         S = sample(10, 2.0 * np.eye(3), COV0, 335)
         D0 = np.array([2.0, 2.0, 2.0])
-        res = lrt.test_S1(SuffStats.from_sample(S),
-                          np.diag(D0), D0, Multiplicities((3,)), cov=COV0)
+        res = lrt.run("s1", SuffStats.from_sample(S),
+                      M0=np.diag(D0), D0=D0, mult=Multiplicities((3,)), cov=COV0)
         assert abs(res.statistic) <= 1e-9
         assert res.dist.df == 0.0
         assert res.p_value == 1.0
@@ -478,18 +472,18 @@ class TestS1:
         mult = Multiplicities((1, 1, 1))
         for scale in (1.0, 1e3, 1e5):
             M0 = np.diag(scale * D0)
-            stats = [lrt.test_S1(SuffStats.from_sample(sample(50, M0, cov, seed)),
-                                 M0, scale * D0, mult,
-                                 cov=cov).statistic for seed in range(200)]
+            stats = [lrt.run("s1", SuffStats.from_sample(sample(50, M0, cov, seed)),
+                             M0=M0, D0=scale * D0, mult=mult,
+                             cov=cov).statistic for seed in range(200)]
             assert min(stats) >= 0.0
             assert np.mean(stats) == pytest.approx(3.0, abs=0.6)
 
     def test_rejects_spectrum_mismatch(self):
         S = sample(5, np.eye(2), COV0, 336)
         with pytest.raises(ValueError, match="spectrum"):
-            lrt.test_S1(SuffStats.from_sample(S),
-                        np.diag([3.0, 1.0]), np.array([2.0, 1.0]),
-                    Multiplicities((1, 1)), cov=COV0)
+            lrt.run("s1", SuffStats.from_sample(S),
+                    M0=np.diag([3.0, 1.0]), D0=np.array([2.0, 1.0]),
+                    mult=Multiplicities((1, 1)), cov=COV0)
 
 
 class TestS2:
@@ -499,8 +493,8 @@ class TestS2:
         D0 = np.array([4.0, 2.0, 1.0])
         Ybar = (U * D0) @ U.T
         S = np.stack([Ybar] * 6)
-        res = lrt.test_S2(SuffStats.from_sample(S),
-                          D0, Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.run("s2", SuffStats.from_sample(S),
+                      D0=D0, mult=Multiplicities((1, 1, 1)), cov=COV0)
         assert res.statistic <= 1e-18
 
     def test_statistic_value(self):
@@ -508,18 +502,19 @@ class TestS2:
         Ybar = np.diag([5.0, 2.0])
         S = np.stack([Ybar] * 8)
         D0 = np.array([4.0, 3.0])
-        res = lrt.test_S2(SuffStats.from_sample(S), D0, Multiplicities((1, 1)), cov=cov)
+        res = lrt.run("s2", SuffStats.from_sample(S), D0=D0,
+                      mult=Multiplicities((1, 1)), cov=cov)
         want = 8 * norm_sq(np.diag([1.0, -1.0]), cov)
         assert res.statistic == pytest.approx(want, rel=1e-12)
 
     def test_df_formula(self):
         S = sample(10, 2 * np.eye(3), COV0, 338)
-        res = lrt.test_S2(SuffStats.from_sample(S),
-                          np.array([2.0, 2.0, 2.0]), Multiplicities((3,)), cov=COV0)
+        res = lrt.run("s2", SuffStats.from_sample(S),
+                      D0=np.array([2.0, 2.0, 2.0]), mult=Multiplicities((3,)), cov=COV0)
         assert res.dist == ChiSqApprox(6)
         S2 = sample(10, np.diag([3.0, 1.0, 1.0]), COV0, 339)
-        res = lrt.test_S2(SuffStats.from_sample(S2),
-                          np.array([3.0, 1.0, 1.0]), Multiplicities((1, 2)),
+        res = lrt.run("s2", SuffStats.from_sample(S2),
+                      D0=np.array([3.0, 1.0, 1.0]), mult=Multiplicities((1, 2)),
                       cov=COV0)
         assert res.dist == ChiSqApprox(4)
 
@@ -530,33 +525,34 @@ class TestS3:
         U = random_orthogonal(rng, 3)
         Ybar = (U * np.array([3.0, 3.0, 1.0])) @ U.T
         S = np.stack([Ybar] * 6)
-        res = lrt.test_S3(SuffStats.from_sample(S), Multiplicities((2, 1)), cov=COV0)
+        res = lrt.run("s3", SuffStats.from_sample(S),
+                      mult=Multiplicities((2, 1)), cov=COV0)
         assert res.statistic <= 1e-16
 
     def test_statistic_value(self):
         Ybar = np.diag([5.0, 3.0, 1.0])
         S = np.stack([Ybar] * 6)
-        res = lrt.test_S3(SuffStats.from_sample(S),
-                          Multiplicities((2, 1)), cov=CovParams(2.0, 0.0))
+        res = lrt.run("s3", SuffStats.from_sample(S),
+                      mult=Multiplicities((2, 1)), cov=CovParams(2.0, 0.0))
         # Block averages (4, 4, 1): residual (1, -1, 0).
         assert res.statistic == pytest.approx(6 * 2.0 / 2.0, rel=1e-13)
 
     def test_tau_free(self):
         S = sample(12, np.diag([4.0, 4.0, 1.0]), CovParams(1.0, 0.2), 341)
         mult = Multiplicities((2, 1))
-        t1 = lrt.test_S3(SuffStats.from_sample(S),
-                         mult, cov=CovParams(1.0, 0.0)).statistic
-        t2 = lrt.test_S3(SuffStats.from_sample(S),
-                         mult, cov=CovParams(1.0, 0.3)).statistic
+        t1 = lrt.run("s3", SuffStats.from_sample(S),
+                     mult=mult, cov=CovParams(1.0, 0.0)).statistic
+        t2 = lrt.run("s3", SuffStats.from_sample(S),
+                     mult=mult, cov=CovParams(1.0, 0.3)).statistic
         assert t1 == t2
 
     def test_df_formula(self):
         S = sample(10, np.diag([4.0, 4.0, 1.0]), COV0, 342)
-        assert lrt.test_S3(SuffStats.from_sample(S),
-                           Multiplicities((2, 1)), cov=COV0).dist.df == 2.0
+        assert lrt.run("s3", SuffStats.from_sample(S),
+                       mult=Multiplicities((2, 1)), cov=COV0).dist.df == 2.0
         S2 = sample(10, np.diag([5.0, 3.0, 1.0]), COV0, 343)
-        assert lrt.test_S3(SuffStats.from_sample(S2),
-                           Multiplicities((1, 1, 1)), cov=COV0).dist.df == 0.0
+        assert lrt.run("s3", SuffStats.from_sample(S2),
+                       mult=Multiplicities((1, 1, 1)), cov=COV0).dist.df == 0.0
 
 
 class TestSigmaStructure:
@@ -598,7 +594,7 @@ class TestTwoSampleEqual:
         Ybar = np.array([[2.0, 0.5], [0.5, 1.0]])
         S = np.concatenate([sample_with_mean(Ybar, X),
                             sample_with_mean(Ybar, -2.0 * X)])
-        res = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 2), cov=COV0)
+        res = lrt.run("2a0", SuffStats.from_sample(S, 2), cov=COV0)
         assert res.statistic <= 1e-18
         assert res.test_id == "2a0"
 
@@ -608,7 +604,7 @@ class TestTwoSampleEqual:
                             sample(8, np.zeros((2, 2)), cov, 351)])
         y1 = S[:4].mean(axis=0)
         y2 = S[4:].mean(axis=0)
-        res = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 4), cov=cov)
+        res = lrt.run("2a0", SuffStats.from_sample(S, 4), cov=cov)
         want = (4 * 8 / 12) * norm_sq(y1 - y2, cov)
         assert res.statistic == pytest.approx(want, rel=1e-13)
         assert res.dist == ChiSq(3)
@@ -619,8 +615,8 @@ class TestTwoSampleEqual:
         n1, n2 = 6, 8
         y1, y2 = y[:n1], y[n1:]
         S = y.reshape(-1, 1, 1)
-        res = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, n1),
-                                           cov=CovParams(1.0, 0.0))
+        res = lrt.run("2a0", SuffStats.from_sample(S, n1),
+                      cov=CovParams(1.0, 0.0))
         z_sq = (n1 * n2 / 14) * (y1.mean() - y2.mean()) ** 2
         assert res.statistic == pytest.approx(z_sq, rel=1e-12)
         # The F form reduces to the pooled-variance t square: tau cancels.
@@ -638,14 +634,14 @@ class TestTwoSampleEqual:
         cov = CovParams(1.0, 0.1)
         S = np.concatenate([sample(10, np.eye(2), cov, 353),
                             sample(10, np.eye(2), cov, 354)])
-        res = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 10))
+        res = lrt.run("2a0", SuffStats.from_sample(S, 10))
         assert res.dist == FDist(3, 54)
         assert lrt._PLUGIN_NOTE in res.warnings
 
     def test_estimated_cov_needs_three_obs(self):
         S = np.stack([np.eye(2), 2 * np.eye(2)])
         with pytest.raises(ValueError, match="n >= 3"):
-            lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 1))
+            lrt.run("2a0", SuffStats.from_sample(S, 1))
 
 
 class Test2S1:
@@ -655,8 +651,8 @@ class Test2S1:
         d = np.array([4.0, 4.0, 1.0])
         S = np.concatenate([np.stack([(Q1 * d) @ Q1.T] * 3),
                             np.stack([(Q2 * d) @ Q2.T] * 5)])
-        res = lrt.test2_S1(SuffStats.from_sample(S, 3),
-                           Multiplicities((2, 1)), cov=COV0)
+        res = lrt.run("2s1", SuffStats.from_sample(S, 3),
+                      mult=Multiplicities((2, 1)), cov=COV0)
         assert res.statistic <= 1e-16
 
     def test_statistic_value(self):
@@ -664,7 +660,8 @@ class Test2S1:
         y1 = np.diag([5.0, 1.0])
         y2 = np.diag([4.0, 2.0])
         S = np.concatenate([np.stack([y1] * 6), np.stack([y2] * 2)])
-        res = lrt.test2_S1(SuffStats.from_sample(S, 6), Multiplicities((1, 1)), cov=cov)
+        res = lrt.run("2s1", SuffStats.from_sample(S, 6),
+                      mult=Multiplicities((1, 1)), cov=cov)
         lam_gap = np.diag([1.0, -1.0])
         want = (6 * 2 / 8) * norm_sq(lam_gap, cov)
         assert res.statistic == pytest.approx(want, rel=1e-12)
@@ -672,14 +669,15 @@ class Test2S1:
     def test_df_simple_pattern_is_p(self):
         S = np.concatenate([sample(6, np.diag([3.0, 1.0]), COV0, 356),
                             sample(6, np.diag([3.0, 1.0]), COV0, 357)])
-        res = lrt.test2_S1(SuffStats.from_sample(S, 6),
-                           Multiplicities((1, 1)), cov=COV0)
+        res = lrt.run("2s1", SuffStats.from_sample(S, 6),
+                      mult=Multiplicities((1, 1)), cov=COV0)
         assert res.dist == ChiSqApprox(2)
 
     def test_df_full_pooling_is_2q_minus_1(self):
         S = np.concatenate([sample(6, np.eye(2), COV0, 358),
                             sample(6, np.eye(2), COV0, 359)])
-        res = lrt.test2_S1(SuffStats.from_sample(S, 6), Multiplicities((2,)), cov=COV0)
+        res = lrt.run("2s1", SuffStats.from_sample(S, 6),
+                      mult=Multiplicities((2,)), cov=COV0)
         assert res.dist == ChiSqApprox(5)
 
     def test_pooled_term_uses_weighted_average(self):
@@ -689,7 +687,8 @@ class Test2S1:
         y1 = np.diag([6.0, 2.0])
         y2 = np.diag([3.0, 1.0])
         S = np.concatenate([np.stack([y1] * 1), np.stack([y2] * 3)])
-        res = lrt.test2_S1(SuffStats.from_sample(S, 1), Multiplicities((2,)), cov=cov)
+        res = lrt.run("2s1", SuffStats.from_sample(S, 1),
+                      mult=Multiplicities((2,)), cov=cov)
         lam_bar = (np.array([6.0, 2.0]) + 3 * np.array([3.0, 1.0])) / 4
         resid = lam_bar - lam_bar.mean()
         want = ((1 * 3 / 4) * norm_sq(np.diag([3.0, 1.0]), cov)
@@ -703,8 +702,8 @@ class Test2S2:
         X = np.array([[0.2, 0.0], [0.0, -0.2]])
         S = np.concatenate([sample_with_mean(Ybar, X),
                             sample_with_mean(Ybar, 2.0 * X)])
-        res = lrt.test2_S2(SuffStats.from_sample(S, 2),
-                           Multiplicities((1, 1)), cov=COV0)
+        res = lrt.run("2s2", SuffStats.from_sample(S, 2),
+                      mult=Multiplicities((1, 1)), cov=COV0)
         assert abs(res.statistic) <= 1e-12
 
     def test_zero_when_frames_equal(self):
@@ -714,8 +713,8 @@ class Test2S2:
         y1 = (Q * np.array([5.0, 3.0, 1.0])) @ Q.T
         y2 = (Q * np.array([4.0, 2.0, 0.5])) @ Q.T
         S = np.concatenate([np.stack([y1] * 4), np.stack([y2] * 4)])
-        res = lrt.test2_S2(SuffStats.from_sample(S, 4),
-                           Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.run("2s2", SuffStats.from_sample(S, 4),
+                      mult=Multiplicities((1, 1, 1)), cov=COV0)
         assert abs(res.statistic) <= 1e-9
 
     def test_positive_when_frames_differ(self):
@@ -725,15 +724,15 @@ class Test2S2:
         y1 = np.diag(d)
         y2 = (R * d) @ R.T
         S = np.concatenate([np.stack([y1] * 8), np.stack([y2] * 8)])
-        res = lrt.test2_S2(SuffStats.from_sample(S, 8),
-                           Multiplicities((1, 1)), cov=COV0)
+        res = lrt.run("2s2", SuffStats.from_sample(S, 8),
+                      mult=Multiplicities((1, 1)), cov=COV0)
         assert res.statistic > 1.0
 
     def test_df_formula(self):
         S = np.concatenate([sample(6, np.diag([4.0, 2.0, 1.0]), COV0, 361),
                             sample(6, np.diag([4.0, 2.0, 1.0]), COV0, 362)])
-        res = lrt.test2_S2(SuffStats.from_sample(S, 6),
-                           Multiplicities((1, 1, 1)), cov=COV0)
+        res = lrt.run("2s2", SuffStats.from_sample(S, 6),
+                      mult=Multiplicities((1, 1, 1)), cov=COV0)
         assert res.dist == ChiSqApprox(3)
 
     def test_stable_at_large_scale(self):
@@ -742,18 +741,18 @@ class Test2S2:
         mult = Multiplicities((1, 1, 1))
         for scale in (1.0, 1e3, 1e5):
             M = np.diag(scale * np.array([3.0, 2.0, 1.0]))
-            stats = [lrt.test2_S2(SuffStats.from_sample(
+            stats = [lrt.run("2s2", SuffStats.from_sample(
                 np.concatenate([sample(25, M, cov, 2 * seed),
                                 sample(25, M, cov, 2 * seed + 1)]), 25),
-                mult, cov=cov).statistic for seed in range(100)]
+                mult=mult, cov=cov).statistic for seed in range(100)]
             assert min(stats) >= 0.0
             assert np.mean(stats) == pytest.approx(3.0, abs=0.8)
 
     def test_null_fit_is_pooled_equal_means(self):
         S = np.concatenate([sample(6, np.diag([4.0, 1.0]), COV0, 363),
                             sample(9, np.diag([4.0, 1.0]), COV0, 364)])
-        res = lrt.test2_S2(SuffStats.from_sample(S, 6),
-                           Multiplicities((1, 1)), cov=COV0)
+        res = lrt.run("2s2", SuffStats.from_sample(S, 6),
+                      mult=Multiplicities((1, 1)), cov=COV0)
         assert np.array_equal(res.fit_null.M1_hat, res.fit_null.M2_hat)
         lam = np.linalg.eigvalsh(res.fit_null.M1_hat)
         assert np.all(np.diff(lam) != 0.0)
@@ -792,20 +791,21 @@ class TestInvariance:
         D0 = np.array([4.0, 2.0, 1.0])
         mult = Multiplicities((1, 1, 1))
 
-        a = lrt.test_point_unrestricted(SuffStats.from_sample(S), M0, cov=cov).statistic
-        b = lrt.test_point_unrestricted(SuffStats.from_sample(SQ),
-                                        Q @ M0 @ Q.T, cov=cov).statistic
+        a = lrt.run("a0", SuffStats.from_sample(S), M0=M0, cov=cov).statistic
+        b = lrt.run("a0", SuffStats.from_sample(SQ),
+                    M0=Q @ M0 @ Q.T, cov=cov).statistic
         assert b == pytest.approx(a, rel=1e-10)
-        a = lrt.test_A1(SuffStats.from_sample(S), U0, M0, cov=cov).statistic
-        b = lrt.test_A1(SuffStats.from_sample(SQ),
-                        Q @ U0, Q @ M0 @ Q.T, cov=cov).statistic
+        a = lrt.run("a1", SuffStats.from_sample(S), U0=U0, M0=M0, cov=cov).statistic
+        b = lrt.run("a1", SuffStats.from_sample(SQ),
+                    U0=Q @ U0, M0=Q @ M0 @ Q.T, cov=cov).statistic
         assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
-        a = lrt.test_A2(SuffStats.from_sample(S), U0, cov=cov).statistic
-        b = lrt.test_A2(SuffStats.from_sample(SQ), Q @ U0, cov=cov).statistic
+        a = lrt.run("a2", SuffStats.from_sample(S), U0=U0, cov=cov).statistic
+        b = lrt.run("a2", SuffStats.from_sample(SQ), U0=Q @ U0, cov=cov).statistic
         assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
-        a = lrt.test_S1(SuffStats.from_sample(S), M0, D0, mult, cov=cov).statistic
-        b = lrt.test_S1(SuffStats.from_sample(SQ),
-                        Q @ M0 @ Q.T, D0, mult, cov=cov).statistic
+        a = lrt.run("s1", SuffStats.from_sample(S), M0=M0, D0=D0, mult=mult,
+                    cov=cov).statistic
+        b = lrt.run("s1", SuffStats.from_sample(SQ),
+                    M0=Q @ M0 @ Q.T, D0=D0, mult=mult, cov=cov).statistic
         assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
     def test_rotation_invariance_of_spectral_tests(self):
@@ -817,13 +817,15 @@ class TestInvariance:
         SQ = np.einsum("ij,njk,lk->nil", Q, S, Q)
         D0 = np.array([4.0, 2.0, 1.0])
         mult = Multiplicities((1, 1, 1))
-        assert (lrt.test_S2(SuffStats.from_sample(SQ), D0, mult, cov=cov).statistic
-                == pytest.approx(lrt.test_S2(SuffStats.from_sample(S),
-                                             D0, mult, cov=cov).statistic, rel=1e-9))
-        assert (lrt.test_S3(SuffStats.from_sample(SQ),
-                            Multiplicities((2, 1)), cov=cov).statistic
-                == pytest.approx(lrt.test_S3(SuffStats.from_sample(S),
-                                             Multiplicities((2, 1)), cov=cov).statistic,
+        assert (lrt.run("s2", SuffStats.from_sample(SQ), D0=D0, mult=mult,
+                        cov=cov).statistic
+                == pytest.approx(lrt.run("s2", SuffStats.from_sample(S), D0=D0,
+                                         mult=mult, cov=cov).statistic, rel=1e-9))
+        assert (lrt.run("s3", SuffStats.from_sample(SQ),
+                        mult=Multiplicities((2, 1)), cov=cov).statistic
+                == pytest.approx(lrt.run("s3", SuffStats.from_sample(S),
+                                         mult=Multiplicities((2, 1)),
+                                         cov=cov).statistic,
                                  rel=1e-9))
 
     def test_sign_flips_of_frame_columns(self):
@@ -831,11 +833,12 @@ class TestInvariance:
         M0 = np.diag([4.0, 2.0, 1.0])
         F = np.diag([1.0, -1.0, -1.0])
         for runner in (
-            lambda U: lrt.test_A1(SuffStats.from_sample(S), U, M0, cov=COV0).statistic,
-            lambda U: lrt.test_A2(SuffStats.from_sample(S), U, cov=COV0).statistic,
-            lambda U: lrt.test_C2(SuffStats.from_sample(S),
-                                  U, mult=Multiplicities((1, 1, 1)),
-                                  cov=COV0).statistic,
+            lambda U: lrt.run("a1", SuffStats.from_sample(S), U0=U, M0=M0,
+                              cov=COV0).statistic,
+            lambda U: lrt.run("a2", SuffStats.from_sample(S), U0=U, cov=COV0).statistic,
+            lambda U: lrt.run("c2", SuffStats.from_sample(S),
+                              U0=U, mult=Multiplicities((1, 1, 1)),
+                              cov=COV0).statistic,
         ):
             assert runner(np.eye(3) @ F) == pytest.approx(runner(np.eye(3)),
                                                           rel=1e-12)
@@ -861,8 +864,8 @@ class TestRunConfig:
         config = {"test_id": "a0", "M0": [[3.0, 0.0], [0.0, 1.0]],
                   "cov": {"known": {"sigma2": 1.0, "tau": 0.1}}}
         res = run_config(config, S)
-        want = lrt.test_point_unrestricted(SuffStats.from_sample(S),
-                                           np.diag([3.0, 1.0]), cov=cov)
+        want = lrt.run("a0", SuffStats.from_sample(S),
+                       M0=np.diag([3.0, 1.0]), cov=cov)
         assert res.statistic == want.statistic
         assert res.p_value == want.p_value
 
@@ -879,7 +882,7 @@ class TestRunConfig:
                             sample(6, np.eye(2), COV0, 375)])
         config = {"test_id": "2a0", "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}}
         res = run_config(config, S, n1=6)
-        want = lrt.test2_equal_unrestricted(SuffStats.from_sample(S, 6), cov=COV0)
+        want = lrt.run("2a0", SuffStats.from_sample(S, 6), cov=COV0)
         assert res.statistic == want.statistic
 
     def test_two_sample_requires_n1(self):
@@ -1020,3 +1023,127 @@ class TestRunConfig:
                   "weights": {"face_dims": [1, 2], "weights": [0.5, 0.5]}}
         res = run_config(config, S)
         assert res.dist == ChiSqMix(weights=(0.5, 0.5), dfs=(2.0, 1.0))
+
+
+# per test id: a config's keys for 3 x 3 data and the same values as run's
+# arguments
+MEAN = np.diag([3.0, 2.0, 1.0])
+RUN_CASES = {
+    "a0": ({"M0": MEAN.tolist()}, dict(M0=MEAN)),
+    "a1": ({"U0": np.eye(3).tolist(), "M0": MEAN.tolist()},
+           dict(U0=np.eye(3), M0=MEAN)),
+    "a2": ({"U0": np.eye(3).tolist()}, dict(U0=np.eye(3))),
+    "c2": ({"U0": np.eye(3).tolist(), "multiplicities": [2, 1]},
+           dict(U0=np.eye(3), mult=Multiplicities((2, 1)))),
+    "s1": ({"M0": MEAN.tolist(), "D0": [3.0, 2.0, 1.0],
+            "multiplicities": [1, 1, 1]},
+           dict(M0=MEAN, D0=np.array([3.0, 2.0, 1.0]),
+                mult=Multiplicities((1, 1, 1)))),
+    "s2": ({"D0": [3.0, 2.0, 1.0], "multiplicities": [1, 1, 1]},
+           dict(D0=np.array([3.0, 2.0, 1.0]), mult=Multiplicities((1, 1, 1)))),
+    "s3": ({"multiplicities": [2, 1]}, dict(mult=Multiplicities((2, 1)))),
+    "cov-check": ({}, {}),
+    "2a0": ({}, {}),
+    "2s1": ({"multiplicities": [1, 1, 1]}, dict(mult=Multiplicities((1, 1, 1)))),
+    "2s2": ({"multiplicities": [1, 1, 1]}, dict(mult=Multiplicities((1, 1, 1)))),
+}
+COV_MODES = {"known": ({"known": {"sigma2": 1.0, "tau": 0.1}}, CovParams(1.0, 0.1)),
+             "estimated": ({"estimate": True}, None)}
+
+
+def assert_same_fit(a, b):
+    if b is None:
+        assert a is None
+        return
+    assert len(a.means) == len(b.means)
+    assert all(np.array_equal(x, y) for x, y in zip(a.means, b.means))
+    assert (a.sigma2_hat, a.tau_hat, a.face_dim) == (
+        b.sigma2_hat, b.tau_hat, b.face_dim)
+
+
+class TestRun:
+    @pytest.mark.parametrize("test_id,mode", [
+        (t, m) for t in RUN_CASES for m in ("known", "estimated", "none")
+        if t != "cov-check" or m == "none"])
+    def test_matches_run_config(self, test_id, mode):
+        config, args = RUN_CASES[test_id]
+        config, args = dict(config, test_id=test_id), dict(args)
+        if mode != "none":
+            config["cov"], args["cov"] = COV_MODES[mode]
+        cov = CovParams(1.0, 0.1)
+        S = sample(400 if test_id == "cov-check" else 30, MEAN, cov, 391)
+        n1 = None
+        if lrt.TESTS[test_id].two_sample:
+            S, n1 = np.concatenate([S, sample(25, MEAN, cov, 392)]), 30
+        got = lrt.run(test_id, SuffStats.from_sample(S, n1), **args)
+        want = run_config(config, S, n1=n1)
+        assert (got.test_id, got.statistic, got.p_value, got.dist,
+                got.warnings) == (want.test_id, want.statistic, want.p_value,
+                                  want.dist, want.warnings)
+        assert_same_fit(got.fit_null, want.fit_null)
+        assert_same_fit(got.fit_alt, want.fit_alt)
+
+    @pytest.mark.parametrize("test_id,args,fragment", [
+        ("a0", {}, "test 'a0' requires argument 'M0'"),
+        ("s1", dict(M0=MEAN, D0=np.array([3.0, 2.0, 1.0])),
+         "test 's1' requires argument 'mult'"),
+        ("a2", dict(U0=np.eye(3), M0=MEAN), "test 'a2' takes no argument 'M0'"),
+        ("s3", dict(multiplicities=Multiplicities((2, 1))),
+         "test 's3' takes no argument 'multiplicities'"),
+        ("cov-check", dict(cov=COV0), "test 'cov-check' takes no argument 'cov'"),
+    ])
+    def test_rejects_argument_names(self, test_id, args, fragment):
+        stats = SuffStats.from_sample(sample(6, MEAN, COV0, 393))
+        with pytest.raises(TypeError, match=re.escape(fragment)):
+            lrt.run(test_id, stats, **args)
+
+    def test_rejects_unknown_test_id(self):
+        stats = SuffStats.from_sample(sample(6, MEAN, COV0, 394))
+        with pytest.raises(ValueError, match="unknown test_id 'zz'"):
+            lrt.run("zz", stats)
+
+    @pytest.mark.parametrize("cov,fragment", [
+        (CovParams(1.0, 0.5), "tau must be < 1/p"),
+        (CovParams(1.0, 0.9), "tau must be < 1/p"),
+        (CovParams(-1.0, 0.0), "sigma2 must be positive"),
+        ("estimate", "cov must be a known CovParams"),
+    ])
+    def test_known_cov_validated(self, cov, fragment):
+        # tau = 1/p at p = 2 is no distribution; it must not yield a p-value
+        stats = SuffStats.from_sample(sample(6, np.eye(2), COV0, 395))
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            lrt.run("a0", stats, M0=np.eye(2), cov=cov)
+
+    @pytest.mark.parametrize("test_id,groups,fragment", [
+        ("2a0", 1, "test '2a0' needs a two-group sample, got one group"),
+        ("a0", 2, "test 'a0' needs a one-group sample, got two groups"),
+        ("cov-check", 2, "test 'cov-check' needs a one-group sample"),
+    ])
+    def test_rejects_group_count(self, test_id, groups, fragment):
+        S = sample(8, MEAN, COV0, 396)
+        stats = SuffStats.from_sample(S, 4 if groups == 2 else None)
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            lrt.run(test_id, stats, **RUN_CASES[test_id][1])
+
+    @pytest.mark.parametrize("entry", ["run", "run_config", "calibrate_null"])
+    def test_sets_built_once_per_call(self, monkeypatch, entry):
+        import dataclasses
+        from symtest.calibrate import calibrate_null
+        spec, calls = lrt.TESTS["s1"], []
+
+        def sets(args):
+            calls.append(None)
+            return spec.sets(args)
+
+        monkeypatch.setitem(lrt.TESTS, "s1", dataclasses.replace(spec, sets=sets))
+        config, args = RUN_CASES["s1"]
+        config = dict(config, test_id="s1", cov=COV_MODES["known"][0])
+        S = sample(20, MEAN, CovParams(1.0, 0.1), 397)
+        if entry == "run":
+            lrt.run("s1", SuffStats.from_sample(S), **args)
+        elif entry == "run_config":
+            run_config(config, S)
+        else:
+            calibrate_null(config, {"M": MEAN.tolist(), "sigma2": 1.0, "tau": 0.1},
+                           n=20, reps=1000, seed=398)
+        assert len(calls) == 1
