@@ -28,7 +28,8 @@ from .symcore import (
     check_symmetric,
     eigh_desc,
 )
-from .matnormal import SuffStats, _sigma_root, sample, sample_scatter
+from .matnormal import (SuffStats, _rng_from, _sigma_root, sample,
+                        sample_scatter)
 from .onesample import (
     FixedEigvals,
     Unrestricted,
@@ -61,10 +62,6 @@ class CalibrationReport:
     statistics: np.ndarray  # sorted; feeds QQ plot output
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def _check_d_true(d_true):
     d = np.asarray(d_true, dtype=float)
     if d.ndim != 1 or d.size < 1:
@@ -87,7 +84,7 @@ def _cone_draw(d, cov, reps, seed):
     # pava of reps draws of the diagonal of N(diag(d), sigma2, tau): y = d + zB,
     # B the p x p diagonal block of the root R; y += d adds no (reps, p) array
     p = d.size
-    y = _rng(seed).standard_normal((reps, p)) @ _sigma_root(p, cov)[:p, :p]
+    y = _rng_from(seed).standard_normal((reps, p)) @ _sigma_root(p, cov)[:p, :p]
     y += d
     return pava(y)
 
@@ -146,7 +143,7 @@ def _draw_stats(means, sizes, cov, ss):
     p = means[0].shape[0]
     ybar, W = [], []
     for M, k, s in zip(means, sizes, ss.spawn(2) if len(means) == 2 else (ss,)):
-        rng = np.random.Generator(np.random.Philox(s))
+        rng = _rng_from(s)
         ybar.append(sample(1, M, CovParams(cov.sigma2 / k, cov.tau), rng)[0])
         W.append(sample_scatter(k - 1, p, cov, rng))
     return SuffStats(n=tuple(sizes), ybar=tuple(ybar), W=tuple(W))

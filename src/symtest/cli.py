@@ -3,6 +3,10 @@
 Subcommands: simulate (write a CSV dataset), test (run one configured
 hypothesis test), calibrate (Monte Carlo null calibration), cone-weights
 (order-cone mixture weights), cov-check (covariance-structure test).
+Each subcommand maps its parsed arguments to the body of its report
+(simulate writes its CSV and has none). main alone writes every report:
+{"tool", "version", **body}, then a UTC "timestamp" unless
+--no-timestamp, to stdout; it also maps errors to exit codes.
 
 Reports are JSON with floats at 17 significant digits, byte-identical
 for a fixed (data, config, seed) apart from the timestamp, which
@@ -120,32 +124,6 @@ def _mle_payload(fit):
     return out
 
 
-def _timestamp():
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(
-        timespec="seconds")
-
-
-def _report_from_result(res, n, n1, seed, with_timestamp):
-    report = {
-        "tool": "symtest",
-        "version": __version__,
-        "test_id": res.test_id,
-        "n": int(n),
-    }
-    if n1 is not None:
-        report["n1"] = int(n1)
-        report["n2"] = int(n - n1)
-    report["statistic"] = float(res.statistic)
-    report["distribution"] = _dist_payload(res.dist)
-    report["p_value"] = float(res.p_value)
-    report["mle"] = _mle_payload(res.fit_null)
-    report["warnings"] = list(res.warnings)
-    report["seed"] = None if seed is None else _integer(seed, "seed")
-    if with_timestamp:
-        report["timestamp"] = _timestamp()
-    return report
-
-
 # ---------------------------------------------------------------------------
 # dataset files
 
@@ -252,11 +230,29 @@ def _log_transform(S):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps its parsed arguments to its report body
 
-def cmd_simulate(config_path, out_path, seed=None):
-    config = load_json(config_path)
-    seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
+def _integer(value, key):
+    with _input_errors(ValueError):
+        return check_integer(value, "config %r" % key)
+
+
+def _setting(args, config, key, default):
+    # --seed/--reps, else the config's value, else the default; a seed
+    # must be nonnegative
+    value = getattr(args, key, None)
+    value = config.get(key, default) if value is None else value
+    if value is None:
+        return None
+    value = _integer(value, key)
+    if key == "seed" and value < 0:
+        raise InputError("'seed' must be nonnegative, got %d" % value)
+    return value
+
+
+def cmd_simulate(args):
+    config = load_json(args.config)
+    seed = _setting(args, config, "seed", 0)
     # one (mean, count) pair of keys per group, group 1 first
     keys = ((("M1", "n1"), ("M2", "n2")) if "M1" in config or "n1" in config
             else (("M", "n"),))
@@ -266,88 +262,60 @@ def cmd_simulate(config_path, out_path, seed=None):
             sizes = [_integer(config[k], k) for _, k in keys]
     except KeyError as e:
         raise InputError("simulate config requires %s" % e)
-    _check_p(config, means[0].shape[0])
+    p = means[0].shape[0]
+    if "p" in config and _integer(config["p"], "p") != p:
+        raise InputError("config p=%d does not match the mean's dimension %d"
+                         % (int(config["p"]), p))
     root = np.random.SeedSequence(seed)
     streams = root.spawn(2) if len(keys) == 2 else (root,)
     with _input_errors(ValueError):  # bad n
         S = np.concatenate([sample(k, M, cov, ss)
                             for k, M, ss in zip(sizes, means, streams)])
-    write_dataset(out_path, S, sizes[0] if len(keys) == 2 else None)
-    return 0
+    write_dataset(args.out, S, sizes[0] if len(keys) == 2 else None)
 
 
-def _integer(value, key):
-    with _input_errors(ValueError):
-        return check_integer(value, "config %r" % key)
-
-
-def _check_p(config, p_actual):
-    if "p" in config and _integer(config["p"], "p") != p_actual:
-        raise InputError("config p=%d does not match the mean's dimension %d"
-                         % (int(config["p"]), p_actual))
-
-
-def _run_test(config, data_path, log_transform, with_timestamp, out):
-    out = sys.stdout if out is None else out
-    S, n1 = read_dataset(data_path)
-    if log_transform:
+def cmd_test(args, config=None):
+    # cov-check passes its fixed config; test reads --config
+    config = load_json(args.config) if config is None else config
+    S, n1 = read_dataset(args.data)
+    if args.log_transform:
         S = _log_transform(S)
     with _input_errors(KeyError, ValueError):
         res = lrt.run_config(config, S, n1=n1)
-    report = _report_from_result(res, S.shape[0], n1, config.get("seed"),
-                                 with_timestamp)
-    out.write(dumps(report) + "\n")
-    return 0
+    n = S.shape[0]
+    body = {"test_id": res.test_id, "n": n}
+    if n1 is not None:
+        body.update(n1=n1, n2=n - n1)
+    body.update(statistic=float(res.statistic),
+                distribution=_dist_payload(res.dist),
+                p_value=float(res.p_value), mle=_mle_payload(res.fit_null),
+                warnings=list(res.warnings),
+                seed=_setting(args, config, "seed", None))
+    return body
 
 
-def cmd_test(data_path, config_path, log_transform=False, with_timestamp=True,
-             out=None):
-    return _run_test(load_json(config_path), data_path, log_transform,
-                     with_timestamp, out)
-
-
-def cmd_cov_check(data_path, log_transform=False, with_timestamp=True,
-                  out=None):
-    return _run_test({"test_id": "cov-check"}, data_path, log_transform,
-                     with_timestamp, out)
-
-
-def cmd_calibrate(config_path, seed=None, reps=None, out_path=None,
-                  with_timestamp=True, out=None):
-    out = sys.stdout if out is None else out
-    config = load_json(config_path)
+def cmd_calibrate(args):
+    config = load_json(args.config)
     for key in ("test", "truth", "n"):
         if key not in config:
             raise InputError("calibrate config requires %r" % key)
-    reps = _integer(config.get("reps", 5000) if reps is None else reps, "reps")
-    seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
+    reps = _setting(args, config, "reps", 5000)
+    seed = _setting(args, config, "seed", 0)
     with _input_errors(KeyError, ValueError):
         rep = calibrate.calibrate_null(config["test"], config["truth"],
                                        config["n"], reps, seed)
-    payload = {
-        "tool": "symtest",
-        "version": __version__,
-        "test_id": rep.test_id,
-        "reps": rep.reps,
-        "n": rep.n,
-    }
+    if args.out is not None:
+        _write_qq(args.out, rep)
+    body = {"test_id": rep.test_id, "reps": rep.reps, "n": rep.n}
     if rep.n1 is not None:
-        payload["n1"] = rep.n1
-        payload["n2"] = rep.n2
-    payload["distribution"] = _dist_payload(rep.dist)
-    payload["quantile_probs"] = list(rep.quantile_probs)
-    payload["empirical_quantiles"] = list(rep.empirical_quantiles)
-    payload["theoretical_quantiles"] = list(rep.theoretical_quantiles)
-    payload["ks_distance"] = rep.ks_distance
-    payload["alpha"] = rep.alpha
-    payload["rejection_rate"] = rep.rejection_rate
-    payload["seed"] = int(seed)
-    if with_timestamp:
-        payload["timestamp"] = _timestamp()
-    out.write(dumps(payload) + "\n")
-    if out_path is not None:
-        _write_qq(out_path, rep)
-    return 0
+        body.update(n1=rep.n1, n2=rep.n2)
+    body.update(distribution=_dist_payload(rep.dist),
+                quantile_probs=list(rep.quantile_probs),
+                empirical_quantiles=list(rep.empirical_quantiles),
+                theoretical_quantiles=list(rep.theoretical_quantiles),
+                ks_distance=rep.ks_distance, alpha=rep.alpha,
+                rejection_rate=rep.rejection_rate, seed=seed)
+    return body
 
 
 def _write_qq(path, rep):
@@ -365,30 +333,16 @@ def _write_qq(path, rep):
                              "%.17g" % float(np.quantile(rep.statistics, pr))])
 
 
-def cmd_cone_weights(config_path, seed=None, reps=None, with_timestamp=True,
-                     out=None):
-    out = sys.stdout if out is None else out
-    config = load_json(config_path)
+def cmd_cone_weights(args):
+    config = load_json(args.config)
     if "d_true" not in config:
         raise InputError("cone-weights config requires 'd_true'")
-    reps = _integer(config.get("reps", 100000) if reps is None else reps,
-                    "reps")
-    seed = _integer(config.get("seed", 0) if seed is None else seed, "seed")
+    reps = _setting(args, config, "reps", 100000)
+    seed = _setting(args, config, "seed", 0)
     with _input_errors(ValueError):
         w = calibrate.estimate_cone_weights(config["d_true"], reps, seed)
-    payload = {
-        "tool": "symtest",
-        "version": __version__,
-        "d_true": list(w.d_true),
-        "face_dims": list(w.face_dims),
-        "weights": list(w.weights),
-        "reps": w.reps,
-        "seed": int(seed),
-    }
-    if with_timestamp:
-        payload["timestamp"] = _timestamp()
-    out.write(dumps(payload) + "\n")
-    return 0
+    return {"d_true": list(w.d_true), "face_dims": list(w.face_dims),
+            "weights": list(w.weights), "reps": w.reps, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +360,7 @@ def _build_parser():
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
+    sim.set_defaults(run=cmd_simulate)
 
     tst = sub.add_parser("test", help="run a configured hypothesis test")
     tst.add_argument("--data", required=True, help="dataset CSV path")
@@ -414,6 +369,7 @@ def _build_parser():
                      help="apply a matrix logarithm to each observation")
     tst.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp field from the report")
+    tst.set_defaults(run=cmd_test)
 
     cal = sub.add_parser("calibrate", help="Monte Carlo null calibration")
     cal.add_argument("--config", required=True,
@@ -423,6 +379,7 @@ def _build_parser():
     cal.add_argument("--out", default=None,
                      help="write a QQ plot CSV (theoretical vs empirical)")
     cal.add_argument("--no-timestamp", action="store_true")
+    cal.set_defaults(run=cmd_calibrate)
 
     cw = sub.add_parser("cone-weights",
                         help="estimate order-cone mixture weights")
@@ -431,43 +388,36 @@ def _build_parser():
     cw.add_argument("--seed", type=int, default=None)
     cw.add_argument("--reps", type=int, default=None)
     cw.add_argument("--no-timestamp", action="store_true")
+    cw.set_defaults(run=cmd_cone_weights)
 
     cc = sub.add_parser("cov-check",
                         help="test the orthogonally invariant covariance")
     cc.add_argument("--data", required=True, help="dataset CSV path")
     cc.add_argument("--log-transform", action="store_true")
     cc.add_argument("--no-timestamp", action="store_true")
+    cc.set_defaults(run=lambda args: cmd_test(args, {"test_id": "cov-check"}))
 
     return parser
 
 
 def main(argv=None):
+    """Run one subcommand, write its report and return the exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, seed=args.seed)
-        if args.command == "test":
-            return cmd_test(args.data, args.config,
-                            log_transform=args.log_transform,
-                            with_timestamp=not args.no_timestamp)
-        if args.command == "calibrate":
-            return cmd_calibrate(args.config, seed=args.seed, reps=args.reps,
-                                 out_path=args.out,
-                                 with_timestamp=not args.no_timestamp)
-        if args.command == "cone-weights":
-            return cmd_cone_weights(args.config, seed=args.seed,
-                                    reps=args.reps,
-                                    with_timestamp=not args.no_timestamp)
-        if args.command == "cov-check":
-            return cmd_cov_check(args.data, log_transform=args.log_transform,
-                                 with_timestamp=not args.no_timestamp)
-        raise AssertionError("unreachable")
+        body = args.run(args)
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (lrt.StatisticError, np.linalg.LinAlgError) as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 1
+    if body is not None:
+        report = {"tool": "symtest", "version": __version__, **body}
+        if not args.no_timestamp:
+            report["timestamp"] = datetime.datetime.now(
+                datetime.timezone.utc).isoformat(timespec="seconds")
+        sys.stdout.write(dumps(report) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

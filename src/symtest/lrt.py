@@ -329,13 +329,16 @@ def _sequence(value):
 
 
 def _multiplicities(value, p):
-    mult = Multiplicities(_sequence(value))
+    mult = (value if isinstance(value, Multiplicities)
+            else Multiplicities(_sequence(value)))
     if mult.p != p:
         raise ValueError("%r does not sum to p = %d" % (mult.m, p))
     return mult
 
 
 def _cone_weights(value, p):
+    if isinstance(value, ConeWeights):
+        value = {"face_dims": value.face_dims, "weights": value.weights}
     dims = tuple(check_integer(k, "a face dimension")
                  for k in _sequence(value["face_dims"]))
     weights = tuple(float(x) for x in _sequence(value["weights"]))
@@ -348,9 +351,16 @@ def _cone_weights(value, p):
 
 
 def _covariance(value, p):
+    # a known CovParams or None to estimate it, or their config form
+    # {"known": {"sigma2": x, "tau": y}} or {"estimate": true}
+    if value is None:
+        return None
+    if isinstance(value, CovParams):
+        return value.validate(p)
     if not isinstance(value, dict):
-        raise ValueError('expected {"known": {"sigma2": x, "tau": y}} or '
-                         '{"estimate": true}')
+        raise ValueError('cov must be a known CovParams or None to estimate '
+                         'it; in a config, expected {"known": {"sigma2": x, '
+                         '"tau": y}} or {"estimate": true}; got %r' % (value,))
     if value.get("estimate"):
         return None
     known = value["known"]
@@ -492,19 +502,28 @@ def _spec(test_id):
     return TESTS[test_id]
 
 
-def _bind(test_id, args):
-    # check the argument names against the registry entry, then build the
-    # sets once (which checks M0 against the alternative for a1 and s1)
+def _bind(test_id, args, p, config=False):
+    # check the argument names against the registry entry, parse every value
+    # for p x p data, then build the sets once (which checks M0 against the
+    # alternative for a1 and s1); config names the config keys in errors
     spec = _spec(test_id)
-    names = [_PARSERS[key][0] for key in spec.keys + spec.optional]
+    keys = {_PARSERS[key][0]: key for key in spec.keys + spec.optional}
     for name in args:
-        if name not in names:
+        if name not in keys:
             raise TypeError("test %r takes no argument %r" % (test_id, name))
-    for name in names[:len(spec.keys)]:
+    for name in list(keys)[:len(spec.keys)]:
         if name not in args:
             raise TypeError("test %r requires argument %r" % (test_id, name))
-    return _Hypothesis(test_id, spec, args,
-                       None if spec.sets is None else spec.sets(args))
+    parsed = {}
+    for name, value in args.items():
+        try:
+            parsed[name] = _PARSERS[keys[name]][1](value, p)
+        except (TypeError, ValueError) as e:
+            raise ValueError("%s %r: bad %r: %s" % (
+                "config for" if config else "test", test_id,
+                keys[name] if config else name, e))
+    return _Hypothesis(test_id, spec, parsed,
+                       None if spec.sets is None else spec.sets(parsed))
 
 
 def _run(h, stats):
@@ -548,19 +567,14 @@ def run(test_id, stats, **args):
     """Run the registered test test_id on SuffStats (one or two groups).
 
     args are the test's arguments by name, as listed in the module
-    docstring: M0 and U0 (p x p), D0 (a spectrum), mult (Multiplicities),
-    weights (ConeWeights) and cov, a known CovParams or None (the
-    default) to estimate (sigma2, tau) under the null. A missing or
-    unknown name raises TypeError; a bad value raises ValueError.
+    docstring: M0 and U0 (p x p), D0 (a spectrum), mult (Multiplicities
+    or a sequence), weights (ConeWeights) and cov, a known CovParams or
+    None (the default) to estimate (sigma2, tau) under the null. Every
+    value is parsed and checked for the data's p as a config value is. A
+    missing or unknown name raises TypeError; a bad value raises
+    ValueError.
     """
-    h = _bind(test_id, args)
-    cov = args.get("cov")
-    if cov is not None:
-        if not isinstance(cov, CovParams):
-            raise ValueError("cov must be a known CovParams, or None to "
-                             "estimate it; got %r" % (cov,))
-        cov.validate(stats.p)
-    return _run(h, stats)
+    return _run(_bind(test_id, args, stats.p), stats)
 
 
 def parse_config(config, p):
@@ -574,18 +588,12 @@ def parse_config(config, p):
         raise ValueError("a hypothesis config must be a JSON object")
     test_id = config.get("test_id")
     spec = _spec(test_id)
-    args = {}
-    for key in spec.keys + spec.optional:
+    for key in spec.keys:
         if key not in config:
-            if key in spec.keys:
-                raise KeyError("config for %r requires %r" % (test_id, key))
-            continue
-        name, parse = _PARSERS[key]
-        try:
-            args[name] = parse(config[key], p)
-        except (TypeError, ValueError) as e:
-            raise ValueError("config for %r: bad %r: %s" % (test_id, key, e))
-    return _bind(test_id, args)
+            raise KeyError("config for %r requires %r" % (test_id, key))
+    return _bind(test_id, {_PARSERS[key][0]: config[key]
+                           for key in spec.keys + spec.optional
+                           if key in config}, p, config=True)
 
 
 def run_config(config, S, n1=None):

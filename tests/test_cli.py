@@ -519,6 +519,31 @@ class TestExitCodes:
         assert code == 1
         assert "internal error" in err
 
+    @pytest.mark.parametrize("command", [
+        "simulate", "simulate-config", "test", "calibrate", "cone-weights"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        # a flag or a config seed below 0 is bad input naming the seed
+        if command.startswith("simulate"):
+            cfg = {"M": [[0.0, 0.0], [0.0, 0.0]], "n": 2, "sigma2": 1.0,
+                   "tau": 0.0}
+            argv = ["simulate", "--out", str(tmp_path / "d.csv")]
+        elif command == "test":
+            cfg = {"test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]]}
+            argv = ["test", "--data", one_sample_file(tmp_path)[0]]
+        elif command == "calibrate":
+            cfg = TestCmdCalibrate.CONFIG
+            argv = ["calibrate"]
+        else:
+            cfg = {"d_true": [1.0, 1.0], "reps": 100}
+            argv = ["cone-weights"]
+        if command in ("simulate-config", "test", "cone-weights"):
+            cfg = dict(cfg, seed=-5)
+        else:
+            argv += ["--seed", "-1"]
+        argv += ["--config", write_config(tmp_path, "c.json", cfg)]
+        self.check_error(capsys, argv, "'seed' must be nonnegative")
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("config,fragment", [
         ({"M": np.eye(3).tolist(), "n": 5, "sigma2": 1.0, "tau": 0.4},
          "tau must be < 1/p"),
@@ -729,6 +754,43 @@ class TestWriteErrors:
         assert code == 2
         assert "cannot write" in err
 
+    def test_unwritable_qq_path(self, tmp_path, capsys):
+        # the QQ file is written before the report, so no report is printed
+        cfg = write_config(tmp_path, "c.json", TestCmdCalibrate.CONFIG)
+        code, out, err = run(capsys, ["calibrate", "--config", cfg, "--out",
+                                      str(tmp_path / "nodir" / "qq.csv")])
+        assert code == 2
+        assert "cannot write" in err
+        assert out == ""
+
     def test_read_dataset_raises_input_error(self, tmp_path):
         with pytest.raises(InputError):
             read_dataset(str(tmp_path / "missing.csv"))
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize("timestamp", [True, False])
+    @pytest.mark.parametrize("command", [
+        "test", "cov-check", "calibrate", "cone-weights"])
+    def test_key_order(self, tmp_path, capsys, command, timestamp):
+        # every report opens with tool and version and closes with the
+        # timestamp when there is one
+        if command == "test":
+            argv = ["test", "--data", one_sample_file(tmp_path)[0],
+                    "--config", write_config(tmp_path, "t.json", {
+                        "test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]]})]
+        elif command == "cov-check":
+            argv = ["cov-check", "--data", one_sample_file(tmp_path, n=60)[0]]
+        elif command == "calibrate":
+            argv = ["calibrate", "--config", write_config(
+                tmp_path, "c.json", TestCmdCalibrate.CONFIG)]
+        else:
+            argv = ["cone-weights", "--config", write_config(
+                tmp_path, "w.json", {"d_true": [1.0, 1.0], "reps": 100})]
+        code, out, _ = run(capsys, argv + ([] if timestamp
+                                           else ["--no-timestamp"]))
+        assert code == 0
+        keys = list(json.loads(out))
+        assert keys[:2] == ["tool", "version"]
+        assert (keys[-1] == "timestamp") == timestamp
+        assert keys.count("timestamp") == int(timestamp)

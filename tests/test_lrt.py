@@ -1114,6 +1114,28 @@ class TestRun:
         with pytest.raises(ValueError, match=re.escape(fragment)):
             lrt.run("a0", stats, M0=np.eye(2), cov=cov)
 
+    @pytest.mark.parametrize("p,test_id,args,fragment", [
+        (2, "a0", dict(M0=np.eye(3)), "bad 'M0': expected shape (2, 2)"),
+        (2, "a2", dict(U0=np.eye(3)), "bad 'U0': expected shape (2, 2)"),
+        (2, "s3", dict(mult=(1, 2)), "does not sum to p = 2"),
+        (2, "s3", dict(mult=Multiplicities((2, 1))), "does not sum to p = 2"),
+        (2, "s3", dict(mult="11"), "expected an array"),
+        (3, "c2", dict(U0=np.eye(3), weights=lrt.ConeWeights(
+            None, (1, 2, 3, 4), (0.25,) * 4, 0)), "in 1..3"),
+        (2, "s2", dict(D0=[1.0, np.nan], mult=(1, 1)), "must be finite"),
+    ])
+    def test_values_parsed_for_p(self, p, test_id, args, fragment):
+        # run parses every value as the config route does, for the data's p
+        stats = SuffStats.from_sample(sample(8, np.eye(p), COV0, 397))
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            lrt.run(test_id, stats, **args)
+
+    def test_sequence_mult_runs_as_multiplicities(self):
+        stats = SuffStats.from_sample(sample(8, MEAN, COV0, 398))
+        got = lrt.run("s3", stats, mult=[2, 1])
+        want = lrt.run("s3", stats, mult=Multiplicities((2, 1)))
+        assert (got.statistic, got.dist) == (want.statistic, want.dist)
+
     @pytest.mark.parametrize("test_id,groups,fragment", [
         ("2a0", 1, "test '2a0' needs a two-group sample, got one group"),
         ("a0", 2, "test 'a0' needs a one-group sample, got two groups"),
