@@ -1,12 +1,14 @@
 """Monte Carlo harness: null calibration, cone weights, consistency studies.
 
-Replicates draw from independent, order-insensitive substreams
-(SeedSequence spawn keys), so every report is bit-reproducible for a
-given seed no matter how the replicate loop is scheduled. One- and
-two-group studies share one path: a replicate draws each group's
-sufficient statistics directly from their exact laws, the mean
-Ybar_g ~ N(M_g, sigma2/n_g, tau) and the independent residual scatter
-W_g ~ Wishart(n_g - 1, Sigma), so its cost does not grow with n_g. The
+Replicates are drawn in chunks, each from its own independent,
+order-insensitive substream (a SeedSequence spawn key per chunk), so
+every report is bit-reproducible for a given seed. One- and two-group
+studies share one path: a chunk draws each group's sufficient statistics
+directly from their exact laws, as arrays over its replicates: the means
+Ybar_g ~ N(M_g, sigma2/n_g, tau) and the two independent variance
+components of the residuals, scaled chi-squares, so a replicate's cost
+does not grow with n_g. Only cov-check, which reads the whole residual
+scatter, draws W_g ~ Wishart(n_g - 1, Sigma) per replicate. The
 fits (onesample.mle) and the null-set check (onesample.contains) take
 any group count their set fits. A calibration parses its hypothesis and
 builds its parameter sets once (lrt.parse_config), and every replicate
@@ -27,6 +29,7 @@ from .symcore import (
     check_integer,
     check_symmetric,
     eigh_desc,
+    sym_dim,
 )
 from .matnormal import (SuffStats, _rng_from, _sigma_root, sample,
                         sample_scatter)
@@ -40,6 +43,7 @@ from .onesample import (
 )
 
 PROBS = (0.5, 0.9, 0.95, 0.99)
+_CHUNK = 1024  # replicates drawn from one stream
 ALPHA = 0.05
 
 
@@ -132,21 +136,38 @@ def _generator(truth, keys):
     return means, cov.validate(means[0].shape[0])
 
 
-def _draw_stats(means, sizes, cov, ss):
-    """One replicate's SuffStats, drawn without building a sample.
+def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
+    """Yield the SuffStats of reps replicates, drawn without building a sample.
 
-    Per group, from its own Philox stream (ss, or ss.spawn(2) for two
-    groups): first the mean Ybar_g ~ N(M_g, sigma2/n_g, tau) through
-    `sample` at n = 1, then the independent scatter
-    W_g ~ Wishart(n_g - 1, Sigma).
+    Chunk c of at most _CHUNK replicates draws from one stream, spawn key
+    key + (c,), group 1 first: all means Ybar_g ~ N(M_g, sigma2/n_g, tau)
+    in one `sample` call, then a_g ~ v1 chi2(n_g - 1) and
+    b_g ~ v2 chi2((q - 1)(n_g - 1)), independent of Ybar_g because v1 =
+    sigma2/(1 - p tau) and v2 = sigma2 are the covariance's eigenvalues on
+    the trace line and off it. With scatter, each replicate draws
+    W_g ~ Wishart(n_g - 1, Sigma) instead, and a_g and b_g are read from it.
     """
     p = means[0].shape[0]
-    ybar, W = [], []
-    for M, k, s in zip(means, sizes, ss.spawn(2) if len(means) == 2 else (ss,)):
-        rng = _rng_from(s)
-        ybar.append(sample(1, M, CovParams(cov.sigma2 / k, cov.tau), rng)[0])
-        W.append(sample_scatter(k - 1, p, cov, rng))
-    return SuffStats(n=tuple(sizes), ybar=tuple(ybar), W=tuple(W))
+    q = sym_dim(p)
+    v1, v2 = cov.sigma2 / (1.0 - p * cov.tau), cov.sigma2
+    for c, start in enumerate(range(0, reps, _CHUNK)):
+        r = min(_CHUNK, reps - start)
+        rng = _rng_from(np.random.SeedSequence(seed, spawn_key=key + (c,)))
+        ybar, a, b, W = [], [], [], []
+        for M, k in zip(means, sizes):
+            ybar.append(sample(r, M, CovParams(cov.sigma2 / k, cov.tau), rng))
+            if scatter:
+                W.append([sample_scatter(k - 1, p, cov, rng) for _ in range(r)])
+                continue
+            # v chi2(df) as 2 v Gamma(df/2): chisquare rejects df 0 (n_g = 1)
+            for out, v, df in ((a, v1, k - 1), (b, v2, (q - 1) * (k - 1))):
+                out.append((2.0 * v * rng.standard_gamma(0.5 * df, r)).tolist())
+        if scatter:
+            for y, w in zip(zip(*ybar), zip(*W)):
+                yield SuffStats.from_scatter(sizes, y, w)
+        else:
+            for y, a_j, b_j in zip(zip(*ybar), zip(*a), zip(*b)):
+                yield SuffStats(sizes, y, a_j, b_j)
 
 
 def calibrate_null(config, truth, n, reps, seed):
@@ -181,9 +202,10 @@ def calibrate_null(config, truth, n, reps, seed):
     n1, n2 = sizes if two_sample else (None, None)
     stats = np.empty(reps)
     pvals = np.empty(reps)
-    for rep in range(reps):
-        ss = np.random.SeedSequence(seed, spawn_key=(rep,))
-        res = lrt._run(h, _draw_stats(means, sizes, cov_true, ss))
+    draws = _draws(means, sizes, cov_true, reps, seed,
+                   scatter=test_id == "cov-check")
+    for rep, drawn in enumerate(draws):
+        res = lrt._run(h, drawn)
         stats[rep] = res.statistic
         pvals[rep] = res.p_value
     dist = res.dist  # the same for every replicate
@@ -230,9 +252,8 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
         if min(sizes) < 1:
             raise ValueError("need n >= %d, got %d" % (len(sizes), n))
         vals = []
-        for rep in range(reps):
-            ss = np.random.SeedSequence(seed, spawn_key=(i, rep))
-            fit = mle(pset, _draw_stats(means, sizes, cov, ss), fit_cov)
+        for drawn in _draws(means, sizes, cov, reps, seed, (i,)):
+            fit = mle(pset, drawn, fit_cov)
             if est_id == "mean":
                 vals.append(np.sum((fit.M_hat - M) ** 2))
             elif est_id == "eigvec_var":

@@ -16,9 +16,9 @@ covariance; the curved and cone cases are asymptotic (chi-square or
 chi-square mixture), as is any plug-in reference. cov-check, a test of
 the covariance, keeps its own statistic in test_sigma_structure.
 
-Tail probabilities come from scipy.special (chdtrc, fdtrc). The cone
-test's mixture weights at a tied spectrum are exact: the level-probability
-law of each tied block, convolved over the blocks.
+Tail probabilities come from scipy.special (chdtrc, fdtrc, imported on
+use). The cone test's mixture weights at a tied spectrum are exact: the
+level-probability law of each tied block, convolved over the blocks.
 
 Test identifiers (`test_id` on results and in CLI configs), the keys of
 TESTS, with the arguments of run (config key `multiplicities` for mult);
@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, fdtrc
 
 from .symcore import (CovParams, Multiplicities, _number, check_integer,
                       norm_sq, sym_dim)
@@ -159,6 +158,7 @@ def _chi2_tail(df, t, strict):
     if df == 0:
         # point mass at 0, which chdtrc leaves undefined
         return np.where(t < 0.0 if strict else t <= 0.0, 1.0, 0.0)
+    from scipy.special import chdtrc
     return chdtrc(df, np.maximum(t, 0.0))
 
 
@@ -167,6 +167,7 @@ def _tail(dist, t, strict=False):
     if isinstance(dist, (ChiSq, ChiSqApprox)):
         return _chi2_tail(dist.df, t, strict)
     if isinstance(dist, FDist):
+        from scipy.special import fdtrc
         return fdtrc(dist.df1, dist.df2, np.maximum(t, 0.0))
     if isinstance(dist, ChiSqMix):
         return sum(w * _chi2_tail(df, t, strict)
@@ -518,10 +519,11 @@ def _bind(test_id, args, p, config=False):
     for name, value in args.items():
         try:
             parsed[name] = _PARSERS[keys[name]][1](value, p)
-        except (TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError("%s %r: bad %r: %s" % (
                 "config for" if config else "test", test_id,
-                keys[name] if config else name, e))
+                keys[name] if config else name,
+                "missing key %r" % e.args[0] if isinstance(e, KeyError) else e))
     return _Hypothesis(test_id, spec, parsed,
                        None if spec.sets is None else spec.sets(parsed))
 

@@ -10,10 +10,10 @@ This module builds that covariance explicitly, evaluates the
 log-density, draws exact samples over the whole parameter range
 tau < 1/p by mapping one block of standard normals in vecd order through
 R, and reduces a sample to its sufficient statistics (SuffStats): per
-group the count, the mean and the vecd residual scatter. The scatter can
-also be drawn directly from its Wishart law (sample_scatter, through the
-same R), so a Monte Carlo replicate of n observations costs the same at
-any n. R is the only factor any draw uses.
+group the count, the mean and the residual variance on the trace line
+and off it. The residual scatter, which only cov-check reads, can also
+be drawn from its Wishart law (sample_scatter, through the same R). R is
+the only factor any draw uses.
 
 Samples are stored as (n, p, p) arrays of symmetric matrices.
 """
@@ -131,14 +131,27 @@ class SuffStats:
     """Sufficient statistics of a one- or two-group sample.
 
     For each group g: the count n[g], the sample mean ybar[g] and the
-    q x q scatter W[g] = sum_i vecd(R_i) vecd(R_i)' of the residuals
-    R_i = Y_i - ybar[g]. Every fit, estimator and statistic reads the
-    data only through these, so a sample is reduced once.
+    residual (R_i = Y_i - ybar[g]) sums of squares on the trace line
+    u = vecd(I)/sqrt(p), a[g] = sum_i tr(R_i)^2 / p, and off it,
+    b[g] = sum_i ||R_i||^2 - a[g]; every fit and statistic reads these.
+    The q x q scatter W[g] = sum_i vecd(R_i) vecd(R_i)', read only by
+    cov-check, is None when only a and b were drawn.
     """
 
     n: tuple
     ybar: tuple
-    W: tuple
+    a: tuple
+    b: tuple
+    W: tuple = None
+
+    @classmethod
+    def from_scatter(cls, n, ybar, W):
+        """The statistics of groups with counts n, means ybar and scatters W."""
+        p = ybar[0].shape[0]
+        a = tuple(float(w[:p, :p].sum()) / p for w in W)
+        return cls(n=tuple(n), ybar=tuple(ybar), a=a,
+                   b=tuple(float(np.trace(w)) - x for w, x in zip(W, a)),
+                   W=tuple(W))
 
     @classmethod
     def from_sample(cls, S, n1=None):
@@ -154,22 +167,11 @@ class SuffStats:
         if n1 is not None and not 1 <= n1 < S.shape[0]:
             raise ValueError("need 1 <= n1 < n, got n1=%d, n=%d" % (n1, S.shape[0]))
         parts = (S,) if n1 is None else (S[:n1], S[n1:])
-        ybar = tuple(part.mean(axis=0) for part in parts)
+        ybar = [part.mean(axis=0) for part in parts]
         R = [vecd(part) - vecd(m) for part, m in zip(parts, ybar)]
-        return cls(n=tuple(len(part) for part in parts), ybar=ybar,
-                   W=tuple(r.T @ r for r in R))
+        return cls.from_scatter([len(part) for part in parts], ybar,
+                                [r.T @ r for r in R])
 
     @property
     def p(self):
         return self.ybar[0].shape[0]
-
-    @functools.cached_property
-    def A(self):
-        """Per group, the summed squared residual traces sum_i tr(R_i)^2."""
-        p = self.p
-        return tuple(float(W[:p, :p].sum()) for W in self.W)
-
-    @functools.cached_property
-    def B(self):
-        """Per group, the summed squared residual norms sum_i ||R_i||^2."""
-        return tuple(float(np.trace(W)) for W in self.W)

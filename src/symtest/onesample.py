@@ -269,12 +269,12 @@ def _variance_sums(stats, means):
                          % (len(stats.n), len(means)))
     p = stats.p
     s1, s2 = 0.0, 0.0
-    for n, ybar, m_hat, a, b in zip(stats.n, stats.ybar, means, stats.A, stats.B):
+    for n, ybar, m_hat, a, b in zip(stats.n, stats.ybar, means, stats.a, stats.b):
         r = ybar - m_hat
         tr = np.trace(r)
         f = r - (tr / p) * np.eye(p)
-        s1 += (a + n * tr ** 2) / p
-        s2 += b - a / p + n * np.sum(f * f)
+        s1 += a + n * tr ** 2 / p
+        s2 += b + n * np.sum(f * f)
     return s1, s2
 
 

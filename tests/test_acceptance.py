@@ -663,11 +663,13 @@ def test_criterion_09_identity_suite(acceptance_line):
             for g, G in enumerate(parts):
                 R = G - G.mean(axis=0)
                 W = sum(np.outer(vecd(r), vecd(r)) for r in R)
+                tr = np.trace(R, axis1=1, axis2=2)
+                F = R - (tr / p)[:, None, None] * np.eye(p)
                 worst["suffstats"] = max(
                     worst["suffstats"], dev_n,
                     rel(stats.ybar[g], G.mean(axis=0)),
-                    rel(stats.A[g], np.sum(np.trace(R, axis1=1, axis2=2) ** 2)),
-                    rel(stats.B[g], np.sum(R * R)),
+                    rel(stats.a[g], np.sum(tr ** 2) / p),
+                    rel(stats.b[g], np.sum(F * F)),
                     rel(stats.W[g], W))
 
     bad = {k: v for k, v in worst.items() if v > 1e-9}

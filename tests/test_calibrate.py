@@ -13,13 +13,14 @@ import pytest
 from symtest.calibrate import (
     CalibrationReport,
     ConeWeights,
+    _draws,
     calibrate_null,
     cone_boundary_law,
     consistency_study,
     estimate_cone_weights,
 )
 import symtest.lrt as lrt
-from symtest.matnormal import sample
+from symtest.matnormal import SuffStats, sample
 from symtest.lrt import ChiSq, ChiSqApprox, ChiSqMix, FDist
 from symtest.symcore import CovParams, Multiplicities
 
@@ -318,6 +319,26 @@ class TestDirectDraw:
             reduced[rep] = lrt.run_config(
                 config, S, sizes[0] if len(sizes) == 2 else None).statistic
         assert ks_2samp(direct, reduced).pvalue > 0.001
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.25])
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_variance_components_follow_their_laws(self, n, tau):
+        # a/v1 ~ chi2(n - 1) and b/v2 ~ chi2((q - 1)(n - 1)) at p = 3,
+        # v1 = sigma2/(1 - p tau) and v2 = sigma2, both as the chunk drawer
+        # draws them (2000 replicates, two chunks) and as from_sample
+        # reduces full samples: one-sample KS at level 0.001 each
+        from scipy.stats import chi2, kstest
+        reps, cov, M = 2000, CovParams(1.5, tau), np.diag([3.0, 2.0, 1.0])
+        v1, v2 = cov.sigma2 / (1.0 - 3.0 * tau), cov.sigma2
+        drawn = list(_draws((M,), (n,), cov, reps, 73))
+        reduced = [SuffStats.from_sample(sample(
+            n, M, cov, np.random.SeedSequence(74, spawn_key=(rep,))))
+            for rep in range(reps)]
+        for stats in (drawn, reduced):
+            a = np.array([s.a[0] for s in stats]) / v1
+            b = np.array([s.b[0] for s in stats]) / v2
+            assert kstest(a, chi2(n - 1).cdf).pvalue > 0.001
+            assert kstest(b, chi2(5 * (n - 1)).cdf).pvalue > 0.001
 
 
 class TestConsistencyStudy:

@@ -325,6 +325,23 @@ class TestExitCodes:
         self.check_error(capsys, ["test", "--data", path, "--config", cfg],
                          "requires")
 
+    @pytest.mark.parametrize("config,fragment", [
+        ({"test_id": "a0", "M0": np.zeros((2, 2)).tolist(), "cov": {}},
+         "config for 'a0': bad 'cov': missing key 'known'"),
+        ({"test_id": "a0", "M0": np.zeros((2, 2)).tolist(),
+          "cov": {"known": {"sigma2": 1}}},
+         "config for 'a0': bad 'cov': missing key 'tau'"),
+        ({"test_id": "c2", "U0": np.eye(2).tolist(),
+          "weights": {"weights": [1.0]}},
+         "config for 'c2': bad 'weights': missing key 'face_dims'"),
+    ], ids=["cov", "cov-known", "c2-weights"])
+    def test_missing_nested_config_key(self, tmp_path, capsys, config,
+                                       fragment):
+        path, _ = one_sample_file(tmp_path)
+        cfg = write_config(tmp_path, "t.json", config)
+        self.check_error(capsys, ["test", "--data", path, "--config", cfg],
+                         fragment)
+
     def test_unknown_test_id(self, tmp_path, capsys):
         path, _ = one_sample_file(tmp_path)
         cfg = write_config(tmp_path, "t.json", {"test_id": "zz"})

@@ -1,15 +1,17 @@
 """The in-process contract that symbench relies on.
 
 symbench/checks.py::result_payload tells a one-group fit from a two-group
-one by hasattr(fit, "M_hat"), symbench/run.py::ReplicateClock times
-calibrate_null's replicates from its calls to symtest.calibrate.sample
-(one per group per replicate, each replicate's first draw),
-and symbench/spans.py traces functions by module and name: a renamed one
-would read 0 calls without any warning. Every draw maps standard normals
-through the closed-form root of the covariance, so none factors a matrix.
+one by hasattr(fit, "M_hat"), symbench/run.py::ReplicateClock wraps
+symtest.calibrate.sample when it is constructed (calibrate_null calls it
+once per group per chunk of replicates, not per replicate, so the clock
+gives each replicate its call's mean time), and symbench/spans.py traces
+functions by module and name: a renamed one would read 0 calls without
+any warning. Every draw maps standard normals through the closed-form
+root of the covariance, so none factors a matrix.
 """
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -81,12 +83,13 @@ def test_fit_fields_tell_the_group_count(test_id):
 @pytest.mark.parametrize("test_id,truth,n", [
     ("a0", {"M": M.tolist()}, 6),
     ("2a0", {"M1": M.tolist(), "M2": M.tolist()}, (5, 7)),
+    ("cov-check", {"M": M.tolist()}, 30),
 ])
-def test_calibrate_samples_once_per_group_per_replicate(monkeypatch, test_id,
-                                                         truth, n):
-    # Each replicate draws each group's mean as one observation of
-    # N(M_g, sigma2/n_g, tau), then its scatter, group 1 first, so a
-    # replicate's first draw is a `sample` call.
+def test_calibrate_samples_once_per_group_per_chunk(monkeypatch, test_id,
+                                                    truth, n):
+    # Each chunk of at most 1024 replicates draws, group 1 first, all its
+    # means of N(M_g, sigma2/n_g, tau) in one `sample` call; only cov-check,
+    # which reads the whole scatter, then draws one per replicate.
     calls = []
 
     def counted(*args, **kwargs):
@@ -99,13 +102,18 @@ def test_calibrate_samples_once_per_group_per_replicate(monkeypatch, test_id,
 
     monkeypatch.setattr(calibrate, "sample", counted)
     monkeypatch.setattr(calibrate, "sample_scatter", scatter)
-    config = dict(CONFIGS[test_id], test_id=test_id,
-                  cov={"known": {"sigma2": 1.0, "tau": 0.1}})
-    calibrate_null(config, dict(truth, sigma2=1.0, tau=0.1), n, 1000, 3)
+    config = dict(CONFIGS[test_id], test_id=test_id)
+    if test_id != "cov-check":
+        config["cov"] = {"known": {"sigma2": 1.0, "tau": 0.1}}
+    calibrate_null(config, dict(truth, sigma2=1.0, tau=0.1), n, 2500, 3)
     sizes = n if isinstance(n, tuple) else (n,)
-    per_rep = [c for k in sizes for c in (("sample", 1, 1.0 / k),
-                                          ("scatter", k - 1))]
-    assert calls == per_rep * 1000
+    want = []
+    for r in (1024, 1024, 452):
+        for k in sizes:
+            want.append(("sample", r, 1.0 / k))
+            if test_id == "cov-check":
+                want += [("scatter", k - 1)] * r
+    assert calls == want
 
 
 def test_no_draw_factors_a_matrix(monkeypatch):
@@ -127,16 +135,36 @@ def test_no_draw_factors_a_matrix(monkeypatch):
     assert sum(out["dim_mass"].values()) == pytest.approx(1.0)
 
 
-def test_cli_import_skips_heavy_scipy_modules():
-    # a CLI process pays for every module it imports; scipy.special is the
-    # only scipy module the p-values need
+def test_cli_import_skips_heavy_scipy_modules(tmp_path):
+    # a CLI process pays for every module it imports: none loads
+    # scipy.linalg, scipy.stats or scipy.optimize, and scipy.special, which
+    # only the p-values need, is loaded by a test run but neither by
+    # `import symtest` nor by a simulate run
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, symtest.cli; print(' '.join(m for m in ("
-            "'scipy.linalg', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == []
+
+    def loaded(module, *argv):
+        # the heavy scipy modules in sys.modules after importing module and
+        # running the CLI on argv, if any
+        code = ("import sys, %s\n"
+                "if sys.argv[1:]:\n    assert symtest.cli.main(sys.argv[1:]) == 0\n"
+                "print(' '.join(m for m in ('scipy.linalg', 'scipy.stats', "
+                "'scipy.optimize', 'scipy.special') if m in sys.modules))"
+                % module)
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return proc.stdout.splitlines()[-1].split()
+
+    sim, test = tmp_path / "sim.json", tmp_path / "test.json"
+    data = tmp_path / "d.csv"
+    sim.write_text(json.dumps({"M": np.eye(2).tolist(), "n": 8, "sigma2": 1.0,
+                               "tau": 0.1, "seed": 1}))
+    test.write_text(json.dumps({"test_id": "a0", "M0": np.eye(2).tolist()}))
+    assert loaded("symtest") == []
+    assert loaded("symtest.cli", "simulate", "--config", str(sim),
+                  "--out", str(data)) == []
+    assert loaded("symtest.cli", "test", "--data", str(data),
+                  "--config", str(test), "--no-timestamp") == ["scipy.special"]
