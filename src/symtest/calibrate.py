@@ -8,15 +8,17 @@ directly from their exact laws, as arrays over its replicates: the means
 Ybar_g ~ N(M_g, sigma2/n_g, tau) and the two independent variance
 components of the residuals, scaled chi-squares, so a replicate's cost
 does not grow with n_g. Only cov-check, which reads the whole residual
-scatter, draws W_g ~ Wishart(n_g - 1, Sigma) per replicate. The
-fits (onesample.mle) and the null-set check (onesample.contains) take
-any group count their set fits. A calibration parses its hypothesis and
-builds its parameter sets once (lrt.parse_config), and every replicate
-runs that one bound hypothesis.
+scatter, draws W_g ~ Wishart(n_g - 1, Sigma) per replicate. A
+calibration parses its hypothesis and builds its parameter sets once
+(lrt.parse_config). The fits never depend on the covariance, so each
+chunk's stack of means is projected onto each set in one call
+(lrt._project); only the statistic half of lrt._run (covariance fit,
+statistic, p-value) runs replicate by replicate.
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -36,10 +38,11 @@ from .matnormal import (SuffStats, _rng_from, _sigma_root, sample,
 from .onesample import (
     FixedEigvals,
     Unrestricted,
+    _fit_cov,
     contains,
     eigvec_uncertainty,
-    mle,
     pava,
+    project,
 )
 
 PROBS = (0.5, 0.9, 0.95, 0.99)
@@ -128,6 +131,8 @@ def _generator(truth, keys):
     # the generator's means, one per group and of one shape, and its
     # (sigma2, tau), checked for that shape
     means = tuple(check_symmetric(truth[k], k) for k in keys)
+    if means[0].ndim != 2:  # check_symmetric also takes stacks
+        raise ValueError("%s must be square, got shape %s" % (keys[0], means[0].shape))
     if means[-1].shape != means[0].shape:
         raise ValueError("M1 and M2 must have the same shape, got %s and %s"
                          % (means[0].shape, means[-1].shape))
@@ -137,10 +142,10 @@ def _generator(truth, keys):
 
 
 def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
-    """Yield the SuffStats of reps replicates, drawn without building a sample.
+    """Yield each chunk of replicates as stacked SuffStats, drawn directly.
 
-    Chunk c of at most _CHUNK replicates draws from one stream, spawn key
-    key + (c,), group 1 first: all means Ybar_g ~ N(M_g, sigma2/n_g, tau)
+    Chunk c of r <= _CHUNK replicates draws from one stream, spawn key
+    key + (c,), group 1 first: all r means Ybar_g ~ N(M_g, sigma2/n_g, tau)
     in one `sample` call, then a_g ~ v1 chi2(n_g - 1) and
     b_g ~ v2 chi2((q - 1)(n_g - 1)), independent of Ybar_g because v1 =
     sigma2/(1 - p tau) and v2 = sigma2 are the covariance's eigenvalues on
@@ -157,17 +162,22 @@ def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
         for M, k in zip(means, sizes):
             ybar.append(sample(r, M, CovParams(cov.sigma2 / k, cov.tau), rng))
             if scatter:
-                W.append([sample_scatter(k - 1, p, cov, rng) for _ in range(r)])
+                W.append(np.array([sample_scatter(k - 1, p, cov, rng)
+                                   for _ in range(r)]))
                 continue
             # v chi2(df) as 2 v Gamma(df/2): chisquare rejects df 0 (n_g = 1)
             for out, v, df in ((a, v1, k - 1), (b, v2, (q - 1) * (k - 1))):
                 out.append((2.0 * v * rng.standard_gamma(0.5 * df, r)).tolist())
-        if scatter:
-            for y, w in zip(zip(*ybar), zip(*W)):
-                yield SuffStats.from_scatter(sizes, y, w)
-        else:
-            for y, a_j, b_j in zip(zip(*ybar), zip(*a), zip(*b)):
-                yield SuffStats(sizes, y, a_j, b_j)
+        yield (SuffStats.from_scatter(sizes, ybar, W) if scatter
+               else SuffStats(sizes, tuple(ybar), tuple(a), tuple(b)))
+
+
+def _fits(h, chunk):
+    # per replicate, each set's (means, face_dim), projected once per chunk
+    if h.sets is None:
+        return repeat(None)
+    return zip(*(zip(zip(*means), repeat(None) if dims is None else dims.tolist())
+                 for means, dims in lrt._project(h, chunk)))
 
 
 def calibrate_null(config, truth, n, reps, seed):
@@ -204,8 +214,9 @@ def calibrate_null(config, truth, n, reps, seed):
     pvals = np.empty(reps)
     draws = _draws(means, sizes, cov_true, reps, seed,
                    scatter=test_id == "cov-check")
-    for rep, drawn in enumerate(draws):
-        res = lrt._run(h, drawn)
+    runs = (lrt._run(h, drawn, fit) for chunk in draws
+            for drawn, fit in zip(chunk.replicates(), _fits(h, chunk)))
+    for rep, res in enumerate(runs):
         stats[rep] = res.statistic
         pvals[rep] = res.p_value
     dist = res.dist  # the same for every replicate
@@ -237,32 +248,30 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     reps = _check_reps(reps)
     pooled = est_id.startswith("pooled_")
     means, cov = _generator(truth, ("M1", "M2") if pooled else ("M",))
-    if pooled:
-        pset, fit_cov = Unrestricted(), None
-    else:
-        M = means[0]
-        dec = eigh_desc(M)
-        pset = (FixedEigvals(dec.lam, Multiplicities((1,) * M.shape[0]))
-                if est_id == "eigvec_var" else Unrestricted())
-        # the mean and eigenvector fits take the covariance as known
-        fit_cov = None if est_id in ("sigma2", "tau") else cov
+    M = means[0]
+    dec = eigh_desc(M)
+    pset = (FixedEigvals(dec.lam, Multiplicities((1,) * M.shape[0]))
+            if est_id == "eigvec_var" else Unrestricted())
     rows = []
     for i, n in enumerate(check_integer(v, "n") for v in n_grid):
         sizes = (n // 2, n - n // 2) if pooled else (n,)
         if min(sizes) < 1:
             raise ValueError("need n >= %d, got %d" % (len(sizes), n))
         vals = []
-        for drawn in _draws(means, sizes, cov, reps, seed, (i,)):
-            fit = mle(pset, drawn, fit_cov)
+        for chunk in _draws(means, sizes, cov, reps, seed, (i,)):
+            # one projection per chunk; sigma2 and tau are fitted per replicate
+            fitted, _ = project(pset, *chunk.ybar, n=chunk.n)
             if est_id == "mean":
-                vals.append(np.sum((fit.M_hat - M) ** 2))
+                vals.extend(np.sum((fitted[0] - M) ** 2, axis=(-2, -1)))
             elif est_id == "eigvec_var":
-                a_hat, pred = eigvec_uncertainty(dec.V, dec.lam, fit.M_hat, n,
-                                                 cov.sigma2)
-                vals.append(a_hat)
+                for F in fitted[0]:
+                    a_hat, pred = eigvec_uncertainty(dec.V, dec.lam, F, n,
+                                                     cov.sigma2)
+                    vals.append(a_hat)
             else:
-                vals.append(fit.sigma2_hat if est_id.endswith("sigma2")
-                            else fit.tau_hat)
+                k = 0 if est_id.endswith("sigma2") else 1
+                vals.extend(_fit_cov(drawn, m)[k] for drawn, m in
+                            zip(chunk.replicates(), zip(*fitted)))
         vals = np.array(vals)
         if est_id == "mean":
             rows.append({"n": n, "rmse": float(np.sqrt(np.mean(vals)))})

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__, calibrate, lrt
-from .symcore import check_integer, matrix_log, sym_dim
+from .symcore import check_integer, eigh_desc, matrix_log, sym_dim
 from .matnormal import sample
 
 
@@ -216,17 +216,17 @@ def load_json(path):
 
 
 def _log_transform(S):
-    out = np.empty_like(S)
-    for i, Y in enumerate(S):
-        try:
-            out[i] = matrix_log(Y)
-        except np.linalg.LinAlgError:
-            raise
-        except ValueError:
-            raise InputError(
-                "observation %d is not positive definite; --log-transform "
-                "requires positive definite matrices" % (i + 1))
-    return out
+    # one eigendecomposition of the whole sample; only when it fails is the
+    # first observation that is not positive definite looked up
+    try:
+        return matrix_log(S)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError:
+        i = np.flatnonzero(eigh_desc(S).lam[:, -1] <= 0.0)[0]
+        raise InputError(
+            "observation %d is not positive definite; --log-transform "
+            "requires positive definite matrices" % (i + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ alternative fits. Each test is one entry of the registry TESTS (config
 keys, two-sample flag, null and alternative sets, reference). One entry
 point runs them all: run(test_id, stats, **args) on Python objects, and
 run_config on a JSON-style config, both binding the test to its
-arguments once. The runner fits both sets from the sample's SuffStats
-with onesample.mle, which serves one and two groups alike, plugs in the
-null fit's (sigma2, tau) when no covariance is given and evaluates that
-one statistic. Given (sigma2, tau) the affine cases are exactly
-chi-square, with F variants of the mean-shift cases for an estimated
-covariance; the curved and cone cases are asymptotic (chi-square or
-chi-square mixture), as is any plug-in reference. cov-check, a test of
-the covariance, keeps its own statistic in test_sigma_structure.
+arguments once. The runner projects the sample means onto both sets
+(onesample.project: one or two groups, one mean or a chunk's stack),
+plugs in the null fit's (sigma2, tau) when no covariance is given and
+evaluates that one statistic. Given (sigma2, tau) the affine cases are
+exactly chi-square, with F variants of the mean-shift cases for an
+estimated covariance; the curved and cone cases are asymptotic
+(chi-square or chi-square mixture), as is any plug-in reference.
+cov-check, a test of the covariance, keeps its own statistic in
+test_sigma_structure.
 
 Tail probabilities come from scipy.special (chdtrc, fdtrc, imported on
 use). The cone test's mixture weights at a tied spectrum are exact: the
@@ -59,15 +60,18 @@ from .matnormal import SuffStats
 from .onesample import (
     CommonEigvals,
     EqualMeans,
+    FitResult,
     FixedEigvals,
     FixedEigvecs,
     Mult,
     OrderedCone,
     Point,
     Unrestricted,
+    _fit_cov,
     contains,
     estimate_sigma2,
     mle,
+    project,
 )
 
 CLAMP = 1e-9
@@ -528,14 +532,20 @@ def _bind(test_id, args, p, config=False):
                        None if spec.sets is None else spec.sets(parsed))
 
 
-def _run(h, stats):
-    """Run a bound hypothesis on sufficient statistics.
+def _project(h, stats):
+    # the projection half of _run: each set's (fitted means, face_dim). It
+    # never reads the covariance, so stats may stack a whole chunk of replicates
+    return [project(pset, *stats.ybar, n=stats.n) for pset in h.sets]
 
-    Fits the null set, plugs in its (sigma2, tau) when no covariance is
-    known (which needs n > g observations for g groups), fits the
-    alternative set at the covariance the statistic uses, and evaluates
-    _lr. An F reference (mean shift, estimated covariance) takes _lr at
-    the within-group sigma2 for the null tau, scaled by (n - g) / (q n).
+
+def _run(h, stats, fits=None):
+    """Run a bound hypothesis on sufficient statistics, projecting unless given fits.
+
+    The statistic half plugs in the null fit's (sigma2, tau) when no
+    covariance is known (which needs n > g observations for g groups) and
+    evaluates _lr at the covariance the statistic uses. An F reference
+    (mean shift, estimated covariance) takes _lr at the within-group
+    sigma2 for the null tau, scaled by (n - g) / (q n).
     """
     spec, n, g = h.spec, sum(stats.n), len(stats.n)
     if spec.two_sample != (g == 2):
@@ -549,14 +559,14 @@ def _run(h, stats):
     if plugin and n <= g:
         raise ValueError("an estimated covariance requires n >= %d" % (g + 1))
     dist = spec.reference(h.args, stats, plugin)
-    null, alt = h.sets
-    fit_null = mle(null, stats, cov)
+    (null, alt), ((m0, dim0), (m1, dim1)) = h.sets, fits or _project(h, stats)
+    fit_null = FitResult(m0, *_fit_cov(stats, m0, cov), null, dim0)
     if plugin:
         cov = CovParams(fit_null.sigma2_hat, fit_null.tau_hat)
-    fit_alt = mle(alt, stats, cov)
+    fit_alt = FitResult(m1, cov.sigma2, cov.tau, alt, dim1)
     scale = 1.0
     if isinstance(dist, FDist):
-        cov = CovParams(estimate_sigma2(stats, fit_alt.means, cov.tau), cov.tau)
+        cov = CovParams(estimate_sigma2(stats, m1, cov.tau), cov.tau)
         scale = (n - g) / (sym_dim(stats.p) * n)
     if spec.tau_free:
         cov = CovParams(cov.sigma2)

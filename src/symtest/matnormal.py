@@ -146,12 +146,12 @@ class SuffStats:
 
     @classmethod
     def from_scatter(cls, n, ybar, W):
-        """The statistics of groups with counts n, means ybar and scatters W."""
-        p = ybar[0].shape[0]
-        a = tuple(float(w[:p, :p].sum()) / p for w in W)
-        return cls(n=tuple(n), ybar=tuple(ybar), a=a,
-                   b=tuple(float(np.trace(w)) - x for w, x in zip(W, a)),
-                   W=tuple(W))
+        """The statistics of counts n, means ybar and scatters W (one or a stack each)."""
+        p = ybar[0].shape[-1]
+        a = [np.sum(w[..., :p, :p], axis=(-2, -1)) / p for w in W]
+        b = [np.trace(w, axis1=-2, axis2=-1) - x for w, x in zip(W, a)]
+        return cls(n=tuple(n), ybar=tuple(ybar), a=tuple(x.tolist() for x in a),
+                   b=tuple(x.tolist() for x in b), W=tuple(W))
 
     @classmethod
     def from_sample(cls, S, n1=None):
@@ -174,4 +174,10 @@ class SuffStats:
 
     @property
     def p(self):
-        return self.ybar[0].shape[0]
+        return self.ybar[0].shape[-1]
+
+    def replicates(self):
+        """Yield one SuffStats per replicate of statistics stacked over replicates."""
+        W = zip(*self.W) if self.W else [None] * len(self.a[0])
+        for y, a, b, w in zip(zip(*self.ybar), zip(*self.a), zip(*self.b), W):
+            yield SuffStats(self.n, y, a, b, w)

@@ -40,6 +40,7 @@ import numpy as np
 
 from .symcore import (
     Multiplicities,
+    _rebuild,
     block_average,
     check_symmetric,
     eigh_desc,
@@ -230,15 +231,17 @@ def project(pset, *means, n=None):
     set's spectra (kept, ordered by PAVA, replaced by D0, or block
     averaged); and each mean is rebuilt in its frame. Within a tied block
     of eigenvalues any rotation gives the same objective, and the solver's
-    eigenvectors are kept. Returns (projected means, face_dim), face_dim
-    the number of distinct values of an OrderedCone fit and None otherwise.
+    eigenvectors are kept. A mean may be a stack (r, p, p): one pass, with
+    the bits of r single calls. Returns (projected means, face_dim),
+    face_dim the number of distinct values of an OrderedCone fit (an (r,)
+    array for a stack) and None otherwise.
     """
     _check_groups(pset, len(means))
     n = (1,) * len(means) if n is None else n
     if isinstance(pset, Unrestricted):
         return means, None
     if isinstance(pset, Point):
-        return (pset.M0,), None
+        return (np.broadcast_to(pset.M0, np.shape(means[0])),), None
     if isinstance(pset, EqualMeans):
         (n1, n2), (y1, y2) = n, means
         m_hat = (n1 * y1 + n2 * y2) / (n1 + n2)
@@ -246,7 +249,8 @@ def project(pset, *means, n=None):
             (m_hat,), _ = project(Mult(pset.mult), m_hat)
         return (m_hat, m_hat), None
     if isinstance(pset, (FixedEigvecs, OrderedCone)):
-        frames = [(pset.U0, np.diagonal(pset.U0.T @ Y @ pset.U0)) for Y in means]
+        frames = [(pset.U0, np.diagonal(pset.U0.T @ Y @ pset.U0, 0, -2, -1))
+                  for Y in means]
     else:
         frames = [(dec.V, dec.lam) for dec in map(eigh_desc, means)]
     lam = (frames[0][1] if len(frames) == 1 else
@@ -258,7 +262,7 @@ def project(pset, *means, n=None):
         lam = pset.D0
     elif isinstance(pset, (Mult, CommonEigvals)):
         lam = block_average(lam, pset.mult)
-    return tuple((V * lam) @ V.T for V, _ in frames), face_dim
+    return tuple(_rebuild(V, lam) for V, _ in frames), face_dim
 
 
 def _variance_sums(stats, means):

@@ -22,20 +22,22 @@ def sym_dim(p):
 
 
 def check_symmetric(X, name="matrix", tol=1e-8):
-    """Validate and return X as a float symmetric (p, p) array.
+    """Validate and return X as a float symmetric (p, p) array, or a stack.
 
     Symmetry is enforced exactly by averaging with the transpose after
-    checking that the asymmetry is below `tol` relative to the scale of X.
+    checking that the asymmetry is below `tol` relative to the scale of X,
+    max(1, max|X|); a stack (..., p, p) applies that rule matrix by matrix.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError("%s must be square, got shape %s" % (name, (X.shape,)))
     if not np.all(np.isfinite(X)):
         raise ValueError("%s has non-finite entries" % name)
-    scale = max(1.0, np.abs(X).max())
-    if np.abs(X - X.T).max() > tol * scale:
+    XT = np.swapaxes(X, -1, -2)
+    scale = np.maximum(1.0, np.abs(X).max(axis=(-2, -1)))
+    if np.any(np.abs(X - XT).max(axis=(-2, -1)) > tol * scale):
         raise ValueError("%s is not symmetric" % name)
-    return 0.5 * (X + X.T)
+    return 0.5 * (X + XT)
 
 
 def check_integer(value, name):
@@ -130,7 +132,7 @@ class Multiplicities:
 
 @dataclass(eq=False)
 class EigenDecomp:
-    """Eigendecomposition X = V diag(lam) V' with lam non-increasing."""
+    """X = V diag(lam) V' with lam non-increasing; stacked for a stack of X."""
 
     V: np.ndarray
     lam: np.ndarray
@@ -187,7 +189,7 @@ def norm_sq(A, cov):
 def _canon_column_signs(V):
     # Flip each column so its largest-magnitude entry is positive; np.argmax
     # returns the smallest row index among ties, which is the tie rule.
-    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    top = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], -2)
     return V * np.where(top < 0.0, -1.0, 1.0)
 
 
@@ -196,39 +198,46 @@ def eigh_desc(X):
 
     Eigenvalues are returned in non-increasing order (stable with respect
     to the solver's ascending output for ties) and each eigenvector's sign
-    is fixed so its largest-magnitude entry is positive. Deterministic for
-    identical input bits.
+    is fixed so its largest-magnitude entry is positive. A stack is one
+    call, with the bits of one call per matrix. Deterministic for identical
+    input bits.
     """
     lam, V = np.linalg.eigh(check_symmetric(X))
-    order = np.argsort(-lam, kind="stable")
-    return EigenDecomp(V=_canon_column_signs(V[:, order]), lam=lam[order])
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    V = np.take_along_axis(V, order[..., None, :], -1)
+    return EigenDecomp(_canon_column_signs(V), np.take_along_axis(lam, order, -1))
+
+
+def _rebuild(V, lam):
+    # V diag(lam) V' for frames V (..., p, p) and spectra lam (..., p)
+    return (V * lam[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
 def block_average(lam, mult):
-    """Replace the eigenvalues in each multiplicity block by the block mean."""
+    """Replace the eigenvalues in each multiplicity block (of each row) by its mean."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (mult.p,):
+    if lam.shape[-1:] != (mult.p,):
         raise ValueError("expected %d eigenvalues for multiplicities %r, got shape %s"
                          % (mult.p, mult.m, lam.shape))
     out = np.empty_like(lam)
     for lo, hi in mult.blocks():
-        out[lo:hi] = lam[lo:hi].mean()
+        out[..., lo:hi] = lam[..., lo:hi].mean(axis=-1, keepdims=True)
     return out
 
 
 def matrix_log(X):
     """Matrix logarithm: log of the eigenvalues, eigenvectors kept intact.
 
-    Requires X to be positive definite.
+    Requires X, or every matrix of a stack, to be positive definite.
     """
     dec = eigh_desc(X)
-    if dec.lam[-1] <= 0.0:
+    if np.any(dec.lam[..., -1] <= 0.0):
         raise ValueError("matrix_log requires positive eigenvalues, smallest is %g"
-                         % dec.lam[-1])
-    return (dec.V * np.log(dec.lam)) @ dec.V.T
+                         % dec.lam[..., -1].min())
+    return _rebuild(dec.V, np.log(dec.lam))
 
 
 def matrix_exp(X):
     """Matrix exponential: exp of the eigenvalues, eigenvectors kept intact."""
     dec = eigh_desc(X)
-    return (dec.V * np.exp(dec.lam)) @ dec.V.T
+    return _rebuild(dec.V, np.exp(dec.lam))

@@ -262,7 +262,8 @@ class TestCalibrateNull:
 
     def test_eigendecompositions_per_calibration(self, monkeypatch):
         # s1's sets are built once, which decomposes M0 to check its
-        # spectrum; each replicate then decomposes its sample mean once
+        # spectrum; each chunk of at most 1024 replicates then decomposes
+        # its stack of sample means in one call
         import sys
         from symtest.symcore import eigh_desc
         calls = []
@@ -280,8 +281,8 @@ class TestCalibrateNull:
                   "multiplicities": [1, 1, 1],
                   "cov": {"known": {"sigma2": 1.0, "tau": 0.1}}}
         calibrate_null(config, {"M": M, "sigma2": 1.0, "tau": 0.1}, n=50,
-                       reps=1000, seed=18)
-        assert len(calls) == 1001
+                       reps=2500, seed=18)
+        assert len(calls) == 1 + 3
 
 
 class TestDirectDraw:
@@ -330,7 +331,8 @@ class TestDirectDraw:
         from scipy.stats import chi2, kstest
         reps, cov, M = 2000, CovParams(1.5, tau), np.diag([3.0, 2.0, 1.0])
         v1, v2 = cov.sigma2 / (1.0 - 3.0 * tau), cov.sigma2
-        drawn = list(_draws((M,), (n,), cov, reps, 73))
+        drawn = [s for chunk in _draws((M,), (n,), cov, reps, 73)
+                 for s in chunk.replicates()]
         reduced = [SuffStats.from_sample(sample(
             n, M, cov, np.random.SeedSequence(74, spawn_key=(rep,))))
             for rep in range(reps)]

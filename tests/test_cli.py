@@ -256,6 +256,25 @@ class TestCmdTest:
         assert json.loads(out)["statistic"] == pytest.approx(want.statistic,
                                                              rel=1e-9)
 
+    def test_log_transform_decomposes_the_sample_once(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import symtest.symcore
+        from symtest import cli
+        shapes = []
+
+        def counted(X):
+            shapes.append(np.shape(X))
+            return eigh(X)
+
+        X = sample(30, np.diag([0.5, -0.2]), CovParams(0.1, 0.0), 22)
+        path = tmp_path / "d.csv"
+        write_dataset(str(path), np.stack([matrix_exp(x) for x in X]))
+        eigh = symtest.symcore.eigh_desc
+        monkeypatch.setattr(symtest.symcore, "eigh_desc", counted)
+        assert np.allclose(cli._log_transform(read_dataset(str(path))[0]), X,
+                           rtol=0, atol=1e-12)
+        assert shapes == [(30, 2, 2)]
+
 
 class TestExitCodes:
     def check_error(self, capsys, argv, fragment):
@@ -451,6 +470,14 @@ class TestExitCodes:
         assert code == 2 and "error" in err
         assert not out.exists()
 
+    def test_simulate_mean_must_be_one_matrix(self, tmp_path, capsys):
+        # symmetry checks take stacks, a generator's mean does not
+        cfg = write_config(tmp_path, "sim.json", {
+            "M": [np.eye(2).tolist()] * 3, "n": 5, "sigma2": 1.0, "tau": 0.0})
+        self.check_error(capsys, ["simulate", "--config", cfg, "--out",
+                                  str(tmp_path / "d.csv")],
+                         "M must be square, got shape (3, 2, 2)")
+
     def test_non_string_test_id(self, tmp_path, capsys):
         path, _ = one_sample_file(tmp_path)
         cfg = write_config(tmp_path, "t.json", {"test_id": 5})
@@ -506,6 +533,26 @@ class TestExitCodes:
         self.check_error(capsys, ["test", "--data", str(path), "--config",
                                   cfg, "--log-transform"],
                          "observation 2 is not positive definite")
+
+    @pytest.mark.parametrize("bad", [[5], [5, 9], [4, 5, 11]])
+    def test_log_transform_names_first_non_pd_observation(self, tmp_path,
+                                                          capsys, bad):
+        # one batched decomposition, yet the message names the first
+        # observation (1-based) that is not positive definite
+        S = np.stack([np.diag([1.0 + k, 2.0]) for k in range(12)])
+        for k in bad:
+            S[k - 1] = [[1.0, 2.0], [2.0, 1.0]] if k % 2 else np.diag([3.0, 0.0])
+        path = tmp_path / "d.csv"
+        write_dataset(str(path), S)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]],
+            "cov": {"estimate": True}})
+        code, _, err = run(capsys, ["test", "--data", str(path), "--config",
+                                    cfg, "--log-transform"])
+        assert code == 2
+        assert ("error: observation %d is not positive definite; "
+                "--log-transform requires positive definite matrices\n"
+                % bad[0]) == err
 
     def test_internal_error_exits_one(self, tmp_path, capsys, monkeypatch):
         path, _ = one_sample_file(tmp_path)

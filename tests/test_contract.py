@@ -23,6 +23,7 @@ import pytest
 from symtest import calibrate, lrt
 from symtest.calibrate import calibrate_null, cone_boundary_law
 from symtest.matnormal import sample, sample_scatter
+from symtest.onesample import project
 from symtest.symcore import CovParams
 
 M = np.diag([3.0, 2.0, 1.0])
@@ -114,6 +115,51 @@ def test_calibrate_samples_once_per_group_per_chunk(monkeypatch, test_id,
             if test_id == "cov-check":
                 want += [("scatter", k - 1)] * r
     assert calls == want
+
+
+@pytest.mark.parametrize("test_id,truth,n", [
+    ("a0", {"M": M.tolist()}, 6),
+    ("c2", {"M": M.tolist()}, 6),
+    ("s2", {"M": M.tolist()}, 6),
+    ("2s2", {"M1": M.tolist(), "M2": M.tolist()}, (5, 7)),
+    ("cov-check", {"M": M.tolist()}, 30),
+])
+def test_calibrate_projects_once_per_set_per_chunk(monkeypatch, test_id,
+                                                   truth, n):
+    # The fits never depend on the covariance: each chunk of at most 1024
+    # replicates is projected onto the null set and then the alternative,
+    # each in one call on its stack of means; cov-check has no sets.
+    calls = []
+
+    def counted(pset, *means, n=None):
+        calls.append((type(pset), [np.shape(y) for y in means]))
+        return project(pset, *means, n=n)
+
+    monkeypatch.setattr(lrt, "project", counted)
+    config = dict(CONFIGS[test_id], test_id=test_id)
+    calibrate_null(config, dict(truth, sigma2=1.0, tau=0.1), n, 2500, 3)
+    sets = lrt.parse_config(config, 3).sets or ()
+    groups = 2 if isinstance(n, tuple) else 1
+    assert calls == [(type(pset), [(r, 3, 3)] * groups)
+                     for r in (1024, 1024, 452) for pset in sets]
+
+
+@pytest.mark.parametrize("estimator", ["mean", "sigma2", "tau", "pooled_sigma2",
+                                       "pooled_tau", "eigvec_var"])
+def test_consistency_study_projects_once_per_chunk(monkeypatch, estimator):
+    calls = []
+
+    def counted(pset, *means, n=None):
+        calls.append([np.shape(y) for y in means])
+        return project(pset, *means, n=n)
+
+    monkeypatch.setattr(calibrate, "project", counted)
+    pooled = estimator.startswith("pooled_")
+    truth = ({"M1": M.tolist(), "M2": M.tolist()} if pooled
+             else {"M": M.tolist()})
+    calibrate.consistency_study(estimator, dict(truth, sigma2=1.0, tau=0.1),
+                                [20, 30], 1500, 5)
+    assert calls == [[(r, 3, 3)] * (1 + pooled) for r in (1024, 476) * 2]
 
 
 def test_no_draw_factors_a_matrix(monkeypatch):

@@ -348,6 +348,41 @@ class TestProjectionGeometry:
             assert np.linalg.norm(b) <= gap + 1e-10
 
 
+class TestProjectStacks:
+    # project on a stack of r means per group equals r single calls bit for
+    # bit, for every set, at distinct and tied spectra
+    @staticmethod
+    def stack(rng, r, U):
+        # random means, and means with exactly or nearly tied spectra: tied
+        # eigenvalues, tied coordinates in the frame U (which the cone pools
+        # to a lower face) and a scalar matrix
+        tied = np.diag([2.0, 2.0, -1.0])
+        out = [random_symmetric(rng, 3, 2.0) for _ in range(r - 4)]
+        out += [tied, U @ tied @ U.T, U @ np.diag([-1.0, 2.0, 2.0]) @ U.T,
+                0.5 * np.eye(3)]
+        return np.array(out)[rng.permutation(r)]
+
+    def test_project_stack_matches_single_calls(self):
+        rng = np.random.default_rng(88)
+        r = 9
+        for pset, Y, n, _ in all_sets(rng, 1.0):
+            U = getattr(pset, "U0", random_orthogonal(rng, 3))
+            stacks = [self.stack(rng, r, U) for _ in Y]
+            fit, dims = project(pset, *stacks, n=n)
+            assert [f.shape for f in fit] == [(r, 3, 3)] * len(fit), pset
+            if isinstance(pset, OrderedCone):
+                assert isinstance(dims, np.ndarray) and dims.shape == (r,)
+                assert len(set(dims.tolist())) > 1
+            for j in range(r):
+                one, dim = project(pset, *(y[j] for y in stacks), n=n)
+                assert len(one) == len(fit)
+                for f, o in zip(fit, one):
+                    assert np.array_equal(f[j], o), (pset, j)
+                assert (dim is None) == (dims is None)
+                if dims is not None:
+                    assert dims[j] == dim
+
+
 class TestCovarianceEstimators:
     def test_sigma2_at_sample_mean_is_dispersion(self):
         rng = np.random.default_rng(87)

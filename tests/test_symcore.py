@@ -59,6 +59,79 @@ class TestCheckSymmetric:
             check_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+class TestStacks:
+    # A stack of matrices goes through one call with the same bits as one
+    # call per matrix: a single matrix is a batch of one.
+    @staticmethod
+    def stack(rng, p):
+        # distinct spectra, exact ties, a rotated tie, a scalar matrix, and
+        # a column whose largest-magnitude entries tie in size with
+        # opposite signs ([[2, 1], [1, 2]] has eigenvector (1, -1)/sqrt(2))
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        tied = np.diag(np.repeat([2.0, -1.0], [p - p // 2, p // 2]))
+        swap = np.eye(p)
+        swap[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+        return np.array([random_symmetric(rng, p, 3.0) for _ in range(6)]
+                        + [tied, Q @ tied @ Q.T, 2.5 * np.eye(p), swap])
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_eigh_desc_stack_matches_single_calls(self, p):
+        X = self.stack(np.random.default_rng(160 + p), p)
+        dec = eigh_desc(X)
+        assert dec.V.shape == X.shape and dec.lam.shape == X.shape[:2]
+        flipped = 0
+        for j, Y in enumerate(X):
+            one = eigh_desc(Y)
+            assert np.array_equal(dec.V[j], one.V)
+            assert np.array_equal(dec.lam[j], one.lam)
+            # the sign canon: each column's first largest-magnitude entry
+            # is positive, whatever sign the solver returned
+            rows = np.argmax(np.abs(one.V), axis=0)
+            assert np.all(one.V[rows, np.arange(p)] > 0.0)
+            raw = np.linalg.eigh(Y)[1]
+            flipped += np.sum(raw[np.argmax(np.abs(raw), axis=0),
+                                  np.arange(p)] < 0.0)
+        assert flipped > 0
+
+    def test_block_average_stack_matches_single_calls(self):
+        rng = np.random.default_rng(170)
+        lam = np.sort(rng.standard_normal((9, 6)), axis=1)[:, ::-1]
+        for mult in (Multiplicities((2, 1, 3)), Multiplicities((6,)),
+                     Multiplicities((1,) * 6)):
+            out = block_average(lam, mult)
+            for j, row in enumerate(lam):
+                assert np.array_equal(out[j], block_average(row, mult))
+        with pytest.raises(ValueError, match="eigenvalues"):
+            block_average(lam[:, :5], Multiplicities((2, 1, 3)))
+
+    def test_matrix_log_stack_matches_single_calls(self):
+        X = np.array([matrix_exp(random_symmetric(np.random.default_rng(k), 3))
+                      for k in range(7)])
+        L = matrix_log(X)
+        for j, Y in enumerate(X):
+            assert np.array_equal(L[j], matrix_log(Y))
+        X[4] = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(ValueError, match="positive eigenvalues"):
+            matrix_log(X)
+
+    def test_check_symmetric_scales_each_matrix_alone(self):
+        # the asymmetry bound is tol * max(1, max|X|) for each matrix: a
+        # 1e-4 asymmetry passes next to entries of 1e6 but not in a matrix
+        # of unit scale, whatever the other matrices of the stack hold
+        big = np.array([[1e6, 1.0], [1.0 + 1e-4, 1.0]])
+        small = np.array([[1.0, 1.0], [1.0 + 1e-4, 1.0]])
+        out = check_symmetric(np.array([big, big]))
+        assert np.array_equal(out[0], check_symmetric(big))
+        check_symmetric(big)
+        for X in (small, np.array([big, small]), np.array([small, big])):
+            with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+                check_symmetric(X)
+        with pytest.raises(ValueError, match="^S has non-finite entries$"):
+            check_symmetric(np.array([big, np.full((2, 2), np.inf)]), "S")
+        with pytest.raises(ValueError, match="square"):
+            check_symmetric(np.zeros((4, 2, 3)))
+
+
 class TestCheckInteger:
     @pytest.mark.parametrize("value", [3, 3.0, "3", np.int64(3), np.float64(3.0)])
     def test_accepts_integral_values(self, value):
