@@ -12,8 +12,10 @@ scatter, draws W_g ~ Wishart(n_g - 1, Sigma) per replicate. A
 calibration parses its hypothesis and builds its parameter sets once
 (lrt.parse_config). The fits never depend on the covariance, so each
 chunk's stack of means is projected onto each set in one call
-(lrt._project); only the statistic half of lrt._run (covariance fit,
-statistic, p-value) runs replicate by replicate.
+(lrt._project); only the statistic step lrt._statistic (covariance fit
+and statistic) runs replicate by replicate, and the p-values of all
+replicates are taken in one lrt.pvalue call. An eigenvector consistency
+study decomposes each chunk's fitted frames in one call too.
 """
 
 from collections.abc import Mapping
@@ -39,6 +41,7 @@ from .onesample import (
     FixedEigvals,
     Unrestricted,
     _fit_cov,
+    _residuals,
     contains,
     eigvec_uncertainty,
     pava,
@@ -116,14 +119,14 @@ def estimate_cone_weights(d_true, reps, seed):
                        reps=reps)
 
 
-def _ks_distance(sorted_stats, dist):
+def _ks_distance(sorted_stats, dist, pvals):
     # sup |F_m - F| compares F_m with the CDF P(X <= x) = 1 - P(X > x) at
-    # each statistic and with its left limit 1 - P(X >= x) just below it;
-    # the two differ only at the point mass of a zero-df component
+    # each statistic and with its left limit 1 - P(X >= x) = 1 - pvals just
+    # below it; the two differ only at the point mass of a zero-df component
     m = sorted_stats.size
     i = np.arange(1, m + 1)
     cdf = 1.0 - lrt._tail(dist, sorted_stats, strict=True)
-    cdf_below = 1.0 - lrt.pvalue(dist, sorted_stats)
+    cdf_below = 1.0 - pvals
     return float(max(np.max(i / m - cdf), np.max(cdf_below - (i - 1) / m)))
 
 
@@ -211,24 +214,22 @@ def calibrate_null(config, truth, n, reps, seed):
         raise ValueError("need n >= 1 per group, got %r" % (n,))
     n1, n2 = sizes if two_sample else (None, None)
     stats = np.empty(reps)
-    pvals = np.empty(reps)
     draws = _draws(means, sizes, cov_true, reps, seed,
                    scatter=test_id == "cov-check")
-    runs = (lrt._run(h, drawn, fit) for chunk in draws
+    runs = (lrt._statistic(h, drawn, fit) for chunk in draws
             for drawn, fit in zip(chunk.replicates(), _fits(h, chunk)))
-    for rep, res in enumerate(runs):
-        stats[rep] = res.statistic
-        pvals[rep] = res.p_value
-    dist = res.dist  # the same for every replicate
+    for rep, (t, dist, *_) in enumerate(runs):
+        stats[rep] = t  # dist is the same for every replicate
     stats.sort()
+    pvals = lrt.pvalue(dist, stats)
     emp = tuple(float(np.quantile(stats, pr)) for pr in PROBS)
     theo = tuple(lrt.quantile(dist, pr) for pr in PROBS)
     return CalibrationReport(
         test_id=test_id, reps=reps, n=sum(sizes), n1=n1, n2=n2,
         dist=dist, quantile_probs=PROBS, empirical_quantiles=emp,
-        theoretical_quantiles=theo, ks_distance=_ks_distance(stats, dist),
-        alpha=ALPHA, rejection_rate=float(np.mean(pvals <= ALPHA)),
-        statistics=stats)
+        theoretical_quantiles=theo, alpha=ALPHA,
+        ks_distance=_ks_distance(stats, dist, pvals),
+        rejection_rate=float(np.mean(pvals <= ALPHA)), statistics=stats)
 
 
 def consistency_study(estimator, truth, n_grid, reps, seed):
@@ -264,14 +265,13 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
             if est_id == "mean":
                 vals.extend(np.sum((fitted[0] - M) ** 2, axis=(-2, -1)))
             elif est_id == "eigvec_var":
-                for F in fitted[0]:
-                    a_hat, pred = eigvec_uncertainty(dec.V, dec.lam, F, n,
-                                                     cov.sigma2)
-                    vals.append(a_hat)
+                a_hat, pred = eigvec_uncertainty(dec.V, dec.lam, fitted[0], n,
+                                                 cov.sigma2)
+                vals.extend(a_hat)
             else:
                 k = 0 if est_id.endswith("sigma2") else 1
-                vals.extend(_fit_cov(drawn, m)[k] for drawn, m in
-                            zip(chunk.replicates(), zip(*fitted)))
+                vals.extend(_fit_cov(drawn, _residuals(drawn, m))[k]
+                            for drawn, m in zip(chunk.replicates(), zip(*fitted)))
         vals = np.array(vals)
         if est_id == "mean":
             rows.append({"n": n, "rmse": float(np.sqrt(np.mean(vals)))})

@@ -9,8 +9,12 @@ point runs them all: run(test_id, stats, **args) on Python objects, and
 run_config on a JSON-style config, both binding the test to its
 arguments once. The runner projects the sample means onto both sets
 (onesample.project: one or two groups, one mean or a chunk's stack),
-plugs in the null fit's (sigma2, tau) when no covariance is given and
-evaluates that one statistic. Given (sigma2, tau) the affine cases are
+then its statistic step (_statistic) forms each fit's residual once and
+keeps three numbers per group (onesample._residuals: tr r, ||r||^2 and
+||r - (tr r/p) I||^2), from which it plugs in the null fit's (sigma2,
+tau) when no covariance is given and evaluates that one statistic; the
+TestResult adds the warnings and the p-value. pvalue takes a scalar or
+an array of statistics. Given (sigma2, tau) the affine cases are
 exactly chi-square, with F variants of the mean-shift cases for an
 estimated covariance; the curved and cone cases are asymptotic
 (chi-square or chi-square mixture), as is any plug-in reference.
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symcore import (CovParams, Multiplicities, _number, check_integer,
-                      norm_sq, sym_dim)
+                      sym_dim)
 from .matnormal import SuffStats
 from .onesample import (
     CommonEigvals,
@@ -68,8 +72,9 @@ from .onesample import (
     Point,
     Unrestricted,
     _fit_cov,
+    _residuals,
+    _sigma2,
     contains,
-    estimate_sigma2,
     mle,
     project,
 )
@@ -218,48 +223,52 @@ def quantile(dist, prob):
     return 0.5 * (lo + hi)
 
 
-def _clamp(t, tol=CLAMP):
-    # nested minima cannot differ by less than 0; allow rounding dust only
+def _clamp(t, dist=None, size=0.0):
+    # nested minima cannot differ by less than 0; allow rounding dust only.
+    # t's rounding error scales with the terms it is a difference of: allow
+    # 64 ulps of their summed magnitude `size`, and at least CLAMP
+    tol = max(CLAMP, 64.0 * np.finfo(float).eps * size)
     if t < 0.0:
         if t < -tol:
             raise StatisticError(
                 "nested-model statistic is negative beyond rounding: %g" % t)
         return 0.0
-    return float(t)
-
-
-def _result(test_id, t, dist, fit_null, fit_alt, plugin, size=0.0):
-    # t's rounding error scales with the terms it is a difference of: allow
-    # 64 ulps of their summed magnitude `size`, and at least CLAMP
-    tol = max(CLAMP, 64.0 * np.finfo(float).eps * size)
-    t = _clamp(t, tol)
     if isinstance(dist, (ChiSq, ChiSqApprox)) and dist.df == 0 and t <= tol:
         # df 0 means the null and alternative coincide: the statistic is
         # identically zero and anything below the tolerance is rounding
         # dust, which must not flip the point-mass p-value from 1 to 0.
-        t = 0.0
+        return 0.0
+    return float(t)
+
+
+def _result(test_id, t, dist, fit_null, fit_alt, plugin):
+    # the TestResult of a clamped statistic: its warnings and p-value
     warns = []
     if plugin:
         warns.append(_PLUGIN_NOTE)
     if isinstance(dist, (ChiSqApprox, ChiSqMix)):
         warns.append(_ASYMPTOTIC_NOTE)
+    if test_id == "cov-check" and fit_null.tau_hat <= 0.0:
+        warns.append("fitted tau is nonpositive: the chi-square calibration "
+                     "is not guaranteed in this regime")
     return TestResult(statistic=t, dist=dist, p_value=pvalue(dist, t),
                       fit_null=fit_null, fit_alt=fit_alt, test_id=test_id,
                       warnings=tuple(warns))
 
 
-def _lr(stats, fit_null, fit_alt, cov):
+def _lr(stats, res0, res1, cov):
     """Twice the log-likelihood ratio of two mean fits in the cov norm.
 
     Sum over groups of n_g (||Ybar_g - M0_g||^2 - ||Ybar_g - M1_g||^2),
-    each squared distance formed from its own difference matrix, so the
-    statistic stays accurate at any data scale. Returns the statistic and
-    the summed magnitude of the terms it subtracts, which sets the size
-    of its rounding error.
+    each squared distance (ss - tau tr^2)/sigma2 from its own residual's
+    _residuals, so the statistic stays accurate at any data scale. Returns
+    the statistic and the summed magnitude of the terms it subtracts,
+    which sets the size of its rounding error.
     """
-    terms = [(n, norm_sq(ybar - m0, cov), norm_sq(ybar - m1, cov))
-             for n, ybar, m0, m1 in zip(stats.n, stats.ybar, fit_null.means,
-                                        fit_alt.means)]
+    def sq(tr, ss, _):
+        return (ss - cov.tau * tr * tr) / cov.sigma2
+
+    terms = [(n, sq(*r0), sq(*r1)) for n, r0, r1 in zip(stats.n, res0, res1)]
     return (sum(n * (a - b) for n, a, b in terms),
             sum(n * (abs(a) + abs(b)) for n, a, b in terms))
 
@@ -293,6 +302,11 @@ def test_sigma_structure(stats):
     claimed only when the fitted tau is positive and away from zero; a
     warning is attached otherwise.
     """
+    return _result("cov-check", *_sigma_statistic(stats))
+
+
+def _sigma_statistic(stats):
+    # the statistic step of test_sigma_structure, as _statistic returns it
     n, p = sum(stats.n), stats.p
     q = sym_dim(p)
     min_n = q * (q + 3) // 2
@@ -305,13 +319,8 @@ def test_sigma_structure(stats):
     t = (n * q * math.log(fit_null.sigma2_hat)
          - n * math.log1p(-p * fit_null.tau_hat)
          - n * logdet)
-    df = q * (q + 1) / 2.0 - 2.0
-    res = _result("cov-check", t, ChiSqApprox(df), fit_null, None, False)
-    if fit_null.tau_hat <= 0.0:
-        res.warnings = res.warnings + (
-            "fitted tau is nonpositive: the chi-square calibration is not "
-            "guaranteed in this regime",)
-    return res
+    dist = ChiSqApprox(q * (q + 1) / 2.0 - 2.0)
+    return _clamp(t, dist), dist, fit_null, None, False
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +547,15 @@ def _project(h, stats):
     return [project(pset, *stats.ybar, n=stats.n) for pset in h.sets]
 
 
-def _run(h, stats, fits=None):
-    """Run a bound hypothesis on sufficient statistics, projecting unless given fits.
+def _statistic(h, stats, fits=None):
+    """The statistic step of a bound hypothesis on sufficient statistics.
 
-    The statistic half plugs in the null fit's (sigma2, tau) when no
-    covariance is known (which needs n > g observations for g groups) and
-    evaluates _lr at the covariance the statistic uses. An F reference
-    (mean shift, estimated covariance) takes _lr at the within-group
-    sigma2 for the null tau, scaled by (n - g) / (q n).
+    Returns (statistic, reference, null fit, alternative fit, plugin),
+    projecting unless given fits, and reads each fit's residual once
+    (_residuals). Without a known covariance the null fit's (sigma2, tau)
+    is plugged in (which needs n > g for g groups); an F reference (mean
+    shift) takes _lr at the within-group sigma2 for the null tau, scaled
+    by (n - g) / (q n).
     """
     spec, n, g = h.spec, sum(stats.n), len(stats.n)
     if spec.two_sample != (g == 2):
@@ -553,26 +563,32 @@ def _run(h, stats, fits=None):
             h.test_id, "two-group" if spec.two_sample else "one-group",
             "one group" if g == 1 else "two groups"))
     if h.sets is None:
-        return test_sigma_structure(stats)
+        return _sigma_statistic(stats)
     cov = h.args.get("cov")
     plugin = cov is None
     if plugin and n <= g:
         raise ValueError("an estimated covariance requires n >= %d" % (g + 1))
     dist = spec.reference(h.args, stats, plugin)
     (null, alt), ((m0, dim0), (m1, dim1)) = h.sets, fits or _project(h, stats)
-    fit_null = FitResult(m0, *_fit_cov(stats, m0, cov), null, dim0)
+    res0, res1 = _residuals(stats, m0), _residuals(stats, m1)
+    fit_null = FitResult(m0, *_fit_cov(stats, res0, cov), null, dim0)
     if plugin:
         cov = CovParams(fit_null.sigma2_hat, fit_null.tau_hat)
     fit_alt = FitResult(m1, cov.sigma2, cov.tau, alt, dim1)
     scale = 1.0
     if isinstance(dist, FDist):
-        cov = CovParams(estimate_sigma2(stats, m1, cov.tau), cov.tau)
+        cov = CovParams(_sigma2(stats, res1, cov.tau), cov.tau)
         scale = (n - g) / (sym_dim(stats.p) * n)
     if spec.tau_free:
         cov = CovParams(cov.sigma2)
-    t, size = _lr(stats, fit_null, fit_alt, cov)
-    return _result(h.test_id, scale * t, dist, fit_null, fit_alt, plugin,
-                   scale * size)
+    t, size = _lr(stats, res0, res1, cov)
+    return (_clamp(scale * t, dist, scale * size), dist, fit_null, fit_alt,
+            plugin)
+
+
+def _run(h, stats, fits=None):
+    # the TestResult of _statistic: warnings and the p-value added
+    return _result(h.test_id, *_statistic(h, stats, fits))
 
 
 def run(test_id, stats, **args):

@@ -26,10 +26,12 @@ that the means are a fixed point of project. The sets:
 The groups share (sigma2, tau). In vecd coordinates the covariance has
 two eigenvalues, v1 = sigma2/(1 - p tau) on the trace line vecd(I)/sqrt(p)
 and v2 = sigma2 off it, whose MLEs are two mean squares of the residuals
-about the fitted means, read from SuffStats.from_sample(S, n1) in one
-pass. mle returns one FitResult for one or two groups. eigvec_uncertainty
-gives the asymptotic normal law of the eigenvector estimation error for
-distinct-spectrum fits, expressed as a rotation logarithm.
+about the fitted means: the within-group sums of SuffStats plus n_g
+times the squared lack of fit r = Ybar_g - M_g of each group, of which
+they read only tr r and ||r - (tr r/p) I||^2. mle returns one FitResult
+for one or two groups. eigvec_uncertainty gives the asymptotic normal
+law of the eigenvector estimation error for distinct-spectrum fits,
+expressed as a rotation logarithm, for one fit or a stack.
 """
 
 import math
@@ -265,20 +267,30 @@ def project(pset, *means, n=None):
     return tuple(_rebuild(V, lam) for V, _ in frames), face_dim
 
 
-def _variance_sums(stats, means):
-    # (s1, s2): the summed squared residuals about the fitted means (spread
-    # plus lack of fit) on the trace line vecd(I)/sqrt(p) and off it
+def _residuals(stats, means):
+    # per group (tr r, ||r||^2, ||r - (tr r/p) I||^2) of r = Ybar_g - M_g, all
+    # the covariance fit and the statistic read of a fit; the off-trace sum
+    # is not ||r||^2 - tr^2/p, so it stays accurate at any scale
     if len(means) != len(stats.n):
         raise ValueError("need one fitted mean per group: %d groups, %d means"
                          % (len(stats.n), len(means)))
-    p = stats.p
-    s1, s2 = 0.0, 0.0
-    for n, ybar, m_hat, a, b in zip(stats.n, stats.ybar, means, stats.a, stats.b):
+    p, out = stats.p, []
+    for ybar, m_hat in zip(stats.ybar, means):
         r = ybar - m_hat
-        tr = np.trace(r)
-        f = r - (tr / p) * np.eye(p)
-        s1 += a + n * tr ** 2 / p
-        s2 += b + n * np.sum(f * f)
+        tr, ss = r.trace(), (r * r).sum()
+        r.flat[::p + 1] -= tr / p
+        out.append((tr, ss, (r * r).sum()))
+    return out
+
+
+def _variance_sums(stats, res):
+    # (s1, s2): the summed squared residuals about the fitted means (spread
+    # plus lack of fit) on the trace line vecd(I)/sqrt(p) and off it, from
+    # the fits' _residuals
+    s1, s2 = 0.0, 0.0
+    for n, a, b, (tr, _, off) in zip(stats.n, stats.a, stats.b, res):
+        s1 += a + n * tr ** 2 / stats.p
+        s2 += b + n * off
     return s1, s2
 
 
@@ -290,10 +302,14 @@ def estimate_sigma2(stats, means, tau):
     value (possible only in degenerate samples, e.g. n = 1 with a perfect
     fit) is returned as-is with a warning.
     """
+    return _sigma2(stats, _residuals(stats, means), tau)
+
+
+def _sigma2(stats, res, tau):
     p = stats.p
     if not tau < 1.0 / p:
         raise ValueError("tau must be < 1/p")
-    s1, s2 = _variance_sums(stats, means)
+    s1, s2 = _variance_sums(stats, res)
     out = (s2 + (1.0 - p * tau) * s1) / (sym_dim(p) * sum(stats.n))
     if out <= 0.0:
         warnings.warn("degenerate variance estimate (sigma2_hat = %g)" % out)
@@ -308,21 +324,21 @@ def estimate_tau(stats, means):
     residual terms vanish) and when every residual is trace-free (v1 = 0)
     or a multiple of I (v2 = 0, so tau = 1/p).
     """
-    return _fit_cov(stats, means)[1]
+    return _fit_cov(stats, _residuals(stats, means))[1]
 
 
-def _fit_cov(stats, means, cov=None):
-    """(sigma2, tau) for the fitted means: the known cov, or the MLEs.
+def _fit_cov(stats, res, cov=None):
+    """(sigma2, tau) from the fits' _residuals: the known cov, or the MLEs.
 
-    From one pass: sigma2 = v2 and tau = (1 - v2/v1)/p, v1 = s1/n and
-    v2 = s2/((q - 1) n) the mean squares on the trace line and off it.
+    sigma2 = v2 and tau = (1 - v2/v1)/p, v1 = s1/n and v2 = s2/((q - 1) n)
+    the mean squares on the trace line and off it.
     """
     if cov is not None:
         return cov.sigma2, cov.tau
     p = stats.p
     if p < 2:
         raise ValueError("tau estimation requires p >= 2")
-    s1, s2 = _variance_sums(stats, means)
+    s1, s2 = _variance_sums(stats, res)
     if s1 == 0.0:
         raise ValueError("tau estimate undefined: all residual traces vanish "
                          "(n = 1 or degenerate sample)")
@@ -353,7 +369,8 @@ def mle(pset, stats, cov=None):
     a FitResult with one fitted mean per group.
     """
     means, face_dim = project(pset, *stats.ybar, n=stats.n)
-    return FitResult(means, *_fit_cov(stats, means, cov), pset, face_dim)
+    return FitResult(means, *_fit_cov(stats, _residuals(stats, means), cov),
+                     pset, face_dim)
 
 
 def contains(pset, *means, tol=1e-9):
@@ -404,23 +421,9 @@ def _rotation_log(R):
     return 0.5 * (A - A.T)
 
 
-def eigvec_uncertainty(U_true, D0, fit_M, n, sigma2):
-    """Eigenvector estimation error and its predicted asymptotic variance.
-
-    For a fit with known distinct spectrum D0, the estimated frame Uhat
-    (recovered from fit_M, sign-aligned to U_true) differs from U_true by
-    a rotation; A_hat = log(U_true' Uhat) is its antisymmetric tangent
-    coordinate. Entry (i, j) of the returned variance table is the
-    asymptotic prediction var(a_ij) = sigma2 / (2 n (d_i - d_j)^2); the
-    diagonal is zero.
-    """
-    U_true = _check_orthogonal(U_true, "U_true")
-    D0 = np.asarray(D0, dtype=float)
-    if np.any(D0[:-1] <= D0[1:]):
-        raise ValueError("spectrum must be strictly decreasing: equal eigenvalues "
-                         "leave the eigenvectors unidentifiable")
-    uhat = eigh_desc(fit_M).V
-    uhat = _align_signs(U_true, uhat)
+def _frame_log(U_true, V):
+    # log(U_true' Uhat) for the frame V of one fit, sign-aligned to U_true
+    uhat = _align_signs(U_true, V)
     R = U_true.T @ uhat
     if np.linalg.det(R) < 0.0:
         # Sign alignment can land on a reflection; flip the most ambiguous
@@ -429,7 +432,28 @@ def eigvec_uncertainty(U_true, D0, fit_M, n, sigma2):
         uhat = uhat.copy()
         uhat[:, j] = -uhat[:, j]
         R = U_true.T @ uhat
-    a_hat = _rotation_log(R)
+    return _rotation_log(R)
+
+
+def eigvec_uncertainty(U_true, D0, fit_M, n, sigma2):
+    """Eigenvector estimation error and its predicted asymptotic variance.
+
+    For a fit with known distinct spectrum D0, the estimated frame Uhat
+    (recovered from fit_M, sign-aligned to U_true) differs from U_true by
+    a rotation; A_hat = log(U_true' Uhat) is its antisymmetric tangent
+    coordinate. Entry (i, j) of the returned variance table is the
+    asymptotic prediction var(a_ij) = sigma2 / (2 n (d_i - d_j)^2); the
+    diagonal is zero. fit_M may be a stack of fits (r, p, p), decomposed
+    in one call; A_hat is then a stack too.
+    """
+    U_true = _check_orthogonal(U_true, "U_true")
+    D0 = np.asarray(D0, dtype=float)
+    if np.any(D0[:-1] <= D0[1:]):
+        raise ValueError("spectrum must be strictly decreasing: equal eigenvalues "
+                         "leave the eigenvectors unidentifiable")
+    V = eigh_desc(fit_M).V
+    a_hat = (_frame_log(U_true, V) if V.ndim == 2 else
+             np.array([_frame_log(U_true, v) for v in V]))
     gaps = D0[:, None] - D0[None, :]
     with np.errstate(divide="ignore"):
         predicted = sigma2 / (2.0 * n * gaps ** 2)

@@ -162,6 +162,50 @@ def test_consistency_study_projects_once_per_chunk(monkeypatch, estimator):
     assert calls == [[(r, 3, 3)] * (1 + pooled) for r in (1024, 476) * 2]
 
 
+def test_eigvec_study_decomposes_once_per_chunk(monkeypatch):
+    # the truth once, then per chunk one batched eigh_desc for the
+    # FixedEigvals projection and one for the fitted frames: 1 + 2 + 2 for
+    # 1500 replicates, not one per replicate
+    from symtest.symcore import eigh_desc
+    calls = []
+
+    def counted(X):
+        calls.append(np.shape(X))
+        return eigh_desc(X)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("symtest.")
+                and getattr(module, "eigh_desc", None) is eigh_desc):
+            monkeypatch.setattr(module, "eigh_desc", counted)
+    truth = {"M": np.diag([4.0, 2.0, 1.0]).tolist(), "sigma2": 1.0, "tau": 0.2}
+    calibrate.consistency_study("eigvec_var", truth, [50], 1500, 6)
+    assert calls == [(3, 3)] + [(r, 3, 3) for r in (1024, 1024, 476, 476)]
+
+
+@pytest.mark.parametrize("test_id,truth,n", [
+    ("a0", {"M": M.tolist()}, 6),
+    ("c2", {"M": M.tolist()}, 6),
+    ("s2", {"M": M.tolist()}, 6),
+    ("2s1", {"M1": M.tolist(), "M2": M.tolist()}, (5, 7)),
+    ("cov-check", {"M": M.tolist()}, 30),
+])
+def test_calibrate_takes_pvalues_in_one_call(monkeypatch, test_id, truth, n):
+    # the replicates' p-values come from one lrt.pvalue call on the sorted
+    # statistics, which serves both the rejection rate and the KS distance
+    calls = []
+    pvalue = lrt.pvalue
+
+    def counted(dist, t):
+        calls.append(np.shape(t))
+        return pvalue(dist, t)
+
+    monkeypatch.setattr(lrt, "pvalue", counted)
+    config = dict(CONFIGS[test_id], test_id=test_id)
+    rep = calibrate_null(config, dict(truth, sigma2=1.0, tau=0.1), n, 2500, 3)
+    assert calls == [(2500,)]
+    assert rep.rejection_rate == np.mean(pvalue(rep.dist, rep.statistics) <= 0.05)
+
+
 def test_no_draw_factors_a_matrix(monkeypatch):
     # every draw maps standard normals through the closed-form root of the
     # covariance; sigma2 = 1.37 keeps any cached factor out of play

@@ -828,6 +828,40 @@ class TestInvariance:
                                          cov=cov).statistic,
                                  rel=1e-9))
 
+    @pytest.mark.parametrize("test_id", sorted(
+        t for t, spec in lrt.TESTS.items() if spec.sets is not None))
+    def test_scale_invariance_with_estimated_covariance(self, test_id):
+        # Scaling the data by c, and M0 and D0 with it, scales both fits by
+        # c and the plugged-in sigma2 by c^2: the statistic and p-value
+        # must not move, at any data scale.
+        rng = np.random.default_rng(372)
+        U = random_orthogonal(rng, 3)
+        d = np.array([4.0, 2.0, 1.0])
+        M = (U * d) @ U.T
+        config = {"test_id": test_id, "M0": M, "U0": U.tolist(), "D0": d,
+                  "multiplicities": [1, 2] if test_id == "s3" else [1, 1, 1]}
+        spec = lrt.TESTS[test_id]
+        config = {k: v for k, v in config.items()
+                  if k in ("test_id",) + spec.keys + spec.optional}
+        two = spec.two_sample
+        S = sample(12, M, CovParams(1.0, 0.1), 373)
+        if two:
+            S = np.concatenate([S, sample(9, M, CovParams(1.0, 0.1), 374)])
+
+        def run_at(c):
+            scaled = {k: (c * v).tolist() if k in ("M0", "D0") else v
+                      for k, v in config.items()}
+            res = run_config(scaled, c * S, n1=12 if two else None)
+            assert lrt._PLUGIN_NOTE in res.warnings
+            return res
+
+        base = run_at(1.0)
+        assert base.statistic > 0.0 and 0.0 < base.p_value < 1.0
+        for c in (1e-6, 1e6):
+            res = run_at(c)
+            assert res.statistic == pytest.approx(base.statistic, rel=1e-9)
+            assert res.p_value == pytest.approx(base.p_value, rel=1e-9)
+
     def test_sign_flips_of_frame_columns(self):
         S = sample(10, np.diag([4.0, 2.0, 1.0]), COV0, 370)
         M0 = np.diag([4.0, 2.0, 1.0])
@@ -971,25 +1005,29 @@ class TestRunConfig:
         run_config(config, S, n1=20 if two else None)
         assert len(calls) == expected
 
-    @pytest.mark.parametrize("test_id,cov,expected", [
-        ("a0", {"estimate": True}, 2), ("a0", None, 2),
-        ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}, 0),
-        ("s2", {"estimate": True}, 1), ("2a0", {"estimate": True}, 2)],
+    @pytest.mark.parametrize("test_id,cov", [
+        ("a0", {"estimate": True}), ("a0", None),
+        ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}),
+        ("s2", {"estimate": True}), ("2a0", {"estimate": True})],
         ids=["a0-estimate", "a0-default", "a0-known", "s2-estimate",
              "2a0-estimate"])
-    def test_residual_passes_per_run(self, monkeypatch, test_id, cov, expected):
-        # one pass over the residuals for the null fit's (sigma2, tau),
-        # at which the alternative is fitted, plus the F variant's sigma2
-        # at the null tau
+    def test_residual_passes_per_run(self, monkeypatch, test_id, cov):
+        # each fit's residual is formed once, whatever the covariance: the
+        # null fit's (sigma2, tau), the F variant's sigma2 at the
+        # alternative and the statistic all read those sums
+        import sys
         from symtest import onesample
         calls = []
-        sums = onesample._variance_sums
+        residuals = onesample._residuals
 
         def counted(*args):
             calls.append(None)
-            return sums(*args)
+            return residuals(*args)
 
-        monkeypatch.setattr(onesample, "_variance_sums", counted)
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("symtest.")
+                    and getattr(module, "_residuals", None) is residuals):
+                monkeypatch.setattr(module, "_residuals", counted)
         M = np.diag([3.0, 2.0, 1.0])
         config = {"test_id": test_id, "M0": M.tolist(), "D0": [3.0, 2.0, 1.0],
                   "multiplicities": [1, 1, 1], "cov": cov}
@@ -1000,7 +1038,7 @@ class TestRunConfig:
         if two:
             S = np.concatenate([S, sample(20, M, CovParams(1.0, 0.1), 387)])
         run_config(config, S, n1=20 if two else None)
-        assert len(calls) == expected
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("test_id,sizes", [
         ("a0", (1,)), ("a1", (1,)), ("s3", (1,)), ("2a0", (1, 1)),

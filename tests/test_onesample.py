@@ -645,6 +645,23 @@ class TestEigvecUncertainty:
         A, _ = eigvec_uncertainty(U * np.array([-1.0, 1.0, -1.0]), D0, M, 5, 1.0)
         assert np.abs(A).max() <= 1e-8
 
+    def test_stack_matches_one_call_per_fit(self):
+        # a stack of fits is decomposed in one call, with the bits of one
+        # call per fit; the frames include reflections of U
+        rng = np.random.default_rng(95)
+        U = random_orthogonal(rng, 3)
+        D0 = np.array([4.0, 2.0, 1.0])
+        fits = []
+        for k in range(6):
+            A = rng.standard_normal((3, 3)) * 0.2
+            V = U @ scipy.linalg.expm(A - A.T) * np.where(k % 2, -1.0, 1.0)
+            fits.append((V * D0) @ V.T)
+        A_hat, pred = eigvec_uncertainty(U, D0, np.array(fits), 10, 1.0)
+        assert A_hat.shape == (6, 3, 3)
+        for F, A in zip(fits, A_hat):
+            one, pred_one = eigvec_uncertainty(U, D0, F, 10, 1.0)
+            assert np.array_equal(A, one) and np.array_equal(pred, pred_one)
+
     def test_rejects_repeated_eigenvalues(self):
         with pytest.raises(ValueError, match="unidentifiable"):
             eigvec_uncertainty(np.eye(2), np.array([2.0, 2.0]), np.eye(2), 5, 1.0)
