@@ -48,6 +48,6 @@ for label, M in (("under the null", M_null),
 
 print("\nThe covariance-structure check accepts data from the invariant "
       "model:")
-res = lrt.test_sigma_structure(SuffStats.from_sample(sample(400, M_null, cov,
-                                                            seed=43)))
+res = lrt.run("cov-check", SuffStats.from_sample(sample(400, M_null, cov,
+                                                      seed=43)))
 show("cov-check", res)

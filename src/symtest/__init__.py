@@ -46,7 +46,6 @@ from .lrt import (
     StatisticError,
     pvalue,
     quantile,
-    test_sigma_structure,
     run,
     run_config,
     TESTS,

@@ -7,15 +7,18 @@ studies share one path: a chunk draws each group's sufficient statistics
 directly from their exact laws, as arrays over its replicates: the means
 Ybar_g ~ N(M_g, sigma2/n_g, tau) and the two independent variance
 components of the residuals, scaled chi-squares, so a replicate's cost
-does not grow with n_g. Only cov-check, which reads the whole residual
-scatter, draws W_g ~ Wishart(n_g - 1, Sigma) per replicate. A
-calibration parses its hypothesis and builds its parameter sets once
-(lrt.parse_config). The fits never depend on the covariance, so each
-chunk's stack of means is projected onto each set in one call
-(lrt._project); only the statistic step lrt._statistic (covariance fit
-and statistic) runs replicate by replicate, and the p-values of all
-replicates are taken in one lrt.pvalue call. An eigenvector consistency
-study decomposes each chunk's fitted frames in one call too.
+does not grow with n_g. Only a test whose statistic reads the whole
+residual scatter (cov-check) draws W_g ~ Wishart(n_g - 1, Sigma) per
+replicate. A calibration checks its sizes and binds its hypothesis once
+(lrt.parse_config): the group-count and sample-size checks, the
+parameter sets and the reference. The fits never depend on the
+covariance, so each chunk's stack of means is projected onto each set in
+one call (lrt._project); only the statistic step lrt._statistic
+(covariance fit and statistic, per-sample arithmetic) runs replicate by
+replicate, and the p-values of all replicates are taken in one
+lrt.pvalue call, the reference's quantiles in one lrt.quantile call. An
+eigenvector consistency study decomposes each chunk's fitted frames in
+one call too.
 """
 
 from collections.abc import Mapping
@@ -177,8 +180,6 @@ def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
 
 def _fits(h, chunk):
     # per replicate, each set's (means, face_dim), projected once per chunk
-    if h.sets is None:
-        return repeat(None)
     return zip(*(zip(zip(*means), repeat(None) if dims is None else dims.tolist())
                  for means, dims in lrt._project(h, chunk)))
 
@@ -198,37 +199,31 @@ def calibrate_null(config, truth, n, reps, seed):
         raise ValueError("truth must be a mapping, got %r" % (truth,))
     two_sample = "M1" in truth
     means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
-    h = lrt.parse_config(config, means[0].shape[0])
-    test_id = h.test_id
-    if h.spec.two_sample != two_sample:
-        raise ValueError("test %r needs a truth with %s" % (
-            test_id, "M1 and M2" if h.spec.two_sample else "M"))
-    if h.sets is not None and not contains(h.sets[0], *means):
-        raise ValueError("generator mean is not in the null set of %r" % test_id)
     sizes = n if isinstance(n, (list, tuple)) else (n,)
     if len(sizes) != len(means):
-        raise ValueError("test %r needs n = %s, got %r" % (
-            test_id, "[n1, n2]" if two_sample else "a single count", n))
+        raise ValueError("a truth with %s needs n = %s, got %r" % (
+            "M1 and M2" if two_sample else "M",
+            "[n1, n2]" if two_sample else "a single count", n))
     sizes = tuple(check_integer(k, "n") for k in sizes)
     if min(sizes) < 1:
         raise ValueError("need n >= 1 per group, got %r" % (n,))
-    n1, n2 = sizes if two_sample else (None, None)
-    stats = np.empty(reps)
-    draws = _draws(means, sizes, cov_true, reps, seed,
-                   scatter=test_id == "cov-check")
-    runs = (lrt._statistic(h, drawn, fit) for chunk in draws
-            for drawn, fit in zip(chunk.replicates(), _fits(h, chunk)))
-    for rep, (t, dist, *_) in enumerate(runs):
-        stats[rep] = t  # dist is the same for every replicate
+    h = lrt.parse_config(config, means[0].shape[0], sizes)
+    if not contains(h.sets[0], *means):
+        raise ValueError("generator mean is not in the null set of %r"
+                         % h.test_id)
+    draws = _draws(means, sizes, cov_true, reps, seed, scatter=h.spec.scatter)
+    stats = np.fromiter((lrt._statistic(h, drawn, fit)[0] for chunk in draws
+                         for drawn, fit in zip(chunk.replicates(),
+                                               _fits(h, chunk))), float, reps)
     stats.sort()
-    pvals = lrt.pvalue(dist, stats)
-    emp = tuple(float(np.quantile(stats, pr)) for pr in PROBS)
-    theo = tuple(lrt.quantile(dist, pr) for pr in PROBS)
+    pvals = lrt.pvalue(h.dist, stats)
+    n1, n2 = sizes if two_sample else (None, None)
     return CalibrationReport(
-        test_id=test_id, reps=reps, n=sum(sizes), n1=n1, n2=n2,
-        dist=dist, quantile_probs=PROBS, empirical_quantiles=emp,
-        theoretical_quantiles=theo, alpha=ALPHA,
-        ks_distance=_ks_distance(stats, dist, pvals),
+        test_id=h.test_id, reps=reps, n=sum(sizes), n1=n1, n2=n2,
+        dist=h.dist, quantile_probs=PROBS,
+        empirical_quantiles=tuple(np.quantile(stats, PROBS).tolist()),
+        theoretical_quantiles=tuple(lrt.quantile(h.dist, PROBS).tolist()),
+        alpha=ALPHA, ks_distance=_ks_distance(stats, h.dist, pvals),
         rejection_rate=float(np.mean(pvals <= ALPHA)), statistics=stats)
 
 

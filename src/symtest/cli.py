@@ -324,13 +324,12 @@ def _write_qq(path, rep):
         fh = open(path, "w", newline="")
     except OSError as e:
         raise InputError("cannot write %s: %s" % (path, e))
+    probs = np.arange(1, 100) / 100.0
     with fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["q_theoretical", "q_empirical"])
-        for i in range(1, 100):
-            pr = i / 100.0
-            writer.writerow(["%.17g" % lrt.quantile(rep.dist, pr),
-                             "%.17g" % float(np.quantile(rep.statistics, pr))])
+        writer.writerows(["%.17g" % a, "%.17g" % b] for a, b in zip(
+            lrt.quantile(rep.dist, probs), np.quantile(rep.statistics, probs)))
 
 
 def cmd_cone_weights(args):

@@ -4,22 +4,26 @@ Every MLE of the mean is a Frobenius projection of the sample mean(s),
 so twice the log-likelihood ratio is sum_g n_g (||Ybar_g - M0_g||^2 -
 ||Ybar_g - M1_g||^2) in the (sigma2, tau) norm, M0 and M1 the null and
 alternative fits. Each test is one entry of the registry TESTS (config
-keys, two-sample flag, null and alternative sets, reference). One entry
-point runs them all: run(test_id, stats, **args) on Python objects, and
-run_config on a JSON-style config, both binding the test to its
-arguments once. The runner projects the sample means onto both sets
-(onesample.project: one or two groups, one mean or a chunk's stack),
-then its statistic step (_statistic) forms each fit's residual once and
-keeps three numbers per group (onesample._residuals: tr r, ||r||^2 and
-||r - (tr r/p) I||^2), from which it plugs in the null fit's (sigma2,
-tau) when no covariance is given and evaluates that one statistic; the
-TestResult adds the warnings and the p-value. pvalue takes a scalar or
-an array of statistics. Given (sigma2, tau) the affine cases are
-exactly chi-square, with F variants of the mean-shift cases for an
-estimated covariance; the curved and cone cases are asymptotic
+keys, two-sample flag, null and alternative sets, reference, statistic).
+One entry point runs them all: run(test_id, stats, **args) on Python
+objects, and run_config on a JSON-style config. Both bind the test once
+(_bind) to its arguments and to its data's shape, p and the group
+counts: the checks that shape decides, the sets and the reference are
+made there and nowhere else. The runner projects the sample means onto
+both sets (onesample.project: one or two groups, one mean or a chunk's
+stack). Its statistic step (_statistic) is per-sample arithmetic: it
+forms each fit's residual once and keeps three numbers per group
+(onesample._residuals: tr r, ||r||^2 and ||r - (tr r/p) I||^2), fits
+(sigma2, tau) under the null when no covariance is given, and evaluates
+the entry's statistic. Only _run adds the fits, the warnings and the
+p-value. pvalue takes a scalar or an array of statistics, quantile a
+scalar or an array of probabilities. Given (sigma2, tau) the affine
+cases are exactly chi-square, with F variants of the mean-shift cases
+for an estimated covariance; the curved and cone cases are asymptotic
 (chi-square or chi-square mixture), as is any plug-in reference.
-cov-check, a test of the covariance, keeps its own statistic in
-test_sigma_structure.
+cov-check tests the covariance instead: both its sets are unrestricted,
+and its statistic compares the (sigma2, tau) fit with the free
+covariance W/n of the embedded sample.
 
 Tail probabilities come from scipy.special (chdtrc, fdtrc, imported on
 use). The cone test's mixture weights at a tied spectrum are exact: the
@@ -51,6 +55,8 @@ the cone at the true spectrum: given ConeWeights, or the exact law for
 the true spectrum's tie pattern mult. Known covariance: a0 and 2a0 are
 chi-square(q); estimated, they take the F(q, q(n - g)) variant. s1, s3
 and 2s2 compare fits of equal trace, so their statistic needs no tau.
+cov-check needs n > q(q+3)/2 observations so that W/n is comfortably
+nonsingular; its statistic does not depend on (sigma2, tau).
 """
 
 import math
@@ -75,11 +81,11 @@ from .onesample import (
     _residuals,
     _sigma2,
     contains,
-    mle,
     project,
 )
 
 CLAMP = 1e-9
+EPS = np.finfo(float).eps
 
 _PLUGIN_NOTE = "covariance parameters estimated under the null fit"
 _ASYMPTOTIC_NOTE = "reference distribution is asymptotic only"
@@ -196,38 +202,40 @@ def pvalue(dist, t):
 def quantile(dist, prob):
     """Quantile inf{t : P(X > t) <= 1 - prob} by bisection on the tail.
 
-    The strict tail puts a point mass at 0 (a zero-df component) below
-    the quantile, so any prob within that mass gives exactly 0.
+    prob is a scalar or an array; an array is bisected elementwise in one
+    pass, each element's bracket doubled until it holds, with the bits of
+    one call per element. The strict tail puts a point mass at 0 (a
+    zero-df component) below the quantile, so any prob within that mass
+    gives exactly 0.
     """
-    if not 0.0 <= prob < 1.0:
-        raise ValueError("prob must be in [0, 1), got %r" % prob)
-    target = 1.0 - prob
+    probs = np.asarray(prob, dtype=float)
+    if not np.all((probs >= 0.0) & (probs < 1.0)):
+        raise ValueError("prob must be in [0, 1), got %r" % (prob,))
+    target = 1.0 - probs
 
     def above(t):
         return _tail(dist, t, strict=True) > target
 
-    if not above(0.0):
-        return 0.0
-    hi = 1.0
-    while above(hi):
-        hi *= 2.0
-        if hi > 1e12:
+    lo, hi = np.zeros_like(target), np.ones_like(target)
+    grow = above(hi)
+    while np.any(grow):
+        hi = np.where(grow, 2.0 * hi, hi)
+        if np.any(hi > 1e12):
             raise RuntimeError("quantile bracket failed")
-    lo = 0.0
+        grow &= above(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        up = above(mid)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    out = np.where(above(0.0), 0.5 * (lo + hi), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _clamp(t, dist=None, size=0.0):
     # nested minima cannot differ by less than 0; allow rounding dust only.
     # t's rounding error scales with the terms it is a difference of: allow
     # 64 ulps of their summed magnitude `size`, and at least CLAMP
-    tol = max(CLAMP, 64.0 * np.finfo(float).eps * size)
+    tol = max(CLAMP, 64.0 * EPS * size)
     if t < 0.0:
         if t < -tol:
             raise StatisticError(
@@ -241,36 +249,31 @@ def _clamp(t, dist=None, size=0.0):
     return float(t)
 
 
-def _result(test_id, t, dist, fit_null, fit_alt, plugin):
-    # the TestResult of a clamped statistic: its warnings and p-value
-    warns = []
-    if plugin:
-        warns.append(_PLUGIN_NOTE)
-    if isinstance(dist, (ChiSqApprox, ChiSqMix)):
-        warns.append(_ASYMPTOTIC_NOTE)
-    if test_id == "cov-check" and fit_null.tau_hat <= 0.0:
-        warns.append("fitted tau is nonpositive: the chi-square calibration "
-                     "is not guaranteed in this regime")
-    return TestResult(statistic=t, dist=dist, p_value=pvalue(dist, t),
-                      fit_null=fit_null, fit_alt=fit_alt, test_id=test_id,
-                      warnings=tuple(warns))
-
-
-def _lr(stats, res0, res1, cov):
+def _lr(h, stats, res0, res1, cov):
     """Twice the log-likelihood ratio of two mean fits in the cov norm.
 
     Sum over groups of n_g (||Ybar_g - M0_g||^2 - ||Ybar_g - M1_g||^2),
     each squared distance (ss - tau tr^2)/sigma2 from its own residual's
-    _residuals, so the statistic stays accurate at any data scale. Returns
-    the statistic and the summed magnitude of the terms it subtracts,
-    which sets the size of its rounding error.
+    _residuals, so the statistic stays accurate at any data scale. An F
+    reference takes it at the within-group sigma2 for cov's tau, scaled by
+    (n - g)/(q n); a tau_free entry at tau = 0. Returns the statistic and
+    the summed magnitude of the terms it subtracts, which sets the size of
+    its rounding error.
     """
+    scale = 1.0
+    if isinstance(h.dist, FDist):
+        n = sum(stats.n)
+        cov = CovParams(_sigma2(stats, res1, cov.tau), cov.tau)
+        scale = (n - len(stats.n)) / (sym_dim(stats.p) * n)
+    if h.spec.tau_free:
+        cov = CovParams(cov.sigma2)
+
     def sq(tr, ss, _):
         return (ss - cov.tau * tr * tr) / cov.sigma2
 
     terms = [(n, sq(*r0), sq(*r1)) for n, r0, r1 in zip(stats.n, res0, res1)]
-    return (sum(n * (a - b) for n, a, b in terms),
-            sum(n * (abs(a) + abs(b)) for n, a, b in terms))
+    return (scale * sum(n * (a - b) for n, a, b in terms),
+            scale * sum(n * (abs(a) + abs(b)) for n, a, b in terms))
 
 
 def _exact_cone_law(mult):
@@ -291,36 +294,6 @@ def _exact_cone_law(mult):
             row = (j * np.append(row, 0.0) + np.insert(row, 0, 0.0)) / (j + 1)
         law = np.convolve(law, row)
     return tuple(range(mult.k, mult.p + 1)), tuple(float(w) for w in law)
-
-
-def test_sigma_structure(stats):
-    """Covariance is orthogonally invariant vs. unrestricted (cov-check).
-
-    Compares the two-parameter (sigma2, tau) fit against the free
-    covariance MLE W/n of the embedded vectors; requires n > q(q+3)/2 so
-    the latter is comfortably nonsingular. The chi-square calibration is
-    claimed only when the fitted tau is positive and away from zero; a
-    warning is attached otherwise.
-    """
-    return _result("cov-check", *_sigma_statistic(stats))
-
-
-def _sigma_statistic(stats):
-    # the statistic step of test_sigma_structure, as _statistic returns it
-    n, p = sum(stats.n), stats.p
-    q = sym_dim(p)
-    min_n = q * (q + 3) // 2
-    if n <= min_n:
-        raise ValueError("need n > q(q+3)/2 = %d observations, got %d" % (min_n, n))
-    fit_null = mle(Unrestricted(), stats)
-    sign, logdet = np.linalg.slogdet(stats.W[0] / n)
-    if sign <= 0.0:
-        raise ValueError("empirical covariance of the embedded sample is singular")
-    t = (n * q * math.log(fit_null.sigma2_hat)
-         - n * math.log1p(-p * fit_null.tau_hat)
-         - n * logdet)
-    dist = ChiSqApprox(q * (q + 1) / 2.0 - 2.0)
-    return _clamp(t, dist), dist, fit_null, None, False
 
 
 # ---------------------------------------------------------------------------
@@ -405,26 +378,26 @@ def _point_within(alt, what):
 
 def _affine(df):
     # exact chi-square given the covariance, asymptotic with a plug-in
-    return lambda a, stats, plugin: (ChiSqApprox if plugin else ChiSq)(df(stats.p))
+    return lambda a, p, n, plugin: (ChiSqApprox if plugin else ChiSq)(df(p))
 
 
-def _mean_shift(a, stats, plugin):
+def _mean_shift(a, p, n, plugin):
     # chi-square(q) given the covariance, else F(q, q(n - g)) for g groups
-    n, g, q = sum(stats.n), len(stats.n), sym_dim(stats.p)
-    return FDist(q, q * (n - g)) if plugin else ChiSq(q)
+    q = sym_dim(p)
+    return FDist(q, q * (sum(n) - len(n))) if plugin else ChiSq(q)
 
 
 def _curved(df):
     # asymptotic chi-square; df(o, k, q) from the dimension o of a fixed
     # spectrum's orbit, the pattern's block count k and q
-    def reference(a, stats, plugin):
+    def reference(a, p, n, plugin):
         mult = a["mult"]
-        o = (stats.p * (stats.p - 1) - sum(m * (m - 1) for m in mult.m)) // 2
-        return ChiSqApprox(df(o, mult.k, sym_dim(stats.p)))
+        o = (p * (p - 1) - sum(m * (m - 1) for m in mult.m)) // 2
+        return ChiSqApprox(df(o, mult.k, sym_dim(p)))
     return reference
 
 
-def _cone_mixture(a, stats, plugin):
+def _cone_mixture(a, p, n, plugin):
     if a.get("weights") is not None:
         dims, weights = a["weights"].face_dims, a["weights"].weights
     elif a.get("mult") is not None:
@@ -432,8 +405,30 @@ def _cone_mixture(a, stats, plugin):
     else:
         raise ValueError(
             "supply cone weights or the tie pattern mult of the true spectrum")
-    q = sym_dim(stats.p)
+    q = sym_dim(p)
     return ChiSqMix(weights=tuple(weights), dfs=tuple(q - k for k in dims))
+
+
+def _cov_check_reference(a, p, n, plugin):
+    # asymptotic chi-square, once W/n is comfortably nonsingular
+    q = sym_dim(p)
+    min_n = q * (q + 3) // 2
+    if sum(n) <= min_n:
+        raise ValueError("need n > q(q+3)/2 = %d observations, got %d"
+                         % (min_n, sum(n)))
+    return ChiSqApprox(q * (q + 1) / 2.0 - 2.0)
+
+
+def _log_det_ratio(h, stats, res0, res1, cov):
+    # cov-check: -n log(|W/n| / (v1 v2^(q-1))), v1 = sigma2/(1 - p tau) and
+    # v2 = sigma2 the fitted covariance on the trace line and off it
+    n, p = stats.n[0], stats.p
+    sign, logdet = np.linalg.slogdet(stats.W[0] / n)
+    if sign <= 0.0:
+        raise ValueError("empirical covariance of the embedded sample is singular")
+    t = (n * sym_dim(p) * math.log(cov.sigma2) - n * math.log1p(-p * cov.tau)
+         - n * logdet)
+    return t, 0.0
 
 
 @dataclass(frozen=True)
@@ -442,22 +437,26 @@ class Spec:
 
     keys are the config keys it requires and optional those it accepts;
     args carry their values keyed by run's argument names (_PARSERS maps
-    one to the other, "multiplicities" to mult). sets(args)
-    is the (null, alternative) pair of parameter sets (fitting two groups
-    if two_sample); reference(args, stats, plugin) the reference
-    distribution, plugin telling whether the covariance is estimated; an
-    F reference selects the F variant of the statistic. tau_free marks
-    fits with equal traces: the statistic is then taken at tau = 0. The
-    covariance test cov-check has no sets and runs test_sigma_structure.
-    _bind calls sets once per run, run_config or calibrate_null call.
+    one to the other, "multiplicities" to mult). sets(args) is the (null,
+    alternative) pair of parameter sets (fitting two groups if
+    two_sample); reference(args, p, n, plugin) the reference distribution
+    for p x p data in groups of n, plugin telling whether the null fit's
+    covariance is plugged in. statistic(h, stats, res0, res1, cov) gives
+    the statistic and its size from the fits' _residuals and the known or
+    null-fitted cov: _lr for every mean test, tau_free marking fits with
+    equal traces. scatter marks a statistic that reads the scatter W, so a
+    Monte Carlo replicate draws it. _bind calls sets and reference once
+    per run, run_config or calibrate_null call.
     """
 
     keys: tuple
     two_sample: bool
-    sets: object = None
-    reference: object = None
+    sets: object
+    reference: object
     optional: tuple = ("cov",)
     tau_free: bool = False
+    statistic: object = _lr
+    scatter: bool = False
 
 
 TESTS = {
@@ -484,7 +483,10 @@ TESTS = {
     "s3": Spec(("multiplicities",), False,
                lambda a: (Mult(a["mult"]), Unrestricted()),
                _curved(lambda o, k, q: q - o - k), tau_free=True),
-    "cov-check": Spec((), False, optional=()),
+    # the (sigma2, tau) fit at the sample mean against the free covariance
+    "cov-check": Spec((), False, lambda a: (Unrestricted(), Unrestricted()),
+                      _cov_check_reference, optional=(),
+                      statistic=_log_det_ratio, scatter=True),
     "2a0": Spec((), True, lambda a: (EqualMeans(), Unrestricted()),
                 _mean_shift),
     "2s1": Spec(("multiplicities",), True,
@@ -498,16 +500,20 @@ TESTS = {
 
 @dataclass(frozen=True)
 class _Hypothesis:
-    """A registered test bound to its arguments, its sets built once.
+    """A registered test bound to its arguments and to its data's shape.
 
     args are keyed by run's argument names; sets is the (null,
-    alternative) pair, None for cov-check.
+    alternative) pair and dist the reference distribution, both built
+    once; plugin tells whether the test takes a covariance and none was
+    given, so the null fit's is plugged in.
     """
 
     test_id: str
     spec: Spec
     args: dict
     sets: tuple
+    dist: object
+    plugin: bool
 
 
 def _spec(test_id):
@@ -516,10 +522,11 @@ def _spec(test_id):
     return TESTS[test_id]
 
 
-def _bind(test_id, args, p, config=False):
+def _bind(test_id, args, p, n, config=False):
     # check the argument names against the registry entry, parse every value
-    # for p x p data, then build the sets once (which checks M0 against the
-    # alternative for a1 and s1); config names the config keys in errors
+    # for p x p data, build the sets (which checks M0 against the
+    # alternative for a1 and s1), check the group counts n and build the
+    # reference, once; config names the config keys in errors
     spec = _spec(test_id)
     keys = {_PARSERS[key][0]: key for key in spec.keys + spec.optional}
     for name in args:
@@ -537,8 +544,17 @@ def _bind(test_id, args, p, config=False):
                 "config for" if config else "test", test_id,
                 keys[name] if config else name,
                 "missing key %r" % e.args[0] if isinstance(e, KeyError) else e))
-    return _Hypothesis(test_id, spec, parsed,
-                       None if spec.sets is None else spec.sets(parsed))
+    sets = spec.sets(parsed)
+    g = len(n)
+    if spec.two_sample != (g == 2):
+        raise ValueError("test %r needs a %s sample, got %s" % (
+            test_id, "two-group" if spec.two_sample else "one-group",
+            "one group" if g == 1 else "two groups"))
+    plugin = "cov" in keys and parsed.get("cov") is None
+    if plugin and sum(n) <= g:
+        raise ValueError("an estimated covariance requires n >= %d" % (g + 1))
+    return _Hypothesis(test_id, spec, parsed, sets,
+                       spec.reference(parsed, p, n, plugin), plugin)
 
 
 def _project(h, stats):
@@ -547,48 +563,35 @@ def _project(h, stats):
     return [project(pset, *stats.ybar, n=stats.n) for pset in h.sets]
 
 
-def _statistic(h, stats, fits=None):
-    """The statistic step of a bound hypothesis on sufficient statistics.
+def _statistic(h, stats, fits):
+    """The statistic of a bound hypothesis on one sample, and its covariance.
 
-    Returns (statistic, reference, null fit, alternative fit, plugin),
-    projecting unless given fits, and reads each fit's residual once
-    (_residuals). Without a known covariance the null fit's (sigma2, tau)
-    is plugged in (which needs n > g for g groups); an F reference (mean
-    shift) takes _lr at the within-group sigma2 for the null tau, scaled
-    by (n - g) / (q n).
+    fits are each set's (fitted means, face_dim) for the sample (_project).
+    Reads each fit's residual once (_residuals), takes the known covariance
+    or fits (sigma2, tau) under the null, and applies the entry's statistic
+    and the clamp. Returns (statistic, CovParams).
     """
-    spec, n, g = h.spec, sum(stats.n), len(stats.n)
-    if spec.two_sample != (g == 2):
-        raise ValueError("test %r needs a %s sample, got %s" % (
-            h.test_id, "two-group" if spec.two_sample else "one-group",
-            "one group" if g == 1 else "two groups"))
-    if h.sets is None:
-        return _sigma_statistic(stats)
-    cov = h.args.get("cov")
-    plugin = cov is None
-    if plugin and n <= g:
-        raise ValueError("an estimated covariance requires n >= %d" % (g + 1))
-    dist = spec.reference(h.args, stats, plugin)
-    (null, alt), ((m0, dim0), (m1, dim1)) = h.sets, fits or _project(h, stats)
+    (m0, _), (m1, _) = fits
     res0, res1 = _residuals(stats, m0), _residuals(stats, m1)
-    fit_null = FitResult(m0, *_fit_cov(stats, res0, cov), null, dim0)
-    if plugin:
-        cov = CovParams(fit_null.sigma2_hat, fit_null.tau_hat)
-    fit_alt = FitResult(m1, cov.sigma2, cov.tau, alt, dim1)
-    scale = 1.0
-    if isinstance(dist, FDist):
-        cov = CovParams(_sigma2(stats, res1, cov.tau), cov.tau)
-        scale = (n - g) / (sym_dim(stats.p) * n)
-    if spec.tau_free:
-        cov = CovParams(cov.sigma2)
-    t, size = _lr(stats, res0, res1, cov)
-    return (_clamp(scale * t, dist, scale * size), dist, fit_null, fit_alt,
-            plugin)
+    cov = h.args.get("cov") or CovParams(*_fit_cov(stats, res0))
+    t, size = h.spec.statistic(h, stats, res0, res1, cov)
+    return _clamp(t, h.dist, size), cov
 
 
-def _run(h, stats, fits=None):
-    # the TestResult of _statistic: warnings and the p-value added
-    return _result(h.test_id, *_statistic(h, stats, fits))
+def _run(h, stats):
+    # the TestResult of a bound hypothesis: its fits, warnings and p-value
+    fits = _project(h, stats)
+    t, cov = _statistic(h, stats, fits)
+    fit_null, fit_alt = (FitResult(m, cov.sigma2, cov.tau, pset, dim)
+                         for pset, (m, dim) in zip(h.sets, fits))
+    warns = []
+    if h.plugin:
+        warns.append(_PLUGIN_NOTE)
+    if isinstance(h.dist, (ChiSqApprox, ChiSqMix)):
+        warns.append(_ASYMPTOTIC_NOTE)
+    return TestResult(statistic=t, dist=h.dist, p_value=pvalue(h.dist, t),
+                      fit_null=fit_null, fit_alt=fit_alt, test_id=h.test_id,
+                      warnings=tuple(warns))
 
 
 def run(test_id, stats, **args):
@@ -599,18 +602,19 @@ def run(test_id, stats, **args):
     or a sequence), weights (ConeWeights) and cov, a known CovParams or
     None (the default) to estimate (sigma2, tau) under the null. Every
     value is parsed and checked for the data's p as a config value is. A
-    missing or unknown name raises TypeError; a bad value raises
-    ValueError.
+    missing or unknown name raises TypeError; a bad value, or data of the
+    wrong group count or too small for the test, raises ValueError.
     """
-    return _run(_bind(test_id, args, stats.p), stats)
+    return _run(_bind(test_id, args, stats.p, stats.n), stats)
 
 
-def parse_config(config, p):
-    """The hypothesis a config describes, its values checked for p x p data.
+def parse_config(config, p, n):
+    """The hypothesis a config describes, bound to p x p data in groups of n.
 
-    Returns the test bound to its parsed arguments, with its sets built.
-    A missing required key raises KeyError; any other bad value raises
-    ValueError.
+    n is the tuple of group counts. Returns the test bound to its parsed
+    arguments, with its sets and reference built. A missing required key
+    raises KeyError; any other bad value, or a group count the test does
+    not take, raises ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("a hypothesis config must be a JSON object")
@@ -621,7 +625,7 @@ def parse_config(config, p):
             raise KeyError("config for %r requires %r" % (test_id, key))
     return _bind(test_id, {_PARSERS[key][0]: config[key]
                            for key in spec.keys + spec.optional
-                           if key in config}, p, config=True)
+                           if key in config}, p, n, config=True)
 
 
 def run_config(config, S, n1=None):
@@ -634,4 +638,4 @@ def run_config(config, S, n1=None):
     its SuffStats once and the test bound by parse_config.
     """
     stats = SuffStats.from_sample(S, n1)
-    return _run(parse_config(config, stats.p), stats)
+    return _run(parse_config(config, stats.p, stats.n), stats)

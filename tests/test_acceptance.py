@@ -272,7 +272,7 @@ def test_criterion_04_covariance_structure_check(acceptance_line):
         # has a variance bump confined to one matrix entry.
         extra = np.random.Generator(np.random.Philox(ss.spawn(1)[0]))
         S[:, 0, 0] += extra.standard_normal(500)
-        if lrt.test_sigma_structure(SuffStats.from_sample(S)).p_value <= 0.05:
+        if lrt.run("cov-check", SuffStats.from_sample(S)).p_value <= 0.05:
             hits += 1
     power = hits / power_reps
     ok = 0.03 <= rep.rejection_rate <= 0.08 and power > 0.9

@@ -769,6 +769,8 @@ class TestCmdCovCheck:
         assert "tau_hat" in report["mle"]
 
     def test_nonpositive_tau_caveat(self, tmp_path, capsys):
+        # the statistic does not depend on (sigma2, tau), so a nonpositive
+        # fitted tau raises no caveat: only the asymptotic note is reported
         S = sample(80, np.zeros((2, 2)), CovParams(1.0, -1.5), 32)
         path = tmp_path / "d.csv"
         write_dataset(str(path), S)
@@ -776,7 +778,7 @@ class TestCmdCovCheck:
                                  "--no-timestamp"])
         report = json.loads(out)
         assert report["mle"]["tau_hat"] <= 0.0
-        assert any("tau is nonpositive" in w for w in report["warnings"])
+        assert report["warnings"] == ["reference distribution is asymptotic only"]
 
     def test_p_uniform_across_seeds(self, tmp_path, capsys):
         pvals = []

@@ -63,6 +63,12 @@ def test_every_test_id_is_covered():
     assert set(CONFIGS) == set(lrt.TESTS)
 
 
+def test_no_export_is_collected_as_a_test():
+    # pytest collects test_-prefixed names: every test runs as lrt.run(id, ...)
+    import symtest
+    assert [name for name in dir(symtest) if name.startswith("test_")] == []
+
+
 @pytest.mark.parametrize("test_id", sorted(CONFIGS))
 def test_fit_fields_tell_the_group_count(test_id):
     cov = CovParams(1.0, 0.1)
@@ -128,7 +134,8 @@ def test_calibrate_projects_once_per_set_per_chunk(monkeypatch, test_id,
                                                    truth, n):
     # The fits never depend on the covariance: each chunk of at most 1024
     # replicates is projected onto the null set and then the alternative,
-    # each in one call on its stack of means; cov-check has no sets.
+    # each in one call on its stack of means; for cov-check both sets are
+    # unrestricted.
     calls = []
 
     def counted(pset, *means, n=None):
@@ -138,8 +145,8 @@ def test_calibrate_projects_once_per_set_per_chunk(monkeypatch, test_id,
     monkeypatch.setattr(lrt, "project", counted)
     config = dict(CONFIGS[test_id], test_id=test_id)
     calibrate_null(config, dict(truth, sigma2=1.0, tau=0.1), n, 2500, 3)
-    sets = lrt.parse_config(config, 3).sets or ()
     groups = 2 if isinstance(n, tuple) else 1
+    sets = lrt.parse_config(config, 3, n if groups == 2 else (n,)).sets
     assert calls == [(type(pset), [(r, 3, 3)] * groups)
                      for r in (1024, 1024, 452) for pset in sets]
 

@@ -13,8 +13,6 @@ import re
 import numpy as np
 import pytest
 
-# test_sigma_structure is reached through the module so pytest does not
-# collect its test_-prefixed name as a test item.
 import symtest.lrt as lrt
 from symtest.lrt import (
     ChiSq,
@@ -136,6 +134,14 @@ class TestQuantile:
             for prob in (0.5, 0.9, 0.99):
                 t = quantile(dist, prob)
                 assert pvalue(dist, t) == pytest.approx(1.0 - prob, abs=1e-9)
+        # an array of probabilities is one call with the bits of one call
+        # per element, point masses at 0 included
+        probs = np.array([0.0, 0.3, 0.5, 0.9, 0.95, 0.99])
+        for dist in (ChiSq(3), ChiSqApprox(0), FDist(6, 60),
+                     ChiSqMix((0.5, 0.5), (0, 2)), ChiSqApprox(19)):
+            got = quantile(dist, probs)
+            assert isinstance(got, np.ndarray) and got.shape == probs.shape
+            assert np.array_equal(got, [quantile(dist, pr) for pr in probs])
 
     def test_zero_prob(self):
         assert quantile(ChiSq(3), 0.0) == 0.0
@@ -558,7 +564,7 @@ class TestS3:
 class TestSigmaStructure:
     def test_df_and_basic_run(self):
         S = sample(120, np.eye(3), CovParams(1.0, 0.2), 344)
-        res = lrt.test_sigma_structure(SuffStats.from_sample(S))
+        res = lrt.run("cov-check", SuffStats.from_sample(S))
         assert res.dist == ChiSqApprox(19)
         assert res.statistic >= 0.0
         assert 0.0 <= res.p_value <= 1.0
@@ -566,14 +572,21 @@ class TestSigmaStructure:
     def test_minimum_sample_size(self):
         S = sample(27, np.eye(3), COV0, 345)
         with pytest.raises(ValueError, match="q\\(q\\+3\\)/2"):
-            lrt.test_sigma_structure(SuffStats.from_sample(S))
+            lrt.run("cov-check", SuffStats.from_sample(S))
         # 28 observations is exactly enough.
-        lrt.test_sigma_structure(SuffStats.from_sample(sample(28, np.eye(3), COV0, 346)))
+        lrt.run("cov-check", SuffStats.from_sample(sample(28, np.eye(3), COV0, 346)))
 
-    def test_warns_on_nonpositive_tau(self):
-        S = sample(200, np.eye(2), CovParams(1.0, -1.5), 347)
-        res = lrt.test_sigma_structure(SuffStats.from_sample(S))
-        assert any("tau" in w for w in res.warnings)
+    @pytest.mark.parametrize("p,n", [(2, 30), (3, 60)])
+    def test_statistic_free_of_sigma2_and_tau(self, p, n):
+        # The root of an invariant covariance only rescales the trace line
+        # and its complement, so one seed gives the same statistic at every
+        # (sigma2, tau): no fitted tau calls the reference into question.
+        M = np.diag(np.arange(p, 0.0, -1.0))
+        stats = [lrt.run("cov-check", SuffStats.from_sample(
+                     sample(n, M, CovParams(sigma2, tau), 347))).statistic
+                 for sigma2 in (1e-3, 1.0, 1e3) for tau in (-0.5, 0.0, 0.25)]
+        assert stats[0] > 0.0
+        assert np.allclose(stats, stats[0], rtol=1e-12, atol=0.0)
 
     def test_power_against_non_invariant_cov(self):
         # Double the variance of the (1,1) coordinate: the invariance test
@@ -584,7 +597,7 @@ class TestSigmaStructure:
                        np.random.SeedSequence(seed))
             S = S.copy()
             S[:, 0, 0] = 1.0 + (S[:, 0, 0] - 1.0) * math.sqrt(2.0)
-            res = lrt.test_sigma_structure(SuffStats.from_sample(S))
+            res = lrt.run("cov-check", SuffStats.from_sample(S))
             assert res.p_value < 0.01
 
 
@@ -828,12 +841,12 @@ class TestInvariance:
                                          cov=cov).statistic,
                                  rel=1e-9))
 
-    @pytest.mark.parametrize("test_id", sorted(
-        t for t, spec in lrt.TESTS.items() if spec.sets is not None))
+    @pytest.mark.parametrize("test_id", sorted(lrt.TESTS))
     def test_scale_invariance_with_estimated_covariance(self, test_id):
         # Scaling the data by c, and M0 and D0 with it, scales both fits by
         # c and the plugged-in sigma2 by c^2: the statistic and p-value
-        # must not move, at any data scale.
+        # must not move, at any data scale. cov-check fits its covariance
+        # too (it takes no cov, so no plug-in note) and needs n > 27.
         rng = np.random.default_rng(372)
         U = random_orthogonal(rng, 3)
         d = np.array([4.0, 2.0, 1.0])
@@ -844,7 +857,8 @@ class TestInvariance:
         config = {k: v for k, v in config.items()
                   if k in ("test_id",) + spec.keys + spec.optional}
         two = spec.two_sample
-        S = sample(12, M, CovParams(1.0, 0.1), 373)
+        S = sample(40 if test_id == "cov-check" else 12, M,
+                   CovParams(1.0, 0.1), 373)
         if two:
             S = np.concatenate([S, sample(9, M, CovParams(1.0, 0.1), 374)])
 
@@ -852,7 +866,7 @@ class TestInvariance:
             scaled = {k: (c * v).tolist() if k in ("M0", "D0") else v
                       for k, v in config.items()}
             res = run_config(scaled, c * S, n1=12 if two else None)
-            assert lrt._PLUGIN_NOTE in res.warnings
+            assert (lrt._PLUGIN_NOTE in res.warnings) == (test_id != "cov-check")
             return res
 
         base = run_at(1.0)
@@ -1187,15 +1201,25 @@ class TestRun:
 
     @pytest.mark.parametrize("entry", ["run", "run_config", "calibrate_null"])
     def test_sets_built_once_per_call(self, monkeypatch, entry):
+        # the sets and the reference are built once per call, and only a
+        # single run builds the two FitResults: a calibration builds none
         import dataclasses
+        from symtest import onesample
         from symtest.calibrate import calibrate_null
         spec, calls = lrt.TESTS["s1"], []
 
-        def sets(args):
-            calls.append(None)
-            return spec.sets(args)
+        def counter(name, f):
+            def counted(*a, **kw):
+                calls.append(name)
+                return f(*a, **kw)
+            return counted
 
-        monkeypatch.setitem(lrt.TESTS, "s1", dataclasses.replace(spec, sets=sets))
+        monkeypatch.setitem(lrt.TESTS, "s1", dataclasses.replace(
+            spec, sets=counter("sets", spec.sets),
+            reference=counter("reference", spec.reference)))
+        for module in (lrt, onesample):
+            monkeypatch.setattr(module, "FitResult",
+                                counter("FitResult", onesample.FitResult))
         config, args = RUN_CASES["s1"]
         config = dict(config, test_id="s1", cov=COV_MODES["known"][0])
         S = sample(20, MEAN, CovParams(1.0, 0.1), 397)
@@ -1206,4 +1230,5 @@ class TestRun:
         else:
             calibrate_null(config, {"M": MEAN.tolist(), "sigma2": 1.0, "tau": 0.1},
                            n=20, reps=1000, seed=398)
-        assert len(calls) == 1
+        fits = 0 if entry == "calibrate_null" else 2
+        assert calls == ["sets", "reference"] + ["FitResult"] * fits

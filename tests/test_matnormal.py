@@ -289,7 +289,7 @@ class TestEmpiricalSigma:
         # the covariance check, the only user of W/n, needs n > q(q+3)/2
         S = np.zeros((27, 3, 3))
         with pytest.raises(ValueError, match="n > q"):
-            lrt.test_sigma_structure(SuffStats.from_sample(S))
+            lrt.run("cov-check", SuffStats.from_sample(S))
 
     def test_consistent_for_large_n(self):
         cov = CovParams(1.0, 0.2)
