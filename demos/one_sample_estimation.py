@@ -6,7 +6,8 @@ an ordered spectrum, keep the sample eigenvectors for a fixed spectrum,
 or block-average eigenvalues for a multiplicity pattern. The covariance
 scalars follow from residual dispersion. The fits read the sample
 through its sufficient statistics: SuffStats.from_sample(S) holds the
-count, the sample mean and the residual scatter.
+count, the sample mean, the residual sums of squares on the trace line
+and off it, and the log-determinant of the residual covariance.
 """
 
 import numpy as np

@@ -7,13 +7,13 @@ studies share one path: a chunk draws each group's sufficient statistics
 directly from their exact laws, as arrays over its replicates: the means
 Ybar_g ~ N(M_g, sigma2/n_g, tau) and the two independent variance
 components of the residuals, scaled chi-squares, so a replicate's cost
-does not grow with n_g. Only a test whose statistic reads the whole
-residual scatter (cov-check) draws W_g ~ Wishart(n_g - 1, Sigma) per
-replicate. A calibration checks its sizes and binds its hypothesis once
-(lrt.parse_config): the group-count and sample-size checks, the
-parameter sets and the reference. The fits never depend on the
-covariance, so each chunk's stack of means is projected onto each set in
-one call (lrt._project); only the statistic step lrt._statistic
+does not grow with n_g. A test whose statistic reads log|W_g/n_g|
+(cov-check) takes it, a_g and b_g from the chi-squares of the Bartlett
+decomposition of W_g instead. A calibration checks its sizes and binds
+its hypothesis once (lrt.parse_config): the group-count and sample-size
+checks, the parameter sets and the reference. The fits never depend on
+the covariance, so each chunk's stack of means is projected onto each
+set in one call (lrt._project); only the statistic step lrt._statistic
 (covariance fit and statistic, per-sample arithmetic) runs replicate by
 replicate, and the p-values of all replicates are taken in one
 lrt.pvalue call, the reference's quantiles in one lrt.quantile call. An
@@ -38,8 +38,7 @@ from .symcore import (
     eigh_desc,
     sym_dim,
 )
-from .matnormal import (SuffStats, _rng_from, _sigma_root, sample,
-                        sample_scatter)
+from .matnormal import SuffStats, _rng_from, _sigma_root, sample
 from .onesample import (
     FixedEigvals,
     Unrestricted,
@@ -155,8 +154,12 @@ def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
     in one `sample` call, then a_g ~ v1 chi2(n_g - 1) and
     b_g ~ v2 chi2((q - 1)(n_g - 1)), independent of Ybar_g because v1 =
     sigma2/(1 - p tau) and v2 = sigma2 are the covariance's eigenvalues on
-    the trace line and off it. With scatter, each replicate draws
-    W_g ~ Wishart(n_g - 1, Sigma) instead, and a_g and b_g are read from it.
+    the trace line and off it. With scatter, W_g ~ Wishart(n_g - 1, Sigma)
+    is drawn instead by its Bartlett decomposition (Anderson 2003, ch. 7) in
+    a frame whose first axis is the trace line, as r rows of c_i = T_ii^2 ~
+    chi2(n_g - i), i = 1..q (n_g > q), then the r squares s ~ chi2(q(q-1)/2)
+    below the diagonal: a_g = v1 c_1, b_g = v2 (c_2 + ... + c_q + s) and
+    log|W_g/n_g| = log(v1/n_g) + (q - 1) log(v2/n_g) + sum_i log c_i.
     """
     p = means[0].shape[0]
     q = sym_dim(p)
@@ -164,18 +167,21 @@ def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
     for c, start in enumerate(range(0, reps, _CHUNK)):
         r = min(_CHUNK, reps - start)
         rng = _rng_from(np.random.SeedSequence(seed, spawn_key=key + (c,)))
-        ybar, a, b, W = [], [], [], []
+        ybar, a, b, logdet = [], [], [], []
         for M, k in zip(means, sizes):
             ybar.append(sample(r, M, CovParams(cov.sigma2 / k, cov.tau), rng))
-            if scatter:
-                W.append(np.array([sample_scatter(k - 1, p, cov, rng)
-                                   for _ in range(r)]))
-                continue
             # v chi2(df) as 2 v Gamma(df/2): chisquare rejects df 0 (n_g = 1)
+            if scatter:
+                chi = 2.0 * rng.standard_gamma(0.5 * (k - 1 - np.arange(q)), (r, q))
+                s = 2.0 * rng.standard_gamma(0.25 * q * (q - 1), r)
+                a.append((v1 * chi[:, 0]).tolist())
+                b.append((v2 * (chi[:, 1:].sum(axis=1) + s)).tolist())
+                logdet.append((np.log(chi).sum(axis=1) + np.log(v1 / k)
+                               + (q - 1) * np.log(v2 / k)).tolist())
+                continue
             for out, v, df in ((a, v1, k - 1), (b, v2, (q - 1) * (k - 1))):
                 out.append((2.0 * v * rng.standard_gamma(0.5 * df, r)).tolist())
-        yield (SuffStats.from_scatter(sizes, ybar, W) if scatter
-               else SuffStats(sizes, tuple(ybar), tuple(a), tuple(b)))
+        yield SuffStats(sizes, tuple(ybar), tuple(a), tuple(b), tuple(logdet) or None)
 
 
 def _fits(h, chunk):
@@ -198,7 +204,10 @@ def calibrate_null(config, truth, n, reps, seed):
     if not isinstance(truth, Mapping):
         raise ValueError("truth must be a mapping, got %r" % (truth,))
     two_sample = "M1" in truth
-    means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
+    try:
+        means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
+    except KeyError as e:
+        raise ValueError("truth requires %r" % e.args[0]) from None
     sizes = n if isinstance(n, (list, tuple)) else (n,)
     if len(sizes) != len(means):
         raise ValueError("a truth with %s needs n = %s, got %r" % (
@@ -237,17 +246,16 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     {"n", "rmse", "bias"}, "mean" gets {"n", "rmse"}, and "eigvec_var"
     gets {"n", "pairs"} with rows [i, j, var(sqrt(n) a_ij), predicted].
     """
-    est_id = estimator if isinstance(estimator, str) else estimator["id"]
-    if est_id not in ("mean", "sigma2", "tau", "pooled_sigma2", "pooled_tau",
-                      "eigvec_var"):
-        raise ValueError("unknown estimator %r" % est_id)
+    if estimator not in ("mean", "sigma2", "tau", "pooled_sigma2", "pooled_tau",
+                         "eigvec_var"):
+        raise ValueError("unknown estimator %r" % (estimator,))
     reps = _check_reps(reps)
-    pooled = est_id.startswith("pooled_")
+    pooled = estimator.startswith("pooled_")
     means, cov = _generator(truth, ("M1", "M2") if pooled else ("M",))
     M = means[0]
     dec = eigh_desc(M)
     pset = (FixedEigvals(dec.lam, Multiplicities((1,) * M.shape[0]))
-            if est_id == "eigvec_var" else Unrestricted())
+            if estimator == "eigvec_var" else Unrestricted())
     rows = []
     for i, n in enumerate(check_integer(v, "n") for v in n_grid):
         sizes = (n // 2, n - n // 2) if pooled else (n,)
@@ -257,26 +265,26 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
         for chunk in _draws(means, sizes, cov, reps, seed, (i,)):
             # one projection per chunk; sigma2 and tau are fitted per replicate
             fitted, _ = project(pset, *chunk.ybar, n=chunk.n)
-            if est_id == "mean":
+            if estimator == "mean":
                 vals.extend(np.sum((fitted[0] - M) ** 2, axis=(-2, -1)))
-            elif est_id == "eigvec_var":
+            elif estimator == "eigvec_var":
                 a_hat, pred = eigvec_uncertainty(dec.V, dec.lam, fitted[0], n,
                                                  cov.sigma2)
                 vals.extend(a_hat)
             else:
-                k = 0 if est_id.endswith("sigma2") else 1
+                k = 0 if estimator.endswith("sigma2") else 1
                 vals.extend(_fit_cov(drawn, _residuals(drawn, m))[k]
                             for drawn, m in zip(chunk.replicates(), zip(*fitted)))
         vals = np.array(vals)
-        if est_id == "mean":
+        if estimator == "mean":
             rows.append({"n": n, "rmse": float(np.sqrt(np.mean(vals)))})
-        elif est_id == "eigvec_var":
+        elif estimator == "eigvec_var":
             p = M.shape[0]
             rows.append({"n": n, "pairs": [
                 [r, c, float(n * np.var(vals[:, r, c])), float(n * pred[r, c])]
                 for r in range(p) for c in range(r + 1, p)]})
         else:
-            target = cov.sigma2 if est_id.endswith("sigma2") else cov.tau
+            target = cov.sigma2 if estimator.endswith("sigma2") else cov.tau
             rows.append({"n": n,
                          "rmse": float(np.sqrt(np.mean((vals - target) ** 2))),
                          "bias": float(np.mean(vals) - target)})

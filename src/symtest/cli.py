@@ -38,14 +38,15 @@ class InputError(Exception):
 
 @contextlib.contextmanager
 def _input_errors(*types):
-    # report the given exception types as InputError (exit 2); a LinAlgError
-    # is a ValueError but an internal failure (exit 1), so it passes through
+    # report the given exception types as InputError (exit 2), a KeyError by
+    # its message, not its repr; a LinAlgError is a ValueError but an
+    # internal failure (exit 1), so it passes through
     try:
         yield
     except np.linalg.LinAlgError:
         raise
     except types as e:
-        raise InputError(str(e))
+        raise InputError(e.args[0] if isinstance(e, KeyError) else str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +171,15 @@ def read_dataset(path):
             if g not in ("1", "2"):
                 raise InputError("%s line %d: group must be 1 or 2, got %r"
                                  % (path, lineno, g))
-            Y = np.zeros((p, p))
-            iu = np.triu_indices(p)
-            Y[iu] = vals
-            Y.T[iu] = vals
-            groups[int(g)].append(Y)
+            groups[int(g)].append(vals)
     if not groups[1]:
         raise InputError("%s: no group-1 observations" % path)
-    if groups[2]:
-        S = np.stack(groups[1] + groups[2])
-        return S, len(groups[1])
-    return np.stack(groups[1]), None
+    # every row's upper triangle, group 1 first, mirrored in one assignment
+    rows = np.array(groups[1] + groups[2])
+    S = np.zeros((len(rows), p, p))
+    iu = np.triu_indices(p)
+    S[:, iu[0], iu[1]] = S[:, iu[1], iu[0]] = rows
+    return S, len(groups[1]) if groups[2] else None
 
 
 def write_dataset(path, S, n1=None):
@@ -188,16 +187,16 @@ def write_dataset(path, S, n1=None):
     S = np.asarray(S, dtype=float)
     p = S.shape[1]
     iu = np.triu_indices(p)
+    n1 = len(S) if n1 is None else n1
+    group = np.where(np.arange(len(S)) < n1, 1, 2)
     try:
         fh = open(path, "w", newline="")
     except OSError as e:
         raise InputError("cannot write %s: %s" % (path, e))
     with fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p=%d" % p, "group"])
-        for i, Y in enumerate(S):
-            group = 1 if n1 is None or i < n1 else 2
-            writer.writerow(["%.17g" % v for v in Y[iu]] + [str(group)])
+        np.savetxt(fh, np.column_stack((S[:, iu[0], iu[1]], group)),
+                   fmt=["%.17g"] * len(iu[0]) + ["%d"], delimiter=",",
+                   header="p=%d,group" % p, comments="")
 
 
 def load_json(path):

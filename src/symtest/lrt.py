@@ -23,7 +23,7 @@ for an estimated covariance; the curved and cone cases are asymptotic
 (chi-square or chi-square mixture), as is any plug-in reference.
 cov-check tests the covariance instead: both its sets are unrestricted,
 and its statistic compares the (sigma2, tau) fit with the free
-covariance W/n of the embedded sample.
+covariance W/n of the embedded sample through log|W/n| (SuffStats.logdet).
 
 Tail probabilities come from scipy.special (chdtrc, fdtrc, imported on
 use). The cone test's mixture weights at a tied spectrum are exact: the
@@ -422,9 +422,11 @@ def _cov_check_reference(a, p, n, plugin):
 def _log_det_ratio(h, stats, res0, res1, cov):
     # cov-check: -n log(|W/n| / (v1 v2^(q-1))), v1 = sigma2/(1 - p tau) and
     # v2 = sigma2 the fitted covariance on the trace line and off it
-    n, p = stats.n[0], stats.p
-    sign, logdet = np.linalg.slogdet(stats.W[0] / n)
-    if sign <= 0.0:
+    if stats.logdet is None:
+        raise ValueError("cov-check reads the log-determinant of the scatter, "
+                         "which only SuffStats.from_sample computes")
+    n, p, logdet = stats.n[0], stats.p, stats.logdet[0]
+    if logdet == -math.inf:
         raise ValueError("empirical covariance of the embedded sample is singular")
     t = (n * sym_dim(p) * math.log(cov.sigma2) - n * math.log1p(-p * cov.tau)
          - n * logdet)
@@ -444,8 +446,8 @@ class Spec:
     covariance is plugged in. statistic(h, stats, res0, res1, cov) gives
     the statistic and its size from the fits' _residuals and the known or
     null-fitted cov: _lr for every mean test, tau_free marking fits with
-    equal traces. scatter marks a statistic that reads the scatter W, so a
-    Monte Carlo replicate draws it. _bind calls sets and reference once
+    equal traces. scatter marks a statistic that reads stats.logdet, so a
+    Monte Carlo chunk draws it. _bind calls sets and reference once
     per run, run_config or calibrate_null call.
     """
 

@@ -10,10 +10,9 @@ This module builds that covariance explicitly, evaluates the
 log-density, draws exact samples over the whole parameter range
 tau < 1/p by mapping one block of standard normals in vecd order through
 R, and reduces a sample to its sufficient statistics (SuffStats): per
-group the count, the mean and the residual variance on the trace line
-and off it. The residual scatter, which only cov-check reads, can also
-be drawn from its Wishart law (sample_scatter, through the same R). R is
-the only factor any draw uses.
+group the count, the mean, the residual variance on the trace line and
+off it, and the log-determinant of the residual covariance, which only
+cov-check reads. R is the only factor any draw uses.
 
 Samples are stored as (n, p, p) arrays of symmetric matrices.
 """
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import check_integer, check_symmetric, norm_sq, sym_dim, vecd, vecd_inv
+from .symcore import check_symmetric, norm_sq, sym_dim, vecd, vecd_inv
 
 
 def _rng_from(seed):
@@ -99,33 +98,6 @@ def sample(n, M, cov, seed):
     return M + vecd_inv(z @ R, p)
 
 
-def sample_scatter(df, p, cov, rng):
-    """Draw the q x q vecd scatter W ~ Wishart(df, build_sigma(p, cov)).
-
-    The residual scatter of n observations from N(M, sigma2, tau) has this
-    law with df = n - 1, independent of the sample mean. By the Bartlett
-    decomposition (Anderson 2003, ch. 7) W = R T T' R', where R is the
-    symmetric root of the model covariance and T is q x min(df, q),
-    lower trapezoidal, with T_ii = sqrt(chi2(df - i)) and independent
-    standard normals below the diagonal. This covers the singular case
-    df < q (W has rank df) and df = 0 (W = 0). `rng` is taken as in
-    `sample`. Draw order is fixed: the chi-square diagonal, then the
-    normals below it, row by row.
-    """
-    df = check_integer(df, "df")
-    if df < 0:
-        raise ValueError("need df >= 0, got %d" % df)
-    rng = _rng_from(rng)
-    q = sym_dim(p)
-    k = min(df, q)
-    T = np.zeros((q, k))
-    i = np.arange(k)
-    T[i, i] = np.sqrt(rng.chisquare(df - i))
-    T[np.tri(q, k, -1, dtype=bool)] = rng.standard_normal(k * (2 * q - k - 1) // 2)
-    RT = _sigma_root(p, cov) @ T
-    return RT @ RT.T
-
-
 @dataclass(frozen=True, eq=False)
 class SuffStats:
     """Sufficient statistics of a one- or two-group sample.
@@ -134,24 +106,16 @@ class SuffStats:
     residual (R_i = Y_i - ybar[g]) sums of squares on the trace line
     u = vecd(I)/sqrt(p), a[g] = sum_i tr(R_i)^2 / p, and off it,
     b[g] = sum_i ||R_i||^2 - a[g]; every fit and statistic reads these.
-    The q x q scatter W[g] = sum_i vecd(R_i) vecd(R_i)', read only by
-    cov-check, is None when only a and b were drawn.
+    logdet[g] = log|W[g]/n[g]|, W[g] = sum_i vecd(R_i) vecd(R_i)' the
+    q x q residual scatter, is -inf where W[g] is singular; only cov-check
+    reads it, and it is None when only a and b were drawn.
     """
 
     n: tuple
     ybar: tuple
     a: tuple
     b: tuple
-    W: tuple = None
-
-    @classmethod
-    def from_scatter(cls, n, ybar, W):
-        """The statistics of counts n, means ybar and scatters W (one or a stack each)."""
-        p = ybar[0].shape[-1]
-        a = [np.sum(w[..., :p, :p], axis=(-2, -1)) / p for w in W]
-        b = [np.trace(w, axis1=-2, axis2=-1) - x for w, x in zip(W, a)]
-        return cls(n=tuple(n), ybar=tuple(ybar), a=tuple(x.tolist() for x in a),
-                   b=tuple(x.tolist() for x in b), W=tuple(W))
+    logdet: tuple = None
 
     @classmethod
     def from_sample(cls, S, n1=None):
@@ -168,9 +132,18 @@ class SuffStats:
             raise ValueError("need 1 <= n1 < n, got n1=%d, n=%d" % (n1, S.shape[0]))
         parts = (S,) if n1 is None else (S[:n1], S[n1:])
         ybar = [part.mean(axis=0) for part in parts]
-        R = [vecd(part) - vecd(m) for part, m in zip(parts, ybar)]
-        return cls.from_scatter([len(part) for part in parts], ybar,
-                                [r.T @ r for r in R])
+        p, a, b, logdet = S.shape[1], [], [], []
+        for part, m in zip(parts, ybar):
+            r = vecd(part) - vecd(m)
+            W = r.T @ r
+            a.append(float(np.sum(W[:p, :p]) / p))
+            b.append(float(np.trace(W) - a[-1]))
+            # a scatter of n residuals has rank at most n - 1
+            sign, ld = np.linalg.slogdet(W / len(part))
+            logdet.append(float(ld) if sign > 0.0 and len(part) > len(W)
+                          else -math.inf)
+        return cls(tuple(len(part) for part in parts), tuple(ybar), tuple(a),
+                   tuple(b), tuple(logdet))
 
     @property
     def p(self):
@@ -178,6 +151,6 @@ class SuffStats:
 
     def replicates(self):
         """Yield one SuffStats per replicate of statistics stacked over replicates."""
-        W = zip(*self.W) if self.W else [None] * len(self.a[0])
-        for y, a, b, w in zip(zip(*self.ybar), zip(*self.a), zip(*self.b), W):
-            yield SuffStats(self.n, y, a, b, w)
+        logdet = zip(*self.logdet) if self.logdet else [None] * len(self.a[0])
+        for y, a, b, ld in zip(zip(*self.ybar), zip(*self.a), zip(*self.b), logdet):
+            yield SuffStats(self.n, y, a, b, ld)

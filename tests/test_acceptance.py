@@ -649,6 +649,12 @@ def test_criterion_09_identity_suite(acceptance_line):
         size = max(np.abs(a).max(), np.abs(b).max())
         return float(np.abs(a - b).max() / size) if size > 0.0 else 0.0
 
+    def rel_logdet(logdet, W, n):
+        # log|W/n| where the scatter W is nonsingular (n > q), else -inf
+        if n <= len(W):
+            return 0.0 if logdet == -np.inf else np.inf
+        return rel(logdet, np.linalg.slogdet(W / n)[1])
+
     srng = np.random.default_rng(318)
     for k in range(1000):
         p = int(srng.integers(2, 5))
@@ -670,7 +676,7 @@ def test_criterion_09_identity_suite(acceptance_line):
                     rel(stats.ybar[g], G.mean(axis=0)),
                     rel(stats.a[g], np.sum(tr ** 2) / p),
                     rel(stats.b[g], np.sum(F * F)),
-                    rel(stats.W[g], W))
+                    rel_logdet(stats.logdet[g], W, len(G)))
 
     bad = {k: v for k, v in worst.items() if v > 1e-9}
     acceptance_line(9, not bad,

@@ -289,7 +289,8 @@ class TestDirectDraw:
     # A replicate drawn as its sufficient statistics must give statistics
     # with the same law as one reduced from a full sample: two-sample KS
     # at level 0.001 on 2000 replicates each, at a fixed seed. a0 at
-    # n = 5 has a singular scatter (n - 1 < q = 6).
+    # n = 5 has a singular scatter (n - 1 < q = 6); cov-check draws the
+    # scatter's log-determinant from its Bartlett chi-squares.
     RUNS = [
         ({"test_id": "a0", "M0": np.diag([3.0, 2.0, 1.0]).tolist(),
           "cov": {"estimate": True}},
@@ -301,6 +302,7 @@ class TestDirectDraw:
           "cov": {"estimate": True}},
          {"M1": np.diag([3.0, 2.0, 1.0]).tolist(),
           "M2": [[2.5, 0.5, 0.0], [0.5, 2.5, 0.0], [0.0, 0.0, 1.0]]}, (15, 20)),
+        ({"test_id": "cov-check"}, {"M": np.diag([3.0, 2.0, 1.0]).tolist()}, 30),
     ]
 
     @pytest.mark.parametrize("config,truth,n", RUNS,
@@ -341,6 +343,27 @@ class TestDirectDraw:
             b = np.array([s.b[0] for s in stats]) / v2
             assert kstest(a, chi2(n - 1).cdf).pvalue > 0.001
             assert kstest(b, chi2(5 * (n - 1)).cdf).pvalue > 0.001
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.25])
+    @pytest.mark.parametrize("n", [7, 30])
+    def test_bartlett_draw_follows_the_scatter_laws(self, n, tau):
+        # cov-check's draw at p = 3 (q = 6 < n): a and b keep their
+        # chi-square laws, and log|W/n| has the law of from_sample's on
+        # full samples (two-sample KS); 2000 replicates, level 0.001 each
+        from scipy.stats import chi2, kstest, ks_2samp
+        reps, cov, M = 2000, CovParams(1.5, tau), np.diag([3.0, 2.0, 1.0])
+        v1, v2 = cov.sigma2 / (1.0 - 3.0 * tau), cov.sigma2
+        drawn = [s for chunk in _draws((M,), (n,), cov, reps, 75, scatter=True)
+                 for s in chunk.replicates()]
+        reduced = [SuffStats.from_sample(sample(
+            n, M, cov, np.random.SeedSequence(76, spawn_key=(rep,))))
+            for rep in range(reps)]
+        a = np.array([s.a[0] for s in drawn]) / v1
+        b = np.array([s.b[0] for s in drawn]) / v2
+        assert kstest(a, chi2(n - 1).cdf).pvalue > 0.001
+        assert kstest(b, chi2(5 * (n - 1)).cdf).pvalue > 0.001
+        assert ks_2samp([s.logdet[0] for s in drawn],
+                        [s.logdet[0] for s in reduced]).pvalue > 0.001
 
 
 class TestConsistencyStudy:
@@ -389,8 +412,9 @@ class TestConsistencyStudy:
 
     def test_unknown_estimator(self):
         truth = {"M": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
-        with pytest.raises(ValueError, match="unknown estimator"):
-            consistency_study("median", truth, [10], 5, 0)
+        for estimator in ("median", {"id": "tau"}, 5):
+            with pytest.raises(ValueError, match="unknown estimator"):
+                consistency_study(estimator, truth, [10], 5, 0)
 
 
 def test_monte_carlo_counts_must_be_integral():

@@ -338,11 +338,22 @@ class TestExitCodes:
                                   "--config", str(cfg)], "invalid JSON")
 
     def test_missing_config_key(self, tmp_path, capsys):
+        # the message reads as a sentence, not as a quoted KeyError repr
         path, _ = one_sample_file(tmp_path)
         cfg = write_config(tmp_path, "t.json", {
             "test_id": "a0", "cov": {"estimate": True}})
         self.check_error(capsys, ["test", "--data", path, "--config", cfg],
-                         "requires")
+                         "error: config for 'a0' requires 'M0'\n")
+
+    @pytest.mark.parametrize("key", ["sigma2", "M"])
+    def test_calibrate_truth_missing_key(self, tmp_path, capsys, key):
+        truth = {"M": np.eye(2).tolist(), "sigma2": 1.0, "tau": 0.0}
+        del truth[key]
+        cfg = write_config(tmp_path, "c.json", {
+            "test": {"test_id": "a0", "M0": np.eye(2).tolist()},
+            "truth": truth, "n": 10, "reps": 1000})
+        self.check_error(capsys, ["calibrate", "--config", cfg],
+                         "error: truth requires %r\n" % key)
 
     @pytest.mark.parametrize("config,fragment", [
         ({"test_id": "a0", "M0": np.zeros((2, 2)).tolist(), "cov": {}},

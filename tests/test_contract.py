@@ -22,7 +22,7 @@ import pytest
 
 from symtest import calibrate, lrt
 from symtest.calibrate import calibrate_null, cone_boundary_law
-from symtest.matnormal import sample, sample_scatter
+from symtest.matnormal import sample
 from symtest.onesample import project
 from symtest.symcore import CovParams
 
@@ -95,20 +95,16 @@ def test_fit_fields_tell_the_group_count(test_id):
 def test_calibrate_samples_once_per_group_per_chunk(monkeypatch, test_id,
                                                     truth, n):
     # Each chunk of at most 1024 replicates draws, group 1 first, all its
-    # means of N(M_g, sigma2/n_g, tau) in one `sample` call; only cov-check,
-    # which reads the whole scatter, then draws one per replicate.
+    # means of N(M_g, sigma2/n_g, tau) in one `sample` call; cov-check too,
+    # whose log-determinants come from the chunk's chi-squares, so nothing
+    # is drawn once per replicate.
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(("sample", args[0], args[2].sigma2))
         return sample(*args, **kwargs)
 
-    def scatter(*args, **kwargs):
-        calls.append(("scatter", args[0]))
-        return sample_scatter(*args, **kwargs)
-
     monkeypatch.setattr(calibrate, "sample", counted)
-    monkeypatch.setattr(calibrate, "sample_scatter", scatter)
     config = dict(CONFIGS[test_id], test_id=test_id)
     if test_id != "cov-check":
         config["cov"] = {"known": {"sigma2": 1.0, "tau": 0.1}}
@@ -118,8 +114,6 @@ def test_calibrate_samples_once_per_group_per_chunk(monkeypatch, test_id,
     for r in (1024, 1024, 452):
         for k in sizes:
             want.append(("sample", r, 1.0 / k))
-            if test_id == "cov-check":
-                want += [("scatter", k - 1)] * r
     assert calls == want
 
 
@@ -222,7 +216,9 @@ def test_no_draw_factors_a_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     for tau in (-2.0, 0.0, 0.3):
         assert np.all(np.isfinite(sample(4, M, CovParams(1.37, tau), 5)))
-    assert np.all(np.isfinite(sample_scatter(7, 3, CovParams(1.37, -2.0), 6)))
+    drawn = next(calibrate._draws((M,), (30,), CovParams(1.37, -2.0), 7, 6,
+                                  scatter=True))
+    assert all(np.all(np.isfinite(v)) for v in (drawn.a, drawn.b, drawn.logdet))
     config = dict(CONFIGS["a0"], test_id="a0",
                   cov={"known": {"sigma2": 1.37, "tau": -0.5}})
     rep = calibrate_null(config, {"M": M.tolist(), "sigma2": 1.37, "tau": -0.5},

@@ -576,6 +576,15 @@ class TestSigmaStructure:
         # 28 observations is exactly enough.
         lrt.run("cov-check", SuffStats.from_sample(sample(28, np.eye(3), COV0, 346)))
 
+    def test_requires_logdet(self):
+        # SuffStats built from a, b alone serve every mean test, but
+        # cov-check reads the log-determinant only from_sample computes
+        s = SuffStats.from_sample(sample(40, np.eye(3), COV0, 349))
+        stats = SuffStats(s.n, s.ybar, s.a, s.b)
+        lrt.run("a0", stats, M0=np.eye(3))
+        with pytest.raises(ValueError, match="SuffStats.from_sample"):
+            lrt.run("cov-check", stats)
+
     @pytest.mark.parametrize("p,n", [(2, 30), (3, 60)])
     def test_statistic_free_of_sigma2_and_tau(self, p, n):
         # The root of an invariant covariance only rescales the trace line

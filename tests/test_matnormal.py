@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from symtest import lrt
+from symtest.calibrate import _draws
 from symtest.matnormal import (
     SuffStats,
     build_sigma,
     log_density,
     sample,
-    sample_scatter,
 )
 from symtest.onesample import EqualMeans, project
 from symtest.symcore import CovParams, sym_dim, vecd, vecd_inv
@@ -178,7 +178,7 @@ class TestSample:
         for tau, seed in ((0.3, 404), (-1.0, 505)):
             cov = CovParams(1.2, tau)
             S = sample(n, np.eye(3), cov, seed)
-            emp = SuffStats.from_sample(S).W[0] / n
+            emp = empirical_sigma(S)
             assert np.abs(emp - build_sigma(3, cov)).max() < 0.03
 
     def test_finite_far_below_zero_tau(self):
@@ -188,8 +188,11 @@ class TestSample:
         S = sample(5, np.eye(2), cov, 1)
         assert S.shape == (5, 2, 2) and np.all(np.isfinite(S))
         assert np.array_equal(S, np.transpose(S, (0, 2, 1)))
-        W = sample_scatter(4, 2, cov, 2)
-        assert W.shape == (3, 3) and np.all(np.isfinite(W))
+        # the direct draw of a, b and log|W/n|, as cov-check's calibration
+        # makes it (n = 5 > q = 3)
+        drawn = next(_draws((np.eye(2),), (5,), cov, 4, 2, scatter=True))
+        assert all(np.all(np.isfinite(v)) for v in
+                   (drawn.a, drawn.b, drawn.logdet))
 
 
 class TestVecdRows:
@@ -216,54 +219,10 @@ class TestVecdRows:
                 assert np.array_equal(back[i, j], vecd_inv(V[i, j], p))
 
 
-class TestSampleScatter:
-    # Wishart(df, Sigma) moments: E[W] = df Sigma, var(W_ij) = df (Sigma_ij^2
-    # + Sigma_ii Sigma_jj), and W_ii / Sigma_ii ~ chi2(df), so that
-    # E[W_ii^2] = df (df + 2) Sigma_ii^2 and E[W_ii^4] = df (df + 2)
-    # (df + 4) (df + 6) Sigma_ii^4. Each mean must land within 5 standard
-    # errors; p = 3 gives q = 6, so df = 2, 6, 15 cover df < q, = q, > q.
-    @pytest.mark.parametrize("df,tau", [(2, 0.2), (6, -1.0), (15, 0.2)])
-    def test_moments(self, df, tau):
-        reps, cov = 20_000, CovParams(1.5, tau)
-        sigma = build_sigma(3, cov)
-        rng = np.random.Generator(np.random.Philox(df))
-        W = np.array([sample_scatter(df, 3, cov, rng) for _ in range(reps)])
-        d = np.diag(sigma)
-        se = np.sqrt(df * (sigma ** 2 + np.outer(d, d)) / reps)
-        assert np.all(np.abs(W.mean(axis=0) - df * sigma) < 5.0 * se)
-        sq = np.diagonal(W, axis1=1, axis2=2) ** 2
-        m2 = df * (df + 2.0)
-        m4 = m2 * (df + 4.0) * (df + 6.0)
-        se2 = np.sqrt((m4 - m2 ** 2) / reps) * d ** 2
-        assert np.all(np.abs(sq.mean(axis=0) - m2 * d ** 2) < 5.0 * se2)
-
-    @pytest.mark.parametrize("df", [1, 3, 6, 9])
-    def test_rank_and_symmetry(self, df):
-        W = sample_scatter(df, 3, CovParams(1.0, 0.1), 7)
-        assert W.shape == (6, 6)
-        assert np.allclose(W, W.T, rtol=0.0, atol=1e-12 * np.abs(W).max())
-        assert np.linalg.matrix_rank(W) == min(df, 6)
-
-    def test_zero_df_is_zero(self):
-        W = sample_scatter(0, 3, CovParams(1.0, 0.1), 7)
-        assert np.array_equal(W, np.zeros((6, 6)))
-
-    def test_deterministic_per_seed(self):
-        cov = CovParams(2.0, -0.5)
-        a = sample_scatter(10, 2, cov, 8)
-        assert np.array_equal(a, sample_scatter(10, 2, cov,
-                                                np.random.SeedSequence(8)))
-        assert not np.array_equal(a, sample_scatter(10, 2, cov, 9))
-
-    @pytest.mark.parametrize("df", [-1, 2.5, True])
-    def test_rejects_bad_df(self, df):
-        with pytest.raises(ValueError, match="df"):
-            sample_scatter(df, 2, CovParams(1.0), 0)
-
-
 def empirical_sigma(S):
-    # the vecd covariance MLE W/n from the sufficient statistics
-    return SuffStats.from_sample(S).W[0] / S.shape[0]
+    # the vecd covariance MLE W/n, W the scatter of the vecd rows about their mean
+    R = vecd(S) - vecd(S.mean(axis=0))
+    return R.T @ R / S.shape[0]
 
 
 class TestEmpiricalSigma:
@@ -303,7 +262,7 @@ class TestMeans:
         stats = SuffStats.from_sample(Y[None])
         assert np.array_equal(stats.ybar[0], Y)
         assert stats.n == (1,)
-        assert np.array_equal(stats.W[0], np.zeros((3, 3)))
+        assert stats.logdet == (-math.inf,)
 
     def test_rejects_flat_input(self):
         with pytest.raises(ValueError, match="sample"):
