@@ -127,22 +127,26 @@ def _ks_distance(sorted_stats, dist, pvals):
     # below it; the two differ only at the point mass of a zero-df component
     m = sorted_stats.size
     i = np.arange(1, m + 1)
-    cdf = 1.0 - lrt._tail(dist, sorted_stats, strict=True)
+    cdf = 1.0 - dist.tail(sorted_stats, strict=True)
     cdf_below = 1.0 - pvals
     return float(max(np.max(i / m - cdf), np.max(cdf_below - (i - 1) / m)))
 
 
-def _generator(truth, keys):
+def _generator(truth, keys, what="truth"):
     # the generator's means, one per group and of one shape, and its
-    # (sigma2, tau), checked for that shape
-    means = tuple(check_symmetric(truth[k], k) for k in keys)
+    # (sigma2, tau), checked for that shape; a missing key is a ValueError
+    # saying what requires it
+    try:
+        means = tuple(check_symmetric(truth[k], k) for k in keys)
+        sigma2, tau = truth["sigma2"], truth["tau"]
+    except KeyError as e:
+        raise ValueError("%s requires %r" % (what, e.args[0])) from None
     if means[0].ndim != 2:  # check_symmetric also takes stacks
         raise ValueError("%s must be square, got shape %s" % (keys[0], means[0].shape))
     if means[-1].shape != means[0].shape:
         raise ValueError("M1 and M2 must have the same shape, got %s and %s"
                          % (means[0].shape, means[-1].shape))
-    cov = CovParams(_number(truth["sigma2"], "sigma2"),
-                    _number(truth["tau"], "tau"))
+    cov = CovParams(_number(sigma2, "sigma2"), _number(tau, "tau"))
     return means, cov.validate(means[0].shape[0])
 
 
@@ -204,10 +208,7 @@ def calibrate_null(config, truth, n, reps, seed):
     if not isinstance(truth, Mapping):
         raise ValueError("truth must be a mapping, got %r" % (truth,))
     two_sample = "M1" in truth
-    try:
-        means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
-    except KeyError as e:
-        raise ValueError("truth requires %r" % e.args[0]) from None
+    means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
     sizes = n if isinstance(n, (list, tuple)) else (n,)
     if len(sizes) != len(means):
         raise ValueError("a truth with %s needs n = %s, got %r" % (

@@ -102,21 +102,12 @@ def _matrix(M):
 
 
 def _dist_payload(dist):
-    if isinstance(dist, lrt.ChiSq):
-        return {"type": "chisq", "df": float(dist.df)}
-    if isinstance(dist, lrt.ChiSqApprox):
-        return {"type": "chisq-approx", "df": float(dist.df)}
-    if isinstance(dist, lrt.FDist):
-        return {"type": "f", "df1": float(dist.df1), "df2": float(dist.df2)}
-    if isinstance(dist, lrt.ChiSqMix):
-        return {"type": "chisq-mixture", "weights": list(dist.weights),
-                "dfs": list(dist.dfs)}
-    raise TypeError("unknown distribution %r" % (dist,))
+    # a law's label, then its fields in order: numbers or tuples of numbers
+    return {"type": dist.label, **{k: np.asarray(v, dtype=float).tolist()
+                                   for k, v in vars(dist).items()}}
 
 
 def _mle_payload(fit):
-    if fit is None:
-        return None
     names = ("M_hat",) if len(fit.means) == 1 else ("M1_hat", "M2_hat")
     out = dict(zip(names, map(_matrix, fit.means)),
                sigma2_hat=float(fit.sigma2_hat), tau_hat=float(fit.tau_hat))
@@ -257,7 +248,8 @@ def cmd_simulate(args):
             else (("M", "n"),))
     try:
         with _input_errors(TypeError, ValueError):  # a malformed value
-            means, cov = calibrate._generator(config, [m for m, _ in keys])
+            means, cov = calibrate._generator(config, [m for m, _ in keys],
+                                              "simulate config")
             sizes = [_integer(config[k], k) for _, k in keys]
     except KeyError as e:
         raise InputError("simulate config requires %s" % e)

@@ -17,17 +17,18 @@ forms each fit's residual once and keeps three numbers per group
 (sigma2, tau) under the null when no covariance is given, and evaluates
 the entry's statistic. Only _run adds the fits, the warnings and the
 p-value. pvalue takes a scalar or an array of statistics, quantile a
-scalar or an array of probabilities. Given (sigma2, tau) the affine
-cases are exactly chi-square, with F variants of the mean-shift cases
-for an estimated covariance; the curved and cone cases are asymptotic
-(chi-square or chi-square mixture), as is any plug-in reference.
-cov-check tests the covariance instead: both its sets are unrestricted,
-and its statistic compares the (sigma2, tau) fit with the free
-covariance W/n of the embedded sample through log|W/n| (SuffStats.logdet).
+scalar or an array of probabilities.
 
-Tail probabilities come from scipy.special (chdtrc, fdtrc, imported on
-use). The cone test's mixture weights at a tied spectrum are exact: the
-level-probability law of each tied block, convolved over the blocks.
+The two sets fix a test's reference (_reference): chi-square with
+dim(alternative) - dim(null) degrees of freedom (onesample.dimension),
+exact when both sets are affine and (sigma2, tau) is known, else
+asymptotic. a0 and 2a0 take F(q, q(n - g)) with a plug-in covariance,
+c2 a chi-square mixture over the cone's faces. cov-check tests the
+covariance: both its sets are unrestricted, and its statistic compares
+the (sigma2, tau) fit with the free covariance W/n of the sample through
+log|W/n| (SuffStats.logdet). Each law carries its report label and
+evaluates its own tail(t, strict), P(X > t) if strict else P(X >= t),
+with scipy.special (imported on use).
 
 Test identifiers (`test_id` on results and in CLI configs), the keys of
 TESTS, with the arguments of run (config key `multiplicities` for mult);
@@ -50,13 +51,12 @@ cov-check   covariance is orthogonally invariant             none
 ==========  ===============================================  ===================
 
 M0 must lie in the alternative of a1 and s1 (diagonalized by U0, with
-spectrum D0). The c2 reference is a chi-square mixture over the faces of
-the cone at the true spectrum: given ConeWeights, or the exact law for
-the true spectrum's tie pattern mult. Known covariance: a0 and 2a0 are
-chi-square(q); estimated, they take the F(q, q(n - g)) variant. s1, s3
-and 2s2 compare fits of equal trace, so their statistic needs no tau.
-cov-check needs n > q(q+3)/2 observations so that W/n is comfortably
-nonsingular; its statistic does not depend on (sigma2, tau).
+spectrum D0). c2's mixture weights are given as ConeWeights, or exact for
+the true spectrum's tie pattern mult: the level-probability law of each
+tied block, convolved over the blocks. s1, s3 and 2s2 compare fits of
+equal trace, so their statistic needs no tau. cov-check needs n >
+q(q+3)/2 observations so that W/n is comfortably nonsingular; its
+statistic does not depend on (sigma2, tau).
 """
 
 import math
@@ -81,6 +81,7 @@ from .onesample import (
     _residuals,
     _sigma2,
     contains,
+    dimension,
     project,
 )
 
@@ -100,19 +101,30 @@ class ChiSq:
     """Exact chi-square reference with df degrees of freedom."""
 
     df: float
+    label = "chisq"
+
+    def tail(self, t, strict=False):
+        if self.df == 0:  # a point mass at 0, which chdtrc leaves undefined
+            return np.where(t < 0.0 if strict else t <= 0.0, 1.0, 0.0)
+        from scipy.special import chdtrc
+        return chdtrc(self.df, np.maximum(t, 0.0))
 
 
-@dataclass(frozen=True)
-class ChiSqApprox:
+class ChiSqApprox(ChiSq):
     """Chi-square reference valid asymptotically only."""
 
-    df: float
+    label = "chisq-approx"
 
 
 @dataclass(frozen=True)
 class FDist:
     df1: float
     df2: float
+    label = "f"
+
+    def tail(self, t, strict=False):
+        from scipy.special import fdtrc
+        return fdtrc(self.df1, self.df2, np.maximum(t, 0.0))
 
 
 @dataclass(frozen=True)
@@ -121,6 +133,7 @@ class ChiSqMix:
 
     weights: tuple
     dfs: tuple
+    label = "chisq-mixture"
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -130,6 +143,10 @@ class ChiSqMix:
             raise ValueError("weights and dfs must have equal length")
         object.__setattr__(self, "weights", tuple(float(x) for x in self.weights))
         object.__setattr__(self, "dfs", tuple(float(x) for x in self.dfs))
+
+    def tail(self, t, strict=False):
+        return sum(w * ChiSq(df).tail(t, strict)
+                   for w, df in zip(self.weights, self.dfs))
 
 
 @dataclass(frozen=True)
@@ -169,33 +186,14 @@ class TestResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _chi2_tail(df, t, strict):
-    if df == 0:
-        # point mass at 0, which chdtrc leaves undefined
-        return np.where(t < 0.0 if strict else t <= 0.0, 1.0, 0.0)
-    from scipy.special import chdtrc
-    return chdtrc(df, np.maximum(t, 0.0))
-
-
-def _tail(dist, t, strict=False):
-    """P(X > t) if strict, else P(X >= t); t is an array."""
-    if isinstance(dist, (ChiSq, ChiSqApprox)):
-        return _chi2_tail(dist.df, t, strict)
-    if isinstance(dist, FDist):
-        from scipy.special import fdtrc
-        return fdtrc(dist.df1, dist.df2, np.maximum(t, 0.0))
-    if isinstance(dist, ChiSqMix):
-        return sum(w * _chi2_tail(df, t, strict)
-                   for w, df in zip(dist.weights, dist.dfs))
-    raise TypeError("unknown reference distribution %r" % (dist,))
-
-
 def pvalue(dist, t):
     """Upper tail P(X >= t) of the reference at a scalar or an array t."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("statistic must be finite, got %r" % (t,))
-    out = _tail(dist, t)
+    if not hasattr(dist, "tail"):
+        raise TypeError("unknown reference distribution %r" % (dist,))
+    out = dist.tail(t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -214,7 +212,7 @@ def quantile(dist, prob):
     target = 1.0 - probs
 
     def above(t):
-        return _tail(dist, t, strict=True) > target
+        return dist.tail(t, strict=True) > target
 
     lo, hi = np.zeros_like(target), np.ones_like(target)
     grow = above(hi)
@@ -241,7 +239,7 @@ def _clamp(t, dist=None, size=0.0):
             raise StatisticError(
                 "nested-model statistic is negative beyond rounding: %g" % t)
         return 0.0
-    if isinstance(dist, (ChiSq, ChiSqApprox)) and dist.df == 0 and t <= tol:
+    if isinstance(dist, ChiSq) and dist.df == 0 and t <= tol:
         # df 0 means the null and alternative coincide: the statistic is
         # identically zero and anything below the tolerance is rounding
         # dust, which must not flip the point-mass p-value from 1 to 0.
@@ -376,28 +374,19 @@ def _point_within(alt, what):
     return sets
 
 
-def _affine(df):
-    # exact chi-square given the covariance, asymptotic with a plug-in
-    return lambda a, p, n, plugin: (ChiSqApprox if plugin else ChiSq)(df(p))
+def _reference(a, sets, p, n, plugin):
+    # chi2(d_alt - d_null): exact if both sets are affine and cov is known
+    (d0, affine0), (d1, affine1) = (dimension(s, p, len(n)) for s in sets)
+    return (ChiSq if affine0 and affine1 and not plugin else ChiSqApprox)(d1 - d0)
 
 
-def _mean_shift(a, p, n, plugin):
-    # chi-square(q) given the covariance, else F(q, q(n - g)) for g groups
+def _mean_shift(a, sets, p, n, plugin):
+    # F(q, q(n - g)) for g groups with a plug-in covariance, else chi2(q)
     q = sym_dim(p)
     return FDist(q, q * (sum(n) - len(n))) if plugin else ChiSq(q)
 
 
-def _curved(df):
-    # asymptotic chi-square; df(o, k, q) from the dimension o of a fixed
-    # spectrum's orbit, the pattern's block count k and q
-    def reference(a, p, n, plugin):
-        mult = a["mult"]
-        o = (p * (p - 1) - sum(m * (m - 1) for m in mult.m)) // 2
-        return ChiSqApprox(df(o, mult.k, sym_dim(p)))
-    return reference
-
-
-def _cone_mixture(a, p, n, plugin):
+def _cone_mixture(a, sets, p, n, plugin):
     if a.get("weights") is not None:
         dims, weights = a["weights"].face_dims, a["weights"].weights
     elif a.get("mult") is not None:
@@ -405,11 +394,10 @@ def _cone_mixture(a, p, n, plugin):
     else:
         raise ValueError(
             "supply cone weights or the tie pattern mult of the true spectrum")
-    q = sym_dim(p)
-    return ChiSqMix(weights=tuple(weights), dfs=tuple(q - k for k in dims))
+    return ChiSqMix(weights=tuple(weights), dfs=tuple(sym_dim(p) - k for k in dims))
 
 
-def _cov_check_reference(a, p, n, plugin):
+def _cov_check_reference(a, sets, p, n, plugin):
     # asymptotic chi-square, once W/n is comfortably nonsingular
     q = sym_dim(p)
     min_n = q * (q + 3) // 2
@@ -441,20 +429,20 @@ class Spec:
     args carry their values keyed by run's argument names (_PARSERS maps
     one to the other, "multiplicities" to mult). sets(args) is the (null,
     alternative) pair of parameter sets (fitting two groups if
-    two_sample); reference(args, p, n, plugin) the reference distribution
+    two_sample); reference(args, sets, p, n, plugin) the reference law
     for p x p data in groups of n, plugin telling whether the null fit's
-    covariance is plugged in. statistic(h, stats, res0, res1, cov) gives
-    the statistic and its size from the fits' _residuals and the known or
-    null-fitted cov: _lr for every mean test, tau_free marking fits with
-    equal traces. scatter marks a statistic that reads stats.logdet, so a
-    Monte Carlo chunk draws it. _bind calls sets and reference once
-    per run, run_config or calibrate_null call.
+    covariance is plugged in (by default _reference). statistic(h, stats,
+    res0, res1, cov) gives the statistic and its size from the fits'
+    _residuals and the known or null-fitted cov: _lr for every mean test,
+    tau_free marking fits with equal traces. scatter marks a statistic
+    that reads stats.logdet, so a Monte Carlo chunk draws it. _bind calls
+    sets and reference once per run, run_config or calibrate_null call.
     """
 
     keys: tuple
     two_sample: bool
     sets: object
-    reference: object
+    reference: object = _reference
     optional: tuple = ("cov",)
     tau_free: bool = False
     statistic: object = _lr
@@ -463,40 +451,34 @@ class Spec:
 
 TESTS = {
     "a0": Spec(("M0",), False, lambda a: (Point(a["M0"]), Unrestricted()),
-               _mean_shift),
+               reference=_mean_shift),
     "a1": Spec(("U0", "M0"), False,
                _point_within(lambda a: FixedEigvecs(a["U0"]),
-                             "is not diagonalized by U0"),
-               _affine(lambda p: p)),
+                             "is not diagonalized by U0")),
     "a2": Spec(("U0",), False,
-               lambda a: (FixedEigvecs(a["U0"]), Unrestricted()),
-               _affine(lambda p: sym_dim(p) - p)),
+               lambda a: (FixedEigvecs(a["U0"]), Unrestricted())),
     # "reps" and "seed" in a c2 config are accepted and ignored: the
     # weights are exact
     "c2": Spec(("U0",), False, lambda a: (OrderedCone(a["U0"]), Unrestricted()),
-               _cone_mixture, optional=("cov", "multiplicities", "weights")),
+               reference=_cone_mixture, optional=("cov", "multiplicities", "weights")),
     "s1": Spec(("M0", "D0", "multiplicities"), False,
                _point_within(lambda a: FixedEigvals(a["D0"], a["mult"]),
-                             "does not have spectrum D0"),
-               _curved(lambda o, k, q: o), tau_free=True),
+                             "does not have spectrum D0"), tau_free=True),
     "s2": Spec(("D0", "multiplicities"), False,
-               lambda a: (FixedEigvals(a["D0"], a["mult"]), Unrestricted()),
-               _curved(lambda o, k, q: q - o)),
+               lambda a: (FixedEigvals(a["D0"], a["mult"]), Unrestricted())),
     "s3": Spec(("multiplicities",), False,
-               lambda a: (Mult(a["mult"]), Unrestricted()),
-               _curved(lambda o, k, q: q - o - k), tau_free=True),
+               lambda a: (Mult(a["mult"]), Unrestricted()), tau_free=True),
     # the (sigma2, tau) fit at the sample mean against the free covariance
     "cov-check": Spec((), False, lambda a: (Unrestricted(), Unrestricted()),
-                      _cov_check_reference, optional=(),
+                      reference=_cov_check_reference, optional=(),
                       statistic=_log_det_ratio, scatter=True),
     "2a0": Spec((), True, lambda a: (EqualMeans(), Unrestricted()),
-                _mean_shift),
+                reference=_mean_shift),
     "2s1": Spec(("multiplicities",), True,
-                lambda a: (CommonEigvals(a["mult"]), Unrestricted()),
-                _curved(lambda o, k, q: 2 * (q - o) - k)),
+                lambda a: (CommonEigvals(a["mult"]), Unrestricted())),
     "2s2": Spec(("multiplicities",), True,
                 lambda a: (EqualMeans(a["mult"]), CommonEigvals(a["mult"])),
-                _curved(lambda o, k, q: o), tau_free=True),
+                tau_free=True),
 }
 
 
@@ -556,7 +538,7 @@ def _bind(test_id, args, p, n, config=False):
     if plugin and sum(n) <= g:
         raise ValueError("an estimated covariance requires n >= %d" % (g + 1))
     return _Hypothesis(test_id, spec, parsed, sets,
-                       spec.reference(parsed, p, n, plugin), plugin)
+                       spec.reference(parsed, sets, p, n, plugin), plugin)
 
 
 def _project(h, stats):

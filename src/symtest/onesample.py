@@ -7,7 +7,8 @@ independent of (sigma2, tau). project computes it for every set: each
 mean is written in a frame (U0 or its own eigenvectors), its eigenvalue
 coordinates are projected onto the set's spectra and it is rebuilt in
 that frame. mle is project plus the covariance fit, and contains tests
-that the means are a fixed point of project. The sets:
+that the means are a fixed point of project; dimension gives the set's
+dimension and whether it is affine. The sets:
 
 - Unrestricted: each group mean free, for one or two groups.
 - Point(M0): the single matrix M0.
@@ -265,6 +266,28 @@ def project(pset, *means, n=None):
     elif isinstance(pset, (Mult, CommonEigvals)):
         lam = block_average(lam, pset.mult)
     return tuple(_rebuild(V, lam) for V, _ in frames), face_dim
+
+
+def dimension(pset, p, groups=1):
+    """(dimension, affine) of a parameter set of p x p means, in `groups` groups.
+
+    Spectral sets: each free frame moves on the orbit of its pattern, of
+    dimension (p^2 - sum m^2)/2, plus k block values unless D0 fixes them;
+    affine exactly when that orbit is a point (a fully tied spectrum).
+    """
+    if isinstance(pset, Unrestricted):
+        return groups * sym_dim(p), True
+    if isinstance(pset, Point):
+        return 0, True
+    if isinstance(pset, (FixedEigvecs, OrderedCone)):
+        return p, isinstance(pset, FixedEigvecs)
+    mult = pset.mult
+    if mult is None:  # EqualMeans with no pattern: one free mean
+        return sym_dim(p), True
+    orbit = (p * p - sum(m * m for m in mult.m)) // 2
+    frames = groups if isinstance(pset, CommonEigvals) else 1
+    values = 0 if isinstance(pset, FixedEigvals) else mult.k
+    return frames * orbit + values, mult.k == 1
 
 
 def _residuals(stats, means):

@@ -7,6 +7,8 @@ exact chi-square null, and consistency tables against root-n rates and
 the eigenvector perturbation variance law.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,29 @@ class TestCalibrateNull:
         for emp, theo in zip(rep.empirical_quantiles,
                              rep.theoretical_quantiles):
             assert emp == pytest.approx(theo, rel=0.15)
+
+    @pytest.mark.parametrize("config,groups,n", [
+        ({"test_id": "s2", "D0": [2.0, 2.0, 2.0], "multiplicities": [3]}, 1, 5),
+        ({"test_id": "s3", "multiplicities": [3]}, 1, 5),
+        ({"test_id": "2s1", "multiplicities": [3]}, 2, (4, 6)),
+    ], ids=["s2", "s3", "2s1"])
+    def test_fully_tied_reference_is_exact(self, config, groups, n):
+        # A fully tied spectrum makes both sets affine, so with a known
+        # covariance the statistic is exactly chi-square at any n: the KS
+        # distance of 20 000 replicates sits below its 95% critical value
+        # and a single run carries no asymptotic note.
+        cov = {"sigma2": 1.0, "tau": 0.1}
+        config = dict(config, cov={"known": cov})
+        M = (2.0 * np.eye(3)).tolist()
+        truth = dict(cov, **({"M": M} if groups == 1 else {"M1": M, "M2": M}))
+        rep = calibrate_null(config, truth, n, 20_000, 11)
+        assert type(rep.dist) is ChiSq
+        assert rep.ks_distance < 1.36 / math.sqrt(20_000)
+        sizes = n if groups == 2 else (n,)
+        S = np.concatenate([sample(k, np.array(M), CovParams(1.0, 0.1), 12 + i)
+                            for i, k in enumerate(sizes)])
+        res = lrt.run_config(config, S, n1=sizes[0] if groups == 2 else None)
+        assert res.dist == rep.dist and res.warnings == ()
 
     def test_report_fields(self):
         config = {"test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]],
@@ -409,6 +434,12 @@ class TestConsistencyStudy:
                  "sigma2": 1.0, "tau": 0.0}
         with pytest.raises(ValueError, match="same shape"):
             consistency_study("pooled_tau", truth, [10], 5, 0)
+
+    def test_truth_missing_key(self):
+        # the same message as calibrate_null's, not a bare KeyError
+        truth = {"M": [[1.0, 0.0], [0.0, 0.0]], "tau": 0.0}
+        with pytest.raises(ValueError, match=r"^truth requires 'sigma2'$"):
+            consistency_study("sigma2", truth, [10], 5, 0)
 
     def test_unknown_estimator(self):
         truth = {"M": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}

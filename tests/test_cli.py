@@ -355,6 +355,15 @@ class TestExitCodes:
         self.check_error(capsys, ["calibrate", "--config", cfg],
                          "error: truth requires %r\n" % key)
 
+    def test_simulate_missing_key(self, tmp_path, capsys):
+        # simulate words a missing key its own way, unlike a calibrate truth
+        cfg = write_config(tmp_path, "s.json", {"M": np.eye(2).tolist(),
+                                                "tau": 0.0, "n": 5})
+        code, out, err = run(capsys, ["simulate", "--config", cfg, "--out",
+                                      str(tmp_path / "s.csv")])
+        assert (code, out, err) == (
+            2, "", "error: simulate config requires 'sigma2'\n")
+
     @pytest.mark.parametrize("config,fragment", [
         ({"test_id": "a0", "M0": np.zeros((2, 2)).tolist(), "cov": {}},
          "config for 'a0': bad 'cov': missing key 'known'"),

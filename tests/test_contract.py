@@ -10,6 +10,7 @@ any warning. Every draw maps standard normals through the closed-form
 root of the covariance, so none factors a matrix.
 """
 
+import dataclasses
 import importlib
 import json
 import os
@@ -24,7 +25,7 @@ from symtest import calibrate, lrt
 from symtest.calibrate import calibrate_null, cone_boundary_law
 from symtest.matnormal import sample
 from symtest.onesample import project
-from symtest.symcore import CovParams
+from symtest.symcore import CovParams, sym_dim
 
 M = np.diag([3.0, 2.0, 1.0])
 CONFIGS = {
@@ -261,3 +262,91 @@ def test_cli_import_skips_heavy_scipy_modules(tmp_path):
                   "--out", str(data)) == []
     assert loaded("symtest.cli", "test", "--data", str(data),
                   "--config", str(test), "--no-timestamp") == ["scipy.special"]
+
+
+def _patterns(p):
+    # every multiplicity pattern of p, the compositions of p
+    if p == 0:
+        yield ()
+    for first in range(1, p + 1):
+        for rest in _patterns(p - first):
+            yield (first,) + rest
+
+
+def _reference_grid(test_ids):
+    # (test_id, p, mult, n, known, bound hypothesis) for p = 2..5, every
+    # pattern and a known and an estimated covariance; cov-check, which
+    # takes no covariance, once per pattern
+    for p in range(2, 6):
+        for mult in _patterns(p):
+            # strictly decreasing block values, tied within each block
+            D0 = [float(len(mult) - j) for j, m in enumerate(mult) for _ in range(m)]
+            for test_id in test_ids:
+                spec = lrt.TESTS[test_id]
+                n = (200, 150) if spec.two_sample else (200,)
+                config = {"test_id": test_id, "M0": np.diag(D0).tolist(),
+                          "U0": np.eye(p).tolist(), "D0": D0,
+                          "multiplicities": list(mult)}
+                config = {k: v for k, v in config.items()
+                          if k in ("test_id",) + spec.keys + spec.optional}
+                for known in (True, False) if "cov" in spec.optional else (False,):
+                    if "cov" in spec.optional:
+                        config["cov"] = ({"known": {"sigma2": 1.0, "tau": 0.1}}
+                                         if known else {"estimate": True})
+                    yield test_id, p, mult, n, known, lrt.parse_config(config, p, n)
+
+
+def _schema_distributions():
+    # the distribution label -> the keys its report object requires
+    path = pathlib.Path(lrt.__file__).parent / "schemas" / "report.schema.json"
+    out = {}
+    for entry in json.loads(path.read_text())["properties"]["distribution"]["oneOf"]:
+        kind = entry["properties"]["type"]
+        for label in kind.get("enum", [kind.get("const")]):
+            out[label] = set(entry["required"])
+    return out
+
+
+def test_every_reported_law_is_in_the_schema():
+    # each law's label is a distribution type of the report schema, and the
+    # fields the CLI writes after it are the ones that type requires
+    laws = {type(h.dist) for *_, h in _reference_grid(sorted(lrt.TESTS))}
+    assert laws == {lrt.ChiSq, lrt.ChiSqApprox, lrt.FDist, lrt.ChiSqMix}
+    schema = _schema_distributions()
+    for law in laws:
+        assert law.label in schema
+        assert {"type", *(f.name for f in dataclasses.fields(law))} == schema[law.label]
+
+
+def _formula_reference(test_id, p, mult, n, known):
+    # each test's reference as a per-test df formula, an oracle independent
+    # of the set dimensions: o is the dimension of the orbit of a spectrum
+    # with pattern mult and k its block count
+    q = sym_dim(p)
+    o = (p * (p - 1) - sum(m * (m - 1) for m in mult)) // 2
+    k = len(mult)
+    if test_id in ("a0", "2a0"):
+        return lrt.ChiSq(q) if known else lrt.FDist(q, q * (sum(n) - len(n)))
+    df = {"a1": p, "a2": q - p, "s1": o, "s2": q - o, "s3": q - o - k,
+          "2s1": 2 * (q - o) - k, "2s2": o}[test_id]
+    exact = known and test_id in ("a1", "a2")
+    return (lrt.ChiSq if exact else lrt.ChiSqApprox)(df)
+
+
+def test_reference_df_matches_per_test_formulas():
+    # the reference the two sets give has the df of every per-test formula;
+    # the formulas call only a1, a2, a0 and 2a0 exact, and the sets add
+    # exactly the fully tied spectral tests with a known covariance
+    ids = ("a0", "a1", "a2", "s1", "s2", "s3", "2a0", "2s1", "2s2")
+    cases, relabelled = 0, []
+    for test_id, p, mult, n, known, h in _reference_grid(ids):
+        want = _formula_reference(test_id, p, mult, n, known)
+        assert vars(h.dist) == vars(want), (test_id, p, mult, known)
+        if type(h.dist) is not type(want):
+            assert (type(h.dist), type(want)) == (lrt.ChiSq, lrt.ChiSqApprox)
+            relabelled.append((test_id, p, mult, known))
+        cases += 1
+    assert cases == 9 * 30 * 2
+    assert sorted(relabelled) == sorted(
+        (test_id, p, (p,), True) for test_id in ("s1", "s2", "s3", "2s1", "2s2")
+        for p in range(2, 6))

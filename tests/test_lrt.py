@@ -517,7 +517,7 @@ class TestS2:
         S = sample(10, 2 * np.eye(3), COV0, 338)
         res = lrt.run("s2", SuffStats.from_sample(S),
                       D0=np.array([2.0, 2.0, 2.0]), mult=Multiplicities((3,)), cov=COV0)
-        assert res.dist == ChiSqApprox(6)
+        assert res.dist == ChiSq(6)  # a fully tied spectrum is affine
         S2 = sample(10, np.diag([3.0, 1.0, 1.0]), COV0, 339)
         res = lrt.run("s2", SuffStats.from_sample(S2),
                       D0=np.array([3.0, 1.0, 1.0]), mult=Multiplicities((1, 2)),
@@ -700,7 +700,7 @@ class Test2S1:
                             sample(6, np.eye(2), COV0, 359)])
         res = lrt.run("2s1", SuffStats.from_sample(S, 6),
                       mult=Multiplicities((2,)), cov=COV0)
-        assert res.dist == ChiSqApprox(5)
+        assert res.dist == ChiSq(5)  # a fully tied spectrum is affine
 
     def test_pooled_term_uses_weighted_average(self):
         # Unequal group sizes: the residual term is evaluated at
@@ -884,6 +884,64 @@ class TestInvariance:
             res = run_at(c)
             assert res.statistic == pytest.approx(base.statistic, rel=1e-9)
             assert res.p_value == pytest.approx(base.p_value, rel=1e-9)
+
+    @staticmethod
+    def grid_case(test_id, scale, ratio):
+        # test_id's config and sample (S, n1) with noise of sd `scale` per
+        # vecd coordinate about a mean of spectrum ratio * scale * (4, 2, 1)
+        rng = np.random.default_rng(375)
+        U = random_orthogonal(rng, 3)
+        d = scale * ratio * np.array([4.0, 2.0, 1.0])
+        M = (U * d) @ U.T
+        spec = lrt.TESTS[test_id]
+        config = {"test_id": test_id, "M0": M, "U0": U, "D0": d,
+                  "multiplicities": [1, 2] if test_id == "s3" else [1, 1, 1]}
+        config = {k: v for k, v in config.items()
+                  if k in ("test_id",) + spec.keys + spec.optional}
+        cov = CovParams(scale ** 2, 0.1)
+        S = sample(40 if test_id == "cov-check" else 12, M, cov, 376)
+        if not spec.two_sample:
+            return config, S, None
+        return config, np.concatenate([S, sample(9, M, cov, 377)]), 12
+
+    @staticmethod
+    def assert_same_test(a, b):
+        assert a.statistic > 0.0
+        assert b.statistic == pytest.approx(a.statistic, rel=1e-9, abs=0.0)
+        assert b.p_value == pytest.approx(a.p_value, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("ratio", [0.1, 10.0])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("test_id", sorted(lrt.TESTS))
+    def test_rotation_equivariance_on_grid(self, test_id, scale, ratio):
+        # Y -> R Y R' with M0 -> R M0 R' and U0 -> R U0 (D0 is a spectrum,
+        # unchanged) leaves every statistic and p-value where it was, at
+        # every data scale and mean-to-noise ratio
+        config, S, n1 = self.grid_case(test_id, scale, ratio)
+        R = random_orthogonal(np.random.default_rng(378), 3)
+        moved = dict(config)
+        if "M0" in config:
+            moved["M0"] = R @ config["M0"] @ R.T
+        if "U0" in config:
+            moved["U0"] = R @ config["U0"]
+        self.assert_same_test(run_config(config, S, n1=n1),
+                              run_config(moved, R @ S @ R.T, n1=n1))
+
+    @pytest.mark.parametrize("ratio", [0.1, 10.0])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("test_id", ["s1", "s3", "2s2"])
+    def test_shift_invariance_of_tau_free_tests(self, test_id, scale, ratio):
+        # the tau-free tests compare fits of equal trace: Y -> Y + cI with
+        # M0 -> M0 + cI and D0 -> D0 + c moves neither statistic nor p-value
+        config, S, n1 = self.grid_case(test_id, scale, ratio)
+        c = 5.0 * scale * ratio
+        moved = dict(config)
+        if "M0" in config:
+            moved["M0"] = config["M0"] + c * np.eye(3)
+        if "D0" in config:
+            moved["D0"] = config["D0"] + c
+        self.assert_same_test(run_config(config, S, n1=n1),
+                              run_config(moved, S + c * np.eye(3), n1=n1))
 
     def test_sign_flips_of_frame_columns(self):
         S = sample(10, np.diag([4.0, 2.0, 1.0]), COV0, 370)
