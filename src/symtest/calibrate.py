@@ -36,6 +36,7 @@ from .symcore import (
     check_integer,
     check_symmetric,
     eigh_desc,
+    float_array,
     sym_dim,
 )
 from .matnormal import SuffStats, _rng_from, _sigma_root, sample
@@ -75,7 +76,7 @@ class CalibrationReport:
 
 
 def _check_d_true(d_true):
-    d = np.asarray(d_true, dtype=float)
+    d = float_array(d_true, "d_true")
     if d.ndim != 1 or d.size < 1:
         raise ValueError("d_true must be a nonempty vector")
     if not np.all(np.isfinite(d)):

@@ -6,7 +6,7 @@ hypothesis test), calibrate (Monte Carlo null calibration), cone-weights
 Each subcommand maps its parsed arguments to the body of its report
 (simulate writes its CSV and has none). main alone writes every report:
 {"tool", "version", **body}, then a UTC "timestamp" unless
---no-timestamp, to stdout; it also maps errors to exit codes.
+--no-timestamp, to stdout, and it alone maps an error to its exit code.
 
 Reports are JSON with floats at 17 significant digits, byte-identical
 for a fixed (data, config, seed) apart from the timestamp, which
@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 internal-consistency failure, 2 input error.
 """
 
 import argparse
-import contextlib
 import csv
 import datetime
 import json
@@ -34,19 +33,6 @@ from .matnormal import sample
 
 class InputError(Exception):
     """Bad user input: malformed file, inconsistent config, wrong shape."""
-
-
-@contextlib.contextmanager
-def _input_errors(*types):
-    # report the given exception types as InputError (exit 2), a KeyError by
-    # its message, not its repr; a LinAlgError is a ValueError but an
-    # internal failure (exit 1), so it passes through
-    try:
-        yield
-    except np.linalg.LinAlgError:
-        raise
-    except types as e:
-        raise InputError(e.args[0] if isinstance(e, KeyError) else str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +105,22 @@ def _mle_payload(fit):
 # ---------------------------------------------------------------------------
 # dataset files
 
+def _open(path, mode="r"):
+    # path opened as the csv module needs it; an OSError is bad input
+    try:
+        return open(path, mode, newline="")
+    except OSError as e:
+        raise InputError("cannot %s %s: %s"
+                         % ("write" if "w" in mode else "read", path, e))
+
+
 def read_dataset(path):
     """Parse a dataset CSV into (S, n1).
 
     S stacks the group-1 observations before the group-2 ones; n1 is the
     group-1 count when group 2 is present, else None.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as e:
-        raise InputError("cannot read %s: %s" % (path, e))
-    with fh:
+    with _open(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -180,11 +171,7 @@ def write_dataset(path, S, n1=None):
     iu = np.triu_indices(p)
     n1 = len(S) if n1 is None else n1
     group = np.where(np.arange(len(S)) < n1, 1, 2)
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as e:
-        raise InputError("cannot write %s: %s" % (path, e))
-    with fh:
+    with _open(path, "w") as fh:
         np.savetxt(fh, np.column_stack((S[:, iu[0], iu[1]], group)),
                    fmt=["%.17g"] * len(iu[0]) + ["%d"], delimiter=",",
                    header="p=%d,group" % p, comments="")
@@ -192,14 +179,12 @@ def write_dataset(path, S, n1=None):
 
 def load_json(path):
     """The JSON object a config file holds; anything else is an InputError."""
-    try:
-        with open(path) as fh:
+    with _open(path) as fh:
+        try:
             config = json.load(fh)
-    except OSError as e:
-        raise InputError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise InputError("%s: invalid JSON at line %d column %d: %s"
-                         % (path, e.lineno, e.colno, e.msg))
+        except json.JSONDecodeError as e:
+            raise InputError("%s: invalid JSON at line %d column %d: %s"
+                             % (path, e.lineno, e.colno, e.msg))
     if not isinstance(config, dict):
         raise InputError("%s: a config must be a JSON object" % path)
     return config
@@ -222,11 +207,6 @@ def _log_transform(S):
 # ---------------------------------------------------------------------------
 # subcommands: each maps its parsed arguments to its report body
 
-def _integer(value, key):
-    with _input_errors(ValueError):
-        return check_integer(value, "config %r" % key)
-
-
 def _setting(args, config, key, default):
     # --seed/--reps, else the config's value, else the default; a seed
     # must be nonnegative
@@ -234,7 +214,7 @@ def _setting(args, config, key, default):
     value = config.get(key, default) if value is None else value
     if value is None:
         return None
-    value = _integer(value, key)
+    value = check_integer(value, "config %r" % key)
     if key == "seed" and value < 0:
         raise InputError("'seed' must be nonnegative, got %d" % value)
     return value
@@ -246,22 +226,20 @@ def cmd_simulate(args):
     # one (mean, count) pair of keys per group, group 1 first
     keys = ((("M1", "n1"), ("M2", "n2")) if "M1" in config or "n1" in config
             else (("M", "n"),))
+    means, cov = calibrate._generator(config, [m for m, _ in keys],
+                                      "simulate config")
     try:
-        with _input_errors(TypeError, ValueError):  # a malformed value
-            means, cov = calibrate._generator(config, [m for m, _ in keys],
-                                              "simulate config")
-            sizes = [_integer(config[k], k) for _, k in keys]
+        sizes = [check_integer(config[k], "config %r" % k) for _, k in keys]
     except KeyError as e:
         raise InputError("simulate config requires %s" % e)
     p = means[0].shape[0]
-    if "p" in config and _integer(config["p"], "p") != p:
+    if "p" in config and check_integer(config["p"], "config 'p'") != p:
         raise InputError("config p=%d does not match the mean's dimension %d"
                          % (int(config["p"]), p))
     root = np.random.SeedSequence(seed)
     streams = root.spawn(2) if len(keys) == 2 else (root,)
-    with _input_errors(ValueError):  # bad n
-        S = np.concatenate([sample(k, M, cov, ss)
-                            for k, M, ss in zip(sizes, means, streams)])
+    S = np.concatenate([sample(k, M, cov, ss)
+                        for k, M, ss in zip(sizes, means, streams)])
     write_dataset(args.out, S, sizes[0] if len(keys) == 2 else None)
 
 
@@ -271,8 +249,7 @@ def cmd_test(args, config=None):
     S, n1 = read_dataset(args.data)
     if args.log_transform:
         S = _log_transform(S)
-    with _input_errors(KeyError, ValueError):
-        res = lrt.run_config(config, S, n1=n1)
+    res = lrt.run_config(config, S, n1=n1)
     n = S.shape[0]
     body = {"test_id": res.test_id, "n": n}
     if n1 is not None:
@@ -292,9 +269,8 @@ def cmd_calibrate(args):
             raise InputError("calibrate config requires %r" % key)
     reps = _setting(args, config, "reps", 5000)
     seed = _setting(args, config, "seed", 0)
-    with _input_errors(KeyError, ValueError):
-        rep = calibrate.calibrate_null(config["test"], config["truth"],
-                                       config["n"], reps, seed)
+    rep = calibrate.calibrate_null(config["test"], config["truth"],
+                                   config["n"], reps, seed)
     if args.out is not None:
         _write_qq(args.out, rep)
     body = {"test_id": rep.test_id, "reps": rep.reps, "n": rep.n}
@@ -311,12 +287,8 @@ def cmd_calibrate(args):
 
 def _write_qq(path, rep):
     # 99 interior percentile points, plot-ready
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as e:
-        raise InputError("cannot write %s: %s" % (path, e))
     probs = np.arange(1, 100) / 100.0
-    with fh:
+    with _open(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["q_theoretical", "q_empirical"])
         writer.writerows(["%.17g" % a, "%.17g" % b] for a, b in zip(
@@ -329,8 +301,7 @@ def cmd_cone_weights(args):
         raise InputError("cone-weights config requires 'd_true'")
     reps = _setting(args, config, "reps", 100000)
     seed = _setting(args, config, "seed", 0)
-    with _input_errors(ValueError):
-        w = calibrate.estimate_cone_weights(config["d_true"], reps, seed)
+    w = calibrate.estimate_cone_weights(config["d_true"], reps, seed)
     return {"d_true": list(w.d_true), "face_dims": list(w.face_dims),
             "weights": list(w.weights), "reps": w.reps, "seed": seed}
 
@@ -395,12 +366,15 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         body = args.run(args)
-    except InputError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except (lrt.StatisticError, np.linalg.LinAlgError) as e:
+        # first: a LinAlgError is a ValueError, yet an internal failure
         print("internal error: %s" % e, file=sys.stderr)
         return 1
+    except (InputError, KeyError, ValueError) as e:
+        # a KeyError by its message, not its repr
+        print("error: %s" % (e.args[0] if isinstance(e, KeyError) else e),
+              file=sys.stderr)
+        return 2
     if body is not None:
         report = {"tool": "symtest", "version": __version__, **body}
         if not args.no_timestamp:

@@ -51,12 +51,12 @@ cov-check   covariance is orthogonally invariant             none
 ==========  ===============================================  ===================
 
 M0 must lie in the alternative of a1 and s1 (diagonalized by U0, with
-spectrum D0). c2's mixture weights are given as ConeWeights, or exact for
-the true spectrum's tie pattern mult: the level-probability law of each
-tied block, convolved over the blocks. s1, s3 and 2s2 compare fits of
-equal trace, so their statistic needs no tau. cov-check needs n >
-q(q+3)/2 observations so that W/n is comfortably nonsingular; its
-statistic does not depend on (sigma2, tau).
+spectrum D0). c2's mixture weights are given as ConeWeights, or (not
+both) exact for the true spectrum's tie pattern mult: the
+level-probability law of each tied block, convolved over the blocks.
+s1, s3 and 2s2 compare fits of equal trace, so their statistic needs no
+tau. cov-check needs n > q(q+3)/2 observations so that W/n is
+comfortably nonsingular; its statistic does not depend on (sigma2, tau).
 """
 
 import math
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symcore import (CovParams, Multiplicities, _number, check_integer,
-                      sym_dim)
+                      float_array, sym_dim)
 from .matnormal import SuffStats
 from .onesample import (
     CommonEigvals,
@@ -177,6 +177,13 @@ class ConeWeights:
 
 @dataclass(eq=False)
 class TestResult:
+    """One test on one sample: statistic, reference law dist, p-value.
+
+    fit_null and fit_alt both carry the covariance the statistic used,
+    the known one or the one fitted under the null, not the alternative's
+    own MLE of (sigma2, tau).
+    """
+
     statistic: float
     dist: object
     p_value: float
@@ -190,7 +197,8 @@ def pvalue(dist, t):
     """Upper tail P(X >= t) of the reference at a scalar or an array t."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
-        raise ValueError("statistic must be finite, got %r" % (t,))
+        raise ValueError("statistic must be finite, got %r"
+                         % float(t[~np.isfinite(t)].flat[0]))
     if not hasattr(dist, "tail"):
         raise TypeError("unknown reference distribution %r" % (dist,))
     out = dist.tail(t)
@@ -297,8 +305,8 @@ def _exact_cone_law(mult):
 # ---------------------------------------------------------------------------
 # the test registry
 
-def _array(value, shape):
-    X = np.asarray(value, dtype=float)
+def _array(value, shape, name):
+    X = float_array(value, name)
     if X.shape != shape:
         raise ValueError("expected shape %s, got %s" % (shape, X.shape))
     if not np.all(np.isfinite(X)):
@@ -349,15 +357,17 @@ def _covariance(value, p):
     if value.get("estimate"):
         return None
     known = value["known"]
+    if not isinstance(known, dict):
+        raise ValueError("'known' must be an object with sigma2 and tau")
     return CovParams(_number(known["sigma2"], "sigma2"),
                      _number(known["tau"], "tau")).validate(p)
 
 
 # config key -> (argument name in run, parser of the value for p x p data)
 _PARSERS = {
-    "M0": ("M0", lambda v, p: _array(v, (p, p))),
-    "U0": ("U0", lambda v, p: _array(v, (p, p))),
-    "D0": ("D0", lambda v, p: _array(v, (p,))),
+    "M0": ("M0", lambda v, p: _array(v, (p, p), "M0")),
+    "U0": ("U0", lambda v, p: _array(v, (p, p), "U0")),
+    "D0": ("D0", lambda v, p: _array(v, (p,), "D0")),
     "multiplicities": ("mult", _multiplicities),
     "weights": ("weights", _cone_weights),
     "cov": ("cov", _covariance),
@@ -387,6 +397,8 @@ def _mean_shift(a, sets, p, n, plugin):
 
 
 def _cone_mixture(a, sets, p, n, plugin):
+    if a.get("weights") is not None and a.get("mult") is not None:
+        raise ValueError("give c2 'weights' or 'multiplicities', not both")
     if a.get("weights") is not None:
         dims, weights = a["weights"].face_dims, a["weights"].weights
     elif a.get("mult") is not None:

@@ -28,9 +28,9 @@ def check_symmetric(X, name="matrix", tol=1e-8):
     checking that the asymmetry is below `tol` relative to the scale of X,
     max(1, max|X|); a stack (..., p, p) applies that rule matrix by matrix.
     """
-    X = np.asarray(X, dtype=float)
+    X = float_array(X, name)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
-        raise ValueError("%s must be square, got shape %s" % (name, (X.shape,)))
+        raise ValueError("%s must be square, got shape %s" % (name, X.shape))
     if not np.all(np.isfinite(X)):
         raise ValueError("%s has non-finite entries" % name)
     XT = np.swapaxes(X, -1, -2)
@@ -64,6 +64,15 @@ def _number(value, name):
     except (TypeError, ValueError):
         pass
     raise ValueError("%s must be a finite number, got %r" % (name, value))
+
+
+def float_array(value, name):
+    """value as a float array; a non-numeric or ragged one is a ValueError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("%s must be an array of numbers, got %r"
+                         % (name, value)) from None
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ seed, schema-valid JSON, and the documented exit-code contract.
 """
 
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -644,6 +645,75 @@ class TestExitCodes:
         self.check_error(capsys, ["simulate", "--config", cfg, "--out", str(out)],
                          fragment)
         assert not out.exists()
+
+
+    def test_known_covariance_must_be_an_object(self, tmp_path, capsys):
+        path, _ = one_sample_file(tmp_path)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "a0", "M0": np.zeros((2, 2)).tolist(),
+            "cov": {"known": None}})
+        code, out, err = run(capsys, ["test", "--data", path, "--config", cfg])
+        assert (code, out, err) == (2, "", "error: config for 'a0': bad 'cov': "
+                                    "'known' must be an object with sigma2 "
+                                    "and tau\n")
+
+    def test_non_finite_statistic_prints_its_value(self, tmp_path, capsys):
+        # a known sigma2 this small overflows the statistic
+        path, _ = one_sample_file(tmp_path)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "a0", "M0": np.zeros((2, 2)).tolist(),
+            "cov": {"known": {"sigma2": 1e-320, "tau": 0.0}}})
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, ["test", "--data", path,
+                                          "--config", cfg])
+        assert (code, out, err) == (
+            2, "", "error: statistic must be finite, got inf\n")
+
+    def test_c2_rejects_weights_with_multiplicities(self, tmp_path, capsys):
+        path, _ = one_sample_file(tmp_path, p=3)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "c2", "U0": np.eye(3).tolist(), "multiplicities": [3],
+            "weights": {"face_dims": [3], "weights": [1.0]}})
+        code, out, err = run(capsys, ["test", "--data", path, "--config", cfg])
+        assert (code, out, err) == (
+            2, "", "error: give c2 'weights' or 'multiplicities', not both\n")
+
+    @pytest.mark.parametrize("value", [{"a": 1}, [[1, 2], [3]], "x", True,
+                                       None], ids=["object", "ragged",
+                                                   "string", "true", "null"])
+    @pytest.mark.parametrize("command,key", [
+        ("simulate", "M"), ("simulate", "sigma2"), ("simulate", "tau"),
+        ("simulate", "n"), ("calibrate", "truth/M"),
+        ("calibrate", "truth/sigma2"), ("calibrate", "n"),
+        ("cone-weights", "d_true"), ("a0", "M0"), ("a2", "U0"), ("s2", "D0")])
+    def test_malformed_config_value_names_its_key(self, tmp_path, capsys,
+                                                  command, key, value):
+        # exit 2, no report, and one error line that names the key
+        out_csv = tmp_path / "d.csv"
+        if command == "simulate":
+            cfg = {"M": np.eye(2).tolist(), "sigma2": 1.0, "tau": 0.0, "n": 5}
+            argv = ["simulate", "--out", str(out_csv)]
+        elif command == "calibrate":
+            base = TestCmdCalibrate.CONFIG
+            cfg = dict(base, truth=dict(base["truth"]))
+            argv = ["calibrate"]
+        elif command == "cone-weights":
+            cfg = {"d_true": [1.0, 1.0], "reps": 100}
+            argv = ["cone-weights"]
+        else:
+            cfg = dict({"a0": {"M0": np.eye(2).tolist()},
+                        "a2": {"U0": np.eye(2).tolist()},
+                        "s2": {"D0": [2.0, 1.0], "multiplicities": [1, 1]}
+                        }[command], test_id=command)
+            argv = ["test", "--data", one_sample_file(tmp_path)[0]]
+        *outer, name = key.split("/")
+        (cfg[outer[0]] if outer else cfg)[name] = value
+        argv += ["--config", write_config(tmp_path, "c.json", cfg)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(r"\b%s\b" % name, err), err
+        assert not out_csv.exists()
 
 
 class TestCmdCalibrate:

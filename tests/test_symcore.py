@@ -19,6 +19,7 @@ from symtest.symcore import (
     check_integer,
     check_symmetric,
     eigh_desc,
+    float_array,
     inner,
     matrix_exp,
     matrix_log,
@@ -49,6 +50,13 @@ class TestCheckSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             check_symmetric(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("X,shape", [(np.zeros((2, 3)), "(2, 3)"),
+                                         (True, "()"), ([1.0, 2.0], "(2,)")])
+    def test_shape_message_prints_the_shape(self, X, shape):
+        with pytest.raises(ValueError) as info:
+            check_symmetric(X, "M")
+        assert str(info.value) == "M must be square, got shape %s" % shape
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -144,6 +152,22 @@ class TestCheckInteger:
     def test_rejects_the_rest(self, value):
         with pytest.raises(ValueError, match="n must be an integer"):
             check_integer(value, "n")
+
+
+class TestFloatArray:
+    @pytest.mark.parametrize("value,shape", [
+        (2, ()), ("1.5", ()), ([1, 2.5], (2,)), ([[1, 0], [0, True]], (2, 2))])
+    def test_accepts_numbers(self, value, shape):
+        X = float_array(value, "M")
+        assert X.dtype == float and X.shape == shape
+
+    @pytest.mark.parametrize("value", [{"a": 1}, {}, [[1, 2], [3]], "x",
+                                       [1, "x"], [None, [1]]])
+    def test_names_a_malformed_value(self, value):
+        with pytest.raises(ValueError) as info:
+            float_array(value, "M")
+        assert str(info.value) == "M must be an array of numbers, got %r" % (
+            value,)
 
 
 class TestCovParams:
