@@ -114,6 +114,28 @@ def _open(path, mode="r"):
                          % ("write" if "w" in mode else "read", path, e))
 
 
+def _decode_error(path, e):
+    # the InputError for a byte of path that e's text decoder rejected, on
+    # its line: the whole file is decoded again, as e's offset is a chunk's
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(e.encoding)
+    except UnicodeDecodeError as whole:
+        return InputError("%s line %d: byte 0x%02x is not %s text" % (
+            path, data.count(b"\n", 0, whole.start) + 1, data[whole.start],
+            whole.encoding))
+    return InputError("%s: %s" % (path, e))
+
+
+def _lines(path, fh):
+    # fh's lines; a byte that is not text is bad input on its line
+    try:
+        yield from fh
+    except UnicodeDecodeError as e:
+        raise _decode_error(path, e)
+
+
 def read_dataset(path):
     """Parse a dataset CSV into (S, n1).
 
@@ -121,7 +143,7 @@ def read_dataset(path):
     group-1 count when group 2 is present, else None.
     """
     with _open(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -185,6 +207,8 @@ def load_json(path):
         except json.JSONDecodeError as e:
             raise InputError("%s: invalid JSON at line %d column %d: %s"
                              % (path, e.lineno, e.colno, e.msg))
+        except UnicodeDecodeError as e:
+            raise _decode_error(path, e)
     if not isinstance(config, dict):
         raise InputError("%s: a config must be a JSON object" % path)
     return config

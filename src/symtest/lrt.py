@@ -4,7 +4,7 @@ Every MLE of the mean is a Frobenius projection of the sample mean(s),
 so twice the log-likelihood ratio is sum_g n_g (||Ybar_g - M0_g||^2 -
 ||Ybar_g - M1_g||^2) in the (sigma2, tau) norm, M0 and M1 the null and
 alternative fits. Each test is one entry of the registry TESTS (config
-keys, two-sample flag, null and alternative sets, reference, statistic).
+keys, null and alternative sets, reference, statistic).
 One entry point runs them all: run(test_id, stats, **args) on Python
 objects, and run_config on a JSON-style config. Both bind the test once
 (_bind) to its arguments and to its data's shape, p and the group
@@ -116,6 +116,12 @@ class ChiSqApprox(ChiSq):
     label = "chisq-approx"
 
 
+def _check_weights(weights):
+    w = np.asarray(weights, dtype=float)
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+        raise ValueError("weights must be nonnegative and sum to 1")
+
+
 @dataclass(frozen=True)
 class FDist:
     df1: float
@@ -136,9 +142,7 @@ class ChiSqMix:
     label = "chisq-mixture"
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
+        _check_weights(self.weights)
         if len(self.weights) != len(self.dfs):
             raise ValueError("weights and dfs must have equal length")
         object.__setattr__(self, "weights", tuple(float(x) for x in self.weights))
@@ -164,9 +168,7 @@ class ConeWeights:
     reps: int
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
-            raise ValueError("weights must be nonnegative and sum to 1")
+        _check_weights(self.weights)
 
     def weight_for_dim(self, k):
         for dim, w in zip(self.face_dims, self.weights):
@@ -340,7 +342,7 @@ def _cone_weights(value, p):
                          % (p, dims))
     if len(weights) != len(dims):
         raise ValueError("need one weight per face dimension")
-    return ConeWeights(None, dims, weights, 0)
+    return ChiSqMix(weights, tuple(sym_dim(p) - k for k in dims))
 
 
 def _covariance(value, p):
@@ -354,7 +356,10 @@ def _covariance(value, p):
         raise ValueError('cov must be a known CovParams or None to estimate '
                          'it; in a config, expected {"known": {"sigma2": x, '
                          '"tau": y}} or {"estimate": true}; got %r' % (value,))
-    if value.get("estimate"):
+    if "estimate" in value:
+        if value["estimate"] is not True:
+            raise ValueError("'estimate' must be true, got %r"
+                             % (value["estimate"],))
         return None
     known = value["known"]
     if not isinstance(known, dict):
@@ -391,22 +396,23 @@ def _reference(a, sets, p, n, plugin):
 
 
 def _mean_shift(a, sets, p, n, plugin):
-    # F(q, q(n - g)) for g groups with a plug-in covariance, else chi2(q)
-    q = sym_dim(p)
-    return FDist(q, q * (sum(n) - len(n))) if plugin else ChiSq(q)
+    # F(q, q(n - g)) for g groups with a plug-in covariance, else _reference
+    if not plugin:
+        return _reference(a, sets, p, n, plugin)
+    return FDist(sym_dim(p), sym_dim(p) * (sum(n) - len(n)))
 
 
 def _cone_mixture(a, sets, p, n, plugin):
-    if a.get("weights") is not None and a.get("mult") is not None:
+    # the mixture the weights parsed into, or the exact one for mult
+    if "weights" in a and "mult" in a:
         raise ValueError("give c2 'weights' or 'multiplicities', not both")
-    if a.get("weights") is not None:
-        dims, weights = a["weights"].face_dims, a["weights"].weights
-    elif a.get("mult") is not None:
-        dims, weights = _exact_cone_law(a["mult"])
-    else:
+    if "weights" in a:
+        return a["weights"]
+    if "mult" not in a:
         raise ValueError(
             "supply cone weights or the tie pattern mult of the true spectrum")
-    return ChiSqMix(weights=tuple(weights), dfs=tuple(sym_dim(p) - k for k in dims))
+    dims, weights = _exact_cone_law(a["mult"])
+    return ChiSqMix(weights, tuple(sym_dim(p) - k for k in dims))
 
 
 def _cov_check_reference(a, sets, p, n, plugin):
@@ -440,8 +446,8 @@ class Spec:
     keys are the config keys it requires and optional those it accepts;
     args carry their values keyed by run's argument names (_PARSERS maps
     one to the other, "multiplicities" to mult). sets(args) is the (null,
-    alternative) pair of parameter sets (fitting two groups if
-    two_sample); reference(args, sets, p, n, plugin) the reference law
+    alternative) pair of parameter sets, the null's groups fixing the
+    test's group count; reference(args, sets, p, n, plugin) the reference law
     for p x p data in groups of n, plugin telling whether the null fit's
     covariance is plugged in (by default _reference). statistic(h, stats,
     res0, res1, cov) gives the statistic and its size from the fits'
@@ -452,7 +458,6 @@ class Spec:
     """
 
     keys: tuple
-    two_sample: bool
     sets: object
     reference: object = _reference
     optional: tuple = ("cov",)
@@ -462,33 +467,31 @@ class Spec:
 
 
 TESTS = {
-    "a0": Spec(("M0",), False, lambda a: (Point(a["M0"]), Unrestricted()),
+    "a0": Spec(("M0",), lambda a: (Point(a["M0"]), Unrestricted()),
                reference=_mean_shift),
-    "a1": Spec(("U0", "M0"), False,
-               _point_within(lambda a: FixedEigvecs(a["U0"]),
-                             "is not diagonalized by U0")),
-    "a2": Spec(("U0",), False,
-               lambda a: (FixedEigvecs(a["U0"]), Unrestricted())),
+    "a1": Spec(("U0", "M0"), _point_within(lambda a: FixedEigvecs(a["U0"]),
+                                           "is not diagonalized by U0")),
+    "a2": Spec(("U0",), lambda a: (FixedEigvecs(a["U0"]), Unrestricted())),
     # "reps" and "seed" in a c2 config are accepted and ignored: the
     # weights are exact
-    "c2": Spec(("U0",), False, lambda a: (OrderedCone(a["U0"]), Unrestricted()),
+    "c2": Spec(("U0",), lambda a: (OrderedCone(a["U0"]), Unrestricted()),
                reference=_cone_mixture, optional=("cov", "multiplicities", "weights")),
-    "s1": Spec(("M0", "D0", "multiplicities"), False,
+    "s1": Spec(("M0", "D0", "multiplicities"),
                _point_within(lambda a: FixedEigvals(a["D0"], a["mult"]),
                              "does not have spectrum D0"), tau_free=True),
-    "s2": Spec(("D0", "multiplicities"), False,
+    "s2": Spec(("D0", "multiplicities"),
                lambda a: (FixedEigvals(a["D0"], a["mult"]), Unrestricted())),
-    "s3": Spec(("multiplicities",), False,
+    "s3": Spec(("multiplicities",),
                lambda a: (Mult(a["mult"]), Unrestricted()), tau_free=True),
     # the (sigma2, tau) fit at the sample mean against the free covariance
-    "cov-check": Spec((), False, lambda a: (Unrestricted(), Unrestricted()),
+    "cov-check": Spec((), lambda a: (Unrestricted(), Unrestricted()),
                       reference=_cov_check_reference, optional=(),
                       statistic=_log_det_ratio, scatter=True),
-    "2a0": Spec((), True, lambda a: (EqualMeans(), Unrestricted()),
+    "2a0": Spec((), lambda a: (EqualMeans(), Unrestricted()),
                 reference=_mean_shift),
-    "2s1": Spec(("multiplicities",), True,
+    "2s1": Spec(("multiplicities",),
                 lambda a: (CommonEigvals(a["mult"]), Unrestricted())),
-    "2s2": Spec(("multiplicities",), True,
+    "2s2": Spec(("multiplicities",),
                 lambda a: (EqualMeans(a["mult"]), CommonEigvals(a["mult"])),
                 tau_free=True),
 }
@@ -521,14 +524,16 @@ def _spec(test_id):
 def _bind(test_id, args, p, n, config=False):
     # check the argument names against the registry entry, parse every value
     # for p x p data, build the sets (which checks M0 against the
-    # alternative for a1 and s1), check the group counts n and build the
-    # reference, once; config names the config keys in errors
+    # alternative for a1 and s1), check the group counts n against the null
+    # set's and build the reference, once; config names config keys in errors
     spec = _spec(test_id)
     keys = {_PARSERS[key][0]: key for key in spec.keys + spec.optional}
     for name in args:
         if name not in keys:
             raise TypeError("test %r takes no argument %r" % (test_id, name))
     for name in list(keys)[:len(spec.keys)]:
+        if name not in args and config:
+            raise KeyError("config for %r requires %r" % (test_id, keys[name]))
         if name not in args:
             raise TypeError("test %r requires argument %r" % (test_id, name))
     parsed = {}
@@ -541,10 +546,10 @@ def _bind(test_id, args, p, n, config=False):
                 keys[name] if config else name,
                 "missing key %r" % e.args[0] if isinstance(e, KeyError) else e))
     sets = spec.sets(parsed)
-    g = len(n)
-    if spec.two_sample != (g == 2):
+    g, two = len(n), sets[0].groups == (2,)
+    if two != (g == 2):
         raise ValueError("test %r needs a %s sample, got %s" % (
-            test_id, "two-group" if spec.two_sample else "one-group",
+            test_id, "two-group" if two else "one-group",
             "one group" if g == 1 else "two groups"))
     plugin = "cov" in keys and parsed.get("cov") is None
     if plugin and sum(n) <= g:
@@ -575,9 +580,14 @@ def _statistic(h, stats, fits):
 
 
 def _run(h, stats):
-    # the TestResult of a bound hypothesis: its fits, warnings and p-value
+    # the TestResult of a bound hypothesis: its fits, warnings and p-value;
+    # a known sigma2 too small for the data's scale overflows the statistic
     fits = _project(h, stats)
-    t, cov = _statistic(h, stats, fits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, cov = _statistic(h, stats, fits)
+    if not math.isfinite(t) and h.args.get("cov") is not None:
+        raise ValueError("statistic is %r at the known sigma2 = %r, too small "
+                         "for the data's scale" % (t, cov.sigma2))
     fit_null, fit_alt = (FitResult(m, cov.sigma2, cov.tau, pset, dim)
                          for pset, (m, dim) in zip(h.sets, fits))
     warns = []
@@ -616,9 +626,6 @@ def parse_config(config, p, n):
         raise ValueError("a hypothesis config must be a JSON object")
     test_id = config.get("test_id")
     spec = _spec(test_id)
-    for key in spec.keys:
-        if key not in config:
-            raise KeyError("config for %r requires %r" % (test_id, key))
     return _bind(test_id, {_PARSERS[key][0]: config[key]
                            for key in spec.keys + spec.optional
                            if key in config}, p, n, config=True)

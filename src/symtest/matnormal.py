@@ -17,7 +17,6 @@ cov-check reads. R is the only factor any draw uses.
 Samples are stored as (n, p, p) arrays of symmetric matrices.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -65,18 +64,14 @@ def log_density(Y, M, cov):
             - 0.5 * norm_sq(Y - M, cov))
 
 
-@functools.lru_cache(maxsize=16)
 def _sigma_root(p, cov):
     # the symmetric root R = sqrt(sigma2) (I + k uu') of build_sigma(p, cov),
     # u = vecd(I)/sqrt(p) and k = (1 - p tau)^(-1/2) - 1: closed-form, so it
-    # holds where 1/(1 - p tau) is below rounding; made once per (p, cov)
-    # and read-only because every caller shares it
+    # holds where 1/(1 - p tau) is below rounding
     cov.validate(p)
     u = vecd(np.eye(p)) / math.sqrt(p)
     k = math.expm1(-0.5 * math.log1p(-p * cov.tau))
-    R = math.sqrt(cov.sigma2) * (np.eye(sym_dim(p)) + k * np.outer(u, u))
-    R.setflags(write=False)
-    return R
+    return math.sqrt(cov.sigma2) * (np.eye(sym_dim(p)) + k * np.outer(u, u))
 
 
 def sample(n, M, cov, seed):

@@ -7,6 +7,7 @@ seed, schema-valid JSON, and the documented exit-code contract.
 
 import json
 import re
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -658,16 +659,53 @@ class TestExitCodes:
                                     "and tau\n")
 
     def test_non_finite_statistic_prints_its_value(self, tmp_path, capsys):
-        # a known sigma2 this small overflows the statistic
+        # a known sigma2 this small overflows the statistic: one error line
+        # that names it, and no numpy warning on the way
         path, _ = one_sample_file(tmp_path)
         cfg = write_config(tmp_path, "t.json", {
             "test_id": "a0", "M0": np.zeros((2, 2)).tolist(),
             "cov": {"known": {"sigma2": 1e-320, "tau": 0.0}}})
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, err = run(capsys, ["test", "--data", path,
                                           "--config", cfg])
         assert (code, out, err) == (
-            2, "", "error: statistic must be finite, got inf\n")
+            2, "", "error: statistic is inf at the known sigma2 = 1e-320, "
+            "too small for the data's scale\n")
+
+    @pytest.mark.parametrize("value", ["false", "x", 2.5, [3], {"a": 1}, False,
+                                       None], ids=["false-string", "string",
+                                                   "number", "array", "object",
+                                                   "false", "null"])
+    def test_estimate_must_be_true(self, tmp_path, capsys, value):
+        # only JSON true asks for an estimated covariance; anything else
+        # is bad input naming cov, never a plug-in run
+        path, _ = one_sample_file(tmp_path)
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "a1", "U0": np.eye(2).tolist(),
+            "M0": np.eye(2).tolist(), "cov": {"estimate": value}})
+        code, out, err = run(capsys, ["test", "--data", path, "--config", cfg])
+        assert (code, out, err) == (
+            2, "", "error: config for 'a1': bad 'cov': 'estimate' must be "
+            "true, got %r\n" % (value,))
+
+    def test_non_utf8_config_names_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "w.json"
+        cfg.write_bytes(b'{"d_true": [1.0,\n 1.0\xff]}')
+        code, out, err = run(capsys, ["cone-weights", "--config", str(cfg)])
+        assert (code, out, err) == (
+            2, "", "error: %s line 2: byte 0xff is not utf-8 text\n" % cfg)
+
+    def test_non_utf8_dataset_names_its_line(self, tmp_path, capsys):
+        # the line of the byte, though the decoder reads the file in chunks
+        path = tmp_path / "d.csv"
+        rows = "".join("%d,0,1,1\n" % i for i in range(5000))
+        path.write_bytes(("p=2,group\n" + rows).encode() + b"1,\xff,1,1\n")
+        cfg = write_config(tmp_path, "t.json", {"test_id": "cov-check"})
+        code, out, err = run(capsys, ["test", "--data", str(path),
+                                      "--config", cfg])
+        assert (code, out, err) == (
+            2, "", "error: %s line 5002: byte 0xff is not utf-8 text\n" % path)
 
     def test_c2_rejects_weights_with_multiplicities(self, tmp_path, capsys):
         path, _ = one_sample_file(tmp_path, p=3)

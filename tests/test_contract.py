@@ -41,6 +41,8 @@ CONFIGS = {
     "2s1": {"multiplicities": [1, 1, 1]},
     "2s2": {"multiplicities": [1, 1, 1]},
 }
+# the test ids whose null set fits only two groups, so their data has two
+TWO_GROUP = ("2a0", "2s1", "2s2")
 
 
 TRACED = {
@@ -74,7 +76,7 @@ def test_no_export_is_collected_as_a_test():
 def test_fit_fields_tell_the_group_count(test_id):
     cov = CovParams(1.0, 0.1)
     S = sample(40, M, cov, 401)
-    two = lrt.TESTS[test_id].two_sample
+    two = test_id in TWO_GROUP
     if two:
         S = np.concatenate([S, sample(30, M, cov, 402)])
     res = lrt.run_config(dict(CONFIGS[test_id], test_id=test_id), S,
@@ -229,15 +231,21 @@ def test_no_draw_factors_a_matrix(monkeypatch):
     assert sum(out["dim_mass"].values()) == pytest.approx(1.0)
 
 
+def _src_env():
+    # the environment of a fresh Python process that imports this symtest
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_cli_import_skips_heavy_scipy_modules(tmp_path):
     # a CLI process pays for every module it imports: none loads
     # scipy.linalg, scipy.stats or scipy.optimize, and scipy.special, which
     # only the p-values need, is loaded by a test run but neither by
     # `import symtest` nor by a simulate run
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = _src_env()
 
     def loaded(module, *argv):
         # the heavy scipy modules in sys.modules after importing module and
@@ -264,6 +272,21 @@ def test_cli_import_skips_heavy_scipy_modules(tmp_path):
                   "--config", str(test), "--no-timestamp") == ["scipy.special"]
 
 
+def test_cli_import_adds_only_numpy_outside_the_stdlib():
+    # the import cost of a CLI process is the interpreter's, numpy's and
+    # symtest's own: importing symtest.cli loads no other top-level package
+    env = _src_env()
+    code = ("import sys\nbefore = set(sys.modules)\nimport symtest.cli\n"
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules}\n"
+            "    - {m.split('.')[0] for m in before}\n"
+            "    - set(sys.stdlib_module_names))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    added = proc.stdout.split()
+    assert "symtest" in added and set(added) <= {"numpy", "symtest"}, added
+
+
 def _patterns(p):
     # every multiplicity pattern of p, the compositions of p
     if p == 0:
@@ -283,7 +306,7 @@ def _reference_grid(test_ids):
             D0 = [float(len(mult) - j) for j, m in enumerate(mult) for _ in range(m)]
             for test_id in test_ids:
                 spec = lrt.TESTS[test_id]
-                n = (200, 150) if spec.two_sample else (200,)
+                n = (200, 150) if test_id in TWO_GROUP else (200,)
                 config = {"test_id": test_id, "M0": np.diag(D0).tolist(),
                           "U0": np.eye(p).tolist(), "D0": D0,
                           "multiplicities": list(mult)}

@@ -29,6 +29,8 @@ from symtest.onesample import FixedEigvecs, OrderedCone, project
 from symtest.symcore import CovParams, Multiplicities, inner, norm_sq, sym_dim
 
 COV0 = CovParams(1.0, 0.0)
+# the test ids whose null set fits only two groups, so their data has two
+TWO_GROUP = ("2a0", "2s1", "2s2")
 
 
 def random_symmetric(rng, p, scale=1.0):
@@ -367,6 +369,24 @@ class TestC2:
         S = sample(10, np.diag([3.0, 2.0, 1.0]), COV0, 327)
         res = lrt.run("c2", SuffStats.from_sample(S), U0=np.eye(3), weights=w, cov=COV0)
         assert res.dist == ChiSqMix(weights=(0.5, 0.5), dfs=(4.0, 3.0))
+
+    def test_config_weights_checked_once(self, monkeypatch):
+        # a config's weights parse straight into their mixture: one
+        # sum-to-1 check per run, and a bad sum names the key
+        calls, check = [], lrt._check_weights
+        monkeypatch.setattr(lrt, "_check_weights",
+                            lambda w: calls.append(w) or check(w))
+        config = {"test_id": "c2", "U0": np.eye(3).tolist(),
+                  "weights": {"face_dims": [2, 3], "weights": [0.5, 0.5]}}
+        S = sample(10, np.diag([3.0, 2.0, 1.0]), COV0, 327)
+        res = run_config(config, S)
+        assert calls == [(0.5, 0.5)]
+        assert res.dist == ChiSqMix(weights=(0.5, 0.5), dfs=(4.0, 3.0))
+        config["weights"]["weights"] = [0.5, 0.4]
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "config for 'c2': bad 'weights': weights must be nonnegative "
+                "and sum to 1")):
+            run_config(config, S)
 
     def test_zero_iff_mean_in_cone(self):
         w_args = dict(mult=Multiplicities((1, 1)), cov=COV0)
@@ -865,7 +885,7 @@ class TestInvariance:
         spec = lrt.TESTS[test_id]
         config = {k: v for k, v in config.items()
                   if k in ("test_id",) + spec.keys + spec.optional}
-        two = spec.two_sample
+        two = test_id in TWO_GROUP
         S = sample(40 if test_id == "cov-check" else 12, M,
                    CovParams(1.0, 0.1), 373)
         if two:
@@ -900,7 +920,7 @@ class TestInvariance:
                   if k in ("test_id",) + spec.keys + spec.optional}
         cov = CovParams(scale ** 2, 0.1)
         S = sample(40 if test_id == "cov-check" else 12, M, cov, 376)
-        if not spec.two_sample:
+        if test_id not in TWO_GROUP:
             return config, S, None
         return config, np.concatenate([S, sample(9, M, cov, 377)]), 12
 
@@ -1080,7 +1100,7 @@ class TestRunConfig:
         config = {k: v for k, v in config.items()
                   if k in ("test_id",) + lrt.TESTS[test_id].keys}
         S = sample(20, M, CovParams(1.0, 0.1), 384)
-        two = lrt.TESTS[test_id].two_sample
+        two = test_id in TWO_GROUP
         if two:
             S = np.concatenate([S, sample(20, M, CovParams(1.0, 0.1), 385)])
         run_config(config, S, n1=20 if two else None)
@@ -1115,7 +1135,7 @@ class TestRunConfig:
         config = {k: v for k, v in config.items() if v is not None and (
             k in ("test_id", "cov") + lrt.TESTS[test_id].keys)}
         S = sample(20, M, CovParams(1.0, 0.1), 386)
-        two = lrt.TESTS[test_id].two_sample
+        two = test_id in TWO_GROUP
         if two:
             S = np.concatenate([S, sample(20, M, CovParams(1.0, 0.1), 387)])
         run_config(config, S, n1=20 if two else None)
@@ -1192,7 +1212,7 @@ class TestRun:
         cov = CovParams(1.0, 0.1)
         S = sample(400 if test_id == "cov-check" else 30, MEAN, cov, 391)
         n1 = None
-        if lrt.TESTS[test_id].two_sample:
+        if test_id in TWO_GROUP:
             S, n1 = np.concatenate([S, sample(25, MEAN, cov, 392)]), 30
         got = lrt.run(test_id, SuffStats.from_sample(S, n1), **args)
         want = run_config(config, S, n1=n1)
@@ -1255,15 +1275,26 @@ class TestRun:
         want = lrt.run("s3", stats, mult=Multiplicities((2, 1)))
         assert (got.statistic, got.dist) == (want.statistic, want.dist)
 
-    @pytest.mark.parametrize("test_id,groups,fragment", [
+    @pytest.mark.parametrize("test_id,groups,message", [
         ("2a0", 1, "test '2a0' needs a two-group sample, got one group"),
         ("a0", 2, "test 'a0' needs a one-group sample, got two groups"),
-        ("cov-check", 2, "test 'cov-check' needs a one-group sample"),
+        ("cov-check", 2,
+         "test 'cov-check' needs a one-group sample, got two groups"),
+        ("a1", 2, "test 'a1' needs a one-group sample, got two groups"),
+        ("a2", 2, "test 'a2' needs a one-group sample, got two groups"),
+        ("c2", 2, "test 'c2' needs a one-group sample, got two groups"),
+        ("s1", 2, "test 's1' needs a one-group sample, got two groups"),
+        ("s2", 2, "test 's2' needs a one-group sample, got two groups"),
+        ("s3", 2, "test 's3' needs a one-group sample, got two groups"),
+        ("2s1", 1, "test '2s1' needs a two-group sample, got one group"),
+        ("2s2", 1, "test '2s2' needs a two-group sample, got one group"),
     ])
-    def test_rejects_group_count(self, test_id, groups, fragment):
+    def test_rejects_group_count(self, test_id, groups, message):
+        # every test given the other group count; the count comes from the
+        # null set the arguments build, so no registry field states it
         S = sample(8, MEAN, COV0, 396)
         stats = SuffStats.from_sample(S, 4 if groups == 2 else None)
-        with pytest.raises(ValueError, match=re.escape(fragment)):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             lrt.run(test_id, stats, **RUN_CASES[test_id][1])
 
     @pytest.mark.parametrize("entry", ["run", "run_config", "calibrate_null"])
