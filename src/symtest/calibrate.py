@@ -14,16 +14,17 @@ its hypothesis once (lrt.parse_config): the group-count and sample-size
 checks, the parameter sets and the reference. The fits never depend on
 the covariance, so each chunk's stack of means is projected onto each
 set in one call (lrt._project); only the statistic step lrt._statistic
-(covariance fit and statistic, per-sample arithmetic) runs replicate by
-replicate, and the p-values of all replicates are taken in one
-lrt.pvalue call, the reference's quantiles in one lrt.quantile call. An
-eigenvector consistency study decomposes each chunk's fitted frames in
-one call too.
+(covariance fit and statistic, per-sample arithmetic on each replicate's
+fitted means, with no residual pass for an unrestricted fit) runs
+replicate by replicate, and the p-values of all replicates are taken in
+one lrt.pvalue call, the reference's quantiles in one lrt.quantile call.
+An eigenvector consistency study decomposes each chunk's fitted frames
+in one call too. Integer seeds are checked once per call
+(matnormal._check_seed).
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -39,12 +40,12 @@ from .symcore import (
     float_array,
     sym_dim,
 )
-from .matnormal import SuffStats, _rng_from, _sigma_root, sample
+from .matnormal import SuffStats, _check_seed, _rng_from, _sigma_root, sample
 from .onesample import (
     FixedEigvals,
     Unrestricted,
     _fit_cov,
-    _residuals,
+    _fit_residuals,
     contains,
     eigvec_uncertainty,
     pava,
@@ -190,9 +191,8 @@ def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
 
 
 def _fits(h, chunk):
-    # per replicate, each set's (means, face_dim), projected once per chunk
-    return zip(*(zip(zip(*means), repeat(None) if dims is None else dims.tolist())
-                 for means, dims in lrt._project(h, chunk)))
+    # per replicate, each set's fitted means, projected once per chunk
+    return zip(*(zip(*means) for means, _ in lrt._project(h, chunk)))
 
 
 def calibrate_null(config, truth, n, reps, seed):
@@ -206,6 +206,7 @@ def calibrate_null(config, truth, n, reps, seed):
     reps = check_integer(reps, "reps")
     if reps < 1000:
         raise ValueError("calibration needs reps >= 1000, got %d" % reps)
+    seed = _check_seed(seed)
     if not isinstance(truth, Mapping):
         raise ValueError("truth must be a mapping, got %r" % (truth,))
     two_sample = "M1" in truth
@@ -223,9 +224,12 @@ def calibrate_null(config, truth, n, reps, seed):
         raise ValueError("generator mean is not in the null set of %r"
                          % h.test_id)
     draws = _draws(means, sizes, cov_true, reps, seed, scatter=h.spec.scatter)
-    stats = np.fromiter((lrt._statistic(h, drawn, fit)[0] for chunk in draws
-                         for drawn, fit in zip(chunk.replicates(),
-                                               _fits(h, chunk))), float, reps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = np.fromiter(
+            (lrt._statistic(h, drawn, fit)[0] for chunk in draws
+             for drawn, fit in zip(chunk.replicates(), _fits(h, chunk))),
+            float, reps)
+    lrt._check_finite(h, stats)
     stats.sort()
     pvals = lrt.pvalue(h.dist, stats)
     n1, n2 = sizes if two_sample else (None, None)
@@ -251,18 +255,24 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     if estimator not in ("mean", "sigma2", "tau", "pooled_sigma2", "pooled_tau",
                          "eigvec_var"):
         raise ValueError("unknown estimator %r" % (estimator,))
-    reps = _check_reps(reps)
+    reps, seed = _check_reps(reps), _check_seed(seed)
     pooled = estimator.startswith("pooled_")
     means, cov = _generator(truth, ("M1", "M2") if pooled else ("M",))
     M = means[0]
     dec = eigh_desc(M)
     pset = (FixedEigvals(dec.lam, Multiplicities((1,) * M.shape[0]))
             if estimator == "eigvec_var" else Unrestricted())
+    # one observation per group at least; a covariance fit needs two, for
+    # the spread within each group
+    per_group = 1 if estimator in ("mean", "eigvec_var") else 2
+    grid = [check_integer(v, "n") for v in n_grid]
+    for n in grid:
+        if n < per_group * len(means):
+            raise ValueError("estimator %r requires n >= %d, got %d"
+                             % (estimator, per_group * len(means), n))
     rows = []
-    for i, n in enumerate(check_integer(v, "n") for v in n_grid):
+    for i, n in enumerate(grid):
         sizes = (n // 2, n - n // 2) if pooled else (n,)
-        if min(sizes) < 1:
-            raise ValueError("need n >= %d, got %d" % (len(sizes), n))
         vals = []
         for chunk in _draws(means, sizes, cov, reps, seed, (i,)):
             # one projection per chunk; sigma2 and tau are fitted per replicate
@@ -275,7 +285,7 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
                 vals.extend(a_hat)
             else:
                 k = 0 if estimator.endswith("sigma2") else 1
-                vals.extend(_fit_cov(drawn, _residuals(drawn, m))[k]
+                vals.extend(_fit_cov(drawn, _fit_residuals(drawn, pset, m))[k]
                             for drawn, m in zip(chunk.replicates(), zip(*fitted)))
         vals = np.array(vals)
         if estimator == "mean":

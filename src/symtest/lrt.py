@@ -11,12 +11,15 @@ objects, and run_config on a JSON-style config. Both bind the test once
 counts: the checks that shape decides, the sets and the reference are
 made there and nowhere else. The runner projects the sample means onto
 both sets (onesample.project: one or two groups, one mean or a chunk's
-stack). Its statistic step (_statistic) is per-sample arithmetic: it
-forms each fit's residual once and keeps three numbers per group
-(onesample._residuals: tr r, ||r||^2 and ||r - (tr r/p) I||^2), fits
-(sigma2, tau) under the null when no covariance is given, and evaluates
-the entry's statistic. Only _run adds the fits, the warnings and the
-p-value. pvalue takes a scalar or an array of statistics, quantile a
+stack). Its statistic step (_statistic) is per-sample arithmetic on the
+two fits' means: it forms each restricted fit's residual once and keeps
+three numbers per group (onesample._fit_residuals: tr r, ||r||^2 and
+||r - (tr r/p) I||^2), while an unrestricted fit, the sample mean, has
+none; it fits (sigma2, tau) under the null when no covariance is given,
+and evaluates the entry's statistic. Only _run adds the fits, the
+warnings and the p-value. A known sigma2 too small for the data's scale
+overflows the statistic: a run and a calibration report it in one
+message (_check_finite). pvalue takes a scalar or an array of statistics, quantile a
 scalar or an array of probabilities.
 
 The two sets fix a test's reference (_reference): chi-square with
@@ -78,7 +81,7 @@ from .onesample import (
     Point,
     Unrestricted,
     _fit_cov,
-    _residuals,
+    _fit_residuals,
     _sigma2,
     contains,
     dimension,
@@ -564,30 +567,39 @@ def _project(h, stats):
     return [project(pset, *stats.ybar, n=stats.n) for pset in h.sets]
 
 
-def _statistic(h, stats, fits):
+def _statistic(h, stats, means):
     """The statistic of a bound hypothesis on one sample, and its covariance.
 
-    fits are each set's (fitted means, face_dim) for the sample (_project).
-    Reads each fit's residual once (_residuals), takes the known covariance
-    or fits (sigma2, tau) under the null, and applies the entry's statistic
-    and the clamp. Returns (statistic, CovParams).
+    means are the null and alternative fits' means for the sample
+    (_project). Reads each restricted fit's residual once; an unrestricted
+    fit, the sample mean, has none (_fit_residuals). Takes the known
+    covariance or fits (sigma2, tau) under the null, and applies the
+    entry's statistic and the clamp. Returns (statistic, CovParams).
     """
-    (m0, _), (m1, _) = fits
-    res0, res1 = _residuals(stats, m0), _residuals(stats, m1)
+    (null, alt), (m0, m1) = h.sets, means
+    res0, res1 = _fit_residuals(stats, null, m0), _fit_residuals(stats, alt, m1)
     cov = h.args.get("cov") or CovParams(*_fit_cov(stats, res0))
     t, size = h.spec.statistic(h, stats, res0, res1, cov)
     return _clamp(t, h.dist, size), cov
 
 
-def _run(h, stats):
-    # the TestResult of a bound hypothesis: its fits, warnings and p-value;
+def _check_finite(h, t):
     # a known sigma2 too small for the data's scale overflows the statistic
+    # (t one or an array of them), which the caller computed under np.errstate
+    t = np.asarray(t)
+    bad = t[~np.isfinite(t)]
+    if bad.size and h.args.get("cov") is not None:
+        raise ValueError("statistic is %r at the known sigma2 = %r, too small "
+                         "for the data's scale"
+                         % (float(bad[0]), h.args["cov"].sigma2))
+
+
+def _run(h, stats):
+    # the TestResult of a bound hypothesis: its fits, warnings and p-value
     fits = _project(h, stats)
     with np.errstate(over="ignore", invalid="ignore"):
-        t, cov = _statistic(h, stats, fits)
-    if not math.isfinite(t) and h.args.get("cov") is not None:
-        raise ValueError("statistic is %r at the known sigma2 = %r, too small "
-                         "for the data's scale" % (t, cov.sigma2))
+        t, cov = _statistic(h, stats, [m for m, _ in fits])
+    _check_finite(h, t)
     fit_null, fit_alt = (FitResult(m, cov.sigma2, cov.tau, pset, dim)
                          for pset, (m, dim) in zip(h.sets, fits))
     warns = []

@@ -22,7 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import check_symmetric, norm_sq, sym_dim, vecd, vecd_inv
+from .symcore import (check_integer, check_symmetric, norm_sq, sym_dim, vecd,
+                      vecd_inv)
+
+
+def _check_seed(seed):
+    # an integer seed, nonnegative as the CLI's: a ValueError that names it,
+    # where numpy's errors name nothing (and numpy takes True as 1)
+    seed = check_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative, got %d" % seed)
+    return seed
 
 
 def _rng_from(seed):
@@ -32,7 +42,8 @@ def _rng_from(seed):
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
 
 
 def build_sigma(p, cov):

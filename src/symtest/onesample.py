@@ -29,10 +29,12 @@ two eigenvalues, v1 = sigma2/(1 - p tau) on the trace line vecd(I)/sqrt(p)
 and v2 = sigma2 off it, whose MLEs are two mean squares of the residuals
 about the fitted means: the within-group sums of SuffStats plus n_g
 times the squared lack of fit r = Ybar_g - M_g of each group, of which
-they read only tr r and ||r - (tr r/p) I||^2. mle returns one FitResult
-for one or two groups. eigvec_uncertainty gives the asymptotic normal
-law of the eigenvector estimation error for distinct-spectrum fits,
-expressed as a rotation logarithm, for one fit or a stack.
+they read only tr r and ||r - (tr r/p) I||^2. An Unrestricted fit is
+the sample mean, so its r is exactly zero and is never formed. mle
+returns one FitResult for one or two groups. eigvec_uncertainty gives
+the asymptotic normal law of the eigenvector estimation error for
+distinct-spectrum fits, expressed as a rotation logarithm, for one fit
+or a stack.
 """
 
 import math
@@ -306,6 +308,15 @@ def _residuals(stats, means):
     return out
 
 
+def _fit_residuals(stats, pset, means):
+    # _residuals of a fit over pset. An Unrestricted fit is the sample mean
+    # itself, so its residual is exactly zero: its sums are numpy zeros, as
+    # _residuals would type them, with no pass over the data
+    if isinstance(pset, Unrestricted):
+        return [(np.float64(0.0),) * 3] * len(stats.n)
+    return _residuals(stats, means)
+
+
 def _variance_sums(stats, res):
     # (s1, s2): the summed squared residuals about the fitted means (spread
     # plus lack of fit) on the trace line vecd(I)/sqrt(p) and off it, from
@@ -392,8 +403,8 @@ def mle(pset, stats, cov=None):
     a FitResult with one fitted mean per group.
     """
     means, face_dim = project(pset, *stats.ybar, n=stats.n)
-    return FitResult(means, *_fit_cov(stats, _residuals(stats, means), cov),
-                     pset, face_dim)
+    res = _fit_residuals(stats, pset, means)
+    return FitResult(means, *_fit_cov(stats, res, cov), pset, face_dim)
 
 
 def contains(pset, *means, tol=1e-9):

@@ -8,6 +8,7 @@ the eigenvector perturbation variance law.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -441,6 +442,27 @@ class TestConsistencyStudy:
         with pytest.raises(ValueError, match=r"^truth requires 'sigma2'$"):
             consistency_study("sigma2", truth, [10], 5, 0)
 
+    @pytest.mark.parametrize("estimator,n,least", [
+        ("sigma2", 1, 2), ("tau", 1, 2), ("pooled_sigma2", 3, 4),
+        ("pooled_tau", 2, 4), ("pooled_tau", 3, 4), ("mean", 0, 1)])
+    def test_too_small_n_is_rejected_before_drawing(self, monkeypatch,
+                                                    estimator, n, least):
+        # a covariance fit needs two observations per group; the whole grid
+        # is checked before the first draw, with the estimator named
+        import symtest.calibrate as cal
+        M = [[1.0, 0.0], [0.0, 0.0]]
+        truth = ({"M1": M, "M2": M} if estimator.startswith("pooled_")
+                 else {"M": M})
+        truth.update(sigma2=1.0, tau=0.0)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking n")
+
+        monkeypatch.setattr(cal, "_draws", no_draw)
+        with pytest.raises(ValueError, match=r"^estimator %r requires n >= %d, "
+                           r"got %d$" % (estimator, least, n)):
+            consistency_study(estimator, truth, [10, n], 5, 0)
+
     def test_unknown_estimator(self):
         truth = {"M": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
         for estimator in ("median", {"id": "tau"}, 5):
@@ -458,6 +480,49 @@ def test_monte_carlo_counts_must_be_integral():
         consistency_study("mean", truth, [10], 2.9, 0)
     with pytest.raises(ValueError, match="n must be an integer"):
         consistency_study("mean", truth, [10.7], 2, 0)
+
+
+SEED_CALLS = {
+    "sample": lambda seed: sample(2, np.eye(2), CovParams(1.0, 0.0), seed),
+    "calibrate_null": lambda seed: calibrate_null(
+        {"test_id": "a0", "M0": np.eye(2).tolist(),
+         "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}},
+        {"M": np.eye(2).tolist(), "sigma2": 1.0, "tau": 0.0}, 5, 1000, seed),
+    "estimate_cone_weights": lambda seed: estimate_cone_weights(
+        (1.0, 0.0), 100, seed),
+    "consistency_study": lambda seed: consistency_study(
+        "mean", {"M": np.eye(2).tolist(), "sigma2": 1.0, "tau": 0.0}, [5], 10,
+        seed),
+    "cone_boundary_law": lambda seed: cone_boundary_law(
+        (1.0, 0.0), n=5, reps=100, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed,message", [
+    (-1, "seed must be nonnegative, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True")], ids=["negative", "fraction",
+                                                       "bool"])
+@pytest.mark.parametrize("call", sorted(SEED_CALLS))
+def test_library_seed_names_itself(call, seed, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        SEED_CALLS[call](seed)
+
+
+@pytest.mark.parametrize("call", [
+    "sample", "estimate_cone_weights", "cone_boundary_law"])
+def test_library_seed_takes_a_generator_or_seed_sequence(call):
+    # a seed sequence or a generator passes unchanged: the same draw as its
+    # integer (calibrate_null and consistency_study spawn their chunk
+    # streams from an integer, and take only that)
+    want = SEED_CALLS[call](7)
+    for seed in (np.random.SeedSequence(7),
+                 np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))):
+        got = SEED_CALLS[call](seed)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
 
 
 @pytest.mark.parametrize("reps", [0, -1])

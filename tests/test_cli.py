@@ -673,6 +673,20 @@ class TestExitCodes:
             2, "", "error: statistic is inf at the known sigma2 = 1e-320, "
             "too small for the data's scale\n")
 
+    def test_calibrate_non_finite_statistic_names_sigma2(self, tmp_path, capsys):
+        # the same one line from a calibration, whose replicates all overflow
+        cfg = write_config(tmp_path, "c.json", {
+            "test": {"test_id": "a0", "M0": [[2.0, 0.0], [0.0, 1.0]],
+                     "cov": {"known": {"sigma2": 1e-320, "tau": 0.1}}},
+            "truth": {"M": [[2.0, 0.0], [0.0, 1.0]], "sigma2": 1.0, "tau": 0.1},
+            "n": 5, "reps": 1000, "seed": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["calibrate", "--config", cfg])
+        assert (code, out, err) == (
+            2, "", "error: statistic is inf at the known sigma2 = 1e-320, "
+            "too small for the data's scale\n")
+
     @pytest.mark.parametrize("value", ["false", "x", 2.5, [3], {"a": 1}, False,
                                        None], ids=["false-string", "string",
                                                    "number", "array", "object",

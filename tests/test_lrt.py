@@ -1106,16 +1106,19 @@ class TestRunConfig:
         run_config(config, S, n1=20 if two else None)
         assert len(calls) == expected
 
-    @pytest.mark.parametrize("test_id,cov", [
-        ("a0", {"estimate": True}), ("a0", None),
-        ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}),
-        ("s2", {"estimate": True}), ("2a0", {"estimate": True})],
+    @pytest.mark.parametrize("test_id,cov,expected", [
+        ("a0", {"estimate": True}, 1), ("a0", None, 1),
+        ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}, 1),
+        ("s2", {"estimate": True}, 1), ("2a0", {"estimate": True}, 1),
+        ("s1", {"estimate": True}, 2), ("2s2", {"estimate": True}, 2),
+        ("cov-check", None, 0)],
         ids=["a0-estimate", "a0-default", "a0-known", "s2-estimate",
-             "2a0-estimate"])
-    def test_residual_passes_per_run(self, monkeypatch, test_id, cov):
-        # each fit's residual is formed once, whatever the covariance: the
-        # null fit's (sigma2, tau), the F variant's sigma2 at the
-        # alternative and the statistic all read those sums
+             "2a0-estimate", "s1-estimate", "2s2-estimate", "cov-check"])
+    def test_residual_passes_per_run(self, monkeypatch, test_id, cov, expected):
+        # each restricted fit's residual is formed once, whatever the
+        # covariance: the null fit's (sigma2, tau), the F variant's sigma2
+        # at the alternative and the statistic all read those sums. An
+        # unrestricted fit is the sample mean, whose residual is zero
         import sys
         from symtest import onesample
         calls = []
@@ -1134,12 +1137,52 @@ class TestRunConfig:
                   "multiplicities": [1, 1, 1], "cov": cov}
         config = {k: v for k, v in config.items() if v is not None and (
             k in ("test_id", "cov") + lrt.TESTS[test_id].keys)}
-        S = sample(20, M, CovParams(1.0, 0.1), 386)
+        # cov-check needs n > q(q+3)/2 = 27
+        S = sample(40 if test_id == "cov-check" else 20, M,
+                   CovParams(1.0, 0.1), 386)
         two = test_id in TWO_GROUP
         if two:
             S = np.concatenate([S, sample(20, M, CovParams(1.0, 0.1), 387)])
         run_config(config, S, n1=20 if two else None)
-        assert len(calls) == 2
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("test_id", [
+        "a0", "a2", "c2", "s2", "s3", "cov-check", "2a0", "2s1"])
+    def test_unrestricted_fit_skips_its_pass_bit_for_bit(
+            self, monkeypatch, test_id, scale):
+        # an unrestricted fit's residual is not formed; the statistic, the
+        # p-value and the covariance fit equal those of a full pass, bit
+        # for bit, with a known and with an estimated covariance
+        from symtest import onesample
+        M = np.diag([3.0, 2.0, 1.0])
+        config = {"test_id": test_id, "M0": (scale * M).tolist(),
+                  "U0": np.eye(3).tolist(), "D0": [3 * scale, 2 * scale, scale],
+                  "multiplicities": [1, 1, 1]}
+        spec = lrt.TESTS[test_id]
+        config = {k: v for k, v in config.items()
+                  if k in ("test_id",) + spec.keys + spec.optional}
+        S = scale * sample(40, M, CovParams(1.0, 0.1), 389)
+        n1 = 20 if test_id in TWO_GROUP else None
+        covs = [None] if test_id == "cov-check" else [
+            {"estimate": True},
+            {"known": {"sigma2": scale ** 2, "tau": 0.1}}]
+
+        def bits(res):
+            return [float(x).hex() for x in (
+                res.statistic, res.p_value, res.fit_null.sigma2_hat,
+                res.fit_null.tau_hat)]
+
+        for cov in covs:
+            c = config if cov is None else dict(config, cov=cov)
+            h = lrt.parse_config(c, 3, (40,) if n1 is None else (20, 20))
+            assert any(isinstance(pset, onesample.Unrestricted) for pset in h.sets)
+            fast = bits(run_config(c, S, n1=n1))
+            with monkeypatch.context() as m:
+                m.setattr(lrt, "_fit_residuals", lambda stats, pset, means:
+                          onesample._residuals(stats, means))
+                full = bits(run_config(c, S, n1=n1))
+            assert fast == full
 
     @pytest.mark.parametrize("test_id,sizes", [
         ("a0", (1,)), ("a1", (1,)), ("s3", (1,)), ("2a0", (1, 1)),

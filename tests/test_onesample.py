@@ -25,6 +25,8 @@ from symtest.onesample import (
     OrderedCone,
     Point,
     Unrestricted,
+    _fit_residuals,
+    _residuals,
     contains,
     eigvec_uncertainty,
     estimate_sigma2,
@@ -441,6 +443,20 @@ class TestCovarianceEstimators:
         tau_hat = estimate_tau(SuffStats.from_sample(S), (S.mean(axis=0),))
         s2 = estimate_sigma2(SuffStats.from_sample(S), (S.mean(axis=0),), tau_hat)
         assert s2 == pytest.approx(1.7, abs=0.05)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("n1", [None, 7])
+    def test_residual_at_the_sample_mean_is_exactly_zero(self, scale, n1):
+        # the identity that lets an Unrestricted fit skip its residual pass:
+        # Ybar_g - Ybar_g is exactly zero, so its sums are exactly 0.0
+        S = scale * sample(15, np.diag([3.0, 1.0, -2.0]), CovParams(1.0, 0.1), 905)
+        stats = SuffStats.from_sample(S, n1)
+        res = _residuals(stats, stats.ybar)
+        assert len(res) == len(stats.n)
+        for sums in res:
+            assert [(type(x), x, math.copysign(1.0, x)) for x in sums] == [
+                (np.float64, 0.0, 1.0)] * 3
+        assert _fit_residuals(stats, Unrestricted(), stats.ybar) == res
 
     def test_tau_stays_below_upper_limit(self):
         # The estimator never reaches the boundary tau = 1/p.
