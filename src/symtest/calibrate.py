@@ -1,10 +1,12 @@
 """Monte Carlo harness: null calibration, cone weights, consistency studies.
 
 Replicates are drawn in chunks, each from its own independent,
-order-insensitive substream (a SeedSequence spawn key per chunk), so
-every report is bit-reproducible for a given seed. One- and two-group
-studies share one path: a chunk draws each group's sufficient statistics
-directly from their exact laws, as arrays over its replicates: the means
+order-insensitive substream, the seed's child (c,) for chunk c, (i, c) at
+grid point i of a consistency study (matnormal._rng_from). So every
+report is bit-reproducible for a seed, and SeedSequence(s) gives the
+report of the integer s. One- and two-group studies share one path: a
+chunk draws each group's sufficient statistics directly from their exact
+laws, as arrays over its replicates: the means
 Ybar_g ~ N(M_g, sigma2/n_g, tau) and the two independent variance
 components of the residuals, scaled chi-squares, so a replicate's cost
 does not grow with n_g. A test whose statistic reads log|W_g/n_g|
@@ -19,8 +21,7 @@ fitted means, with no residual pass for an unrestricted fit) runs
 replicate by replicate, and the p-values of all replicates are taken in
 one lrt.pvalue call, the reference's quantiles in one lrt.quantile call.
 An eigenvector consistency study decomposes each chunk's fitted frames
-in one call too. Integer seeds are checked once per call
-(matnormal._check_seed).
+in one call too.
 """
 
 from collections.abc import Mapping
@@ -40,7 +41,7 @@ from .symcore import (
     float_array,
     sym_dim,
 )
-from .matnormal import SuffStats, _check_seed, _rng_from, _sigma_root, sample
+from .matnormal import SuffStats, _rng_from, _sigma_root, sample
 from .onesample import (
     FixedEigvals,
     Unrestricted,
@@ -155,12 +156,12 @@ def _generator(truth, keys, what="truth"):
 def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
     """Yield each chunk of replicates as stacked SuffStats, drawn directly.
 
-    Chunk c of r <= _CHUNK replicates draws from one stream, spawn key
-    key + (c,), group 1 first: all r means Ybar_g ~ N(M_g, sigma2/n_g, tau)
-    in one `sample` call, then a_g ~ v1 chi2(n_g - 1) and
-    b_g ~ v2 chi2((q - 1)(n_g - 1)), independent of Ybar_g because v1 =
-    sigma2/(1 - p tau) and v2 = sigma2 are the covariance's eigenvalues on
-    the trace line and off it. With scatter, W_g ~ Wishart(n_g - 1, Sigma)
+    Chunk c of r <= _CHUNK replicates draws from one stream, the seed's
+    child key + (c,), group 1 first: all r means
+    Ybar_g ~ N(M_g, sigma2/n_g, tau) in one `sample` call, then
+    a_g ~ v1 chi2(n_g - 1) and b_g ~ v2 chi2((q - 1)(n_g - 1)), independent
+    of Ybar_g because v1 = sigma2/(1 - p tau) and v2 = sigma2 are the
+    covariance's eigenvalues on the trace line and off it. With scatter, W_g ~ Wishart(n_g - 1, Sigma)
     is drawn instead by its Bartlett decomposition (Anderson 2003, ch. 7) in
     a frame whose first axis is the trace line, as r rows of c_i = T_ii^2 ~
     chi2(n_g - i), i = 1..q (n_g > q), then the r squares s ~ chi2(q(q-1)/2)
@@ -172,7 +173,7 @@ def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
     v1, v2 = cov.sigma2 / (1.0 - p * cov.tau), cov.sigma2
     for c, start in enumerate(range(0, reps, _CHUNK)):
         r = min(_CHUNK, reps - start)
-        rng = _rng_from(np.random.SeedSequence(seed, spawn_key=key + (c,)))
+        rng = _rng_from(seed, key + (c,))
         ybar, a, b, logdet = [], [], [], []
         for M, k in zip(means, sizes):
             ybar.append(sample(r, M, CovParams(cov.sigma2 / k, cov.tau), rng))
@@ -206,7 +207,6 @@ def calibrate_null(config, truth, n, reps, seed):
     reps = check_integer(reps, "reps")
     if reps < 1000:
         raise ValueError("calibration needs reps >= 1000, got %d" % reps)
-    seed = _check_seed(seed)
     if not isinstance(truth, Mapping):
         raise ValueError("truth must be a mapping, got %r" % (truth,))
     two_sample = "M1" in truth
@@ -255,7 +255,7 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     if estimator not in ("mean", "sigma2", "tau", "pooled_sigma2", "pooled_tau",
                          "eigvec_var"):
         raise ValueError("unknown estimator %r" % (estimator,))
-    reps, seed = _check_reps(reps), _check_seed(seed)
+    reps = _check_reps(reps)
     pooled = estimator.startswith("pooled_")
     means, cov = _generator(truth, ("M1", "M2") if pooled else ("M",))
     M = means[0]

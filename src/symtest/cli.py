@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, calibrate, lrt
 from .symcore import check_integer, eigh_desc, matrix_log, sym_dim
-from .matnormal import sample
+from .matnormal import _rng_from, sample
 
 
 class InputError(Exception):
@@ -260,10 +260,10 @@ def cmd_simulate(args):
     if "p" in config and check_integer(config["p"], "config 'p'") != p:
         raise InputError("config p=%d does not match the mean's dimension %d"
                          % (int(config["p"]), p))
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(2) if len(keys) == 2 else (root,)
-    S = np.concatenate([sample(k, M, cov, ss)
-                        for k, M, ss in zip(sizes, means, streams)])
+    # a one-group sample draws from the seed, group g of two from its child g
+    streams = [(0,), (1,)] if len(keys) == 2 else [()]
+    S = np.concatenate([sample(k, M, cov, _rng_from(seed, key))
+                        for k, M, key in zip(sizes, means, streams)])
     write_dataset(args.out, S, sizes[0] if len(keys) == 2 else None)
 
 

@@ -82,7 +82,6 @@ from .onesample import (
     Unrestricted,
     _fit_cov,
     _fit_residuals,
-    _sigma2,
     contains,
     dimension,
     project,
@@ -274,7 +273,7 @@ def _lr(h, stats, res0, res1, cov):
     scale = 1.0
     if isinstance(h.dist, FDist):
         n = sum(stats.n)
-        cov = CovParams(_sigma2(stats, res1, cov.tau), cov.tau)
+        cov = CovParams(*_fit_cov(stats, res1, cov.tau))
         scale = (n - len(stats.n)) / (sym_dim(stats.p) * n)
     if h.spec.tau_free:
         cov = CovParams(cov.sigma2)

@@ -12,7 +12,9 @@ tau < 1/p by mapping one block of standard normals in vecd order through
 R, and reduces a sample to its sufficient statistics (SuffStats): per
 group the count, the mean, the residual variance on the trace line and
 off it, and the log-determinant of the residual covariance, which only
-cov-check reads. R is the only factor any draw uses.
+cov-check reads. R is the only factor any draw uses, and _rng_from the
+only code that turns a seed into a stream. A sample with a non-finite
+entry is refused, naming its first such observation (from 1).
 
 Samples are stored as (n, p, p) arrays of symmetric matrices.
 """
@@ -26,24 +28,25 @@ from .symcore import (check_integer, check_symmetric, norm_sq, sym_dim, vecd,
                       vecd_inv)
 
 
-def _check_seed(seed):
-    # an integer seed, nonnegative as the CLI's: a ValueError that names it,
-    # where numpy's errors name nothing (and numpy takes True as 1)
-    seed = check_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative, got %d" % seed)
-    return seed
-
-
-def _rng_from(seed):
-    # Philox is counter-based: independent child streams spawned from a
-    # SeedSequence are reproducible regardless of draw or worker order.
+def _rng_from(seed, key=()):
+    # the one rule from a seed to a (counter-based, order-insensitive) Philox
+    # stream: an integer or a SeedSequence spawns `key` below its own spawn
+    # key, exactly as SeedSequence.spawn does; a Generator is used as given
     if isinstance(seed, np.random.Generator):
+        if key:
+            raise ValueError("seed must be an integer or a SeedSequence to "
+                             "spawn streams from, got a Generator")
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
+    if not isinstance(seed, np.random.SeedSequence):
+        # nonnegative, as the CLI's; numpy's errors name nothing (and it
+        # takes True as 1)
+        seed = check_integer(seed, "seed")
+        if seed < 0:
+            raise ValueError("seed must be nonnegative, got %d" % seed)
+        seed = np.random.SeedSequence(seed)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key + tuple(key),
+        pool_size=seed.pool_size)))
 
 
 def build_sigma(p, cov):
@@ -98,6 +101,7 @@ def sample(n, M, cov, seed):
     M = check_symmetric(M, "M")
     p = M.shape[0]
     R = _sigma_root(p, cov)
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     z = _rng_from(seed).standard_normal((n, sym_dim(p)))
@@ -134,6 +138,11 @@ class SuffStats:
         if S.ndim != 3 or S.shape[0] < 1 or S.shape[1] != S.shape[2]:
             raise ValueError("expected a nonempty (n, p, p) sample, got shape %s"
                              % (S.shape,))
+        bad = np.flatnonzero(~np.isfinite(S).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError("observation %d has a non-finite entry"
+                             % (bad[0] + 1))
+        n1 = None if n1 is None else check_integer(n1, "n1")
         if n1 is not None and not 1 <= n1 < S.shape[0]:
             raise ValueError("need 1 <= n1 < n, got n1=%d, n=%d" % (n1, S.shape[0]))
         parts = (S,) if n1 is None else (S[:n1], S[n1:])

@@ -29,8 +29,9 @@ two eigenvalues, v1 = sigma2/(1 - p tau) on the trace line vecd(I)/sqrt(p)
 and v2 = sigma2 off it, whose MLEs are two mean squares of the residuals
 about the fitted means: the within-group sums of SuffStats plus n_g
 times the squared lack of fit r = Ybar_g - M_g of each group, of which
-they read only tr r and ||r - (tr r/p) I||^2. An Unrestricted fit is
-the sample mean, so its r is exactly zero and is never formed. mle
+they read only tr r and ||r - (tr r/p) I||^2; _fit_cov gives both MLEs,
+or sigma2's at a given tau, for every fit. An Unrestricted fit is the
+sample mean, so its r is exactly zero and is never formed. mle
 returns one FitResult for one or two groups. eigvec_uncertainty gives
 the asymptotic normal law of the eigenvector estimation error for
 distinct-spectrum fits, expressed as a rotation logarithm, for one fit
@@ -317,17 +318,6 @@ def _fit_residuals(stats, pset, means):
     return _residuals(stats, means)
 
 
-def _variance_sums(stats, res):
-    # (s1, s2): the summed squared residuals about the fitted means (spread
-    # plus lack of fit) on the trace line vecd(I)/sqrt(p) and off it, from
-    # the fits' _residuals
-    s1, s2 = 0.0, 0.0
-    for n, a, b, (tr, _, off) in zip(stats.n, stats.a, stats.b, res):
-        s1 += a + n * tr ** 2 / stats.p
-        s2 += b + n * off
-    return s1, s2
-
-
 def estimate_sigma2(stats, means, tau):
     """MLE of sigma2 given one fitted mean per group and tau.
 
@@ -336,18 +326,7 @@ def estimate_sigma2(stats, means, tau):
     value (possible only in degenerate samples, e.g. n = 1 with a perfect
     fit) is returned as-is with a warning.
     """
-    return _sigma2(stats, _residuals(stats, means), tau)
-
-
-def _sigma2(stats, res, tau):
-    p = stats.p
-    if not tau < 1.0 / p:
-        raise ValueError("tau must be < 1/p")
-    s1, s2 = _variance_sums(stats, res)
-    out = (s2 + (1.0 - p * tau) * s1) / (sym_dim(p) * sum(stats.n))
-    if out <= 0.0:
-        warnings.warn("degenerate variance estimate (sigma2_hat = %g)" % out)
-    return out
+    return _fit_cov(stats, _residuals(stats, means), tau)[0]
 
 
 def estimate_tau(stats, means):
@@ -361,22 +340,33 @@ def estimate_tau(stats, means):
     return _fit_cov(stats, _residuals(stats, means))[1]
 
 
-def _fit_cov(stats, res, cov=None):
-    """(sigma2, tau) from the fits' _residuals: the known cov, or the MLEs.
+def _fit_cov(stats, res, tau=None):
+    """(sigma2, tau) from the fits' _residuals: both MLEs, or sigma2's at tau.
 
-    sigma2 = v2 and tau = (1 - v2/v1)/p, v1 = s1/n and v2 = s2/((q - 1) n)
-    the mean squares on the trace line and off it.
+    s1 and s2 are the summed squared residuals about the fitted means
+    (spread plus lack of fit) on the trace line vecd(I)/sqrt(p) and off
+    it, v1 = s1/n and v2 = s2/((q - 1) n) their mean squares. The MLEs
+    are sigma2 = v2 and tau = (1 - v2/v1)/p; at a given tau, sigma2 =
+    (s2 + (1 - p tau) s1)/(q n).
     """
-    if cov is not None:
-        return cov.sigma2, cov.tau
-    p = stats.p
-    if p < 2:
+    p, n = stats.p, sum(stats.n)
+    if tau is None and p < 2:
         raise ValueError("tau estimation requires p >= 2")
-    s1, s2 = _variance_sums(stats, res)
+    if tau is not None and not tau < 1.0 / p:
+        raise ValueError("tau must be < 1/p")
+    s1, s2 = 0.0, 0.0
+    for k, a, b, (tr, _, off) in zip(stats.n, stats.a, stats.b, res):
+        s1 += a + k * tr ** 2 / p
+        s2 += b + k * off
+    if tau is not None:
+        sigma2 = (s2 + (1.0 - p * tau) * s1) / (sym_dim(p) * n)
+        if sigma2 <= 0.0:
+            warnings.warn("degenerate variance estimate (sigma2_hat = %g)"
+                          % sigma2)
+        return sigma2, tau
     if s1 == 0.0:
         raise ValueError("tau estimate undefined: all residual traces vanish "
                          "(n = 1 or degenerate sample)")
-    n = sum(stats.n)
     v1, v2 = s1 / n, s2 / ((sym_dim(p) - 1) * n)
     tau = (1.0 - v2 / v1) / p
     if not tau < 1.0 / p:
@@ -403,8 +393,9 @@ def mle(pset, stats, cov=None):
     a FitResult with one fitted mean per group.
     """
     means, face_dim = project(pset, *stats.ybar, n=stats.n)
-    res = _fit_residuals(stats, pset, means)
-    return FitResult(means, *_fit_cov(stats, res, cov), pset, face_dim)
+    fit = ((cov.sigma2, cov.tau) if cov is not None else
+           _fit_cov(stats, _fit_residuals(stats, pset, means)))
+    return FitResult(means, *fit, pset, face_dim)
 
 
 def contains(pset, *means, tol=1e-9):

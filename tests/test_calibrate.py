@@ -509,20 +509,37 @@ def test_library_seed_names_itself(call, seed, message):
         SEED_CALLS[call](seed)
 
 
-@pytest.mark.parametrize("call", [
-    "sample", "estimate_cone_weights", "cone_boundary_law"])
+@pytest.mark.parametrize("call", sorted(SEED_CALLS))
 def test_library_seed_takes_a_generator_or_seed_sequence(call):
-    # a seed sequence or a generator passes unchanged: the same draw as its
-    # integer (calibrate_null and consistency_study spawn their chunk
-    # streams from an integer, and take only that)
+    # a seed sequence gives the draw of its integer at every entry point. A
+    # generator passes unchanged where one stream is drawn; calibrate_null
+    # and consistency_study spawn one stream per chunk, which a generator
+    # cannot, so they refuse it by name
+    def same(got, want):
+        if isinstance(want, CalibrationReport):
+            return np.array_equal(got.statistics, want.statistics)
+        return np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
     want = SEED_CALLS[call](7)
-    for seed in (np.random.SeedSequence(7),
-                 np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))):
-        got = SEED_CALLS[call](seed)
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want)
-        else:
-            assert got == want
+    assert same(SEED_CALLS[call](np.random.SeedSequence(7)), want)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+    if call in ("calibrate_null", "consistency_study"):
+        with pytest.raises(ValueError, match="^seed must be an integer or a "
+                           "SeedSequence to spawn streams from, got a Generator$"):
+            SEED_CALLS[call](gen)
+    else:
+        assert same(SEED_CALLS[call](gen), want)
+
+
+def test_seed_sequence_spawns_below_its_own_key():
+    # a spawned child seeds a calibration as SeedSequence.spawn defines it:
+    # the child (1,) of 7 is the seed with entropy 7 and spawn key (1,)
+    call = SEED_CALLS["calibrate_null"]
+    child = np.random.SeedSequence(7).spawn(2)[1]
+    got = call(child).statistics
+    assert np.array_equal(
+        got, call(np.random.SeedSequence(7, spawn_key=(1,))).statistics)
+    assert not np.array_equal(got, call(7).statistics)
 
 
 @pytest.mark.parametrize("reps", [0, -1])

@@ -62,6 +62,20 @@ def test_traced_names_are_module_functions(module, name):
                             None))
 
 
+def test_names_the_benchmark_binds():
+    # symbench/run.py calls these by name, and ReplicateClock reads
+    # symtest.calibrate.sample when it is built: a module that stopped
+    # importing the sampler would stop every calibrate run before it measured
+    import symtest
+    import symtest.cli
+    import symtest.matnormal
+    assert calibrate.sample is symtest.matnormal.sample
+    for name in ("calibrate_null", "run_config", "estimate_cone_weights",
+                 "sample", "CovParams"):
+        assert callable(getattr(symtest, name, None)), name
+    assert callable(symtest.cli.main)
+
+
 def test_every_test_id_is_covered():
     assert set(CONFIGS) == set(lrt.TESTS)
 

@@ -7,6 +7,7 @@ the model covariance on both sides of the diagonal-coupling range.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,3 +298,49 @@ class TestMeans:
         S = np.zeros((5, 2, 2))
         with pytest.raises(ValueError, match="n1"):
             SuffStats.from_sample(S, n1)
+
+
+class TestSampleBoundary:
+    # the reduction of a sample refuses what no fit could use, by name,
+    # before any arithmetic
+    CONFIGS = {
+        "a0": {"test_id": "a0", "M0": np.eye(2).tolist(), "cov": {"estimate": True}},
+        "s2": {"test_id": "s2", "D0": [2.0, 1.0], "multiplicities": [1, 1],
+               "cov": {"estimate": True}},
+        "2a0": {"test_id": "2a0", "cov": {"estimate": True}},
+        "2s1": {"test_id": "2s1", "multiplicities": [1, 1],
+                "cov": {"estimate": True}},
+    }
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("test_id,n1,bad", [
+        ("a0", None, 3), ("s2", None, 3), ("2a0", 5, 3), ("2s1", 5, 3),
+        ("2a0", 5, 7), ("2s1", 5, 7)])
+    def test_non_finite_observation_is_named(self, test_id, n1, bad, value):
+        S = sample(10, np.diag([2.0, 1.0]), CovParams(1.0, 0.1), 5)
+        S[bad, 1, 0] = S[bad, 0, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^observation %d has a "
+                               "non-finite entry$" % (bad + 1)):
+                lrt.run_config(self.CONFIGS[test_id], S, n1)
+
+    @pytest.mark.parametrize("n1", [True, 2.5, "x", 1.0 + 1e-9])
+    def test_split_must_be_an_integer(self, n1):
+        with pytest.raises(ValueError, match="^n1 must be an integer, got "):
+            SuffStats.from_sample(np.zeros((5, 2, 2)), n1)
+
+    def test_integral_split_is_taken_as_its_integer(self):
+        S = sample(5, np.eye(2), CovParams(1.0), 3)
+        for n1 in (2.0, np.int64(2), "2"):
+            assert SuffStats.from_sample(S, n1).n == (2, 3)
+
+    @pytest.mark.parametrize("n", [True, 2.5, "x", None])
+    def test_sample_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            sample(n, np.eye(2), CovParams(1.0), 0)
+
+    def test_integral_count_is_taken_as_its_integer(self):
+        want = sample(3, np.eye(2), CovParams(1.0), 0)
+        for n in (3.0, np.int64(3), "3"):
+            assert np.array_equal(sample(n, np.eye(2), CovParams(1.0), 0), want)
