@@ -12,7 +12,10 @@ Reports are JSON with floats at 17 significant digits, byte-identical
 for a fixed (data, config, seed) apart from the timestamp, which
 --no-timestamp suppresses. Datasets are CSV: header `p=<int>,group`,
 then one observation per row as the p(p+1)/2 raw upper-triangle entries
-in row-major order followed by the group label (1 or 2).
+in row-major order followed by the group label (1 or 2). One reader
+(_read_text) decodes every input file once as UTF-8, naming the line of a
+bad byte; one writer (_write_csv, np.savetxt) writes every CSV. A test
+config's keys but test_id, seed and reps must be its test's arguments.
 
 Exit codes: 0 success, 1 internal-consistency failure, 2 input error.
 """
@@ -20,6 +23,7 @@ Exit codes: 0 success, 1 internal-consistency failure, 2 input error.
 import argparse
 import csv
 import datetime
+import io
 import json
 import math
 import sys
@@ -105,35 +109,30 @@ def _mle_payload(fit):
 # ---------------------------------------------------------------------------
 # dataset files
 
-def _open(path, mode="r"):
-    # path opened as the csv module needs it; an OSError is bad input
+def _read_text(path):
+    # path's bytes decoded once as UTF-8; a file that cannot be read, or a
+    # byte that is not UTF-8 text (named with its line), is bad input
     try:
-        return open(path, mode, newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode("utf-8")
     except OSError as e:
-        raise InputError("cannot %s %s: %s"
-                         % ("write" if "w" in mode else "read", path, e))
-
-
-def _decode_error(path, e):
-    # the InputError for a byte of path that e's text decoder rejected, on
-    # its line: the whole file is decoded again, as e's offset is a chunk's
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode(e.encoding)
-    except UnicodeDecodeError as whole:
-        return InputError("%s line %d: byte 0x%02x is not %s text" % (
-            path, data.count(b"\n", 0, whole.start) + 1, data[whole.start],
-            whole.encoding))
-    return InputError("%s: %s" % (path, e))
-
-
-def _lines(path, fh):
-    # fh's lines; a byte that is not text is bad input on its line
-    try:
-        yield from fh
+        raise InputError("cannot read %s: %s" % (path, e))
     except UnicodeDecodeError as e:
-        raise _decode_error(path, e)
+        raise InputError("%s line %d: byte 0x%02x is not utf-8 text"
+                         % (path, data.count(b"\n", 0, e.start) + 1,
+                            data[e.start]))
+
+
+def _write_csv(path, rows, fmt, header):
+    # rows under a header line, as np.savetxt formats them; a file that
+    # cannot be written is bad input
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            np.savetxt(fh, rows, fmt=fmt, delimiter=",", header=header,
+                       comments="")
+    except OSError as e:
+        raise InputError("cannot write %s: %s" % (path, e))
 
 
 def read_dataset(path):
@@ -142,40 +141,39 @@ def read_dataset(path):
     S stacks the group-1 observations before the group-2 ones; n1 is the
     group-1 count when group 2 is present, else None.
     """
-    with _open(path) as fh:
-        reader = csv.reader(_lines(path, fh))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("%s: empty file" % path)
+    if (len(header) != 2 or not header[0].startswith("p=")
+            or header[1].strip() != "group"):
+        raise InputError("%s line 1: header must be 'p=<int>,group'" % path)
+    try:
+        p = int(header[0][2:])
+    except ValueError:
+        raise InputError("%s line 1: bad dimension %r" % (path, header[0]))
+    if p < 1:
+        raise InputError("%s line 1: dimension must be positive" % path)
+    q = sym_dim(p)
+    groups = {1: [], 2: []}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != q + 1:
+            raise InputError("%s line %d: expected %d fields, got %d"
+                             % (path, lineno, q + 1, len(row)))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("%s: empty file" % path)
-        if (len(header) != 2 or not header[0].startswith("p=")
-                or header[1].strip() != "group"):
-            raise InputError("%s line 1: header must be 'p=<int>,group'" % path)
-        try:
-            p = int(header[0][2:])
-        except ValueError:
-            raise InputError("%s line 1: bad dimension %r" % (path, header[0]))
-        if p < 1:
-            raise InputError("%s line 1: dimension must be positive" % path)
-        q = sym_dim(p)
-        groups = {1: [], 2: []}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != q + 1:
-                raise InputError("%s line %d: expected %d fields, got %d"
-                                 % (path, lineno, q + 1, len(row)))
-            try:
-                vals = [float(v) for v in row[:q]]
-            except ValueError as e:
-                raise InputError("%s line %d: %s" % (path, lineno, e))
-            if not all(math.isfinite(v) for v in vals):
-                raise InputError("%s line %d: non-finite value" % (path, lineno))
-            g = row[q].strip()
-            if g not in ("1", "2"):
-                raise InputError("%s line %d: group must be 1 or 2, got %r"
-                                 % (path, lineno, g))
-            groups[int(g)].append(vals)
+            vals = [float(v) for v in row[:q]]
+        except ValueError as e:
+            raise InputError("%s line %d: %s" % (path, lineno, e))
+        if not all(math.isfinite(v) for v in vals):
+            raise InputError("%s line %d: non-finite value" % (path, lineno))
+        g = row[q].strip()
+        if g not in ("1", "2"):
+            raise InputError("%s line %d: group must be 1 or 2, got %r"
+                             % (path, lineno, g))
+        groups[int(g)].append(vals)
     if not groups[1]:
         raise InputError("%s: no group-1 observations" % path)
     # every row's upper triangle, group 1 first, mirrored in one assignment
@@ -193,22 +191,17 @@ def write_dataset(path, S, n1=None):
     iu = np.triu_indices(p)
     n1 = len(S) if n1 is None else n1
     group = np.where(np.arange(len(S)) < n1, 1, 2)
-    with _open(path, "w") as fh:
-        np.savetxt(fh, np.column_stack((S[:, iu[0], iu[1]], group)),
-                   fmt=["%.17g"] * len(iu[0]) + ["%d"], delimiter=",",
-                   header="p=%d,group" % p, comments="")
+    _write_csv(path, np.column_stack((S[:, iu[0], iu[1]], group)),
+               ["%.17g"] * len(iu[0]) + ["%d"], "p=%d,group" % p)
 
 
 def load_json(path):
     """The JSON object a config file holds; anything else is an InputError."""
-    with _open(path) as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError("%s: invalid JSON at line %d column %d: %s"
-                             % (path, e.lineno, e.colno, e.msg))
-        except UnicodeDecodeError as e:
-            raise _decode_error(path, e)
+    try:
+        config = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise InputError("%s: invalid JSON at line %d column %d: %s"
+                         % (path, e.lineno, e.colno, e.msg))
     if not isinstance(config, dict):
         raise InputError("%s: a config must be a JSON object" % path)
     return config
@@ -312,11 +305,9 @@ def cmd_calibrate(args):
 def _write_qq(path, rep):
     # 99 interior percentile points, plot-ready
     probs = np.arange(1, 100) / 100.0
-    with _open(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["q_theoretical", "q_empirical"])
-        writer.writerows(["%.17g" % a, "%.17g" % b] for a, b in zip(
-            lrt.quantile(rep.dist, probs), np.quantile(rep.statistics, probs)))
+    _write_csv(path, np.column_stack((lrt.quantile(rep.dist, probs),
+                                      np.quantile(rep.statistics, probs))),
+               "%.17g", "q_theoretical,q_empirical")
 
 
 def cmd_cone_weights(args):

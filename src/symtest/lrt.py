@@ -9,18 +9,21 @@ One entry point runs them all: run(test_id, stats, **args) on Python
 objects, and run_config on a JSON-style config. Both bind the test once
 (_bind) to its arguments and to its data's shape, p and the group
 counts: the checks that shape decides, the sets and the reference are
-made there and nowhere else. The runner projects the sample means onto
-both sets (onesample.project: one or two groups, one mean or a chunk's
-stack). Its statistic step (_statistic) is per-sample arithmetic on the
-two fits' means: it forms each restricted fit's residual once and keeps
-three numbers per group (onesample._fit_residuals: tr r, ||r||^2 and
-||r - (tr r/p) I||^2), while an unrestricted fit, the sample mean, has
-none; it fits (sigma2, tau) under the null when no covariance is given,
-and evaluates the entry's statistic. Only _run adds the fits, the
-warnings and the p-value. A known sigma2 too small for the data's scale
-overflows the statistic: a run and a calibration report it in one
-message (_check_finite). pvalue takes a scalar or an array of statistics, quantile a
-scalar or an array of probabilities.
+made there and nowhere else. One argument rule: a config's keys but
+test_id, seed and reps are checked as run's keywords are, so a name the
+test does not take is refused (run: TypeError; run_config: ValueError
+naming the key). The runner projects the sample means onto both sets
+(onesample.project: one or two groups, one mean or a chunk's stack). Its
+statistic step (_statistic) is per-sample arithmetic on the two fits'
+means: it forms each restricted fit's residual once and keeps three
+numbers per group (onesample._fit_residuals: tr r, ||r||^2 and
+||r - (tr r/p) I||^2), while an unrestricted fit, the sample mean, has none; it
+fits (sigma2, tau) under the null when no covariance is given, and
+evaluates the entry's statistic. Only _run adds the fits, the warnings
+and the p-value. A known sigma2 too small for the data's scale overflows
+the statistic: a run and a calibration report it in one message
+(_check_finite). pvalue takes a scalar or an array of statistics,
+quantile a scalar or an array of probabilities.
 
 The two sets fix a test's reference (_reference): chi-square with
 dim(alternative) - dim(null) degrees of freedom (onesample.dimension),
@@ -214,9 +217,10 @@ def quantile(dist, prob):
 
     prob is a scalar or an array; an array is bisected elementwise in one
     pass, each element's bracket doubled until it holds, with the bits of
-    one call per element. The strict tail puts a point mass at 0 (a
-    zero-df component) below the quantile, so any prob within that mass
-    gives exactly 0.
+    one call per element. The bisection halves at most 200 times and
+    stops once no bracket moves, which gives the bits of all 200. The
+    strict tail puts a point mass at 0 (a zero-df component) below the
+    quantile, so any prob within that mass gives exactly 0.
     """
     probs = np.asarray(prob, dtype=float)
     if not np.all((probs >= 0.0) & (probs < 1.0)):
@@ -233,11 +237,15 @@ def quantile(dist, prob):
         if np.any(hi > 1e12):
             raise RuntimeError("quantile bracket failed")
         grow &= above(hi)
+    live = above(0.0)  # else the point mass at 0 holds prob: exactly 0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         up = above(mid)
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    out = np.where(above(0.0), 0.5 * (lo + hi), 0.0)
+        new = np.where(up, mid, lo), np.where(up, hi, mid)
+        if not np.any(live & ((new[0] != lo) | (new[1] != hi))):
+            break  # a fixed point: no further halving moves a live bracket
+        lo, hi = new
+    out = np.where(live, 0.5 * (lo + hi), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -474,8 +482,6 @@ TESTS = {
     "a1": Spec(("U0", "M0"), _point_within(lambda a: FixedEigvecs(a["U0"]),
                                            "is not diagonalized by U0")),
     "a2": Spec(("U0",), lambda a: (FixedEigvecs(a["U0"]), Unrestricted())),
-    # "reps" and "seed" in a c2 config are accepted and ignored: the
-    # weights are exact
     "c2": Spec(("U0",), lambda a: (OrderedCone(a["U0"]), Unrestricted()),
                reference=_cone_mixture, optional=("cov", "multiplicities", "weights")),
     "s1": Spec(("M0", "D0", "multiplicities"),
@@ -517,35 +523,34 @@ class _Hypothesis:
     plugin: bool
 
 
-def _spec(test_id):
+def _bind(test_id, args, p, n, config=False):
+    # the one argument rule: args are config keys if config, else run's
+    # names, and one the test does not take is refused either way; parse
+    # each value for p x p data, build the sets (which checks M0 for a1
+    # and s1), check the group counts n against the null set's and build
+    # the reference, once
     if not isinstance(test_id, str) or test_id not in TESTS:
         raise ValueError("unknown test_id %r" % (test_id,))
-    return TESTS[test_id]
-
-
-def _bind(test_id, args, p, n, config=False):
-    # check the argument names against the registry entry, parse every value
-    # for p x p data, build the sets (which checks M0 against the
-    # alternative for a1 and s1), check the group counts n against the null
-    # set's and build the reference, once; config names config keys in errors
-    spec = _spec(test_id)
-    keys = {_PARSERS[key][0]: key for key in spec.keys + spec.optional}
+    spec = TESTS[test_id]
+    what = ("config for %r" if config else "test %r") % test_id
+    keys = {key if config else _PARSERS[key][0]: key
+            for key in spec.keys + spec.optional}
     for name in args:
         if name not in keys:
-            raise TypeError("test %r takes no argument %r" % (test_id, name))
+            raise (ValueError if config else TypeError)("%s takes no %s %r" % (
+                what, "key" if config else "argument", name))
     for name in list(keys)[:len(spec.keys)]:
-        if name not in args and config:
-            raise KeyError("config for %r requires %r" % (test_id, keys[name]))
         if name not in args:
-            raise TypeError("test %r requires argument %r" % (test_id, name))
+            raise (KeyError if config else TypeError)("%s requires %s%r" % (
+                what, "" if config else "argument ", name))
     parsed = {}
     for name, value in args.items():
+        arg, parse = _PARSERS[keys[name]]
         try:
-            parsed[name] = _PARSERS[keys[name]][1](value, p)
+            parsed[arg] = parse(value, p)
         except (KeyError, TypeError, ValueError) as e:
-            raise ValueError("%s %r: bad %r: %s" % (
-                "config for" if config else "test", test_id,
-                keys[name] if config else name,
+            raise ValueError("%s: bad %r: %s" % (
+                what, name,
                 "missing key %r" % e.args[0] if isinstance(e, KeyError) else e))
     sets = spec.sets(parsed)
     g, two = len(n), sets[0].groups == (2,)
@@ -628,18 +633,19 @@ def run(test_id, stats, **args):
 def parse_config(config, p, n):
     """The hypothesis a config describes, bound to p x p data in groups of n.
 
-    n is the tuple of group counts. Returns the test bound to its parsed
-    arguments, with its sets and reference built. A missing required key
-    raises KeyError; any other bad value, or a group count the test does
-    not take, raises ValueError.
+    n is the tuple of group counts. Every key but test_id, seed and reps
+    is an argument, checked by run's rule under its config name. Returns
+    the test bound to its parsed arguments, with its sets and reference
+    built. A missing required key raises KeyError; a key the test does
+    not take, any other bad value, or a group count the test does not
+    take, raises ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("a hypothesis config must be a JSON object")
-    test_id = config.get("test_id")
-    spec = _spec(test_id)
-    return _bind(test_id, {_PARSERS[key][0]: config[key]
-                           for key in spec.keys + spec.optional
-                           if key in config}, p, n, config=True)
+    # seed is echoed by a CLI report; reps is left from when c2 drew weights
+    return _bind(config.get("test_id"), {
+        key: value for key, value in config.items()
+        if key not in ("test_id", "seed", "reps")}, p, n, config=True)
 
 
 def run_config(config, S, n1=None):

@@ -389,11 +389,11 @@ def mle(pset, stats, cov=None):
     stats holds the sufficient statistics of a sample with as many groups
     as the set fits. When cov is provided, the mean fits are unchanged
     (they never depend on the covariance) and the known (sigma2, tau) are
-    recorded instead of being estimated; this also permits n = 1. Returns
-    a FitResult with one fitted mean per group.
+    checked for p and recorded instead of being estimated; this also
+    permits n = 1. Returns a FitResult with one fitted mean per group.
     """
     means, face_dim = project(pset, *stats.ybar, n=stats.n)
-    fit = ((cov.sigma2, cov.tau) if cov is not None else
+    fit = ((cov.validate(stats.p).sigma2, cov.tau) if cov is not None else
            _fit_cov(stats, _fit_residuals(stats, pset, means)))
     return FitResult(means, *fit, pset, face_dim)
 

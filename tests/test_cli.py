@@ -721,6 +721,25 @@ class TestExitCodes:
         assert (code, out, err) == (
             2, "", "error: %s line 5002: byte 0xff is not utf-8 text\n" % path)
 
+    @pytest.mark.parametrize("command", ["test", "calibrate"])
+    @pytest.mark.parametrize("key", ["covv", "U0"])
+    def test_config_key_the_test_does_not_take(self, tmp_path, capsys, command,
+                                               key):
+        # a misspelled key, or one of another test, exits 2 naming it; an
+        # a0 config with "covv" would otherwise run with an estimated cov
+        known = {"known": {"sigma2": 1.0, "tau": 0.0}}
+        test = dict(TestCmdCalibrate.CONFIG["test"], **{key: known})
+        del test["cov"]
+        if command == "test":
+            argv = ["test", "--data", one_sample_file(tmp_path)[0],
+                    "--config", write_config(tmp_path, "t.json", test)]
+        else:
+            argv = ["calibrate", "--config", write_config(
+                tmp_path, "c.json", dict(TestCmdCalibrate.CONFIG, test=test))]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (
+            2, "", "error: config for 'a0' takes no key %r\n" % key)
+
     def test_c2_rejects_weights_with_multiplicities(self, tmp_path, capsys):
         path, _ = one_sample_file(tmp_path, p=3)
         cfg = write_config(tmp_path, "t.json", {

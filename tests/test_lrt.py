@@ -161,6 +161,27 @@ class TestQuantile:
         with pytest.raises(ValueError, match="prob"):
             quantile(ChiSq(3), 1.0)
 
+    @pytest.mark.parametrize("dist", [
+        ChiSq(6), ChiSqApprox(15), FDist(21, 31479), ChiSqApprox(0),
+        ChiSqMix((0.3, 0.5, 0.2), (0, 2, 5))], ids=str)
+    def test_early_stop_keeps_the_bits_of_200_halvings(self, dist):
+        # the bisection stops once no bracket moves; every element, one in
+        # the point mass at 0 and one too small to converge included, keeps
+        # the bits that all 200 halvings give
+        probs = np.concatenate([[0.0, 0.2, 1e-300, 0.5, 0.9, 0.95, 0.99],
+                                np.arange(1, 100) / 100.0])
+        target = 1.0 - probs
+        lo, hi = np.zeros_like(probs), np.ones_like(probs)
+        while np.any(dist.tail(hi, strict=True) > target):
+            hi = np.where(dist.tail(hi, strict=True) > target, 2.0 * hi, hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            up = dist.tail(mid, strict=True) > target
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        want = np.where(dist.tail(0.0, strict=True) > target, 0.5 * (lo + hi),
+                        0.0)
+        assert quantile(dist, probs).tobytes() == want.tobytes()
+
 
 class TestClamp:
     def test_rounding_dust_clamps_to_zero(self):
@@ -1053,6 +1074,34 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=fragment):
             run_config(config, S)
 
+    @pytest.mark.parametrize("test_id,key", [
+        ("a0", "covv"), ("a0", "U0"), ("s3", "mult"), ("cov-check", "cov")])
+    def test_rejects_a_key_the_test_does_not_take(self, test_id, key):
+        # a misspelled key, or one of another test, is never dropped: a0
+        # with "covv" would otherwise run with an estimated covariance
+        config, _ = RUN_CASES[test_id]
+        config = dict(config, test_id=test_id)
+        config[key] = {"known": {"sigma2": 1.0, "tau": 0.1}}
+        S = sample(400 if test_id == "cov-check" else 12, MEAN, COV0, 382)
+        n1 = 6 if test_id in TWO_GROUP else None
+        with pytest.raises(ValueError, match=re.escape(
+                "config for %r takes no key %r" % (test_id, key))):
+            run_config(config, S, n1=n1)
+
+    @pytest.mark.parametrize("test_id", sorted(lrt.TESTS))
+    def test_seed_and_reps_are_no_arguments(self, test_id):
+        # every test's config may hold a seed and a replicate count, which
+        # leave the result as it is
+        config, _ = RUN_CASES[test_id]
+        config = dict(config, test_id=test_id)
+        S = sample(400 if test_id == "cov-check" else 12, MEAN, COV0, 383)
+        n1 = 6 if test_id in TWO_GROUP else None
+        want = run_config(config, S, n1=n1)
+        for extra in ({"seed": 3}, {"seed": 3, "reps": 100000}):
+            got = run_config(dict(config, **extra), S, n1=n1)
+            assert (got.statistic, got.p_value, got.dist) == (
+                want.statistic, want.p_value, want.dist)
+
     @pytest.mark.parametrize("test_id", [5, None, ["a0"]])
     def test_non_string_test_id(self, test_id):
         S = sample(6, np.eye(2), COV0, 381)
@@ -1278,6 +1327,22 @@ class TestRun:
         stats = SuffStats.from_sample(sample(6, MEAN, COV0, 393))
         with pytest.raises(TypeError, match=re.escape(fragment)):
             lrt.run(test_id, stats, **args)
+
+    @pytest.mark.parametrize("test_id", sorted(RUN_CASES))
+    def test_run_and_run_config_reject_the_same_name(self, test_id):
+        # one argument rule: a name the test does not take is refused by run
+        # and by run_config alike, and the message names it
+        config, args = RUN_CASES[test_id]
+        S = sample(400 if test_id == "cov-check" else 12, MEAN, COV0, 396)
+        n1 = 6 if test_id in TWO_GROUP else None
+        other = next(k for k in ("U0", "M0", "D0") if k not in args)
+        for name in ("bogus", other):
+            with pytest.raises(TypeError, match="takes no argument %r" % name):
+                lrt.run(test_id, SuffStats.from_sample(S, n1),
+                        **dict(args, **{name: np.eye(3)}))
+            with pytest.raises(ValueError, match="takes no key %r" % name):
+                run_config(dict(config, test_id=test_id, **{name: np.eye(3)}),
+                           S, n1=n1)
 
     def test_rejects_unknown_test_id(self):
         stats = SuffStats.from_sample(sample(6, MEAN, COV0, 394))

@@ -9,6 +9,7 @@ rotations.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -568,6 +569,19 @@ class TestMleDispatch:
         fit = mle(Point(np.zeros((2, 2))), SuffStats.from_sample(Y[None]), cov=cov)
         assert fit.sigma2_hat == 1.5
         assert fit.tau_hat == 0.25
+
+    @pytest.mark.parametrize("cov,fragment", [
+        (CovParams(1.0, 0.9), "tau must be < 1/p"),
+        (CovParams(1.0, 1.0 / 3.0), "tau must be < 1/p"),
+        (CovParams(-1.0, 0.0), "sigma2 must be positive"),
+        (CovParams(1.0, float("nan")), "tau must be"),
+    ])
+    def test_known_cov_checked_for_p(self, cov, fragment):
+        # a known covariance is checked as lrt.run checks it, never recorded
+        # as a fit that is no distribution at p = 3
+        S = sample(8, np.eye(3), CovParams(1.0, 0.1), 909)
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            mle(Unrestricted(), SuffStats.from_sample(S), cov)
 
     def test_estimates_follow_null_fit(self):
         S = sample(50, np.diag([4.0, 4.0]), CovParams(1.0, 0.0), 908)
