@@ -1,27 +1,21 @@
 """Monte Carlo harness: null calibration, cone weights, consistency studies.
 
-Replicates are drawn in chunks, each from its own independent,
-order-insensitive substream, the seed's child (c,) for chunk c, (i, c) at
-grid point i of a consistency study (matnormal._rng_from). So every
-report is bit-reproducible for a seed, and SeedSequence(s) gives the
-report of the integer s. One- and two-group studies share one path: a
+A truth, the generator of the data, holds M, sigma2 and tau, or M1, M2,
+sigma2 and tau for two groups, and no other key (symcore.check_keys, in
+_generator). Replicates are drawn in chunks, each from its own
+independent, order-insensitive substream, the seed's child (c,) for chunk
+c, (i, c) at grid point i of a consistency study (matnormal._rng_from).
+So every report is bit-reproducible for a seed, and SeedSequence(s) gives
+the report of the integer s. One- and two-group studies share one path: a
 chunk draws each group's sufficient statistics directly from their exact
-laws, as arrays over its replicates: the means
-Ybar_g ~ N(M_g, sigma2/n_g, tau) and the two independent variance
-components of the residuals, scaled chi-squares, so a replicate's cost
-does not grow with n_g. A test whose statistic reads log|W_g/n_g|
-(cov-check) takes it, a_g and b_g from the chi-squares of the Bartlett
-decomposition of W_g instead. A calibration checks its sizes and binds
-its hypothesis once (lrt.parse_config): the group-count and sample-size
-checks, the parameter sets and the reference. The fits never depend on
-the covariance, so each chunk's stack of means is projected onto each
-set in one call (lrt._project); only the statistic step lrt._statistic
-(covariance fit and statistic, per-sample arithmetic on each replicate's
-fitted means, with no residual pass for an unrestricted fit) runs
-replicate by replicate, and the p-values of all replicates are taken in
-one lrt.pvalue call, the reference's quantiles in one lrt.quantile call.
-An eigenvector consistency study decomposes each chunk's fitted frames
-in one call too.
+laws (_draws), so a replicate's cost does not grow with n_g. A
+calibration binds its hypothesis once (lrt.parse_config). The fits never
+depend on the covariance, so each chunk's stack of means is projected
+onto each set in one call (lrt._project); only the statistic step
+lrt._statistic runs replicate by replicate, and the p-values of all
+replicates are taken in one lrt.pvalue call, the reference's quantiles in
+one lrt.quantile call. An eigenvector consistency study decomposes each
+chunk's fitted frames in one call too.
 """
 
 from collections.abc import Mapping
@@ -36,6 +30,7 @@ from .symcore import (
     Multiplicities,
     _number,
     check_integer,
+    check_keys,
     check_symmetric,
     eigh_desc,
     float_array,
@@ -135,21 +130,18 @@ def _ks_distance(sorted_stats, dist, pvals):
     return float(max(np.max(i / m - cdf), np.max(cdf_below - (i - 1) / m)))
 
 
-def _generator(truth, keys, what="truth"):
+def _generator(truth, keys, what="truth", counts=(), optional=()):
     # the generator's means, one per group and of one shape, and its
-    # (sigma2, tau), checked for that shape; a missing key is a ValueError
-    # saying what requires it
-    try:
-        means = tuple(check_symmetric(truth[k], k) for k in keys)
-        sigma2, tau = truth["sigma2"], truth["tau"]
-    except KeyError as e:
-        raise ValueError("%s requires %r" % (what, e.args[0])) from None
+    # (sigma2, tau), checked for that shape; truth also holds counts
+    check_keys(truth, keys + ("sigma2", "tau") + counts, optional, what)
+    means = tuple(check_symmetric(truth[k], k) for k in keys)
     if means[0].ndim != 2:  # check_symmetric also takes stacks
         raise ValueError("%s must be square, got shape %s" % (keys[0], means[0].shape))
     if means[-1].shape != means[0].shape:
         raise ValueError("M1 and M2 must have the same shape, got %s and %s"
                          % (means[0].shape, means[-1].shape))
-    cov = CovParams(_number(sigma2, "sigma2"), _number(tau, "tau"))
+    cov = CovParams(_number(truth["sigma2"], "sigma2"),
+                    _number(truth["tau"], "tau"))
     return means, cov.validate(means[0].shape[0])
 
 
@@ -207,9 +199,8 @@ def calibrate_null(config, truth, n, reps, seed):
     reps = check_integer(reps, "reps")
     if reps < 1000:
         raise ValueError("calibration needs reps >= 1000, got %d" % reps)
-    if not isinstance(truth, Mapping):
-        raise ValueError("truth must be a mapping, got %r" % (truth,))
-    two_sample = "M1" in truth
+    # two samples if the truth holds M1; the key rule refuses a non-mapping
+    two_sample = isinstance(truth, Mapping) and "M1" in truth
     means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
     sizes = n if isinstance(n, (list, tuple)) else (n,)
     if len(sizes) != len(means):

@@ -13,9 +13,9 @@ for a fixed (data, config, seed) apart from the timestamp, which
 --no-timestamp suppresses. Datasets are CSV: header `p=<int>,group`,
 then one observation per row as the p(p+1)/2 raw upper-triangle entries
 in row-major order followed by the group label (1 or 2). One reader
-(_read_text) decodes every input file once as UTF-8, naming the line of a
-bad byte; one writer (_write_csv, np.savetxt) writes every CSV. A test
-config's keys but test_id, seed and reps must be its test's arguments.
+(_read_text) decodes every input file once as UTF-8 (a byte-order mark
+dropped), naming the line of a bad byte; one writer (_write_csv)
+writes every CSV; one key rule (symcore.check_keys) checks every config.
 
 Exit codes: 0 success, 1 internal-consistency failure, 2 input error.
 """
@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__, calibrate, lrt
-from .symcore import check_integer, eigh_desc, matrix_log, sym_dim
+from .symcore import check_integer, check_keys, eigh_desc, matrix_log, sym_dim
 from .matnormal import _rng_from, sample
 
 
@@ -110,18 +110,17 @@ def _mle_payload(fit):
 # dataset files
 
 def _read_text(path):
-    # path's bytes decoded once as UTF-8; a file that cannot be read, or a
-    # byte that is not UTF-8 text (named with its line), is bad input
+    # path's bytes decoded once as UTF-8, a leading byte-order mark dropped;
+    # an unreadable file, or a non-UTF-8 byte (named by line), is bad input
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-        return data.decode("utf-8")
+            return fh.read().decode("utf-8-sig")
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
-    except UnicodeDecodeError as e:
+    except UnicodeDecodeError as e:  # e.start indexes the bytes after a mark
         raise InputError("%s line %d: byte 0x%02x is not utf-8 text"
-                         % (path, data.count(b"\n", 0, e.start) + 1,
-                            data[e.start]))
+                         % (path, e.object.count(b"\n", 0, e.start) + 1,
+                            e.object[e.start]))
 
 
 def _write_csv(path, rows, fmt, header):
@@ -239,25 +238,22 @@ def _setting(args, config, key, default):
 
 def cmd_simulate(args):
     config = load_json(args.config)
+    # the mean and count keys of each group, group 1 first
+    two = "M1" in config or "n1" in config
+    keys, counts = (("M1", "M2"), ("n1", "n2")) if two else (("M",), ("n",))
+    means, cov = calibrate._generator(config, keys, "simulate config", counts,
+                                      ("seed", "p"))
     seed = _setting(args, config, "seed", 0)
-    # one (mean, count) pair of keys per group, group 1 first
-    keys = ((("M1", "n1"), ("M2", "n2")) if "M1" in config or "n1" in config
-            else (("M", "n"),))
-    means, cov = calibrate._generator(config, [m for m, _ in keys],
-                                      "simulate config")
-    try:
-        sizes = [check_integer(config[k], "config %r" % k) for _, k in keys]
-    except KeyError as e:
-        raise InputError("simulate config requires %s" % e)
+    sizes = [check_integer(config[k], "config %r" % k) for k in counts]
     p = means[0].shape[0]
-    if "p" in config and check_integer(config["p"], "config 'p'") != p:
+    if check_integer(config.get("p", p), "config 'p'") != p:
         raise InputError("config p=%d does not match the mean's dimension %d"
                          % (int(config["p"]), p))
     # a one-group sample draws from the seed, group g of two from its child g
-    streams = [(0,), (1,)] if len(keys) == 2 else [()]
+    streams = [(0,), (1,)] if two else [()]
     S = np.concatenate([sample(k, M, cov, _rng_from(seed, key))
                         for k, M, key in zip(sizes, means, streams)])
-    write_dataset(args.out, S, sizes[0] if len(keys) == 2 else None)
+    write_dataset(args.out, S, sizes[0] if two else None)
 
 
 def cmd_test(args, config=None):
@@ -280,10 +276,8 @@ def cmd_test(args, config=None):
 
 
 def cmd_calibrate(args):
-    config = load_json(args.config)
-    for key in ("test", "truth", "n"):
-        if key not in config:
-            raise InputError("calibrate config requires %r" % key)
+    config = check_keys(load_json(args.config), ("test", "truth", "n"),
+                        ("reps", "seed"), "calibrate config")
     reps = _setting(args, config, "reps", 5000)
     seed = _setting(args, config, "seed", 0)
     rep = calibrate.calibrate_null(config["test"], config["truth"],
@@ -311,9 +305,8 @@ def _write_qq(path, rep):
 
 
 def cmd_cone_weights(args):
-    config = load_json(args.config)
-    if "d_true" not in config:
-        raise InputError("cone-weights config requires 'd_true'")
+    config = check_keys(load_json(args.config), ("d_true",), ("reps", "seed"),
+                        "cone-weights config")
     reps = _setting(args, config, "reps", 100000)
     seed = _setting(args, config, "seed", 0)
     w = calibrate.estimate_cone_weights(config["d_true"], reps, seed)
@@ -385,10 +378,8 @@ def main(argv=None):
         # first: a LinAlgError is a ValueError, yet an internal failure
         print("internal error: %s" % e, file=sys.stderr)
         return 1
-    except (InputError, KeyError, ValueError) as e:
-        # a KeyError by its message, not its repr
-        print("error: %s" % (e.args[0] if isinstance(e, KeyError) else e),
-              file=sys.stderr)
+    except (InputError, ValueError) as e:
+        print("error: %s" % e, file=sys.stderr)
         return 2
     if body is not None:
         report = {"tool": "symtest", "version": __version__, **body}

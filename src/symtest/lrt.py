@@ -9,21 +9,17 @@ One entry point runs them all: run(test_id, stats, **args) on Python
 objects, and run_config on a JSON-style config. Both bind the test once
 (_bind) to its arguments and to its data's shape, p and the group
 counts: the checks that shape decides, the sets and the reference are
-made there and nowhere else. One argument rule: a config's keys but
-test_id, seed and reps are checked as run's keywords are, so a name the
-test does not take is refused (run: TypeError; run_config: ValueError
-naming the key). The runner projects the sample means onto both sets
-(onesample.project: one or two groups, one mean or a chunk's stack). Its
-statistic step (_statistic) is per-sample arithmetic on the two fits'
-means: it forms each restricted fit's residual once and keeps three
-numbers per group (onesample._fit_residuals: tr r, ||r||^2 and
-||r - (tr r/p) I||^2), while an unrestricted fit, the sample mean, has none; it
-fits (sigma2, tau) under the null when no covariance is given, and
-evaluates the entry's statistic. Only _run adds the fits, the warnings
-and the p-value. A known sigma2 too small for the data's scale overflows
-the statistic: a run and a calibration report it in one message
-(_check_finite). pvalue takes a scalar or an array of statistics,
-quantile a scalar or an array of probabilities.
+made there and nowhere else. Run's keywords, a config's keys but
+test_id, seed and reps, and those of its cov, cov.known and c2 weights
+pass the one key rule, symcore.check_keys. The runner projects the
+sample means onto both sets (onesample.project: one or two groups, one
+mean or a chunk's stack). Its statistic step (_statistic) is per-sample
+arithmetic on the two fits' means (onesample._fit_residuals, _fit_cov).
+Only _run adds the fits, the warnings and the p-value. A known sigma2
+too small for the data's scale overflows the statistic: a run and a
+calibration report it in one message (_check_finite). pvalue takes a
+scalar or an array of statistics, quantile a scalar or an array of
+probabilities.
 
 The two sets fix a test's reference (_reference): chi-square with
 dim(alternative) - dim(null) degrees of freedom (onesample.dimension),
@@ -71,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symcore import (CovParams, Multiplicities, _number, check_integer,
-                      float_array, sym_dim)
+                      check_keys, float_array, sym_dim)
 from .matnormal import SuffStats
 from .onesample import (
     CommonEigvals,
@@ -344,6 +340,7 @@ def _multiplicities(value, p):
 def _cone_weights(value, p):
     if isinstance(value, ConeWeights):
         value = {"face_dims": value.face_dims, "weights": value.weights}
+    check_keys(value, ("face_dims", "weights"))
     dims = tuple(check_integer(k, "a face dimension")
                  for k in _sequence(value["face_dims"]))
     weights = tuple(float(x) for x in _sequence(value["weights"]))
@@ -356,8 +353,6 @@ def _cone_weights(value, p):
 
 
 def _covariance(value, p):
-    # a known CovParams or None to estimate it, or their config form
-    # {"known": {"sigma2": x, "tau": y}} or {"estimate": true}
     if value is None:
         return None
     if isinstance(value, CovParams):
@@ -366,14 +361,16 @@ def _covariance(value, p):
         raise ValueError('cov must be a known CovParams or None to estimate '
                          'it; in a config, expected {"known": {"sigma2": x, '
                          '"tau": y}} or {"estimate": true}; got %r' % (value,))
+    # the form is chosen by "estimate"; then "known" is a stray key
     if "estimate" in value:
-        if value["estimate"] is not True:
+        if check_keys(value, ("estimate",))["estimate"] is not True:
             raise ValueError("'estimate' must be true, got %r"
                              % (value["estimate"],))
         return None
-    known = value["known"]
+    known = check_keys(value, ("known",))["known"]
     if not isinstance(known, dict):
         raise ValueError("'known' must be an object with sigma2 and tau")
+    check_keys(known, ("sigma2", "tau"))
     return CovParams(_number(known["sigma2"], "sigma2"),
                      _number(known["tau"], "tau")).validate(p)
 
@@ -524,8 +521,8 @@ class _Hypothesis:
 
 
 def _bind(test_id, args, p, n, config=False):
-    # the one argument rule: args are config keys if config, else run's
-    # names, and one the test does not take is refused either way; parse
+    # args are config keys if config, else run's names, checked by the one
+    # key rule (check_keys) with run's TypeError wording for names; parse
     # each value for p x p data, build the sets (which checks M0 for a1
     # and s1), check the group counts n against the null set's and build
     # the reference, once
@@ -535,23 +532,15 @@ def _bind(test_id, args, p, n, config=False):
     what = ("config for %r" if config else "test %r") % test_id
     keys = {key if config else _PARSERS[key][0]: key
             for key in spec.keys + spec.optional}
-    for name in args:
-        if name not in keys:
-            raise (ValueError if config else TypeError)("%s takes no %s %r" % (
-                what, "key" if config else "argument", name))
-    for name in list(keys)[:len(spec.keys)]:
-        if name not in args:
-            raise (KeyError if config else TypeError)("%s requires %s%r" % (
-                what, "" if config else "argument ", name))
+    check_keys(args, list(keys)[:len(spec.keys)], keys, what,
+               arguments=not config)
     parsed = {}
     for name, value in args.items():
         arg, parse = _PARSERS[keys[name]]
         try:
             parsed[arg] = parse(value, p)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError("%s: bad %r: %s" % (
-                what, name,
-                "missing key %r" % e.args[0] if isinstance(e, KeyError) else e))
+        except (TypeError, ValueError) as e:
+            raise ValueError("%s: bad %r: %s" % (what, name, e))
     sets = spec.sets(parsed)
     g, two = len(n), sets[0].groups == (2,)
     if two != (g == 2):
@@ -636,9 +625,9 @@ def parse_config(config, p, n):
     n is the tuple of group counts. Every key but test_id, seed and reps
     is an argument, checked by run's rule under its config name. Returns
     the test bound to its parsed arguments, with its sets and reference
-    built. A missing required key raises KeyError; a key the test does
-    not take, any other bad value, or a group count the test does not
-    take, raises ValueError.
+    built. A missing required key, a key the test does not take, any
+    other bad value, or a group count the test does not take, raises
+    ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("a hypothesis config must be a JSON object")

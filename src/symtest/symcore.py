@@ -9,6 +9,7 @@ log/exp used for log-domain preprocessing.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,33 @@ def _number(value, name):
     except (TypeError, ValueError):
         pass
     raise ValueError("%s must be a finite number, got %r" % (name, value))
+
+
+def check_keys(obj, required, optional=(), what=None, arguments=False):
+    """Validate and return obj, a mapping with each key of required and
+    none outside required + optional: the one key rule of every config.
+
+    A stray key, then a missing one, is a ValueError, "<what> takes no key
+    'k'" or "<what> requires 'k'"; for run's keywords (arguments) a
+    TypeError, "... argument 'k'"; nested in a value its caller names
+    (what None), "unexpected key 'k'" or "missing key 'k'".
+    """
+    if what is None:
+        stray, missing = "unexpected key", "missing key"
+    elif arguments:
+        stray, missing = what + " takes no argument", what + " requires argument"
+    else:
+        stray, missing = what + " takes no key", what + " requires"
+    if not isinstance(obj, Mapping):
+        raise ValueError("%s must be a mapping, got %r" % (what or "value", obj))
+    error = TypeError if arguments else ValueError
+    for key in obj:
+        if key not in required and key not in optional:
+            raise error("%s %r" % (stray, key))
+    for key in required:
+        if key not in obj:
+            raise error("%s %r" % (missing, key))
+    return obj
 
 
 def float_array(value, name):

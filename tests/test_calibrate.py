@@ -442,6 +442,19 @@ class TestConsistencyStudy:
         with pytest.raises(ValueError, match=r"^truth requires 'sigma2'$"):
             consistency_study("sigma2", truth, [10], 5, 0)
 
+    @pytest.mark.parametrize("study", ["calibrate_null", "consistency_study"])
+    def test_truth_stray_key(self, study):
+        # a misspelled key is refused by name, not dropped in favour of the
+        # other keys
+        truth = {"M": [[1.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0,
+                 "sigma": 2.0}
+        with pytest.raises(ValueError, match=r"^truth takes no key 'sigma'$"):
+            if study == "calibrate_null":
+                calibrate_null({"test_id": "a2", "U0": np.eye(2).tolist()},
+                               truth, 10, 1000, 0)
+            else:
+                consistency_study("sigma2", truth, [10], 5, 0)
+
     @pytest.mark.parametrize("estimator,n,least", [
         ("sigma2", 1, 2), ("tau", 1, 2), ("pooled_sigma2", 3, 4),
         ("pooled_tau", 2, 4), ("pooled_tau", 3, 4), ("mean", 0, 1)])

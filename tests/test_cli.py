@@ -740,6 +740,76 @@ class TestExitCodes:
         assert (code, out, err) == (
             2, "", "error: config for 'a0' takes no key %r\n" % key)
 
+    @pytest.mark.parametrize("base,key,value,message", [
+        ("simulate", "sed", 5, "simulate config takes no key 'sed'"),
+        ("calibrate", "rep", 2000, "calibrate config takes no key 'rep'"),
+        ("calibrate", "truth/sigma", 2.0, "truth takes no key 'sigma'"),
+        ("cone-weights", "sed", 3, "cone-weights config takes no key 'sed'"),
+        ("a0", "cov/known", {"sigma2": 1.0, "tau": 0.0},
+         "config for 'a0': bad 'cov': unexpected key 'known'"),
+        ("a0-known", "cov/known/tua", 0.0,
+         "config for 'a0': bad 'cov': unexpected key 'tua'"),
+        ("c2", "weights/reps", 100,
+         "config for 'c2': bad 'weights': unexpected key 'reps'"),
+    ], ids=["simulate", "calibrate", "truth", "cone-weights", "cov",
+            "cov-known", "c2-weights"])
+    def test_stray_key_of_any_config_object(self, tmp_path, capsys, base, key,
+                                            value, message):
+        # one key rule for every object: a misspelled or extra key exits 2
+        # naming it and nothing is written; before, such a key was dropped
+        # (for cov, "estimate" won over "known")
+        eye = np.eye(2).tolist()
+        cfg = json.loads(json.dumps({
+            "simulate": {"M": eye, "n": 5, "sigma2": 1.0, "tau": 0.0},
+            "calibrate": TestCmdCalibrate.CONFIG,
+            "cone-weights": {"d_true": [1.0, 1.0], "reps": 100},
+            "a0": {"test_id": "a0", "M0": eye, "cov": {"estimate": True}},
+            "a0-known": {"test_id": "a0", "M0": eye,
+                         "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}},
+            "c2": {"test_id": "c2", "U0": eye,
+                   "weights": {"face_dims": [1, 2], "weights": [0.5, 0.5]}},
+        }[base]))
+        *outer, name = key.split("/")
+        obj = cfg
+        for k in outer:
+            obj = obj[k]
+        obj[name] = value
+        out = tmp_path / "out.csv"
+        argv = {"simulate": ["simulate", "--out", str(out)],
+                "calibrate": ["calibrate", "--out", str(out)],
+                "cone-weights": ["cone-weights"],
+                }.get(base, ["test", "--data", one_sample_file(tmp_path)[0]])
+        code, stdout, err = run(capsys, argv + [
+            "--config", write_config(tmp_path, "c.json", cfg)])
+        assert (code, stdout, err) == (2, "", "error: %s\n" % message)
+        assert not out.exists()
+
+    def test_dataset_with_a_byte_order_mark(self, tmp_path, capsys):
+        # a spreadsheet's "CSV UTF-8" export starts with a BOM: the same
+        # report as without it
+        path, _ = one_sample_file(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "data.csv").read_bytes())
+        cfg = write_config(tmp_path, "t.json", {
+            "test_id": "a0", "M0": np.zeros((2, 2)).tolist()})
+        reports = [run(capsys, ["test", "--data", data, "--config", cfg,
+                                "--no-timestamp"]) for data in (path, str(bom))]
+        assert reports[0][0] == 0
+        assert reports[1] == reports[0]
+
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        # the BOM is dropped, and a bad byte after it keeps its line number
+        cfg = tmp_path / "w.json"
+        cfg.write_bytes(b'\xef\xbb\xbf{"d_true": [1.0, 1.0], "reps": 100}')
+        code, out, err = run(capsys, ["cone-weights", "--config", str(cfg),
+                                      "--no-timestamp"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["d_true"] == [1.0, 1.0]
+        cfg.write_bytes(b'\xef\xbb\xbf{"d_true": [1.0,\n 1.0\xff]}')
+        code, out, err = run(capsys, ["cone-weights", "--config", str(cfg)])
+        assert (code, out, err) == (
+            2, "", "error: %s line 2: byte 0xff is not utf-8 text\n" % cfg)
+
     def test_c2_rejects_weights_with_multiplicities(self, tmp_path, capsys):
         path, _ = one_sample_file(tmp_path, p=3)
         cfg = write_config(tmp_path, "t.json", {
@@ -756,7 +826,9 @@ class TestExitCodes:
         ("simulate", "M"), ("simulate", "sigma2"), ("simulate", "tau"),
         ("simulate", "n"), ("calibrate", "truth/M"),
         ("calibrate", "truth/sigma2"), ("calibrate", "n"),
-        ("cone-weights", "d_true"), ("a0", "M0"), ("a2", "U0"), ("s2", "D0")])
+        ("cone-weights", "d_true"), ("a0", "M0"), ("a2", "U0"), ("s2", "D0"),
+        ("simulate", "sed"), ("calibrate", "rep"), ("calibrate", "truth/sigma"),
+        ("cone-weights", "sed")])
     def test_malformed_config_value_names_its_key(self, tmp_path, capsys,
                                                   command, key, value):
         # exit 2, no report, and one error line that names the key

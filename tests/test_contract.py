@@ -15,6 +15,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -387,3 +388,77 @@ def test_reference_df_matches_per_test_formulas():
     assert sorted(relabelled) == sorted(
         (test_id, p, (p,), True) for test_id in ("s1", "s2", "s3", "2s1", "2s2")
         for p in range(2, 6))
+
+
+# ---------------------------------------------------------------------------
+# README's Config-keys tables state the keys the one key rule checks
+
+def _config_key_rows(header):
+    # (first cell, backticked names of the other cells) of each row of the
+    # Config-keys table whose first column is `header`
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = text[text.index("Config keys."):text.index("Exit codes:")]
+    rows, inside = [], False
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            inside = False
+        elif cells[0] == header:
+            inside = True
+        elif inside and not cells[0].startswith("-"):
+            rows.append((cells[0], [re.findall(r"`([^`]+)`", c) for c in cells[1:]]))
+    assert rows, header
+    return rows
+
+
+def test_readme_lists_each_test_configs_keys():
+    seen = []
+    for first, (required, optional) in _config_key_rows("test_id"):
+        for test_id in re.findall(r"`([^`]+)`", first):
+            spec = lrt.TESTS[test_id]
+            assert sorted(required + optional) == sorted(
+                spec.keys + spec.optional), test_id
+            seen.append(test_id)
+    assert sorted(seen) == sorted(lrt.TESTS)
+
+
+def test_readme_lists_the_keys_the_rule_checks(tmp_path, monkeypatch, capsys):
+    # every call of check_keys outside a test config's arguments, made by
+    # each form of every config object, against the README's rows
+    from symtest import cli, symcore
+    calls = set()
+
+    def spy(obj, required, optional=(), what=None, arguments=False):
+        if not arguments and not (what or "").startswith("config for"):
+            calls.add((frozenset(required), frozenset(optional)))
+        return symcore.check_keys(obj, required, optional, what, arguments)
+
+    for module in (lrt, calibrate, cli):
+        monkeypatch.setattr(module, "check_keys", spy)
+    M, eye = np.diag([2.0, 1.0]).tolist(), np.eye(2).tolist()
+    one = {"M": M, "sigma2": 1.0, "tau": 0.0}
+    two = {"M1": M, "M2": M, "sigma2": 1.0, "tau": 0.0}
+    configs = {
+        "sim1": ("simulate", dict(one, n=5, seed=1, p=2)),
+        "sim2": ("simulate", dict(two, n1=3, n2=4)),
+        "cal1": ("calibrate", {"test": {"test_id": "a0", "M0": M},
+                               "truth": one, "n": 5, "reps": 1000}),
+        "cal2": ("calibrate", {"test": {"test_id": "2a0"}, "truth": two,
+                               "n": [5, 5], "seed": 2}),
+        "cw": ("cone-weights", {"d_true": [1.0, 1.0], "reps": 10}),
+    }
+    for name, (command, config) in configs.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / (name + ".csv"))]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    S = sample(10, np.diag([2.0, 1.0]), CovParams(1.0, 0.0), 3)
+    for cov in ({"estimate": True}, {"known": {"sigma2": 1.0, "tau": 0.0}}):
+        lrt.run_config({"test_id": "c2", "U0": eye, "cov": cov, "weights": {
+            "face_dims": [1, 2], "weights": [0.5, 0.5]}}, S)
+    rows = _config_key_rows("object")
+    assert calls == {(frozenset(required), frozenset(optional))
+                     for _, (required, optional) in rows}
+    assert len(rows) == len(calls)

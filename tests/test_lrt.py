@@ -1048,7 +1048,7 @@ class TestRunConfig:
 
     def test_missing_key(self):
         S = sample(6, np.eye(2), COV0, 377)
-        with pytest.raises(KeyError, match="M0"):
+        with pytest.raises(ValueError, match="M0"):
             run_config({"test_id": "a0"}, S)
 
     def test_unknown_test_id(self):
