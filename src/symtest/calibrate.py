@@ -10,9 +10,11 @@ the report of the integer s. One- and two-group studies share one path: a
 chunk draws each group's sufficient statistics directly from their exact
 laws (_draws), so a replicate's cost does not grow with n_g. A
 calibration binds its hypothesis once (lrt.parse_config). The fits never
-depend on the covariance, so each chunk's stack of means is projected
-onto each set in one call (lrt._project); only the statistic step
-lrt._statistic runs replicate by replicate, and the p-values of all
+depend on the covariance, so each chunk's stack of means is fitted to
+each set in one call (lrt._project), eigenframe fits' residual sums
+with them; only the statistic step lrt._statistic runs replicate by
+replicate, forming Ybar - M for Point, EqualMeans, FixedEigvecs and
+OrderedCone fits alone, and the p-values of all
 replicates are taken in one lrt.pvalue call, the reference's quantiles in
 one lrt.quantile call. An eigenvector consistency study decomposes each
 chunk's fitted frames in one call too.
@@ -20,6 +22,7 @@ chunk's fitted frames in one call too.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -184,8 +187,9 @@ def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
 
 
 def _fits(h, chunk):
-    # per replicate, each set's fitted means, projected once per chunk
-    return zip(*(zip(*means) for means, _ in lrt._project(h, chunk)))
+    # per replicate, each set's (means, eigenframe sums or None), fit per chunk
+    return zip(*(zip(zip(*means), repeat(None) if sums is None else zip(*sums))
+                 for means, _, sums in lrt._project(h, chunk)))
 
 
 def calibrate_null(config, truth, n, reps, seed):
@@ -210,6 +214,10 @@ def calibrate_null(config, truth, n, reps, seed):
     sizes = tuple(check_integer(k, "n") for k in sizes)
     if min(sizes) < 1:
         raise ValueError("need n >= 1 per group, got %r" % (n,))
+    for name, count in (("reps", reps), ("n", max(sizes))):
+        if count >= 2 ** 63:  # no array is that long; the draws overflow
+            raise ValueError("%s must be below 2**63, got %.3g"
+                             % (name, min(count, 1e308)))
     h = lrt.parse_config(config, means[0].shape[0], sizes)
     if not contains(h.sets[0], *means):
         raise ValueError("generator mean is not in the null set of %r"

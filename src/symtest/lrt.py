@@ -11,10 +11,11 @@ objects, and run_config on a JSON-style config. Both bind the test once
 counts: the checks that shape decides, the sets and the reference are
 made there and nowhere else. Run's keywords, a config's keys but
 test_id, seed and reps, and those of its cov, cov.known and c2 weights
-pass the one key rule, symcore.check_keys. The runner projects the
-sample means onto both sets (onesample.project: one or two groups, one
-mean or a chunk's stack). Its statistic step (_statistic) is per-sample
-arithmetic on the two fits' means (onesample._fit_residuals, _fit_cov).
+pass the one key rule, symcore.check_keys. The runner fits both sets to
+the sample means, one or a chunk's stack (onesample._fit), reading an
+eigenframe fit's residual sums from its eigenvalue shift. Its statistic
+step (_statistic) is per-sample arithmetic on the sums (_fit_cov) that
+forms Ybar - M only of Point, EqualMeans, FixedEigvecs and OrderedCone fits.
 Only _run adds the fits, the warnings and the p-value. A known sigma2
 too small for the data's scale overflows the statistic: a run and a
 calibration report it in one message (_check_finite). pvalue takes a
@@ -79,11 +80,11 @@ from .onesample import (
     OrderedCone,
     Point,
     Unrestricted,
+    _fit,
     _fit_cov,
     _fit_residuals,
     contains,
     dimension,
-    project,
 )
 
 CLAMP = 1e-9
@@ -353,14 +354,14 @@ def _cone_weights(value, p):
 
 
 def _covariance(value, p):
-    if value is None:
-        return None
+    # a None here is JSON null: _bind turns run's None into {"estimate": true}
     if isinstance(value, CovParams):
         return value.validate(p)
     if not isinstance(value, dict):
         raise ValueError('cov must be a known CovParams or None to estimate '
                          'it; in a config, expected {"known": {"sigma2": x, '
-                         '"tau": y}} or {"estimate": true}; got %r' % (value,))
+                         '"tau": y}} or {"estimate": true}; got %s'
+                         % ("null" if value is None else repr(value)))
     # the form is chosen by "estimate"; then "known" is a stray key
     if "estimate" in value:
         if check_keys(value, ("estimate",))["estimate"] is not True:
@@ -528,6 +529,8 @@ def _bind(test_id, args, p, n, config=False):
     # the reference, once
     if not isinstance(test_id, str) or test_id not in TESTS:
         raise ValueError("unknown test_id %r" % (test_id,))
+    if not config and args.get("cov", 0) is None:  # run's default: estimate
+        args = dict(args, cov={"estimate": True})
     spec = TESTS[test_id]
     what = ("config for %r" if config else "test %r") % test_id
     keys = {key if config else _PARSERS[key][0]: key
@@ -555,22 +558,22 @@ def _bind(test_id, args, p, n, config=False):
 
 
 def _project(h, stats):
-    # the projection half of _run: each set's (fitted means, face_dim). It
-    # never reads the covariance, so stats may stack a whole chunk of replicates
-    return [project(pset, *stats.ybar, n=stats.n) for pset in h.sets]
+    # the projection half of _run: each set's onesample._fit. It never reads
+    # the covariance, so stats may stack a whole chunk of replicates
+    return [_fit(pset, *stats.ybar, n=stats.n) for pset in h.sets]
 
 
-def _statistic(h, stats, means):
+def _statistic(h, stats, fits):
     """The statistic of a bound hypothesis on one sample, and its covariance.
 
-    means are the null and alternative fits' means for the sample
-    (_project). Reads each restricted fit's residual once; an unrestricted
-    fit, the sample mean, has none (_fit_residuals). Takes the known
-    covariance or fits (sigma2, tau) under the null, and applies the
-    entry's statistic and the clamp. Returns (statistic, CovParams).
+    fits are the null and alternative fits' (means, sums) for the sample
+    (_project), sums an eigenframe fit's residual sums or None; of any
+    other restricted fit, Ybar - M is formed once (_fit_residuals). Takes
+    the known covariance or fits (sigma2, tau) under the null, and applies
+    the entry's statistic and the clamp. Returns (statistic, CovParams).
     """
-    (null, alt), (m0, m1) = h.sets, means
-    res0, res1 = _fit_residuals(stats, null, m0), _fit_residuals(stats, alt, m1)
+    res0, res1 = (sums or _fit_residuals(stats, pset, m)
+                  for pset, (m, sums) in zip(h.sets, fits))
     cov = h.args.get("cov") or CovParams(*_fit_cov(stats, res0))
     t, size = h.spec.statistic(h, stats, res0, res1, cov)
     return _clamp(t, h.dist, size), cov
@@ -591,10 +594,10 @@ def _run(h, stats):
     # the TestResult of a bound hypothesis: its fits, warnings and p-value
     fits = _project(h, stats)
     with np.errstate(over="ignore", invalid="ignore"):
-        t, cov = _statistic(h, stats, [m for m, _ in fits])
+        t, cov = _statistic(h, stats, [(m, sums) for m, _, sums in fits])
     _check_finite(h, t)
     fit_null, fit_alt = (FitResult(m, cov.sigma2, cov.tau, pset, dim)
-                         for pset, (m, dim) in zip(h.sets, fits))
+                         for pset, (m, dim, _) in zip(h.sets, fits))
     warns = []
     if h.plugin:
         warns.append(_PLUGIN_NOTE)

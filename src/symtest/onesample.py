@@ -31,8 +31,11 @@ about the fitted means: the within-group sums of SuffStats plus n_g
 times the squared lack of fit r = Ybar_g - M_g of each group, of which
 they read only tr r and ||r - (tr r/p) I||^2; _fit_cov gives both MLEs,
 or sigma2's at a given tau, for every fit. An Unrestricted fit is the
-sample mean, so its r is exactly zero and is never formed. mle
-returns one FitResult for one or two groups. eigvec_uncertainty gives
+sample mean, so its r is exactly zero and is never formed. An eigenframe
+fit (FixedEigvals, Mult, CommonEigvals) keeps each mean's eigenvectors,
+so project's frame step reads the sums from the eigenvalue shift; Point,
+EqualMeans, FixedEigvecs and OrderedCone fits form r. mle returns one
+FitResult for one or two groups. eigvec_uncertainty gives
 the asymptotic normal law of the eigenvector estimation error for
 distinct-spectrum fits, expressed as a rotation logarithm, for one fit
 or a stack.
@@ -242,18 +245,34 @@ def project(pset, *means, n=None):
     face_dim the number of distinct values of an OrderedCone fit (an (r,)
     array for a stack) and None otherwise.
     """
+    return _fit(pset, *means, n=n)[:2]
+
+
+def _spectral_sums(d):
+    # _residuals' [tr, ss, off] (r of them for a stack) of V diag(d) V' from
+    # the eigenvalue shift d alone; off sums d - tr/p, accurate at any scale
+    tr = d.sum(axis=-1)
+    off = d - tr[..., None] / d.shape[-1]
+    return np.stack([tr, (d * d).sum(axis=-1), (off * off).sum(axis=-1)],
+                    -1).tolist()
+
+
+def _fit(pset, *means, n=None):
+    # project, plus an eigenframe fit's (FixedEigvals, Mult, CommonEigvals)
+    # _residuals sums per group, read from its eigenvalue shift as it keeps
+    # each mean's eigenvectors (_spectral_sums); None for any other set
     _check_groups(pset, len(means))
     n = (1,) * len(means) if n is None else n
     if isinstance(pset, Unrestricted):
-        return means, None
+        return means, None, None
     if isinstance(pset, Point):
-        return (np.broadcast_to(pset.M0, np.shape(means[0])),), None
+        return (np.broadcast_to(pset.M0, np.shape(means[0])),), None, None
     if isinstance(pset, EqualMeans):
         (n1, n2), (y1, y2) = n, means
         m_hat = (n1 * y1 + n2 * y2) / (n1 + n2)
         if pset.mult is not None:
             (m_hat,), _ = project(Mult(pset.mult), m_hat)
-        return (m_hat, m_hat), None
+        return (m_hat, m_hat), None, None
     if isinstance(pset, (FixedEigvecs, OrderedCone)):
         frames = [(pset.U0, np.diagonal(pset.U0.T @ Y @ pset.U0, 0, -2, -1))
                   for Y in means]
@@ -261,14 +280,14 @@ def project(pset, *means, n=None):
         frames = [(dec.V, dec.lam) for dec in map(eigh_desc, means)]
     lam = (frames[0][1] if len(frames) == 1 else
            np.sum([k * d for k, (_, d) in zip(n, frames)], axis=0) / sum(n))
-    face_dim = None
+    face_dim = sums = None
     if isinstance(pset, OrderedCone):
         lam, face_dim = pava(lam)
-    elif isinstance(pset, FixedEigvals):
-        lam = pset.D0
-    elif isinstance(pset, (Mult, CommonEigvals)):
-        lam = block_average(lam, pset.mult)
-    return tuple(_rebuild(V, lam) for V, _ in frames), face_dim
+    elif isinstance(pset, (FixedEigvals, Mult, CommonEigvals)):
+        lam = (pset.D0 if isinstance(pset, FixedEigvals) else
+               block_average(lam, pset.mult))
+        sums = [_spectral_sums(d - lam) for _, d in frames]
+    return tuple(_rebuild(V, lam) for V, _ in frames), face_dim, sums
 
 
 def dimension(pset, p, groups=1):
@@ -392,9 +411,9 @@ def mle(pset, stats, cov=None):
     checked for p and recorded instead of being estimated; this also
     permits n = 1. Returns a FitResult with one fitted mean per group.
     """
-    means, face_dim = project(pset, *stats.ybar, n=stats.n)
+    means, face_dim, sums = _fit(pset, *stats.ybar, n=stats.n)
     fit = ((cov.validate(stats.p).sigma2, cov.tau) if cov is not None else
-           _fit_cov(stats, _fit_residuals(stats, pset, means)))
+           _fit_cov(stats, sums or _fit_residuals(stats, pset, means)))
     return FitResult(means, *fit, pset, face_dim)
 
 

@@ -740,6 +740,46 @@ class TestExitCodes:
         assert (code, out, err) == (
             2, "", "error: config for 'a0' takes no key %r\n" % key)
 
+    @pytest.mark.parametrize("command", ["test", "calibrate"])
+    def test_null_cov_is_refused(self, tmp_path, capsys, command):
+        # JSON null is neither form of cov: it exits 2 naming both, where it
+        # once ran with an estimated covariance (run's cov=None still does)
+        test = dict(TestCmdCalibrate.CONFIG["test"], cov=None)
+        out = tmp_path / "qq.csv"
+        if command == "test":
+            argv = ["test", "--data", one_sample_file(tmp_path)[0],
+                    "--config", write_config(tmp_path, "t.json", test)]
+        else:
+            argv = ["calibrate", "--out", str(out), "--config", write_config(
+                tmp_path, "c.json", dict(TestCmdCalibrate.CONFIG, test=test))]
+        code, stdout, err = run(capsys, argv)
+        assert (code, stdout, err) == (
+            2, "", "error: config for 'a0': bad 'cov': cov must be a known "
+            "CovParams or None to estimate it; in a config, expected "
+            '{"known": {"sigma2": x, "tau": y}} or {"estimate": true}; '
+            "got null\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"reps": 1e308}, {"n": 1e308}, {"n": 2 ** 63},
+        {"test": {"test_id": "2a0"}, "n": [5, 1e308],
+         "truth": {"M1": np.eye(2).tolist(), "M2": np.eye(2).tolist(),
+                   "sigma2": 1.0, "tau": 0.0}}],
+        ids=["reps", "n", "n-2**63", "n2"])
+    def test_calibrate_count_too_large(self, tmp_path, capsys, config):
+        # a count no array can hold exits 2 naming its key, not 1 on an
+        # OverflowError from the draw or the statistics array
+        key = "reps" if "reps" in config else "n"
+        out = tmp_path / "qq.csv"
+        cfg = write_config(tmp_path, "c.json", dict(TestCmdCalibrate.CONFIG,
+                                                    **config))
+        code, stdout, err = run(capsys, ["calibrate", "--out", str(out),
+                                         "--config", cfg])
+        assert (code, stdout) == (2, "")
+        assert re.fullmatch(r"error: %s must be below 2\*\*63, got \S+\n" % key,
+                            err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("base,key,value,message", [
         ("simulate", "sed", 5, "simulate config takes no key 'sed'"),
         ("calibrate", "rep", 2000, "calibrate config takes no key 'rep'"),

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from symtest import calibrate, lrt
+from symtest import calibrate, lrt, onesample
 from symtest.calibrate import calibrate_null, cone_boundary_law
 from symtest.matnormal import sample
 from symtest.onesample import project
@@ -152,9 +152,9 @@ def test_calibrate_projects_once_per_set_per_chunk(monkeypatch, test_id,
 
     def counted(pset, *means, n=None):
         calls.append((type(pset), [np.shape(y) for y in means]))
-        return project(pset, *means, n=n)
+        return onesample._fit(pset, *means, n=n)
 
-    monkeypatch.setattr(lrt, "project", counted)
+    monkeypatch.setattr(lrt, "_fit", counted)
     config = dict(CONFIGS[test_id], test_id=test_id)
     calibrate_null(config, dict(truth, sigma2=1.0, tau=0.1), n, 2500, 3)
     groups = 2 if isinstance(n, tuple) else 1

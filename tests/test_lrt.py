@@ -269,6 +269,20 @@ class TestPointUnrestricted:
             lrt.run("a0", SuffStats.from_sample(S),
                     M0=np.eye(2), cov="plugin")
 
+    def test_cov_none_estimates_but_config_null_is_refused(self):
+        # run's cov=None, its default, estimates (sigma2, tau); JSON null in
+        # a config is neither of its two forms
+        S = sample(6, np.eye(2), COV0, 317)
+        stats = SuffStats.from_sample(S)
+        given, default = (lrt.run("a0", stats, M0=np.eye(2), **kw)
+                          for kw in ({"cov": None}, {}))
+        assert (given.statistic, given.dist, given.warnings) == (
+            default.statistic, default.dist, default.warnings)
+        with pytest.raises(ValueError, match=r"'cov': .*in a config, expected "
+                           r"\{\"known\".* or \{\"estimate\": true\}; got null"):
+            run_config({"test_id": "a0", "M0": np.eye(2).tolist(),
+                        "cov": None}, S)
+
 
 class TestA1:
     def test_zero_when_diagonal_matches(self):
@@ -1158,16 +1172,20 @@ class TestRunConfig:
     @pytest.mark.parametrize("test_id,cov,expected", [
         ("a0", {"estimate": True}, 1), ("a0", None, 1),
         ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}, 1),
-        ("s2", {"estimate": True}, 1), ("2a0", {"estimate": True}, 1),
-        ("s1", {"estimate": True}, 2), ("2s2", {"estimate": True}, 2),
+        ("s2", {"estimate": True}, 0), ("2a0", {"estimate": True}, 1),
+        ("s1", {"estimate": True}, 1), ("2s2", {"estimate": True}, 1),
+        ("s3", {"estimate": True}, 0), ("2s1", {"estimate": True}, 0),
         ("cov-check", None, 0)],
         ids=["a0-estimate", "a0-default", "a0-known", "s2-estimate",
-             "2a0-estimate", "s1-estimate", "2s2-estimate", "cov-check"])
+             "2a0-estimate", "s1-estimate", "2s2-estimate", "s3-estimate",
+             "2s1-estimate", "cov-check"])
     def test_residual_passes_per_run(self, monkeypatch, test_id, cov, expected):
         # each restricted fit's residual is formed once, whatever the
         # covariance: the null fit's (sigma2, tau), the F variant's sigma2
         # at the alternative and the statistic all read those sums. An
-        # unrestricted fit is the sample mean, whose residual is zero
+        # unrestricted fit is the sample mean, whose residual is zero, and
+        # an eigenframe fit (FixedEigvals, Mult, CommonEigvals) reads its
+        # sums from the eigenvalue shift, so neither forms Ybar - M
         import sys
         from symtest import onesample
         calls = []

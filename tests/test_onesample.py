@@ -26,6 +26,7 @@ from symtest.onesample import (
     OrderedCone,
     Point,
     Unrestricted,
+    _fit,
     _fit_residuals,
     _residuals,
     contains,
@@ -384,6 +385,101 @@ class TestProjectStacks:
                 assert (dim is None) == (dims is None)
                 if dims is not None:
                     assert dims[j] == dim
+
+
+def eigenframe_fits(rng, p):
+    """Each eigenframe set at p x p, with group means off it.
+
+    Returns (set, means, counts) tuples: FixedEigvals at a distinct and a
+    tied D0, Mult at a tied pattern, CommonEigvals at a distinct and a tied
+    one, the two-group fits with unequal counts.
+    """
+    distinct = Multiplicities((1,) * p)
+    tied = Multiplicities((2,) + (1,) * (p - 2))
+    D = np.linspace(2.0, -1.0, p)
+    Y1, Y2 = (random_symmetric(rng, p, 2.0) for _ in range(2))
+    return [(FixedEigvals(D, distinct), (Y1,), None),
+            (FixedEigvals(np.concatenate(([D[0]], D[:-1])), tied), (Y1,), None),
+            (Mult(tied), (Y1,), None),
+            (CommonEigvals(distinct), (Y1, Y2), (4, 7)),
+            (CommonEigvals(tied), (Y1, Y2), (4, 7))]
+
+
+def assert_sums_close(sums, ref, shifts, rtol):
+    # [tr, ss, off] per group within rtol: tr relative to sum |d|, the size of
+    # its terms (a block average leaves tr near 0), ss and off to themselves
+    for got, want, d in zip(sums, ref, shifts):
+        size = [np.abs(d).sum(), abs(want[1]), abs(want[2])]
+        for g, w, z in zip(got, want, size):
+            assert abs(g - float(w)) <= rtol * z, (got, want)
+
+
+class TestEigenframeSums:
+    # an eigenframe fit keeps each mean's eigenvectors, so Ybar_g - M_g =
+    # V_g diag(lam_g - fit) V_g' and _fit reads its sums from the shift
+
+    @staticmethod
+    def shifts(pset, Y, n):
+        # each group's eigenvalue shift lam_g - fit, from the fitted means
+        fit, _ = project(pset, *Y, n=n)
+        return [eigh_desc(y).lam - eigh_desc(f).lam for y, f in zip(Y, fit)]
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_sums_match_the_rebuilt_fit(self, p):
+        rng = np.random.default_rng(890 + p)
+        for pset, Y, n in eigenframe_fits(rng, p):
+            fit, _, sums = _fit(pset, *Y, n=n)
+            g = len(Y)
+            stats = SuffStats(n or (1,), Y, (0.0,) * g, (0.0,) * g)
+            assert len(sums) == g
+            assert all(type(x) is float for group in sums for x in group)
+            assert_sums_close(sums, _residuals(stats, fit),
+                              self.shifts(pset, Y, n), 1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_stack_gives_the_bits_of_single_calls(self, p):
+        rng = np.random.default_rng(900 + p)
+        r = 7
+        for pset, Y, n in eigenframe_fits(rng, p):
+            # random means, a mean on the set and a scalar matrix
+            stacks = [np.array([random_symmetric(rng, p, 2.0)
+                                for _ in range(r - 2)] + [y, 0.5 * np.eye(p)])
+                      for y in project(pset, *Y, n=n)[0]]
+            _, _, sums = _fit(pset, *stacks, n=n)
+            assert [len(s) for s in sums] == [r] * len(Y)
+            for j in range(r):
+                one = _fit(pset, *(y[j] for y in stacks), n=n)[2]
+                assert [[x.hex() for x in s[j]] for s in sums] == [
+                    [x.hex() for x in o] for o in one], (pset, j)
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_sums_match_a_60_digit_oracle(self, p):
+        # the fit in exact arithmetic: mpmath eigenvalues of each mean, the
+        # set's fitted spectrum and the shift's three sums, at 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(910 + p)
+        with mpmath.workdps(60):
+            for pset, Y, n in eigenframe_fits(rng, p):
+                lam = [sorted(mpmath.eigsy(mpmath.matrix(y.tolist()),
+                                           eigvals_only=True), reverse=True)
+                       for y in Y]
+                k = n or (1,)
+                mean = [sum(w * l[i] for w, l in zip(k, lam)) / sum(k)
+                        for i in range(p)]
+                if isinstance(pset, FixedEigvals):
+                    fit = [mpmath.mpf(float(x)) for x in pset.D0]
+                else:
+                    fit = [None] * p
+                    for lo, hi in pset.mult.blocks():
+                        fit[lo:hi] = [sum(mean[lo:hi]) / (hi - lo)] * (hi - lo)
+                ref, shifts = [], []
+                for l in lam:
+                    d = [a - b for a, b in zip(l, fit)]
+                    tr = sum(d)
+                    ref.append((tr, sum(x * x for x in d),
+                                sum((x - tr / p) ** 2 for x in d)))
+                    shifts.append(np.array([float(x) for x in d]))
+                assert_sums_close(_fit(pset, *Y, n=n)[2], ref, shifts, 1e-11)
 
 
 class TestCovarianceEstimators:
