@@ -11,10 +11,11 @@ chunk draws each group's sufficient statistics directly from their exact
 laws (_draws), so a replicate's cost does not grow with n_g. A
 calibration binds its hypothesis once (lrt.parse_config). The fits never
 depend on the covariance, so each chunk's stack of means is fitted to
-each set in one call (lrt._project), eigenframe fits' residual sums
-with them; only the statistic step lrt._statistic runs replicate by
-replicate, forming Ybar - M for Point, EqualMeans, FixedEigvecs and
-OrderedCone fits alone, and the p-values of all
+each set in one call (lrt._project), with the residual sums of every
+Point, EqualMeans and eigenframe fit; only the statistic step
+lrt._statistic runs replicate by replicate, forming Ybar - M for
+FixedEigvecs and OrderedCone fits alone (their chunk step waits on the
+benchmark's peak memory bound, ROADMAP item 1), and the p-values of all
 replicates are taken in one lrt.pvalue call, the reference's quantiles in
 one lrt.quantile call. An eigenvector consistency study decomposes each
 chunk's fitted frames in one call too.
@@ -31,6 +32,7 @@ from .lrt import ConeWeights
 from .symcore import (
     CovParams,
     Multiplicities,
+    _allocating,
     _number,
     check_integer,
     check_keys,
@@ -96,8 +98,10 @@ def _check_reps(reps):
 def _cone_draw(d, cov, reps, seed):
     # pava of reps draws of the diagonal of N(diag(d), sigma2, tau): y = d + zB,
     # B the p x p diagonal block of the root R; y += d adds no (reps, p) array
-    p = d.size
-    y = _rng_from(seed).standard_normal((reps, p)) @ _sigma_root(p, cov)[:p, :p]
+    p, rng = d.size, _rng_from(seed)
+    with _allocating("reps", reps):
+        y = rng.standard_normal((reps, p))
+    y = y @ _sigma_root(p, cov)[:p, :p]
     y += d
     return pava(y)
 
@@ -187,7 +191,8 @@ def _draws(means, sizes, cov, reps, seed, key=(), scatter=False):
 
 
 def _fits(h, chunk):
-    # per replicate, each set's (means, eigenframe sums or None), fit per chunk
+    # per replicate, each set's (means, _fit's residual sums or None), fit
+    # per chunk
     return zip(*(zip(zip(*means), repeat(None) if sums is None else zip(*sums))
                  for means, _, sums in lrt._project(h, chunk)))
 
@@ -222,12 +227,14 @@ def calibrate_null(config, truth, n, reps, seed):
     if not contains(h.sets[0], *means):
         raise ValueError("generator mean is not in the null set of %r"
                          % h.test_id)
+    with _allocating("reps", reps):
+        stats = np.empty(reps)
     draws = _draws(means, sizes, cov_true, reps, seed, scatter=h.spec.scatter)
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = np.fromiter(
-            (lrt._statistic(h, drawn, fit)[0] for chunk in draws
-             for drawn, fit in zip(chunk.replicates(), _fits(h, chunk))),
-            float, reps)
+        for start, chunk in zip(range(0, reps, _CHUNK), draws):
+            stats[start:start + _CHUNK] = [
+                lrt._statistic(h, drawn, fit)[0]
+                for drawn, fit in zip(chunk.replicates(), _fits(h, chunk))]
     lrt._check_finite(h, stats)
     stats.sort()
     pvals = lrt.pvalue(h.dist, stats)

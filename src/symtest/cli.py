@@ -250,10 +250,15 @@ def cmd_simulate(args):
         raise InputError("config p=%d does not match the mean's dimension %d"
                          % (int(config["p"]), p))
     # a one-group sample draws from the seed, group g of two from its child g
-    streams = [(0,), (1,)] if two else [()]
-    S = np.concatenate([sample(k, M, cov, _rng_from(seed, key))
-                        for k, M, key in zip(sizes, means, streams)])
-    write_dataset(args.out, S, sizes[0] if two else None)
+    parts = []
+    for k, M, key, name in zip(sizes, means, ([(0,), (1,)] if two else [()]),
+                               counts):
+        rng = _rng_from(seed, key)
+        try:
+            parts.append(sample(k, M, cov, rng))
+        except ValueError as e:  # M and cov are checked above: it is k's
+            raise InputError("config %r: %s" % (name, e))
+    write_dataset(args.out, np.concatenate(parts), sizes[0] if two else None)
 
 
 def cmd_test(args, config=None):

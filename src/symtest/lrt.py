@@ -12,15 +12,17 @@ counts: the checks that shape decides, the sets and the reference are
 made there and nowhere else. Run's keywords, a config's keys but
 test_id, seed and reps, and those of its cov, cov.known and c2 weights
 pass the one key rule, symcore.check_keys. The runner fits both sets to
-the sample means, one or a chunk's stack (onesample._fit), reading an
-eigenframe fit's residual sums from its eigenvalue shift. Its statistic
-step (_statistic) is per-sample arithmetic on the sums (_fit_cov) that
-forms Ybar - M only of Point, EqualMeans, FixedEigvecs and OrderedCone fits.
-Only _run adds the fits, the warnings and the p-value. A known sigma2
-too small for the data's scale overflows the statistic: a run and a
-calibration report it in one message (_check_finite). pvalue takes a
-scalar or an array of statistics, quantile a scalar or an array of
-probabilities.
+the sample means, one or a chunk's stack (onesample._fit), which also
+gives the residual sums of a Point or EqualMeans fit, from Ybar - M on
+the whole stack, and of an eigenframe fit, from its eigenvalue shift.
+Its statistic step (_statistic) is per-sample arithmetic on the sums
+(_fit_cov) that forms Ybar - M only of FixedEigvecs and OrderedCone
+fits, kept per sample while the benchmark's peak_rss_mb bound has no
+room for them (ROADMAP item 1). Only _run adds the fits, the warnings
+and the p-value. A known sigma2 too small for the data's scale
+overflows the statistic: a run and a calibration report it in one
+message (_check_finite). pvalue takes a scalar or an array of
+statistics, quantile a scalar or an array of probabilities.
 
 The two sets fix a test's reference (_reference): chi-square with
 dim(alternative) - dim(null) degrees of freedom (onesample.dimension),
@@ -269,7 +271,7 @@ def _lr(h, stats, res0, res1, cov):
 
     Sum over groups of n_g (||Ybar_g - M0_g||^2 - ||Ybar_g - M1_g||^2),
     each squared distance (ss - tau tr^2)/sigma2 from its own residual's
-    _residuals, so the statistic stays accurate at any data scale. An F
+    sums, so the statistic stays accurate at any data scale. An F
     reference takes it at the within-group sigma2 for cov's tau, scaled by
     (n - g)/(q n); a tau_free entry at tau = 0. Returns the statistic and
     the summed magnitude of the terms it subtracts, which sets the size of
@@ -459,7 +461,7 @@ class Spec:
     for p x p data in groups of n, plugin telling whether the null fit's
     covariance is plugged in (by default _reference). statistic(h, stats,
     res0, res1, cov) gives the statistic and its size from the fits'
-    _residuals and the known or null-fitted cov: _lr for every mean test,
+    residual sums and the known or null-fitted cov: _lr for every mean test,
     tau_free marking fits with equal traces. scatter marks a statistic
     that reads stats.logdet, so a Monte Carlo chunk draws it. _bind calls
     sets and reference once per run, run_config or calibrate_null call.
@@ -567,8 +569,9 @@ def _statistic(h, stats, fits):
     """The statistic of a bound hypothesis on one sample, and its covariance.
 
     fits are the null and alternative fits' (means, sums) for the sample
-    (_project), sums an eigenframe fit's residual sums or None; of any
-    other restricted fit, Ybar - M is formed once (_fit_residuals). Takes
+    (_project), sums the residual sums _fit gives or None; of a
+    FixedEigvecs or OrderedCone fit, Ybar - M is formed once
+    (_fit_residuals), and an unrestricted fit has none. Takes
     the known covariance or fits (sigma2, tau) under the null, and applies
     the entry's statistic and the clamp. Returns (statistic, CovParams).
     """

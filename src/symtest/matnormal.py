@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (check_integer, check_symmetric, norm_sq, sym_dim, vecd,
-                      vecd_inv)
+from .symcore import (_allocating, check_integer, check_symmetric,
+                      norm_sq, sym_dim, vecd, vecd_inv)
 
 
 def _rng_from(seed, key=()):
@@ -104,7 +104,9 @@ def sample(n, M, cov, seed):
     n = check_integer(n, "n")
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    z = _rng_from(seed).standard_normal((n, sym_dim(p)))
+    rng = _rng_from(seed)
+    with _allocating("n", n):
+        z = rng.standard_normal((n, sym_dim(p)))
     return M + vecd_inv(z @ R, p)
 
 

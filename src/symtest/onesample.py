@@ -31,11 +31,16 @@ about the fitted means: the within-group sums of SuffStats plus n_g
 times the squared lack of fit r = Ybar_g - M_g of each group, of which
 they read only tr r and ||r - (tr r/p) I||^2; _fit_cov gives both MLEs,
 or sigma2's at a given tau, for every fit. An Unrestricted fit is the
-sample mean, so its r is exactly zero and is never formed. An eigenframe
-fit (FixedEigvals, Mult, CommonEigvals) keeps each mean's eigenvectors,
-so project's frame step reads the sums from the eigenvalue shift; Point,
-EqualMeans, FixedEigvecs and OrderedCone fits form r. mle returns one
-FitResult for one or two groups. eigvec_uncertainty gives
+sample mean, so its r is exactly zero and is never formed. _fit,
+project's body, also gives the sums of a Point, EqualMeans or eigenframe
+fit, once for one mean or a chunk's whole stack: a Point or EqualMeans
+fit forms r there (_matrix_sums), and an eigenframe fit (FixedEigvals,
+Mult, CommonEigvals), which keeps each mean's eigenvectors, reads them
+from its eigenvalue shift. Only FixedEigvecs and OrderedCone fits form r
+per sample (_residuals): moving them to the stack as well takes the
+benchmark's peak_rss_mb past its 10% bound for as long as the benchmark
+keeps every replicate's report (ROADMAP item 1). mle
+returns one FitResult for one or two groups. eigvec_uncertainty gives
 the asymptotic normal law of the eigenvector estimation error for
 distinct-spectrum fits, expressed as a rotation logarithm, for one fit
 or a stack.
@@ -248,9 +253,24 @@ def project(pset, *means, n=None):
     return _fit(pset, *means, n=n)[:2]
 
 
+def _matrix_sums(y, m):
+    # [tr r, ||r||^2, ||r - (tr r/p) I||^2] of r = y - m as Python floats, r
+    # such rows for a stack (r, p, p) with the bits of r single calls; the
+    # off-trace sum is not ||r||^2 - tr^2/p, so it stays accurate at any scale
+    r = y - m
+    p = r.shape[-1]
+    r = r.reshape(r.shape[:-2] + (p * p,))  # a view, as is its diagonal
+    diag = r[..., ::p + 1]
+    tr = diag.sum(-1)
+    ss = (r * r).sum(-1)
+    diag = diag.T  # stack axes last, so tr/p broadcasts with no new axis
+    diag -= tr / p
+    return np.array([tr, ss, (r * r).sum(-1)]).T.tolist()
+
+
 def _spectral_sums(d):
-    # _residuals' [tr, ss, off] (r of them for a stack) of V diag(d) V' from
-    # the eigenvalue shift d alone; off sums d - tr/p, accurate at any scale
+    # _matrix_sums of V diag(d) V' from the eigenvalue shift d alone; off
+    # sums d - tr/p, accurate at any scale
     tr = d.sum(axis=-1)
     off = d - tr[..., None] / d.shape[-1]
     return np.stack([tr, (d * d).sum(axis=-1), (off * off).sum(axis=-1)],
@@ -258,21 +278,24 @@ def _spectral_sums(d):
 
 
 def _fit(pset, *means, n=None):
-    # project, plus an eigenframe fit's (FixedEigvals, Mult, CommonEigvals)
-    # _residuals sums per group, read from its eigenvalue shift as it keeps
-    # each mean's eigenvectors (_spectral_sums); None for any other set
+    # project, plus each group's lack-of-fit sums (_matrix_sums) for every
+    # set but Unrestricted, FixedEigvecs and OrderedCone (None): a Point or
+    # EqualMeans fit forms Ybar_g - M_g on the whole stack at once, and an
+    # eigenframe fit (FixedEigvals, Mult, CommonEigvals), which keeps each
+    # mean's eigenvectors, reads them from its eigenvalue shift
     _check_groups(pset, len(means))
     n = (1,) * len(means) if n is None else n
     if isinstance(pset, Unrestricted):
         return means, None, None
     if isinstance(pset, Point):
-        return (np.broadcast_to(pset.M0, np.shape(means[0])),), None, None
+        m_hat = np.broadcast_to(pset.M0, np.shape(means[0]))
+        return (m_hat,), None, [_matrix_sums(means[0], m_hat)]
     if isinstance(pset, EqualMeans):
         (n1, n2), (y1, y2) = n, means
         m_hat = (n1 * y1 + n2 * y2) / (n1 + n2)
         if pset.mult is not None:
             (m_hat,), _ = project(Mult(pset.mult), m_hat)
-        return (m_hat, m_hat), None, None
+        return (m_hat, m_hat), None, [_matrix_sums(y, m_hat) for y in means]
     if isinstance(pset, (FixedEigvecs, OrderedCone)):
         frames = [(pset.U0, np.diagonal(pset.U0.T @ Y @ pset.U0, 0, -2, -1))
                   for Y in means]
@@ -313,27 +336,20 @@ def dimension(pset, p, groups=1):
 
 
 def _residuals(stats, means):
-    # per group (tr r, ||r||^2, ||r - (tr r/p) I||^2) of r = Ybar_g - M_g, all
-    # the covariance fit and the statistic read of a fit; the off-trace sum
-    # is not ||r||^2 - tr^2/p, so it stays accurate at any scale
+    # per group _matrix_sums of r = Ybar_g - M_g, all the covariance fit and
+    # the statistic read of a fit: the route of a fit _fit gives no sums
     if len(means) != len(stats.n):
         raise ValueError("need one fitted mean per group: %d groups, %d means"
                          % (len(stats.n), len(means)))
-    p, out = stats.p, []
-    for ybar, m_hat in zip(stats.ybar, means):
-        r = ybar - m_hat
-        tr, ss = r.trace(), (r * r).sum()
-        r.flat[::p + 1] -= tr / p
-        out.append((tr, ss, (r * r).sum()))
-    return out
+    return [_matrix_sums(y, m) for y, m in zip(stats.ybar, means)]
 
 
 def _fit_residuals(stats, pset, means):
     # _residuals of a fit over pset. An Unrestricted fit is the sample mean
-    # itself, so its residual is exactly zero: its sums are numpy zeros, as
-    # _residuals would type them, with no pass over the data
+    # itself, so its residual is exactly zero: its sums are 0.0 with no
+    # pass over the data
     if isinstance(pset, Unrestricted):
-        return [(np.float64(0.0),) * 3] * len(stats.n)
+        return [[0.0] * 3] * len(stats.n)
     return _residuals(stats, means)
 
 

@@ -8,6 +8,7 @@ block averaging of eigenvalues, and the eigenvalue-wise matrix
 log/exp used for log-domain preprocessing.
 """
 
+import contextlib
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -54,6 +55,20 @@ def check_integer(value, name):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
+@contextlib.contextmanager
+def _allocating(name, count):
+    """Make numpy's refusal to allocate an array of `count` rows a ValueError
+    naming the count: a MemoryError when memory cannot hold it, a ValueError
+    past the address space. Wrap only the allocation, so that no other
+    error is blamed on the count; it fails before touching any memory.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise ValueError("%s = %.3g is too large for memory"
+                         % (name, min(count, 1e308))) from None
 
 
 def _number(value, name):

@@ -17,6 +17,7 @@ from symtest.calibrate import (
     CalibrationReport,
     ConeWeights,
     _draws,
+    _fits,
     calibrate_null,
     cone_boundary_law,
     consistency_study,
@@ -390,6 +391,37 @@ class TestDirectDraw:
         assert kstest(b, chi2(5 * (n - 1)).cdf).pvalue > 0.001
         assert ks_2samp([s.logdet[0] for s in drawn],
                         [s.logdet[0] for s in reduced]).pvalue > 0.001
+
+
+M3 = np.diag([3.0, 2.0, 1.0])
+CHUNK_ARGS = {
+    "a0": dict(M0=M3), "a1": dict(U0=np.eye(3), M0=M3), "2a0": {},
+    "s1": dict(M0=M3, D0=np.diag(M3), mult=Multiplicities((1, 1, 1))),
+    "2s2": dict(mult=Multiplicities((1, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("cov", [CovParams(1.0, 0.1), None],
+                         ids=["known", "estimated"])
+@pytest.mark.parametrize("test_id", list(CHUNK_ARGS))
+def test_chunk_statistics_are_the_run_statistics(test_id, cov):
+    # one chunk drawn as calibrate_null draws it, fitted once for the
+    # whole stack (lrt._project) and read replicate by replicate by
+    # lrt._statistic, gives the bits of lrt.run on each replicate
+    sizes = (12, 9) if test_id.startswith("2") else (12,)
+    chunk = next(_draws((M3,) * len(sizes), sizes, CovParams(1.0, 0.1), 300,
+                        81))
+    args = dict(CHUNK_ARGS[test_id], cov=cov)
+    h = lrt._bind(test_id, args, 3, sizes)
+    count = 0
+    for drawn, fit in zip(chunk.replicates(), _fits(h, chunk)):
+        t, fitted = lrt._statistic(h, drawn, fit)
+        res = lrt.run(test_id, drawn, **args)
+        assert [x.hex() for x in (t, fitted.sigma2, fitted.tau)] == [
+            float(x).hex() for x in (res.statistic, res.fit_null.sigma2_hat,
+                                     res.fit_null.tau_hat)]
+        count += 1
+    assert count == 300
 
 
 class TestConsistencyStudy:

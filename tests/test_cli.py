@@ -780,6 +780,36 @@ class TestExitCodes:
                             err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [10 ** 17, 2 ** 63 - 1])
+    @pytest.mark.parametrize("command,key", [
+        ("calibrate", "reps"), ("cone-weights", "reps"), ("simulate", "n"),
+        ("simulate", "n1"), ("simulate", "n2")])
+    def test_count_too_large_for_memory(self, tmp_path, capsys, command, key,
+                                        count):
+        # a count whose arrays numpy cannot allocate exits 2 naming its key,
+        # not 1 on numpy's MemoryError (10**17 rows of floats exceed any
+        # 64-bit address space, so the allocation fails at once, before
+        # touching memory, whatever the machine's overcommit policy) nor 2
+        # on its unnamed "array is too big" (2**63 - 1)
+        out = tmp_path / "out.csv"
+        eye = np.eye(2).tolist()
+        config = {
+            "calibrate": dict(TestCmdCalibrate.CONFIG, reps=count),
+            "cone-weights": {"d_true": [1.0, 1.0, 1.0, 1.0], "reps": count},
+            "simulate": {"M": eye, "sigma2": 1.0, "tau": 0.0, "n": count},
+        }[command]
+        if key in ("n1", "n2"):
+            config = {"M1": eye, "M2": eye, "sigma2": 1.0, "tau": 0.0,
+                      "n1": 5, "n2": 5, key: count}
+        argv = [command, "--config", write_config(tmp_path, "c.json", config)]
+        if command != "cone-weights":
+            argv += ["--out", str(out)]
+        code, stdout, err = run(capsys, argv)
+        name = key if command != "simulate" else "config %r: n" % key
+        assert (code, stdout, err) == (
+            2, "", "error: %s = %.3g is too large for memory\n" % (name, count))
+        assert not out.exists()
+
     @pytest.mark.parametrize("base,key,value,message", [
         ("simulate", "sed", 5, "simulate config takes no key 'sed'"),
         ("calibrate", "rep", 2000, "calibrate config takes no key 'rep'"),

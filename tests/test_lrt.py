@@ -1170,22 +1170,26 @@ class TestRunConfig:
         assert len(calls) == expected
 
     @pytest.mark.parametrize("test_id,cov,expected", [
-        ("a0", {"estimate": True}, 1), ("a0", None, 1),
-        ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}, 1),
-        ("s2", {"estimate": True}, 0), ("2a0", {"estimate": True}, 1),
-        ("s1", {"estimate": True}, 1), ("2s2", {"estimate": True}, 1),
+        ("a0", {"estimate": True}, 0), ("a0", None, 0),
+        ("a0", {"known": {"sigma2": 1.0, "tau": 0.1}}, 0),
+        ("s2", {"estimate": True}, 0), ("2a0", {"estimate": True}, 0),
+        ("s1", {"estimate": True}, 0), ("2s2", {"estimate": True}, 0),
         ("s3", {"estimate": True}, 0), ("2s1", {"estimate": True}, 0),
-        ("cov-check", None, 0)],
+        ("cov-check", None, 0), ("a1", {"estimate": True}, 1),
+        ("a2", {"estimate": True}, 1), ("c2", {"estimate": True}, 1)],
         ids=["a0-estimate", "a0-default", "a0-known", "s2-estimate",
              "2a0-estimate", "s1-estimate", "2s2-estimate", "s3-estimate",
-             "2s1-estimate", "cov-check"])
+             "2s1-estimate", "cov-check", "a1-estimate", "a2-estimate",
+             "c2-estimate"])
     def test_residual_passes_per_run(self, monkeypatch, test_id, cov, expected):
-        # each restricted fit's residual is formed once, whatever the
-        # covariance: the null fit's (sigma2, tau), the F variant's sigma2
-        # at the alternative and the statistic all read those sums. An
-        # unrestricted fit is the sample mean, whose residual is zero, and
-        # an eigenframe fit (FixedEigvals, Mult, CommonEigvals) reads its
-        # sums from the eigenvalue shift, so neither forms Ybar - M
+        # _residuals is the per-sample pass over a fit, taken once per
+        # restricted fit whatever the covariance: the null fit's (sigma2,
+        # tau), the F variant's sigma2 at the alternative and the statistic
+        # all read its sums. Only FixedEigvecs (a1, a2) and OrderedCone (c2)
+        # fits take it. An unrestricted fit is the sample mean, whose
+        # residual is zero; _fit gives a Point or EqualMeans fit's sums, and
+        # an eigenframe fit's (FixedEigvals, Mult, CommonEigvals) from the
+        # eigenvalue shift
         import sys
         from symtest import onesample
         calls = []
@@ -1201,9 +1205,11 @@ class TestRunConfig:
                 monkeypatch.setattr(module, "_residuals", counted)
         M = np.diag([3.0, 2.0, 1.0])
         config = {"test_id": test_id, "M0": M.tolist(), "D0": [3.0, 2.0, 1.0],
-                  "multiplicities": [1, 1, 1], "cov": cov}
+                  "U0": np.eye(3).tolist(), "multiplicities": [1, 1, 1],
+                  "cov": cov}
+        spec = lrt.TESTS[test_id]
         config = {k: v for k, v in config.items() if v is not None and (
-            k in ("test_id", "cov") + lrt.TESTS[test_id].keys)}
+            k in ("test_id",) + spec.keys + spec.optional)}
         # cov-check needs n > q(q+3)/2 = 27
         S = sample(40 if test_id == "cov-check" else 20, M,
                    CovParams(1.0, 0.1), 386)

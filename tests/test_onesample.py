@@ -405,6 +405,29 @@ def eigenframe_fits(rng, p):
             (CommonEigvals(tied), (Y1, Y2), (4, 7))]
 
 
+def formed_fits(rng, p):
+    """Point and EqualMeans at p x p, with group means off them.
+
+    Returns (set, means, counts) tuples: Point, and EqualMeans with no
+    pattern, a distinct and a tied one, at unequal counts. Each forms
+    Ybar_g - M_g in _fit, on one mean or a whole stack.
+    """
+    distinct = Multiplicities((1,) * p)
+    tied = Multiplicities((2,) + (1,) * (p - 2))
+    Y1, Y2, M0 = (random_symmetric(rng, p, 2.0) for _ in range(3))
+    return [(Point(M0), (Y1,), None),
+            (EqualMeans(), (Y1, Y2), (4, 7)),
+            (EqualMeans(distinct), (Y1, Y2), (4, 7)),
+            (EqualMeans(tied), (Y1, Y2), (4, 7))]
+
+
+def hexes(sums):
+    # each group's sums as the exact bits of Python floats
+    for group in sums:
+        assert all(type(x) is float for x in group), sums
+    return [[x.hex() for x in group] for group in sums]
+
+
 def assert_sums_close(sums, ref, shifts, rtol):
     # [tr, ss, off] per group within rtol: tr relative to sum |d|, the size of
     # its terms (a block average leaves tr near 0), ss and off to themselves
@@ -416,7 +439,8 @@ def assert_sums_close(sums, ref, shifts, rtol):
 
 class TestEigenframeSums:
     # an eigenframe fit keeps each mean's eigenvectors, so Ybar_g - M_g =
-    # V_g diag(lam_g - fit) V_g' and _fit reads its sums from the shift
+    # V_g diag(lam_g - fit) V_g' and _fit reads its sums from the shift; a
+    # Point or EqualMeans fit forms Ybar_g - M_g there, one mean or a stack
 
     @staticmethod
     def shifts(pset, Y, n):
@@ -435,22 +459,36 @@ class TestEigenframeSums:
             assert all(type(x) is float for group in sums for x in group)
             assert_sums_close(sums, _residuals(stats, fit),
                               self.shifts(pset, Y, n), 1e-12)
+        for pset, Y, n in formed_fits(rng, p):
+            fit, _, sums = _fit(pset, *Y, n=n)
+            g = len(Y)
+            stats = SuffStats(n or (1,), Y, (0.0,) * g, (0.0,) * g)
+            assert len(sums) == g
+            assert hexes(sums) == hexes(_residuals(stats, fit)), pset
 
     @pytest.mark.parametrize("p", [2, 3, 6])
     def test_stack_gives_the_bits_of_single_calls(self, p):
         rng = np.random.default_rng(900 + p)
         r = 7
-        for pset, Y, n in eigenframe_fits(rng, p):
+        for formed, (pset, Y, n) in (
+                [(False, f) for f in eigenframe_fits(rng, p)]
+                + [(True, f) for f in formed_fits(rng, p)]):
             # random means, a mean on the set and a scalar matrix
             stacks = [np.array([random_symmetric(rng, p, 2.0)
                                 for _ in range(r - 2)] + [y, 0.5 * np.eye(p)])
                       for y in project(pset, *Y, n=n)[0]]
-            _, _, sums = _fit(pset, *stacks, n=n)
+            fit, _, sums = _fit(pset, *stacks, n=n)
             assert [len(s) for s in sums] == [r] * len(Y)
             for j in range(r):
-                one = _fit(pset, *(y[j] for y in stacks), n=n)[2]
-                assert [[x.hex() for x in s[j]] for s in sums] == [
-                    [x.hex() for x in o] for o in one], (pset, j)
+                rows = hexes([s[j] for s in sums])
+                assert rows == hexes(_fit(pset, *(y[j] for y in stacks),
+                                          n=n)[2]), (pset, j)
+                if formed:
+                    # the per-sample route a calibration took before
+                    stats = SuffStats(n or (1,), tuple(y[j] for y in stacks),
+                                      (0.0,) * len(Y), (0.0,) * len(Y))
+                    assert rows == hexes(_residuals(
+                        stats, tuple(m[j] for m in fit))), (pset, j)
 
     @pytest.mark.parametrize("p", [2, 3, 6])
     def test_sums_match_a_60_digit_oracle(self, p):
@@ -552,7 +590,7 @@ class TestCovarianceEstimators:
         assert len(res) == len(stats.n)
         for sums in res:
             assert [(type(x), x, math.copysign(1.0, x)) for x in sums] == [
-                (np.float64, 0.0, 1.0)] * 3
+                (float, 0.0, 1.0)] * 3
         assert _fit_residuals(stats, Unrestricted(), stats.ybar) == res
 
     def test_tau_stays_below_upper_limit(self):
