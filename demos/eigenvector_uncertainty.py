@@ -21,13 +21,12 @@ mult = Multiplicities((1, 1, 1))
 dec = eigh_desc(M)
 
 reps = 2000
-angles = np.empty((reps, 3, 3))
-pred = None
+fits = np.empty((reps, 3, 3))
 for rep in range(reps):
     S = sample(n, M, cov, np.random.SeedSequence(9, spawn_key=(rep,)))
-    fit = mle(FixedEigvals(d, mult), SuffStats.from_sample(S), cov)
-    a, pred = eigvec_uncertainty(dec.V, d, fit.M_hat, n, cov.sigma2)
-    angles[rep] = a
+    fits[rep] = mle(FixedEigvals(d, mult), SuffStats.from_sample(S), cov).M_hat
+# one call measures every fitted frame against the truth
+angles, pred = eigvec_uncertainty(dec.V, d, fits, n, cov.sigma2)
 
 print("plane-rotation variances, scaled by n (%d replicates):" % reps)
 print("%8s %12s %12s %16s" % ("pair", "gap", "observed", "sigma2/(2 gap^2)"))

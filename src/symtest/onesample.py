@@ -43,21 +43,24 @@ keeps every replicate's report (ROADMAP item 1). mle
 returns one FitResult for one or two groups. eigvec_uncertainty gives
 the asymptotic normal law of the eigenvector estimation error for
 distinct-spectrum fits, expressed as a rotation logarithm, for one fit
-or a stack.
+or a stack; the logarithm is a closed form on one eigh_desc of the
+stack's symmetric parts, so no fit has a loop of its own.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .symcore import (
+    CovParams,
     Multiplicities,
     _rebuild,
     block_average,
+    check_integer,
     check_symmetric,
     eigh_desc,
+    float_array,
     sym_dim,
 )
 
@@ -446,52 +449,36 @@ def contains(pset, *means, tol=1e-9):
     return all(np.abs(F - M).max() <= bound for F, M in zip(fitted, means))
 
 
-def _align_signs(U, Uhat):
-    # Column sign flips of Uhat making diag(U' Uhat) entries positive, which
-    # maximizes tr(U' Uhat) over sign changes and hence minimizes the
-    # Frobenius distance ||U Uhat' - I||.
-    R = U.T @ Uhat
-    signs = np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
-    return Uhat * signs
-
-
 def _rotation_log(R):
-    # Principal logarithm of a special orthogonal matrix via the real Schur
-    # form, whose 2x2 blocks are plane rotations with directly readable
-    # angles. Restricted to rotations with no angle at pi, where the
-    # principal log is unique. scipy.linalg is imported here, its only use,
-    # so that importing symtest does not pay for it.
-    import scipy.linalg
-
-    T, Z = scipy.linalg.schur(R, output="real")
-    p = R.shape[0]
-    L = np.zeros((p, p))
-    i = 0
-    while i < p:
-        if i + 1 < p and abs(T[i + 1, i]) > 1e-12:
-            angle = math.atan2(T[i + 1, i], T[i, i])
-            L[i, i + 1] = -angle
-            L[i + 1, i] = angle
-            i += 2
-        else:
-            if T[i, i] < 0.0:
-                raise ValueError("rotation angle pi: principal log is not unique")
-            i += 1
-    A = Z @ L @ Z.T
-    return 0.5 * (A - A.T)
+    # Principal logarithm of a stack of rotations R (r, p, p), in closed form
+    # from one eigh: C = (R + R')/2 and S = (R - R')/2 commute, and C has
+    # eigenvalues cos(theta_k), so log R = f(C) S with f(c) = arccos(c) /
+    # sqrt(1 - c^2) and f(1) = 1. f(C) is a function of C, so tied angles
+    # need no care. Its rounding error grows as eps/(1 + cos(theta)), so an
+    # angle within about 1.4e-4 of pi, where the log is not unique or has
+    # lost half its digits, is refused.
+    C = 0.5 * (R + np.swapaxes(R, -1, -2))
+    dec = eigh_desc(C)
+    c = dec.lam
+    if np.any(c <= -1.0 + 1e-8):
+        raise ValueError("rotation angle pi: principal log is not unique")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(c < 1.0, np.arccos(c) / np.sqrt((1.0 - c) * (1.0 + c)), 1.0)
+    A = _rebuild(dec.V, f) @ (R - C)
+    return 0.5 * (A - np.swapaxes(A, -1, -2))
 
 
 def _frame_log(U_true, V):
-    # log(U_true' Uhat) for the frame V of one fit, sign-aligned to U_true
-    uhat = _align_signs(U_true, V)
-    R = U_true.T @ uhat
-    if np.linalg.det(R) < 0.0:
-        # Sign alignment can land on a reflection; flip the most ambiguous
-        # column (smallest aligned diagonal) to reach the rotation group.
-        j = int(np.argmin(np.abs(np.diagonal(R))))
-        uhat = uhat.copy()
-        uhat[:, j] = -uhat[:, j]
-        R = U_true.T @ uhat
+    # log(U_true' Uhat) for a stack of frames V (r, p, p). Uhat is V with
+    # its columns' signs making diag(U_true' Uhat) positive, which maximizes
+    # tr(U_true' Uhat) over sign changes and so minimizes ||U_true - Uhat||.
+    R = U_true.T @ V
+    R *= np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[:, None, :]
+    # Sign alignment can land on a reflection; flip the most ambiguous
+    # column (smallest aligned diagonal) to reach the rotation group.
+    flip = np.flatnonzero(np.linalg.det(R) < 0.0)
+    j = np.argmin(np.abs(np.diagonal(R[flip], axis1=-2, axis2=-1)), axis=-1)
+    R[flip, :, j] *= -1.0
     return _rotation_log(R)
 
 
@@ -504,18 +491,29 @@ def eigvec_uncertainty(U_true, D0, fit_M, n, sigma2):
     coordinate. Entry (i, j) of the returned variance table is the
     asymptotic prediction var(a_ij) = sigma2 / (2 n (d_i - d_j)^2); the
     diagonal is zero. fit_M may be a stack of fits (r, p, p), decomposed
-    in one call; A_hat is then a stack too.
+    in one call; A_hat is then a stack too, and one fit gives the bits of
+    its entry in a stack.
     """
     U_true = _check_orthogonal(U_true, "U_true")
-    D0 = np.asarray(D0, dtype=float)
+    p = U_true.shape[0]
+    D0 = float_array(D0, "D0")
+    if D0.shape != (p,) or not np.all(np.isfinite(D0)):
+        raise ValueError("D0 must be %d finite eigenvalues, got %r"
+                         % (p, D0.tolist()))
     if np.any(D0[:-1] <= D0[1:]):
         raise ValueError("spectrum must be strictly decreasing: equal eigenvalues "
                          "leave the eigenvectors unidentifiable")
-    V = eigh_desc(fit_M).V
-    a_hat = (_frame_log(U_true, V) if V.ndim == 2 else
-             np.array([_frame_log(U_true, v) for v in V]))
+    fit_M = check_symmetric(fit_M, "fit_M")
+    if fit_M.ndim not in (2, 3) or fit_M.shape[-1] != p:
+        raise ValueError("fit_M must be a (%d, %d) fit or a stack of them, got "
+                         "shape %s" % (p, p, fit_M.shape))
+    n = check_integer(n, "n")
+    if n < 1:
+        raise ValueError("need n >= 1, got %d" % n)
+    CovParams(sigma2).validate(p)
+    a_hat = _frame_log(U_true, eigh_desc(fit_M.reshape(-1, p, p)).V)
     gaps = D0[:, None] - D0[None, :]
     with np.errstate(divide="ignore"):
         predicted = sigma2 / (2.0 * n * gaps ** 2)
     np.fill_diagonal(predicted, 0.0)
-    return a_hat, predicted
+    return a_hat.reshape(fit_M.shape), predicted

@@ -136,7 +136,8 @@ class CovParams:
 
     def validate(self, p):
         if not (self.sigma2 > 0.0 and math.isfinite(self.sigma2)):
-            raise ValueError("sigma2 must be positive, got %r" % (self.sigma2,))
+            raise ValueError("sigma2 must be positive and finite, got %r"
+                             % (self.sigma2,))
         if not (self.tau < 1.0 / p):
             raise ValueError("tau must be < 1/p = %g, got %r" % (1.0 / p, self.tau))
         if not math.isfinite(self.tau):

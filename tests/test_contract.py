@@ -10,6 +10,7 @@ any warning. Every draw maps standard normals through the closed-form
 root of the covariance, so none factors a matrix.
 """
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -183,8 +184,8 @@ def test_consistency_study_projects_once_per_chunk(monkeypatch, estimator):
 
 def test_eigvec_study_decomposes_once_per_chunk(monkeypatch):
     # the truth once, then per chunk one batched eigh_desc for the
-    # FixedEigvals projection and one for the fitted frames: 1 + 2 + 2 for
-    # 1500 replicates, not one per replicate
+    # FixedEigvals projection, one for the fitted frames and one for their
+    # rotation logs: 1 + 3 + 3 for 1500 replicates, not one per replicate
     from symtest.symcore import eigh_desc
     calls = []
 
@@ -198,7 +199,7 @@ def test_eigvec_study_decomposes_once_per_chunk(monkeypatch):
             monkeypatch.setattr(module, "eigh_desc", counted)
     truth = {"M": np.diag([4.0, 2.0, 1.0]).tolist(), "sigma2": 1.0, "tau": 0.2}
     calibrate.consistency_study("eigvec_var", truth, [50], 1500, 6)
-    assert calls == [(3, 3)] + [(r, 3, 3) for r in (1024, 1024, 476, 476)]
+    assert calls == [(3, 3)] + [(r, 3, 3) for r in (1024,) * 3 + (476,) * 3]
 
 
 @pytest.mark.parametrize("test_id,truth,n", [
@@ -259,17 +260,16 @@ def test_cli_import_skips_heavy_scipy_modules(tmp_path):
     # a CLI process pays for every module it imports: none loads
     # scipy.linalg, scipy.stats or scipy.optimize, and scipy.special, which
     # only the p-values need, is loaded by a test run but neither by
-    # `import symtest` nor by a simulate run
+    # `import symtest` nor by a simulate run; nor does an eigenvector
+    # study, whose rotation logs use symtest's own eigensolver
     env = _src_env()
 
-    def loaded(module, *argv):
-        # the heavy scipy modules in sys.modules after importing module and
-        # running the CLI on argv, if any
-        code = ("import sys, %s\n"
-                "if sys.argv[1:]:\n    assert symtest.cli.main(sys.argv[1:]) == 0\n"
-                "print(' '.join(m for m in ('scipy.linalg', 'scipy.stats', "
-                "'scipy.optimize', 'scipy.special') if m in sys.modules))"
-                % module)
+    def loaded(code, *argv):
+        # the heavy scipy modules in sys.modules after running code, which
+        # reads argv as sys.argv[1:]
+        code += ("\nimport sys\nprint(' '.join(m for m in ('scipy.linalg', "
+                 "'scipy.stats', 'scipy.optimize', 'scipy.special') "
+                 "if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
@@ -280,11 +280,30 @@ def test_cli_import_skips_heavy_scipy_modules(tmp_path):
     sim.write_text(json.dumps({"M": np.eye(2).tolist(), "n": 8, "sigma2": 1.0,
                                "tau": 0.1, "seed": 1}))
     test.write_text(json.dumps({"test_id": "a0", "M0": np.eye(2).tolist()}))
-    assert loaded("symtest") == []
-    assert loaded("symtest.cli", "simulate", "--config", str(sim),
-                  "--out", str(data)) == []
-    assert loaded("symtest.cli", "test", "--data", str(data),
-                  "--config", str(test), "--no-timestamp") == ["scipy.special"]
+    cli = "import sys, symtest.cli\nassert symtest.cli.main(sys.argv[1:]) == 0"
+    assert loaded("import symtest") == []
+    assert loaded(cli, "simulate", "--config", str(sim), "--out", str(data)) == []
+    assert loaded(cli, "test", "--data", str(data), "--config", str(test),
+                  "--no-timestamp") == ["scipy.special"]
+    assert loaded("from symtest.calibrate import consistency_study\n"
+                  "rows = consistency_study('eigvec_var', {'M': [[4, 0, 0], "
+                  "[0, 2, 0], [0, 0, 1]], 'sigma2': 1, 'tau': 0.2}, [50], 200, 3)\n"
+                  "assert len(rows[0]['pairs']) == 3") == []
+
+
+def test_src_imports_no_scipy_module_but_special():
+    # scipy.special, for the reference tails, is the only scipy module in
+    # src/symtest; every import statement is read, one inside a function too
+    names = set()
+    for path in (pathlib.Path(__file__).resolve().parents[1]
+                 / "src" / "symtest").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.update(node.module + "." + alias.name for alias in node.names)
+    scipy = sorted(m for m in names if m.split(".")[0] == "scipy")
+    assert scipy and all(m.split(".")[1] == "special" for m in scipy), scipy
 
 
 def test_cli_import_adds_only_numpy_outside_the_stdlib():

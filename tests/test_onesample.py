@@ -29,6 +29,7 @@ from symtest.onesample import (
     _fit,
     _fit_residuals,
     _residuals,
+    _rotation_log,
     contains,
     eigvec_uncertainty,
     estimate_sigma2,
@@ -48,6 +49,36 @@ def random_symmetric(rng, p, scale=1.0):
 def random_orthogonal(rng, p):
     Q, R = np.linalg.qr(rng.standard_normal((p, p)))
     return Q * np.sign(np.diagonal(R))
+
+
+def schur_log(R):
+    """Principal logarithm of one rotation from its real Schur form, whose
+    2 x 2 blocks are plane rotations with directly readable angles: the
+    oracle for the closed-form log."""
+    T, Z = scipy.linalg.schur(R, output="real")
+    p = R.shape[0]
+    L = np.zeros((p, p))
+    i = 0
+    while i < p:
+        if i + 1 < p and abs(T[i + 1, i]) > 1e-12:
+            L[i + 1, i] = math.atan2(T[i + 1, i], T[i, i])
+            L[i, i + 1] = -L[i + 1, i]
+            i += 2
+        else:
+            assert T[i, i] > 0.0, "rotation angle pi"
+            i += 1
+    A = Z @ L @ Z.T
+    return 0.5 * (A - A.T)
+
+
+def planted_rotation(rng, angles, p):
+    # Q exp(L) Q' for a random orthogonal Q and L rotating plane k of the
+    # standard frame by angles[k], with the log Q L Q'
+    L = np.zeros((p, p))
+    for k, angle in enumerate(angles):
+        L[2 * k + 1, 2 * k], L[2 * k, 2 * k + 1] = angle, -angle
+    Q = random_orthogonal(rng, p)
+    return Q @ scipy.linalg.expm(L) @ Q.T, Q @ L @ Q.T
 
 
 def pava_brute_force(y):
@@ -829,3 +860,66 @@ class TestEigvecUncertainty:
     def test_rejects_repeated_eigenvalues(self):
         with pytest.raises(ValueError, match="unidentifiable"):
             eigvec_uncertainty(np.eye(2), np.array([2.0, 2.0]), np.eye(2), 5, 1.0)
+
+    @pytest.mark.parametrize("bad,match", [
+        ({"D0": [4.0, 2.0]}, "D0"),
+        ({"D0": [4.0, np.nan, 1.0]}, "D0"),
+        ({"D0": [np.inf, 2.0, 1.0]}, "D0"),
+        ({"fit_M": np.eye(2)}, "fit_M"),
+        ({"fit_M": np.zeros((5, 3, 2))}, "fit_M"),
+        ({"fit_M": np.zeros((2, 5, 3, 3))}, "fit_M"),
+        ({"fit_M": np.triu(np.ones((3, 3)))}, "fit_M"),
+        ({"fit_M": np.diag([4.0, np.nan, 1.0])}, "fit_M"),
+        ({"n": 0}, r"\bn\b"),
+        ({"n": -4}, r"\bn\b"),
+        ({"n": 2.5}, r"\bn\b"),
+        ({"sigma2": 0.0}, "sigma2"),
+        ({"sigma2": -1.0}, "sigma2"),
+        ({"sigma2": np.nan}, "sigma2"),
+        ({"sigma2": np.inf}, "sigma2"),
+    ], ids=["D0-short", "D0-nan", "D0-inf", "fit_M-small", "fit_M-oblong",
+            "fit_M-4d", "fit_M-asymmetric", "fit_M-nan", "n-zero",
+            "n-negative", "n-fraction", "sigma2-zero", "sigma2-negative",
+            "sigma2-nan", "sigma2-inf"])
+    def test_rejects_bad_arguments(self, bad, match):
+        args = dict(U_true=np.eye(3), D0=[4.0, 2.0, 1.0],
+                    fit_M=np.diag([4.0, 2.0, 1.0]), n=10, sigma2=1.0)
+        with pytest.raises(ValueError, match=match):
+            eigvec_uncertainty(**dict(args, **bad))
+
+
+class TestRotationLog:
+    @pytest.mark.parametrize("p", [2, 3, 4, 6])
+    def test_matches_the_schur_log(self, p):
+        # one stacked call against the Schur form rotation by rotation: R = I
+        # and, for angles theta from 1e-6 to 3, one plane turned by theta,
+        # distinct angles in every plane, a tied pair (p >= 4) and a tied
+        # pair beside a third plane (p = 6)
+        rng = np.random.default_rng(96 + p)
+        grid = [()]
+        for theta in (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 2.5, 3.0):
+            grid += [(theta,)]
+            if p >= 4:
+                grid += [(theta, 0.7 * theta), (theta, theta)]
+            if p == 6:
+                grid += [(theta, 0.7 * theta, 0.4 * theta), (theta, theta, 0.3)]
+        rotations, logs = zip(*(planted_rotation(rng, a, p) for a in grid))
+        A = _rotation_log(np.array(rotations))
+        assert A.shape == (len(grid), p, p)
+        for R, L, got in zip(rotations, logs, A):
+            assert np.abs(got - schur_log(R)).max() <= 1e-12
+            assert np.abs(got - L).max() <= 1e-12
+            assert np.array_equal(got, -got.T)
+
+    def test_refuses_an_angle_of_pi(self):
+        # one rotation by pi or by pi - 1e-5, and a stack holding one among
+        # fine rotations
+        rng = np.random.default_rng(97)
+        half_turn, _ = planted_rotation(rng, (math.pi,), 3)
+        near_turn, _ = planted_rotation(rng, (math.pi - 1e-5,), 3)
+        fine = [planted_rotation(rng, (a,), 3)[0] for a in (0.0, 0.4, 3.1)]
+        for stack in ([half_turn], [near_turn],
+                      fine[:2] + [half_turn] + fine[2:]):
+            with pytest.raises(ValueError, match="rotation angle pi"):
+                _rotation_log(np.array(stack))
+        assert np.all(np.isfinite(_rotation_log(np.array(fine))))
