@@ -11,17 +11,16 @@ chunk draws each group's sufficient statistics directly from their exact
 laws (_draws), so a replicate's cost does not grow with n_g. A
 calibration binds its hypothesis once (lrt.parse_config). The fits never
 depend on the covariance, so each chunk's stack of means is fitted to
-each set in one call (lrt._project), with the residual sums of every
-Point, EqualMeans and eigenframe fit; only the statistic step
-lrt._statistic runs replicate by replicate, forming Ybar - M for
-FixedEigvecs and OrderedCone fits alone (their chunk step waits on the
-benchmark's peak memory bound, ROADMAP item 1), and the p-values of all
-replicates are taken in one lrt.pvalue call, the reference's quantiles in
-one lrt.quantile call. An eigenvector consistency study decomposes each
-chunk's fitted frames in one call too.
+each set in one call (lrt._project), with the residual sums of every fit
+but FixedEigvecs and OrderedCone; only the statistic step lrt._statistic
+runs replicate by replicate, forming Ybar - M for those two alone (their
+chunk step waits on the benchmark's peak memory bound, ROADMAP item 1),
+and the p-values of all replicates are taken in one lrt.pvalue call, the
+reference's quantiles in one lrt.quantile call. An eigenvector study
+fits nothing: it decomposes each chunk's means in one call.
 """
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -31,7 +30,6 @@ from . import lrt
 from .lrt import ConeWeights
 from .symcore import (
     CovParams,
-    Multiplicities,
     _allocating,
     _number,
     check_integer,
@@ -43,14 +41,13 @@ from .symcore import (
 )
 from .matnormal import SuffStats, _rng_from, _sigma_root, sample
 from .onesample import (
-    FixedEigvals,
     Unrestricted,
+    _check_distinct,
+    _fit,
     _fit_cov,
-    _fit_residuals,
     contains,
     eigvec_uncertainty,
     pava,
-    project,
 )
 
 PROBS = (0.5, 0.9, 0.95, 0.99)
@@ -265,9 +262,12 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     pooled = estimator.startswith("pooled_")
     means, cov = _generator(truth, ("M1", "M2") if pooled else ("M",))
     M = means[0]
-    dec = eigh_desc(M)
-    pset = (FixedEigvals(dec.lam, Multiplicities((1,) * M.shape[0]))
-            if estimator == "eigvec_var" else Unrestricted())
+    if estimator == "eigvec_var":
+        dec = eigh_desc(M)
+        _check_distinct(dec.lam, M.shape[0])
+    if isinstance(n_grid, (str, Mapping)) or not isinstance(n_grid, Iterable):
+        raise ValueError("n_grid must be a sequence of sample sizes, got %r"
+                         % (n_grid,))
     # one observation per group at least; a covariance fit needs two, for
     # the spread within each group
     per_group = 1 if estimator in ("mean", "eigvec_var") else 2
@@ -281,18 +281,19 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
         sizes = (n // 2, n - n // 2) if pooled else (n,)
         vals = []
         for chunk in _draws(means, sizes, cov, reps, seed, (i,)):
-            # one projection per chunk; sigma2 and tau are fitted per replicate
-            fitted, _ = project(pset, *chunk.ybar, n=chunk.n)
-            if estimator == "mean":
-                vals.extend(np.sum((fitted[0] - M) ** 2, axis=(-2, -1)))
-            elif estimator == "eigvec_var":
-                a_hat, pred = eigvec_uncertainty(dec.V, dec.lam, fitted[0], n,
+            if estimator == "eigvec_var":  # the FixedEigvals fit keeps the means' frames
+                a_hat, pred = eigvec_uncertainty(dec.V, dec.lam, chunk.ybar[0], n,
                                                  cov.sigma2)
                 vals.extend(a_hat)
+                continue
+            # one fit per chunk; sigma2 and tau are fitted per replicate
+            fitted, _, sums = _fit(Unrestricted(), *chunk.ybar, n=chunk.n)
+            if estimator == "mean":
+                vals.extend(np.sum((fitted[0] - M) ** 2, axis=(-2, -1)))
             else:
                 k = 0 if estimator.endswith("sigma2") else 1
-                vals.extend(_fit_cov(drawn, _fit_residuals(drawn, pset, m))[k]
-                            for drawn, m in zip(chunk.replicates(), zip(*fitted)))
+                vals.extend(_fit_cov(drawn, res)[k]
+                            for drawn, res in zip(chunk.replicates(), zip(*sums)))
         vals = np.array(vals)
         if estimator == "mean":
             rows.append({"n": n, "rmse": float(np.sqrt(np.mean(vals)))})

@@ -12,16 +12,16 @@ counts: the checks that shape decides, the sets and the reference are
 made there and nowhere else. Run's keywords, a config's keys but
 test_id, seed and reps, and those of its cov, cov.known and c2 weights
 pass the one key rule, symcore.check_keys. The runner fits both sets to
-the sample means, one or a chunk's stack (onesample._fit), which also
-gives the residual sums of a Point or EqualMeans fit, from Ybar - M on
-the whole stack, and of an eigenframe fit, from its eigenvalue shift.
-Its statistic step (_statistic) is per-sample arithmetic on the sums
-(_fit_cov) that forms Ybar - M only of FixedEigvecs and OrderedCone
-fits, kept per sample while the benchmark's peak_rss_mb bound has no
-room for them (ROADMAP item 1). Only _run adds the fits, the warnings
-and the p-value. A known sigma2 too small for the data's scale
-overflows the statistic: a run and a calibration report it in one
-message (_check_finite). pvalue takes a scalar or an array of
+the sample means, one or a chunk's stack (onesample._fit), the one
+source of a fit's residual sums: zeros for an unrestricted fit, Ybar - M
+on the whole stack for a Point or EqualMeans fit, the eigenvalue shift
+for an eigenframe fit. Its statistic step (_statistic) is per-sample
+arithmetic on the sums (_fit_cov) that forms Ybar - M only of
+FixedEigvecs and OrderedCone fits, kept per sample while the benchmark's
+peak_rss_mb bound has no room for them (ROADMAP item 1). Only _run adds
+the fits, the warnings and the p-value. A known sigma2 too small for the
+data's scale overflows the statistic: a run and a calibration report it
+in one message (_check_finite). pvalue takes a scalar or an array of
 statistics, quantile a scalar or an array of probabilities.
 
 The two sets fix a test's reference (_reference): chi-square with
@@ -84,7 +84,7 @@ from .onesample import (
     Unrestricted,
     _fit,
     _fit_cov,
-    _fit_residuals,
+    _residuals,
     contains,
     dimension,
 )
@@ -100,6 +100,20 @@ class StatisticError(RuntimeError):
     """A nested-model statistic came out negative beyond rounding tolerance."""
 
 
+def _check_df(law, name, df, positive=False):
+    # a law's degrees of freedom: finite and >= 0, or > 0 if positive
+    if not (math.isfinite(df) and (df > 0 if positive else df >= 0)):
+        raise ValueError("%s %s must be finite and %s 0, got %r"
+                         % (law, name, ">" if positive else ">=", df))
+
+
+def _chisq_tail(df, t, strict):
+    if df == 0:  # a point mass at 0, which chdtrc leaves undefined
+        return np.where(t < 0.0 if strict else t <= 0.0, 1.0, 0.0)
+    from scipy.special import chdtrc
+    return chdtrc(df, np.maximum(t, 0.0))
+
+
 @dataclass(frozen=True)
 class ChiSq:
     """Exact chi-square reference with df degrees of freedom."""
@@ -107,11 +121,11 @@ class ChiSq:
     df: float
     label = "chisq"
 
+    def __post_init__(self):
+        _check_df(type(self).__name__, "df", self.df)
+
     def tail(self, t, strict=False):
-        if self.df == 0:  # a point mass at 0, which chdtrc leaves undefined
-            return np.where(t < 0.0 if strict else t <= 0.0, 1.0, 0.0)
-        from scipy.special import chdtrc
-        return chdtrc(self.df, np.maximum(t, 0.0))
+        return _chisq_tail(self.df, t, strict)
 
 
 class ChiSqApprox(ChiSq):
@@ -132,6 +146,10 @@ class FDist:
     df2: float
     label = "f"
 
+    def __post_init__(self):
+        for name in ("df1", "df2"):
+            _check_df("FDist", name, getattr(self, name), positive=True)
+
     def tail(self, t, strict=False):
         from scipy.special import fdtrc
         return fdtrc(self.df1, self.df2, np.maximum(t, 0.0))
@@ -151,9 +169,11 @@ class ChiSqMix:
             raise ValueError("weights and dfs must have equal length")
         object.__setattr__(self, "weights", tuple(float(x) for x in self.weights))
         object.__setattr__(self, "dfs", tuple(float(x) for x in self.dfs))
+        for df in self.dfs:
+            _check_df("ChiSqMix", "dfs", df)
 
     def tail(self, t, strict=False):
-        return sum(w * ChiSq(df).tail(t, strict)
+        return sum(w * _chisq_tail(df, t, strict)
                    for w, df in zip(self.weights, self.dfs))
 
 
@@ -569,14 +589,12 @@ def _statistic(h, stats, fits):
     """The statistic of a bound hypothesis on one sample, and its covariance.
 
     fits are the null and alternative fits' (means, sums) for the sample
-    (_project), sums the residual sums _fit gives or None; of a
-    FixedEigvecs or OrderedCone fit, Ybar - M is formed once
-    (_fit_residuals), and an unrestricted fit has none. Takes
-    the known covariance or fits (sigma2, tau) under the null, and applies
-    the entry's statistic and the clamp. Returns (statistic, CovParams).
+    (_project); of a FixedEigvecs or OrderedCone fit, whose sums are None,
+    Ybar - M is formed once (_residuals). Takes the known covariance or
+    fits (sigma2, tau) under the null, and applies the entry's statistic
+    and the clamp. Returns (statistic, CovParams).
     """
-    res0, res1 = (sums or _fit_residuals(stats, pset, m)
-                  for pset, (m, sums) in zip(h.sets, fits))
+    res0, res1 = (sums or _residuals(stats, m) for m, sums in fits)
     cov = h.args.get("cov") or CovParams(*_fit_cov(stats, res0))
     t, size = h.spec.statistic(h, stats, res0, res1, cov)
     return _clamp(t, h.dist, size), cov

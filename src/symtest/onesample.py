@@ -30,14 +30,14 @@ and v2 = sigma2 off it, whose MLEs are two mean squares of the residuals
 about the fitted means: the within-group sums of SuffStats plus n_g
 times the squared lack of fit r = Ybar_g - M_g of each group, of which
 they read only tr r and ||r - (tr r/p) I||^2; _fit_cov gives both MLEs,
-or sigma2's at a given tau, for every fit. An Unrestricted fit is the
-sample mean, so its r is exactly zero and is never formed. _fit,
-project's body, also gives the sums of a Point, EqualMeans or eigenframe
-fit, once for one mean or a chunk's whole stack: a Point or EqualMeans
-fit forms r there (_matrix_sums), and an eigenframe fit (FixedEigvals,
-Mult, CommonEigvals), which keeps each mean's eigenvectors, reads them
-from its eigenvalue shift. Only FixedEigvecs and OrderedCone fits form r
-per sample (_residuals): moving them to the stack as well takes the
+or sigma2's at a given tau, for every fit. _fit, project's body, is the
+one source of a fit's lack-of-fit sums, once for one mean or a chunk's
+whole stack: an Unrestricted fit is the sample mean, so its sums are
+exact zeros with no pass over the data; a Point or EqualMeans fit forms
+r (_matrix_sums); and an eigenframe fit (FixedEigvals, Mult,
+CommonEigvals), which keeps each mean's eigenvectors, reads them from
+its eigenvalue shift. Only FixedEigvecs and OrderedCone fits form r per
+sample (_residuals): moving them to the stack as well takes the
 benchmark's peak_rss_mb past its 10% bound for as long as the benchmark
 keeps every replicate's report (ROADMAP item 1). mle
 returns one FitResult for one or two groups. eigvec_uncertainty gives
@@ -225,6 +225,9 @@ def pava(y):
     an int for a vector and an (r,) array for a batch.
     """
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("pava needs finite values, got %r"
+                         % float(y[~np.isfinite(y)].flat[0]))
     Y = np.atleast_2d(y)
     out = np.empty_like(Y)
     for lo in range(0, Y.shape[0], _PAVA_CHUNK):
@@ -281,15 +284,18 @@ def _spectral_sums(d):
 
 
 def _fit(pset, *means, n=None):
-    # project, plus each group's lack-of-fit sums (_matrix_sums) for every
-    # set but Unrestricted, FixedEigvecs and OrderedCone (None): a Point or
-    # EqualMeans fit forms Ybar_g - M_g on the whole stack at once, and an
-    # eigenframe fit (FixedEigvals, Mult, CommonEigvals), which keeps each
-    # mean's eigenvectors, reads them from its eigenvalue shift
+    # project, plus each group's lack-of-fit sums as _matrix_sums gives them:
+    # zeros for an Unrestricted fit, Ybar_g - M_g formed on the stack for a
+    # Point or EqualMeans fit, and an eigenframe fit's from its eigenvalue
+    # shift. FixedEigvecs and OrderedCone fits give None, formed per sample
+    # (_residuals): on the stack they took calibrate-affine's peak_rss_mb
+    # 10.3% up, past its bound, while the benchmark keeps every replicate's
+    # report (ROADMAP item 1); once that is mended, they are one branch here
     _check_groups(pset, len(means))
     n = (1,) * len(means) if n is None else n
     if isinstance(pset, Unrestricted):
-        return means, None, None
+        zeros = np.zeros(np.shape(means[0])[:-2] + (3,)).tolist()
+        return means, None, [zeros] * len(means)
     if isinstance(pset, Point):
         m_hat = np.broadcast_to(pset.M0, np.shape(means[0]))
         return (m_hat,), None, [_matrix_sums(means[0], m_hat)]
@@ -345,15 +351,6 @@ def _residuals(stats, means):
         raise ValueError("need one fitted mean per group: %d groups, %d means"
                          % (len(stats.n), len(means)))
     return [_matrix_sums(y, m) for y, m in zip(stats.ybar, means)]
-
-
-def _fit_residuals(stats, pset, means):
-    # _residuals of a fit over pset. An Unrestricted fit is the sample mean
-    # itself, so its residual is exactly zero: its sums are 0.0 with no
-    # pass over the data
-    if isinstance(pset, Unrestricted):
-        return [[0.0] * 3] * len(stats.n)
-    return _residuals(stats, means)
 
 
 def estimate_sigma2(stats, means, tau):
@@ -432,7 +429,7 @@ def mle(pset, stats, cov=None):
     """
     means, face_dim, sums = _fit(pset, *stats.ybar, n=stats.n)
     fit = ((cov.validate(stats.p).sigma2, cov.tau) if cov is not None else
-           _fit_cov(stats, sums or _fit_residuals(stats, pset, means)))
+           _fit_cov(stats, sums or _residuals(stats, means)))
     return FitResult(means, *fit, pset, face_dim)
 
 
@@ -482,6 +479,19 @@ def _frame_log(U_true, V):
     return _rotation_log(R)
 
 
+def _check_distinct(D0, p):
+    # D0 as p finite, strictly decreasing eigenvalues: the spectra whose
+    # eigenvectors are identifiable
+    D0 = float_array(D0, "D0")
+    if D0.shape != (p,) or not np.all(np.isfinite(D0)):
+        raise ValueError("D0 must be %d finite eigenvalues, got %r"
+                         % (p, D0.tolist()))
+    if np.any(D0[:-1] <= D0[1:]):
+        raise ValueError("spectrum must be strictly decreasing: equal eigenvalues "
+                         "leave the eigenvectors unidentifiable")
+    return D0
+
+
 def eigvec_uncertainty(U_true, D0, fit_M, n, sigma2):
     """Eigenvector estimation error and its predicted asymptotic variance.
 
@@ -496,13 +506,7 @@ def eigvec_uncertainty(U_true, D0, fit_M, n, sigma2):
     """
     U_true = _check_orthogonal(U_true, "U_true")
     p = U_true.shape[0]
-    D0 = float_array(D0, "D0")
-    if D0.shape != (p,) or not np.all(np.isfinite(D0)):
-        raise ValueError("D0 must be %d finite eigenvalues, got %r"
-                         % (p, D0.tolist()))
-    if np.any(D0[:-1] <= D0[1:]):
-        raise ValueError("spectrum must be strictly decreasing: equal eigenvalues "
-                         "leave the eigenvectors unidentifiable")
+    D0 = _check_distinct(D0, p)
     fit_M = check_symmetric(fit_M, "fit_M")
     if fit_M.ndim not in (2, 3) or fit_M.shape[-1] != p:
         raise ValueError("fit_M must be a (%d, %d) fit or a stack of them, got "

@@ -508,6 +508,26 @@ class TestConsistencyStudy:
                            r"got %d$" % (estimator, least, n)):
             consistency_study(estimator, truth, [10, n], 5, 0)
 
+    def test_grid_must_be_a_sequence(self):
+        truth = {"M": [[1.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
+        for grid in (5, None, "50"):
+            with pytest.raises(ValueError, match=r"^n_grid must be a sequence"):
+                consistency_study("mean", truth, grid, 5, 0)
+
+    def test_eigvec_study_refuses_a_tied_truth_before_drawing(self, monkeypatch):
+        # equal eigenvalues leave the eigenvectors, and so their error,
+        # undefined: refused by the eigenvector law's own check
+        import symtest.calibrate as cal
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the truth's spectrum")
+
+        monkeypatch.setattr(cal, "_draws", no_draw)
+        truth = {"M": np.diag([2.0, 2.0, 1.0]).tolist(), "sigma2": 1.0, "tau": 0.0}
+        with pytest.raises(ValueError, match="equal eigenvalues leave the "
+                           "eigenvectors unidentifiable"):
+            consistency_study("eigvec_var", truth, [10], 5, 0)
+
     def test_unknown_estimator(self):
         truth = {"M": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
         for estimator in ("median", {"id": "tau"}, 5):

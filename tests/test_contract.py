@@ -26,7 +26,6 @@ import pytest
 from symtest import calibrate, lrt, onesample
 from symtest.calibrate import calibrate_null, cone_boundary_law
 from symtest.matnormal import sample
-from symtest.onesample import project
 from symtest.symcore import CovParams, sym_dim
 
 M = np.diag([3.0, 2.0, 1.0])
@@ -167,25 +166,30 @@ def test_calibrate_projects_once_per_set_per_chunk(monkeypatch, test_id,
 @pytest.mark.parametrize("estimator", ["mean", "sigma2", "tau", "pooled_sigma2",
                                        "pooled_tau", "eigvec_var"])
 def test_consistency_study_projects_once_per_chunk(monkeypatch, estimator):
+    # one unrestricted fit per chunk, which gives the means and their zero
+    # residual sums; the eigenvector study fits nothing, since a
+    # FixedEigvals fit keeps the sample means' own frames
     calls = []
 
     def counted(pset, *means, n=None):
-        calls.append([np.shape(y) for y in means])
-        return project(pset, *means, n=n)
+        calls.append((type(pset), [np.shape(y) for y in means]))
+        return onesample._fit(pset, *means, n=n)
 
-    monkeypatch.setattr(calibrate, "project", counted)
+    monkeypatch.setattr(calibrate, "_fit", counted)
     pooled = estimator.startswith("pooled_")
     truth = ({"M1": M.tolist(), "M2": M.tolist()} if pooled
              else {"M": M.tolist()})
     calibrate.consistency_study(estimator, dict(truth, sigma2=1.0, tau=0.1),
                                 [20, 30], 1500, 5)
-    assert calls == [[(r, 3, 3)] * (1 + pooled) for r in (1024, 476) * 2]
+    assert calls == ([] if estimator == "eigvec_var" else [
+        (onesample.Unrestricted, [(r, 3, 3)] * (1 + pooled))
+        for r in (1024, 476) * 2])
 
 
 def test_eigvec_study_decomposes_once_per_chunk(monkeypatch):
-    # the truth once, then per chunk one batched eigh_desc for the
-    # FixedEigvals projection, one for the fitted frames and one for their
-    # rotation logs: 1 + 3 + 3 for 1500 replicates, not one per replicate
+    # the truth once, then per chunk one batched eigh_desc for the sample
+    # means' frames and one for their rotation logs: 1 + 2 + 2 for 1500
+    # replicates, not one per replicate
     from symtest.symcore import eigh_desc
     calls = []
 
@@ -199,7 +203,62 @@ def test_eigvec_study_decomposes_once_per_chunk(monkeypatch):
             monkeypatch.setattr(module, "eigh_desc", counted)
     truth = {"M": np.diag([4.0, 2.0, 1.0]).tolist(), "sigma2": 1.0, "tau": 0.2}
     calibrate.consistency_study("eigvec_var", truth, [50], 1500, 6)
-    assert calls == [(3, 3)] + [(r, 3, 3) for r in (1024,) * 3 + (476,) * 3]
+    assert calls == [(3, 3)] + [(r, 3, 3) for r in (1024,) * 2 + (476,) * 2]
+
+
+def _every_set(p):
+    # one instance of every parameter set at p x p, with a tied pattern
+    # where the set takes one
+    from symtest.symcore import Multiplicities
+    mult = Multiplicities((2,) + (1,) * (p - 2))
+    U0 = np.linalg.qr(np.random.default_rng(60).standard_normal((p, p)))[0]
+    made = {
+        onesample.Unrestricted: onesample.Unrestricted(),
+        onesample.Point: onesample.Point(np.diag(np.arange(p, 0.0, -1.0))),
+        onesample.FixedEigvecs: onesample.FixedEigvecs(U0),
+        onesample.OrderedCone: onesample.OrderedCone(U0),
+        onesample.FixedEigvals: onesample.FixedEigvals(
+            np.array([3.0, 3.0] + [1.0] * (p - 2)), mult),
+        onesample.Mult: onesample.Mult(mult),
+        onesample.EqualMeans: onesample.EqualMeans(mult),
+        onesample.CommonEigvals: onesample.CommonEigvals(mult),
+    }
+    assert set(made) == set(onesample.ParamSet.__subclasses__())
+    return list(made.values())
+
+
+@pytest.mark.parametrize("shape", [(), (5,)], ids=["one-sample", "stack"])
+def test_fit_gives_sums_for_every_set_but_two(shape):
+    # _fit is the one source of a fit's residual sums: every set gives them
+    # as _residuals of its fitted means would, shaped and typed alike, but
+    # FixedEigvecs and OrderedCone, whose callers form them per sample.
+    # Unrestricted (exact zeros), Point and EqualMeans give _residuals'
+    # bits; an eigenframe fit reads them from its eigenvalue shift, equal
+    # to rounding
+    from symtest.matnormal import SuffStats
+    rng = np.random.default_rng(61)
+    p = 3
+    for pset in _every_set(p):
+        for g in pset.groups:
+            ybar = tuple(rng.standard_normal(shape + (p, p)) for _ in range(g))
+            ybar = tuple(0.5 * (y + np.swapaxes(y, -1, -2)) for y in ybar)
+            n = (4, 7)[:g]
+            means, _, sums = onesample._fit(pset, *ybar, n=n)
+            if isinstance(pset, (onesample.FixedEigvecs, onesample.OrderedCone)):
+                assert sums is None, pset
+                continue
+            want = onesample._residuals(SuffStats(n, ybar, (0.0,) * g, (0.0,) * g),
+                                        means)
+            got = np.array(sums)
+            assert got.shape == np.array(want).shape == (g,) + shape + (3,)
+            assert all(type(x) is float for x in got.ravel().tolist())
+            if isinstance(pset, (onesample.Unrestricted, onesample.Point,
+                                 onesample.EqualMeans)):
+                assert got.tobytes() == np.array(want).tobytes(), pset
+                if isinstance(pset, onesample.Unrestricted):
+                    assert not got.any()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("test_id,truth,n", [

@@ -65,6 +65,26 @@ class TestRefDistTypes:
         with pytest.raises(ValueError, match="sum to 1"):
             ChiSqMix(weights=(float("nan"),), dfs=(3,))
 
+    @pytest.mark.parametrize("make,field", [
+        (lambda: ChiSq(-1), "ChiSq df"),
+        (lambda: ChiSq(float("inf")), "ChiSq df"),
+        (lambda: ChiSq(float("nan")), "ChiSq df"),
+        (lambda: ChiSqApprox(-0.5), "ChiSqApprox df"),
+        (lambda: FDist(-1, 3), "FDist df1"),
+        (lambda: FDist(0, 3), "FDist df1"),
+        (lambda: FDist(3, 0), "FDist df2"),
+        (lambda: FDist(3, float("inf")), "FDist df2"),
+        (lambda: ChiSqMix((1.0,), (float("nan"),)), "ChiSqMix dfs"),
+        (lambda: ChiSqMix((0.5, 0.5), (0, -2)), "ChiSqMix dfs"),
+    ], ids=["chisq-negative", "chisq-inf", "chisq-nan", "approx-negative",
+            "f-df1-negative", "f-df1-zero", "f-df2-zero", "f-df2-inf",
+            "mix-nan", "mix-negative"])
+    def test_laws_refuse_bad_degrees_of_freedom(self, make, field):
+        # each of these once gave a p-value or quantile (nan, 0.0 or 1.0);
+        # a law is refused where it is built, naming the field
+        with pytest.raises(ValueError, match="^%s must be finite and" % field):
+            make()
+
     def test_mixture_casts_to_float(self):
         mix = ChiSqMix(weights=(1,), dfs=(3,))
         assert mix.weights == (1.0,)
@@ -1252,8 +1272,11 @@ class TestRunConfig:
             assert any(isinstance(pset, onesample.Unrestricted) for pset in h.sets)
             fast = bits(run_config(c, S, n1=n1))
             with monkeypatch.context() as m:
-                m.setattr(lrt, "_fit_residuals", lambda stats, pset, means:
-                          onesample._residuals(stats, means))
+                # an unrestricted fit without _fit's zeros takes the full pass
+                m.setattr(lrt, "_fit", lambda pset, *means, n=None: (
+                    onesample._fit(pset, *means, n=n)[:2] + (None,)
+                    if isinstance(pset, onesample.Unrestricted)
+                    else onesample._fit(pset, *means, n=n)))
                 full = bits(run_config(c, S, n1=n1))
             assert fast == full
 

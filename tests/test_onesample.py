@@ -27,7 +27,6 @@ from symtest.onesample import (
     Point,
     Unrestricted,
     _fit,
-    _fit_residuals,
     _residuals,
     _rotation_log,
     contains,
@@ -156,6 +155,10 @@ class TestPava:
             fit, _ = pava(np.array(y))
             want, _ = pava_brute_force(np.array(y))
             assert np.abs(fit - want).max() <= 1e-12
+        # a non-finite entry, in a vector or a batch, has no projection
+        for y in ([1.0, np.nan, 0.0], [[1.0, 0.0, -np.inf]]):
+            with pytest.raises(ValueError, match="^pava needs finite values"):
+                pava(y)
 
     def test_preserves_mean(self):
         rng = np.random.default_rng(72)
@@ -614,7 +617,8 @@ class TestCovarianceEstimators:
     @pytest.mark.parametrize("n1", [None, 7])
     def test_residual_at_the_sample_mean_is_exactly_zero(self, scale, n1):
         # the identity that lets an Unrestricted fit skip its residual pass:
-        # Ybar_g - Ybar_g is exactly zero, so its sums are exactly 0.0
+        # Ybar_g - Ybar_g is exactly zero, so its sums are exactly 0.0, the
+        # zeros _fit gives
         S = scale * sample(15, np.diag([3.0, 1.0, -2.0]), CovParams(1.0, 0.1), 905)
         stats = SuffStats.from_sample(S, n1)
         res = _residuals(stats, stats.ybar)
@@ -622,7 +626,7 @@ class TestCovarianceEstimators:
         for sums in res:
             assert [(type(x), x, math.copysign(1.0, x)) for x in sums] == [
                 (float, 0.0, 1.0)] * 3
-        assert _fit_residuals(stats, Unrestricted(), stats.ybar) == res
+        assert _fit(Unrestricted(), *stats.ybar, n=stats.n)[2] == res
 
     def test_tau_stays_below_upper_limit(self):
         # The estimator never reaches the boundary tau = 1/p.
