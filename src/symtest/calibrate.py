@@ -30,19 +30,19 @@ from . import lrt
 from .lrt import ConeWeights
 from .symcore import (
     CovParams,
+    Multiplicities,
     _allocating,
     _number,
     check_integer,
     check_keys,
+    check_spectrum,
     check_symmetric,
     eigh_desc,
-    float_array,
     sym_dim,
 )
 from .matnormal import SuffStats, _rng_from, _sigma_root, sample
 from .onesample import (
     Unrestricted,
-    _check_distinct,
     _fit,
     _fit_cov,
     contains,
@@ -74,24 +74,6 @@ class CalibrationReport:
     statistics: np.ndarray  # sorted; feeds QQ plot output
 
 
-def _check_d_true(d_true):
-    d = float_array(d_true, "d_true")
-    if d.ndim != 1 or d.size < 1:
-        raise ValueError("d_true must be a nonempty vector")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("d_true must be finite")
-    if np.any(np.diff(d) > 0.0):
-        raise ValueError("d_true must be non-increasing")
-    return d
-
-
-def _check_reps(reps):
-    reps = check_integer(reps, "reps")
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    return reps
-
-
 def _cone_draw(d, cov, reps, seed):
     # pava of reps draws of the diagonal of N(diag(d), sigma2, tau): y = d + zB,
     # B the p x p diagonal block of the root R; y += d adds no (reps, p) array
@@ -112,9 +94,9 @@ def estimate_cone_weights(d_true, reps, seed):
     given the seed, and equal to cone_boundary_law(d_true, 1, reps,
     seed)["dim_mass"], which makes the same draw.
     """
-    d = _check_d_true(d_true)
+    d = check_spectrum(d_true, "d_true")
     p = d.size
-    reps = _check_reps(reps)
+    reps = check_integer(reps, "reps", 1)
     counts = np.bincount(_cone_draw(d, CovParams(1.0), reps, seed)[1],
                          minlength=p + 1)
     return ConeWeights(d_true=tuple(float(v) for v in d),
@@ -202,9 +184,7 @@ def calibrate_null(config, truth, n, reps, seed):
     one-sample tests, {"M1": ..., "M2": ..., ...} for two-sample ones
     (then n is the pair (n1, n2)). The truth must lie in the null set.
     """
-    reps = check_integer(reps, "reps")
-    if reps < 1000:
-        raise ValueError("calibration needs reps >= 1000, got %d" % reps)
+    reps = check_integer(reps, "calibration reps", 1000)
     # two samples if the truth holds M1; the key rule refuses a non-mapping
     two_sample = isinstance(truth, Mapping) and "M1" in truth
     means, cov_true = _generator(truth, ("M1", "M2") if two_sample else ("M",))
@@ -213,9 +193,8 @@ def calibrate_null(config, truth, n, reps, seed):
         raise ValueError("a truth with %s needs n = %s, got %r" % (
             "M1 and M2" if two_sample else "M",
             "[n1, n2]" if two_sample else "a single count", n))
-    sizes = tuple(check_integer(k, "n") for k in sizes)
-    if min(sizes) < 1:
-        raise ValueError("need n >= 1 per group, got %r" % (n,))
+    sizes = tuple(check_integer(k, name, 1)
+                  for k, name in zip(sizes, ("n1", "n2") if two_sample else ("n",)))
     for name, count in (("reps", reps), ("n", max(sizes))):
         if count >= 2 ** 63:  # no array is that long; the draws overflow
             raise ValueError("%s must be below 2**63, got %.3g"
@@ -258,24 +237,21 @@ def consistency_study(estimator, truth, n_grid, reps, seed):
     if estimator not in ("mean", "sigma2", "tau", "pooled_sigma2", "pooled_tau",
                          "eigvec_var"):
         raise ValueError("unknown estimator %r" % (estimator,))
-    reps = _check_reps(reps)
+    reps = check_integer(reps, "reps", 1)
     pooled = estimator.startswith("pooled_")
     means, cov = _generator(truth, ("M1", "M2") if pooled else ("M",))
     M = means[0]
-    if estimator == "eigvec_var":
+    if estimator == "eigvec_var":  # eigvec_uncertainty's rule, before any draw
         dec = eigh_desc(M)
-        _check_distinct(dec.lam, M.shape[0])
-    if isinstance(n_grid, (str, Mapping)) or not isinstance(n_grid, Iterable):
-        raise ValueError("n_grid must be a sequence of sample sizes, got %r"
-                         % (n_grid,))
+        check_spectrum(dec.lam, "the spectrum of M", Multiplicities((1,) * len(M)))
     # one observation per group at least; a covariance fit needs two, for
     # the spread within each group
-    per_group = 1 if estimator in ("mean", "eigvec_var") else 2
-    grid = [check_integer(v, "n") for v in n_grid]
-    for n in grid:
-        if n < per_group * len(means):
-            raise ValueError("estimator %r requires n >= %d, got %d"
-                             % (estimator, per_group * len(means), n))
+    least = (1 if estimator in ("mean", "eigvec_var") else 2) * len(means)
+    grid = ([] if isinstance(n_grid, (str, Mapping)) or not isinstance(n_grid, Iterable)
+            else [check_integer(v, "n for %r" % estimator, least) for v in n_grid])
+    if not grid:
+        raise ValueError("n_grid must be a sequence of one or more sample sizes, "
+                         "got %r" % (n_grid,))
     rows = []
     for i, n in enumerate(grid):
         sizes = (n // 2, n - n // 2) if pooled else (n,)
@@ -327,14 +303,12 @@ def cone_boundary_law(d_true, n, reps, seed, cov=None):
     the estimate keeps positive mass on the tie faces no matter how large
     n is.
     """
-    d = _check_d_true(d_true)
+    d = check_spectrum(d_true, "d_true")
     p = d.size
     if cov is None:
         cov = CovParams(1.0, 0.0)
     cov.validate(p)
-    n, reps = check_integer(n, "n"), _check_reps(reps)
-    if n < 1:
-        raise ValueError("need n >= 1, got %d" % n)
+    n, reps = check_integer(n, "n", 1), check_integer(reps, "reps", 1)
     # the diagonal of the sample mean, drawn from N(d_true, sigma2/n, tau)
     fitted, dims = _cone_draw(d, CovParams(cov.sigma2 / n, cov.tau), reps, seed)
     dim_counts = np.bincount(dims, minlength=p + 1)

@@ -224,16 +224,13 @@ def _log_transform(S):
 # subcommands: each maps its parsed arguments to its report body
 
 def _setting(args, config, key, default):
-    # --seed/--reps, else the config's value, else the default; a seed
-    # must be nonnegative
+    # --seed/--reps, else the config's value, else the default, named as
+    # either source would be; a seed must be nonnegative
     value = getattr(args, key, None)
     value = config.get(key, default) if value is None else value
     if value is None:
         return None
-    value = check_integer(value, "config %r" % key)
-    if key == "seed" and value < 0:
-        raise InputError("'seed' must be nonnegative, got %d" % value)
-    return value
+    return check_integer(value, repr(key), 0 if key == "seed" else None)
 
 
 def cmd_simulate(args):

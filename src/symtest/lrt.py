@@ -364,10 +364,10 @@ def _cone_weights(value, p):
     if isinstance(value, ConeWeights):
         value = {"face_dims": value.face_dims, "weights": value.weights}
     check_keys(value, ("face_dims", "weights"))
-    dims = tuple(check_integer(k, "a face dimension")
+    dims = tuple(check_integer(k, "a face dimension in 1..%d" % p, 1)
                  for k in _sequence(value["face_dims"]))
     weights = tuple(float(x) for x in _sequence(value["weights"]))
-    if len(set(dims)) != len(dims) or not all(1 <= k <= p for k in dims):
+    if len(set(dims)) != len(dims) or any(k > p for k in dims):
         raise ValueError("face dimensions must be distinct and in 1..%d, got %r"
                          % (p, dims))
     if len(weights) != len(dims):

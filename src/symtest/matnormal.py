@@ -40,10 +40,7 @@ def _rng_from(seed, key=()):
     if not isinstance(seed, np.random.SeedSequence):
         # nonnegative, as the CLI's; numpy's errors name nothing (and it
         # takes True as 1)
-        seed = check_integer(seed, "seed")
-        if seed < 0:
-            raise ValueError("seed must be nonnegative, got %d" % seed)
-        seed = np.random.SeedSequence(seed)
+        seed = np.random.SeedSequence(check_integer(seed, "seed", 0))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(
         seed.entropy, spawn_key=seed.spawn_key + tuple(key),
         pool_size=seed.pool_size)))
@@ -101,9 +98,7 @@ def sample(n, M, cov, seed):
     M = check_symmetric(M, "M")
     p = M.shape[0]
     R = _sigma_root(p, cov)
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError("need n >= 1, got %d" % n)
+    n = check_integer(n, "n", 1)
     rng = _rng_from(seed)
     with _allocating("n", n):
         z = rng.standard_normal((n, sym_dim(p)))
@@ -144,9 +139,9 @@ class SuffStats:
         if bad.size:
             raise ValueError("observation %d has a non-finite entry"
                              % (bad[0] + 1))
-        n1 = None if n1 is None else check_integer(n1, "n1")
-        if n1 is not None and not 1 <= n1 < S.shape[0]:
-            raise ValueError("need 1 <= n1 < n, got n1=%d, n=%d" % (n1, S.shape[0]))
+        n1 = None if n1 is None else check_integer(n1, "n1", 1)
+        if n1 is not None and n1 >= S.shape[0]:
+            raise ValueError("n1 must be < n = %d, got %d" % (S.shape[0], n1))
         parts = (S,) if n1 is None else (S[:n1], S[n1:])
         ybar = [part.mean(axis=0) for part in parts]
         p, a, b, logdet = S.shape[1], [], [], []

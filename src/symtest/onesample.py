@@ -58,6 +58,7 @@ from .symcore import (
     _rebuild,
     block_average,
     check_integer,
+    check_spectrum,
     check_symmetric,
     eigh_desc,
     float_array,
@@ -66,31 +67,12 @@ from .symcore import (
 
 
 def _check_orthogonal(U, name="U0", tol=1e-8):
-    U = np.asarray(U, dtype=float)
+    U = float_array(U, name)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("%s must be square" % name)
-    if np.abs(U.T @ U - np.eye(U.shape[0])).max() > tol:
+    if not np.abs(U.T @ U - np.eye(U.shape[0])).max() <= tol:  # NaN fails too
         raise ValueError("%s is not orthogonal to within %g" % (name, tol))
     return U
-
-
-def _check_spectrum(D0, mult):
-    """Validate that D0 is non-increasing with exact ties matching mult."""
-    D0 = np.asarray(D0, dtype=float)
-    if D0.ndim != 1:
-        raise ValueError("D0 must be a vector of eigenvalues")
-    if mult.p != D0.shape[0]:
-        raise ValueError("multiplicities %r inconsistent with %d eigenvalues"
-                         % (mult.m, D0.shape[0]))
-    values = []
-    for lo, hi in mult.blocks():
-        block = D0[lo:hi]
-        if np.any(block != block[0]):
-            raise ValueError("eigenvalues within a multiplicity block must be equal")
-        values.append(block[0])
-    if any(a <= b for a, b in zip(values, values[1:])):
-        raise ValueError("block eigenvalues must be strictly decreasing")
-    return D0
 
 
 _PAVA_CHUNK = 4096  # rows per batched PAVA pass; bounds its working memory
@@ -137,7 +119,7 @@ class FixedEigvals(ParamSet):
     mult: Multiplicities
 
     def __post_init__(self):
-        object.__setattr__(self, "D0", _check_spectrum(self.D0, self.mult))
+        object.__setattr__(self, "D0", check_spectrum(self.D0, "D0", self.mult))
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,19 +461,6 @@ def _frame_log(U_true, V):
     return _rotation_log(R)
 
 
-def _check_distinct(D0, p):
-    # D0 as p finite, strictly decreasing eigenvalues: the spectra whose
-    # eigenvectors are identifiable
-    D0 = float_array(D0, "D0")
-    if D0.shape != (p,) or not np.all(np.isfinite(D0)):
-        raise ValueError("D0 must be %d finite eigenvalues, got %r"
-                         % (p, D0.tolist()))
-    if np.any(D0[:-1] <= D0[1:]):
-        raise ValueError("spectrum must be strictly decreasing: equal eigenvalues "
-                         "leave the eigenvectors unidentifiable")
-    return D0
-
-
 def eigvec_uncertainty(U_true, D0, fit_M, n, sigma2):
     """Eigenvector estimation error and its predicted asymptotic variance.
 
@@ -506,14 +475,12 @@ def eigvec_uncertainty(U_true, D0, fit_M, n, sigma2):
     """
     U_true = _check_orthogonal(U_true, "U_true")
     p = U_true.shape[0]
-    D0 = _check_distinct(D0, p)
+    D0 = check_spectrum(D0, "D0", Multiplicities((1,) * p))
     fit_M = check_symmetric(fit_M, "fit_M")
     if fit_M.ndim not in (2, 3) or fit_M.shape[-1] != p:
         raise ValueError("fit_M must be a (%d, %d) fit or a stack of them, got "
                          "shape %s" % (p, p, fit_M.shape))
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError("need n >= 1, got %d" % n)
+    n = check_integer(n, "n", 1)
     CovParams(sigma2).validate(p)
     a_hat = _frame_log(U_true, eigh_desc(fit_M.reshape(-1, p, p)).V)
     gaps = D0[:, None] - D0[None, :]

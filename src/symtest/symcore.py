@@ -6,6 +6,18 @@ R^q with q = p(p+1)/2, the (sigma2, tau) inner product, the LAPACK
 eigendecomposition with a canonical ordering and sign convention,
 block averaging of eigenvalues, and the eigenvalue-wise matrix
 log/exp used for log-domain preprocessing.
+
+It also holds one rule for each kind of argument, so that every module
+refuses bad input alike:
+
+- check_integer(value, name, least) for every count and seed: an
+  integer, never a bool or a fraction, at least `least` if given;
+- check_spectrum(values, name, mult) for every spectrum (D0, a truth's
+  eigenvalues, a cone's d_true): a nonempty, finite, non-increasing
+  vector; with a multiplicity pattern also exactly tied within each
+  block and each block above the next by more than 64 eps max|value|,
+  so that a tie split by eigh's rounding counts as a tie;
+- check_keys for every config object.
 """
 
 import contextlib
@@ -16,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def sym_dim(p):
@@ -42,19 +55,55 @@ def check_symmetric(X, name="matrix", tol=1e-8):
     return 0.5 * (X + XT)
 
 
-def check_integer(value, name):
-    """Validate and return value as an int.
+def check_integer(value, name, least=None):
+    """Validate and return value as an int, at least `least` if given.
 
     Integral numbers and numeric strings are accepted; booleans and
     fractions raise ValueError rather than being truncated.
     """
-    try:
+    count = None
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
         if not isinstance(value, (bool, np.bool_)) and (
                 isinstance(value, str) or int(value) == value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError("%s must be an integer, got %r" % (name, value))
+            count = int(value)
+    if count is None:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if least is not None and count < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, count))
+    return count
+
+
+def check_spectrum(values, name, mult=None):
+    """Validate and return values as a nonempty, finite, non-increasing
+    float vector.
+
+    With a Multiplicities mult it must also hold mult.p values, exactly
+    tied within each block, each block above the next by more than 64 eps
+    max|value|: a tie that eigh's rounding split is still a tie.
+    """
+    d = float_array(values, name)
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError("%s must be a nonempty vector, got %r" % (name, values))
+    if not np.all(np.isfinite(d)):
+        raise ValueError("%s must be finite, got %r" % (name, d.tolist()))
+    if np.any(d[1:] > d[:-1]):
+        raise ValueError("%s must be non-increasing, got %r" % (name, d.tolist()))
+    if mult is None:
+        return d
+    if d.size != mult.p:
+        raise ValueError("%s must hold %d values for multiplicities %r, got %d"
+                         % (name, mult.p, mult.m, d.size))
+    first, last = np.array(mult.e[:-1]), np.array(mult.e[1:]) - 1
+    if np.any(d[first] != d[last]):
+        raise ValueError("%s must be equal within each block of multiplicities "
+                         "%r, got %r" % (name, mult.m, d.tolist()))
+    gap = 64 * EPS * np.abs(d).max()
+    if np.any(d[first[:-1]] - d[first[1:]] <= gap):
+        raise ValueError("%s must fall by more than %.3g (64 eps max|value|) from "
+                         "one block to the next: equal eigenvalues leave the "
+                         "eigenvectors unidentifiable, got %r"
+                         % (name, gap, d.tolist()))
+    return d
 
 
 @contextlib.contextmanager
@@ -156,9 +205,9 @@ class Multiplicities:
     m: tuple
 
     def __post_init__(self):
-        m = tuple(check_integer(v, "a multiplicity") for v in self.m)
-        if len(m) == 0 or any(v < 1 for v in m):
-            raise ValueError("multiplicities must be positive integers, got %r" % (self.m,))
+        m = tuple(check_integer(v, "a multiplicity", 1) for v in self.m)
+        if not m:
+            raise ValueError("multiplicities must be nonempty, got %r" % (self.m,))
         object.__setattr__(self, "m", m)
 
     @property

@@ -26,6 +26,7 @@ from symtest.calibrate import (
 import symtest.lrt as lrt
 from symtest.matnormal import SuffStats, sample
 from symtest.lrt import ChiSq, ChiSqApprox, ChiSqMix, FDist
+from symtest.onesample import eigvec_uncertainty
 from symtest.symcore import CovParams, Multiplicities
 
 # Unsigned Stirling numbers of the first kind give P(k distinct pooled
@@ -120,7 +121,7 @@ class TestEstimateConeWeights:
     def test_rejects_empty_and_bad_reps(self):
         with pytest.raises(ValueError, match="nonempty"):
             estimate_cone_weights((), 100, 0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
             estimate_cone_weights((1.0, 0.0), 0, 0)
 
     @pytest.mark.parametrize("d_true", [(np.nan, 1.0), (np.inf, 1.0),
@@ -261,7 +262,7 @@ class TestCalibrateNull:
         config = {"test_id": "a0", "M0": [[0.0, 0.0], [0.0, 0.0]],
                   "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}}
         truth = {"M": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
-        with pytest.raises(ValueError, match="reps >= 1000"):
+        with pytest.raises(ValueError, match="calibration reps must be >= 1000"):
             calibrate_null(config, truth, n=4, reps=999, seed=0)
 
     def test_rejects_truth_outside_null(self):
@@ -504,7 +505,7 @@ class TestConsistencyStudy:
             raise AssertionError("drew before checking n")
 
         monkeypatch.setattr(cal, "_draws", no_draw)
-        with pytest.raises(ValueError, match=r"^estimator %r requires n >= %d, "
+        with pytest.raises(ValueError, match=r"^n for %r must be >= %d, "
                            r"got %d$" % (estimator, least, n)):
             consistency_study(estimator, truth, [10, n], 5, 0)
 
@@ -528,6 +529,32 @@ class TestConsistencyStudy:
                            "eigenvectors unidentifiable"):
             consistency_study("eigvec_var", truth, [10], 5, 0)
 
+    def test_grid_must_be_nonempty(self):
+        truth = {"M": [[1.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
+        for grid in ([], ()):
+            with pytest.raises(ValueError, match=r"^n_grid must be a sequence of "
+                               r"one or more sample sizes, got "):
+                consistency_study("mean", truth, grid, 5, 0)
+
+    def test_eigvec_study_refuses_a_rotated_tie_before_drawing(self, monkeypatch):
+        # eigh splits the tie of a rotated diag(2, 2, 1) by about 1e-15,
+        # well inside the 64 eps gap the spectrum rule asks of distinct values
+        import symtest.calibrate as cal
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the truth's spectrum")
+
+        monkeypatch.setattr(cal, "_draws", no_draw)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            truth = {"M": (Q @ np.diag([2.0, 2.0, 1.0]) @ Q.T).tolist(),
+                     "sigma2": 1.0, "tau": 0.0}
+            with pytest.raises(ValueError, match="^the spectrum of M must fall "
+                               ".* equal eigenvalues leave the eigenvectors "
+                               "unidentifiable"):
+                consistency_study("eigvec_var", truth, [10], 5, 0)
+
     def test_unknown_estimator(self):
         truth = {"M": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
         for estimator in ("median", {"id": "tau"}, 5):
@@ -543,7 +570,7 @@ def test_monte_carlo_counts_must_be_integral():
         cone_boundary_law((1.0, 0.0), n=10, reps=100.5, seed=0)
     with pytest.raises(ValueError, match="reps must be an integer"):
         consistency_study("mean", truth, [10], 2.9, 0)
-    with pytest.raises(ValueError, match="n must be an integer"):
+    with pytest.raises(ValueError, match="n for 'mean' must be an integer"):
         consistency_study("mean", truth, [10.7], 2, 0)
 
 
@@ -564,10 +591,11 @@ SEED_CALLS = {
 
 
 @pytest.mark.parametrize("seed,message", [
-    (-1, "seed must be nonnegative, got -1"),
+    (-1, "seed must be >= 0, got -1"),
     (1.5, "seed must be an integer, got 1.5"),
-    (True, "seed must be an integer, got True")], ids=["negative", "fraction",
-                                                       "bool"])
+    (True, "seed must be an integer, got True"),
+    ("x", "seed must be an integer, got 'x'")], ids=["negative", "fraction",
+                                                     "bool", "string"])
 @pytest.mark.parametrize("call", sorted(SEED_CALLS))
 def test_library_seed_names_itself(call, seed, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
@@ -607,18 +635,58 @@ def test_seed_sequence_spawns_below_its_own_key():
     assert not np.array_equal(got, call(7).statistics)
 
 
-@pytest.mark.parametrize("reps", [0, -1])
-def test_monte_carlo_counts_must_be_positive(reps):
-    one = {"M": [[1.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
-    two = {"M1": one["M"], "M2": one["M"], "sigma2": 1.0, "tau": 0.0}
-    with pytest.raises(ValueError, match="reps must be positive"):
-        estimate_cone_weights((1.0, 0.0), reps, 0)
-    with pytest.raises(ValueError, match="reps must be positive"):
-        cone_boundary_law((1.0, 0.0), n=10, reps=reps, seed=0)
-    for estimator, truth in (("mean", one), ("tau", one), ("eigvec_var", one),
-                             ("pooled_sigma2", two)):
-        with pytest.raises(ValueError, match="reps must be positive"):
-            consistency_study(estimator, truth, [10], reps, 0)
+ONE = {"M": [[1.0, 0.0], [0.0, 0.0]], "sigma2": 1.0, "tau": 0.0}
+TWO = {"M1": ONE["M"], "M2": ONE["M"], "sigma2": 1.0, "tau": 0.0}
+A0 = {"test_id": "a0", "M0": ONE["M"], "cov": {"known": {"sigma2": 1.0, "tau": 0.0}}}
+# each count argument of every entry point: (the name its message gives,
+# its least value, a call passing v as that count)
+COUNT_CALLS = {
+    "sample n": ("n", 1, lambda v: sample(v, np.eye(2), CovParams(1.0), 0)),
+    "from_sample n1": ("n1", 1, lambda v: SuffStats.from_sample(
+        np.stack([np.eye(2)] * 3), v)),
+    "estimate_cone_weights reps": ("reps", 1, lambda v: estimate_cone_weights(
+        (1.0, 0.0), v, 0)),
+    "cone_boundary_law reps": ("reps", 1, lambda v: cone_boundary_law(
+        (1.0, 0.0), n=10, reps=v, seed=0)),
+    "cone_boundary_law n": ("n", 1, lambda v: cone_boundary_law(
+        (1.0, 0.0), n=v, reps=10, seed=0)),
+    "calibrate_null reps": ("calibration reps", 1000, lambda v: calibrate_null(
+        A0, ONE, 5, v, 0)),
+    "calibrate_null n": ("n", 1, lambda v: calibrate_null(A0, ONE, v, 1000, 0)),
+    "calibrate_null n2": ("n2", 1, lambda v: calibrate_null(
+        dict(A0, test_id="2a0"), TWO, (5, v), 1000, 0)),
+    "eigvec_uncertainty n": ("n", 1, lambda v: eigvec_uncertainty(
+        np.eye(2), [2.0, 1.0], np.eye(2), v, 1.0)),
+    "Multiplicities": ("a multiplicity", 1, lambda v: Multiplicities((2, v))),
+    "c2 face_dims": ("a face dimension in 1..2", 1, lambda v: lrt.run_config(
+        {"test_id": "c2", "U0": np.eye(2).tolist(),
+         "weights": {"face_dims": [v], "weights": [1.0]}},
+        np.stack([np.eye(2)] * 3))),
+}
+for _est, _truth, _least in (("mean", ONE, 1), ("tau", ONE, 2),
+                             ("eigvec_var", ONE, 1), ("pooled_sigma2", TWO, 4)):
+    COUNT_CALLS["consistency_study %s reps" % _est] = (
+        "reps", 1, lambda v, e=_est, t=_truth: consistency_study(e, t, [10], v, 0))
+    COUNT_CALLS["consistency_study %s n_grid" % _est] = (
+        "n for %r" % _est, _least,
+        lambda v, e=_est, t=_truth: consistency_study(e, t, [10, v], 5, 0))
+
+
+@pytest.mark.parametrize("bad", [0, -1, pytest.param(None, id="least-1"), True,
+                                 2.5, "x"])
+def test_monte_carlo_counts_must_be_positive(bad):
+    # one rule for every count: an integer, never a bool, a fraction or a
+    # word, and at least its least; the message names the argument and
+    # the value (None stands for the count's least - 1)
+    for key, (name, least, call) in COUNT_CALLS.items():
+        value = least - 1 if bad is None else bad
+        if isinstance(value, int) and not isinstance(value, bool):
+            want = "%s must be >= %d, got %d" % (name, least, value)
+        else:
+            want = "%s must be an integer, got %r" % (name, value)
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert want in str(info.value), key
 
 
 class TestConeBoundaryLaw:
@@ -689,5 +757,5 @@ class TestConeBoundaryLaw:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_empty_sample(self, n):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             cone_boundary_law((1.0, 0.0), n=n, reps=100, seed=0)

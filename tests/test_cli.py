@@ -627,7 +627,7 @@ class TestExitCodes:
         else:
             argv += ["--seed", "-1"]
         argv += ["--config", write_config(tmp_path, "c.json", cfg)]
-        self.check_error(capsys, argv, "'seed' must be nonnegative")
+        self.check_error(capsys, argv, "'seed' must be >= 0")
         assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("config,fragment", [
@@ -1027,7 +1027,7 @@ class TestCmdCalibrate:
         cfg = write_config(tmp_path, "c.json", config)
         code, _, err = run(capsys, ["calibrate", "--config", cfg])
         assert code == 2
-        assert "n must be an integer, got 50.5" in err
+        assert "n2 must be an integer, got 50.5" in err
 
     def test_missing_keys(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"test": {}})

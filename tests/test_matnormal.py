@@ -139,7 +139,7 @@ class TestSample:
         assert np.array_equal(S, np.transpose(S, (0, 2, 1)))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             sample(0, np.eye(2), CovParams(1.0), 0)
 
     def test_moments_tau_zero(self):

@@ -262,12 +262,37 @@ class TestFixedEigvalsProjection:
         assert np.allclose(np.sort(np.linalg.eigvalsh(M))[::-1], D0, atol=1e-10)
 
     def test_rejects_unsorted_spectrum(self):
-        with pytest.raises(ValueError, match="decreasing"):
+        with pytest.raises(ValueError, match="non-increasing"):
             project(FixedEigvals([1.0, 3.0], Multiplicities((1, 1))), np.eye(2))
 
     def test_rejects_spectrum_pattern_mismatch(self):
         with pytest.raises(ValueError, match="block"):
             project(FixedEigvals([3.0, 1.0], Multiplicities((2,))), np.eye(2))
+
+
+def nan_frame():
+    U = np.eye(3)
+    U[0, 1] = np.nan
+    return U
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: FixedEigvals([np.inf, 2.0, 1.0], Multiplicities((1, 1, 1))),
+     "D0 must be finite, got [inf, 2.0, 1.0]"),
+    (lambda: FixedEigvals([np.nan, 2.0, 1.0], Multiplicities((1, 1, 1))),
+     "D0 must be finite, got [nan, 2.0, 1.0]"),
+    (lambda: FixedEigvecs(nan_frame()), "U0 is not orthogonal to within 1e-08"),
+    (lambda: OrderedCone(nan_frame()), "U0 is not orthogonal to within 1e-08"),
+    (lambda: eigvec_uncertainty(nan_frame(), [3.0, 2.0, 1.0], np.eye(3), 5, 1.0),
+     "U_true is not orthogonal to within 1e-08"),
+], ids=["FixedEigvals-inf", "FixedEigvals-nan", "FixedEigvecs-nan",
+        "OrderedCone-nan", "eigvec_uncertainty-nan"])
+def test_set_arguments_must_be_finite(build, message):
+    # a NaN fails every comparison, so each check is written to pass only
+    # on finite input
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 class TestMultProjection:

@@ -17,6 +17,7 @@ from symtest.symcore import (
     Multiplicities,
     block_average,
     check_integer,
+    check_spectrum,
     check_symmetric,
     eigh_desc,
     float_array,
@@ -152,6 +153,29 @@ class TestCheckInteger:
     def test_rejects_the_rest(self, value):
         with pytest.raises(ValueError, match="n must be an integer"):
             check_integer(value, "n")
+
+
+class TestCheckSpectrum:
+    def test_pattern_length_and_ties(self):
+        with pytest.raises(ValueError, match=r"^d must hold 3 values for "
+                           r"multiplicities \(1, 2\), got 2$"):
+            check_spectrum([2.0, 1.0], "d", Multiplicities((1, 2)))
+        with pytest.raises(ValueError, match=r"^d must be equal within each "
+                           r"block of multiplicities \(1, 2\), got "):
+            check_spectrum([3.0, 2.0, 1.0], "d", Multiplicities((1, 2)))
+
+    @pytest.mark.parametrize("scale", [2.0 ** -30, 1.0, 2.0 ** 30])
+    def test_blocks_must_part_by_more_than_64_eps(self, scale):
+        # the gap is relative to max|value|: a tie split by rounding is a
+        # tie (powers of two keep every difference here exact)
+        mult = Multiplicities((1, 1))
+        top = 2.0 * scale
+        gap = 64 * np.finfo(float).eps * top
+        check_spectrum([top, top - 2.0 * gap], "d", mult)
+        for below in (top - gap, top):
+            with pytest.raises(ValueError, match="equal eigenvalues leave the "
+                               "eigenvectors unidentifiable"):
+                check_spectrum([top, below], "d", mult)
 
 
 class TestFloatArray:
